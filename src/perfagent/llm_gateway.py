@@ -488,16 +488,19 @@ _INCLUDE_LINE = re.compile(rb'^[ \t]*#[ \t]*include[ \t]*[<"]([^>"\n]+)[>"]', re
 
 def include_names(source: str) -> set[str]:
     """Names of headers included by live (uncommented) directives."""
-    data = source.encode("utf-8")
+    scan = patch._scan(source)
+    data = scan.data
     # The byte mask, not active_text: quote-form include names are string
     # literals and would be blanked; only the "#" needs an activity check.
-    mask = patch._active_mask(data)
     names = set()
     for m in _INCLUDE_LINE.finditer(data):
-        if mask[data.index(b"#", m.start())]:
+        if scan.literal_mask[data.index(b"#", m.start())]:
             names.add(m.group(1).decode("utf-8", "replace"))
     return names
 
+
+# Word characters only, so a token occurs as a whole word exactly when
+# it is one of the text's \w+ runs.
 _PRINT_TOKENS = (
     "printf", "fprintf", "puts", "fputs", "putchar", "fputc", "putc",
     "perror", "cout", "cerr", "clog",
@@ -519,12 +522,7 @@ def _function_names(source: str, side: str) -> set[str]:
 
 
 def _print_kinds(source: str) -> set[str]:
-    active = patch.active_text(source)
-    found = set()
-    for token in _PRINT_TOKENS:
-        if re.search(rf"\b{re.escape(token)}\b", active):
-            found.add(token)
-    return found
+    return set(re.findall(r"\w+", patch.active_text(source))).intersection(_PRINT_TOKENS)
 
 
 def has_parallel_construct(source: str) -> bool:

@@ -3,7 +3,9 @@
 Finds top-level function definitions without a real parser. A scanner masks
 out comments, string and character literals, and preprocessor directive
 lines; brace and parenthesis depth over the remaining bytes then identifies
-``name(args) { ... }`` definitions at file scope.
+``name(args) { ... }`` definitions at file scope. The masks and the
+definitions come from one cached scan per source text, so asking about an
+unchanged source again costs a dictionary lookup.
 
 Known limits, by design: K&R definitions, qualified member definitions
 (``Foo::bar``), functions nested in ``extern "C"`` or class bodies, and
@@ -13,6 +15,8 @@ kernels in scope are plain C with at most light C++.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -93,50 +97,29 @@ _NOT_NAMES = frozenset(
 )
 
 
+# Comments and string/char literals, in the order a left-to-right scan
+# meets them. A literal stops at a raw newline instead of swallowing the
+# rest of the file; a backslash escapes any byte (a newline included), and
+# a lone trailing backslash belongs to the literal.
+_INERT = re.compile(
+    rb"//[^\n]*"
+    rb"|/\*.*?(?:\*/|\Z)"
+    rb'|"(?:[^"\\\n]|\\.?)*"?'
+    rb"|'(?:[^'\\\n]|\\.?)*'?",
+    re.DOTALL,
+)
+_DIRECTIVE_START = re.compile(rb"^[ \t]*#", re.MULTILINE)
+_INACTIVE_RUN = re.compile(rb"\x00+")
+# Blanks every byte but the newline.
+_BLANK = bytes(0x0A if b == 0x0A else 0x20 for b in range(256))
+_SCAN_CACHE_SIZE = 8
+
+
 def _active_mask(data: bytes) -> bytearray:
     """Mark live code bytes; comments and string/char literals become 0."""
-    n = len(data)
-    mask = bytearray(b"\x01" * n)
-    i = 0
-    while i < n:
-        c = data[i]
-        if c == 0x2F and i + 1 < n and data[i + 1] == 0x2F:  # //
-            while i < n and data[i] != 0x0A:
-                mask[i] = 0
-                i += 1
-            continue
-        if c == 0x2F and i + 1 < n and data[i + 1] == 0x2A:  # /*
-            mask[i] = 0
-            mask[i + 1] = 0
-            i += 2
-            while i < n:
-                mask[i] = 0
-                if data[i] == 0x2A and i + 1 < n and data[i + 1] == 0x2F:
-                    mask[i + 1] = 0
-                    i += 2
-                    break
-                i += 1
-            continue
-        if c in (0x22, 0x27):  # " or '
-            quote = c
-            mask[i] = 0
-            i += 1
-            while i < n:
-                # A raw newline ends a malformed literal instead of
-                # swallowing the rest of the file.
-                if data[i] == 0x0A:
-                    break
-                mask[i] = 0
-                if data[i] == 0x5C and i + 1 < n:
-                    mask[i + 1] = 0
-                    i += 2
-                    continue
-                if data[i] == quote:
-                    i += 1
-                    break
-                i += 1
-            continue
-        i += 1
+    mask = bytearray(b"\x01" * len(data))
+    for m in _INERT.finditer(data):
+        mask[m.start() : m.end()] = bytes(m.end() - m.start())
     return mask
 
 
@@ -144,37 +127,34 @@ def _mask_directives(data: bytes, mask: bytearray) -> None:
     """Zero out preprocessor directive lines, honoring continuations.
 
     Activity tests use a snapshot of the comment/literal mask so that a
-    backslash already zeroed by this very loop still counts as a
-    continuation, while one inside a comment does not.
+    backslash already zeroed here still counts as a continuation, while
+    one inside a comment does not. A newline inside a comment or escaped
+    in a literal does not end the directive.
     """
     orig = bytes(mask)
     n = len(data)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and data[j] in (0x20, 0x09):
-            j += 1
-        if j < n and data[j] == 0x23 and orig[j]:
-            k = j
-            while k < n:
-                mask[k] = 0
-                if data[k] == 0x0A and orig[k]:
-                    p = k - 1
-                    if p >= 0 and data[p] == 0x0D:
-                        p -= 1
-                    if p >= j and data[p] == 0x5C and orig[p]:
-                        k += 1  # continued line
-                        continue
-                    break
-                k += 1
-            i = k + 1
+    for m in _DIRECTIVE_START.finditer(data):
+        j = m.end() - 1
+        if not orig[j]:
             continue
-        while i < n and data[i] != 0x0A:
-            i += 1
-        i += 1
+        k = j
+        while True:
+            k = data.find(b"\n", k)
+            if k < 0:
+                k = n
+                break
+            if orig[k]:
+                p = k - 1
+                if data[p] == 0x0D:
+                    p -= 1
+                if not (data[p] == 0x5C and orig[p]):
+                    break
+            k += 1
+        end = min(k + 1, n)
+        mask[j:end] = bytes(end - j)
 
 
-def _skip_inert(data: bytes, mask: bytearray, i: int) -> int:
+def _skip_inert(data: bytes, mask: bytes, i: int) -> int:
     """Advance past whitespace and masked bytes."""
     n = len(data)
     while i < n and (not mask[i] or data[i] in _WS):
@@ -182,7 +162,7 @@ def _skip_inert(data: bytes, mask: bytearray, i: int) -> int:
     return i
 
 
-def _match_delim(data: bytes, mask: bytearray, i: int, op: int, cl: int) -> int:
+def _match_delim(data: bytes, mask: bytes, i: int, op: int, cl: int) -> int:
     """Index of the delimiter closing the one at ``i``, or -1."""
     depth = 0
     n = len(data)
@@ -198,7 +178,7 @@ def _match_delim(data: bytes, mask: bytearray, i: int, op: int, cl: int) -> int:
     return -1
 
 
-def _preceded_by_member_op(data: bytes, mask: bytearray, i: int) -> bool:
+def _preceded_by_member_op(data: bytes, mask: bytes, i: int) -> bool:
     """True when the byte before ``i`` (skipping inert bytes) is . -> or ::"""
     j = i - 1
     while j >= 0 and (not mask[j] or data[j] in _WS):
@@ -264,34 +244,18 @@ def _try_definition(data, mask, name_start, name_end, name):
     return FunctionSpan(name, start, byte_end, sig), byte_end
 
 
-def active_text(source: str, keep_directives: bool = False) -> str:
-    """Source with comments, literal contents, and directive lines blanked.
+@dataclass(frozen=True)
+class _Scan:
+    """What the scanner derives from one source text."""
 
-    Newlines survive so line-oriented scans still work; every other
-    inactive byte becomes a space. Useful for token searches that must not
-    match inside strings or comments. With keep_directives, preprocessor
-    lines stay visible (e.g. to look for pragmas).
-    """
-    data = source.encode("utf-8")
-    mask = _active_mask(data)
-    if not keep_directives:
-        _mask_directives(data, mask)
-    out = bytearray(data)
-    for i in range(len(out)):
-        if not mask[i] and out[i] != 0x0A:
-            out[i] = 0x20
-    return out.decode("utf-8", "replace")
+    data: bytes  # UTF-8 encoding; every offset indexes it
+    literal_mask: bytes  # 0 on comments and literals
+    code_mask: bytes  # 0 on directive lines as well
+    spans: tuple[FunctionSpan, ...]
+    unbalanced: str | None  # name whose body never closes; spans is then empty
 
 
-def list_functions(source: str) -> list[FunctionSpan]:
-    """All top-level function definitions, in source order.
-
-    Raises UnbalancedBraces when a definition's body never closes.
-    """
-    data = source.encode("utf-8")
-    mask = _active_mask(data)
-    _mask_directives(data, mask)
-
+def _find_definitions(data: bytes, mask: bytes) -> list[FunctionSpan]:
     spans: list[FunctionSpan] = []
     n = len(data)
     brace_depth = 0
@@ -324,6 +288,46 @@ def list_functions(source: str) -> list[FunctionSpan]:
     return spans
 
 
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan(source: str) -> _Scan:
+    data = source.encode("utf-8")
+    mask = _active_mask(data)
+    literal_mask = bytes(mask)
+    _mask_directives(data, mask)
+    code_mask = bytes(mask)
+    try:
+        return _Scan(data, literal_mask, code_mask, tuple(_find_definitions(data, code_mask)), None)
+    except UnbalancedBraces as exc:
+        return _Scan(data, literal_mask, code_mask, (), exc.name)
+
+
+def active_text(source: str, keep_directives: bool = False) -> str:
+    """Source with comments, literal contents, and directive lines blanked.
+
+    Newlines survive so line-oriented scans still work; every other
+    inactive byte becomes a space. Useful for token searches that must not
+    match inside strings or comments. With keep_directives, preprocessor
+    lines stay visible (e.g. to look for pragmas).
+    """
+    scan = _scan(source)
+    data = scan.data
+    out = bytearray(data)
+    for m in _INACTIVE_RUN.finditer(scan.literal_mask if keep_directives else scan.code_mask):
+        out[m.start() : m.end()] = data[m.start() : m.end()].translate(_BLANK)
+    return out.decode("utf-8", "replace")
+
+
+def list_functions(source: str) -> list[FunctionSpan]:
+    """All top-level function definitions, in source order.
+
+    Raises UnbalancedBraces when a definition's body never closes.
+    """
+    scan = _scan(source)
+    if scan.unbalanced is not None:
+        raise UnbalancedBraces(scan.unbalanced)
+    return list(scan.spans)
+
+
 def locate_function(source: str, name: str) -> FunctionSpan:
     """The unique definition of ``name``; NotFound/Ambiguous otherwise."""
     matches = [s for s in list_functions(source) if s.name == name]
@@ -337,8 +341,7 @@ def locate_function(source: str, name: str) -> FunctionSpan:
 def extract_function(source: str, name: str) -> str:
     """Verbatim text of the definition, prefix through closing brace."""
     span = locate_function(source, name)
-    data = source.encode("utf-8")
-    return data[span.byte_start : span.byte_end].decode("utf-8")
+    return _scan(source).data[span.byte_start : span.byte_end].decode("utf-8")
 
 
 def replace_function(source: str, name: str, new_text: str) -> str:
@@ -366,6 +369,6 @@ def replace_function(source: str, name: str, new_text: str) -> str:
     if depth != 0 or pairs == 0:
         raise UnbalancedReplacement(name)
 
-    data = source.encode("utf-8")
+    data = _scan(source).data
     out = data[: span.byte_start] + rdata + data[span.byte_end :]
     return out.decode("utf-8")

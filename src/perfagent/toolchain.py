@@ -10,7 +10,6 @@ itself (missing compiler, build timeout) raise.
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 import statistics

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 
 from .manifest import ValidationMode, ValidationPolicy
 from .toolchain import BuildOutcome, RunSample
@@ -58,6 +59,8 @@ class MatchReport:
 
 
 def _filter_lines(data: bytes, patterns: tuple[str, ...]) -> list[bytes]:
+    if not patterns:
+        return data.splitlines(keepends=True)
     compiled = [re.compile(p) for p in patterns]
     kept = []
     for raw in data.splitlines(keepends=True):
@@ -118,51 +121,59 @@ def _parse_number(token: str) -> float | None:
     return value
 
 
-def _tokens_with_positions(lines: list[bytes]) -> list[tuple[int, int, str]]:
-    out = []
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.rstrip(b"\r\n").decode("latin-1")
+def _tokens_from(lines: list[bytes], start: int):
+    """Yield (line, index, token) for every token from ``lines[start]`` on."""
+    for line_no in range(start, len(lines)):
+        text = lines[line_no].decode("latin-1")
         for idx, token in enumerate(text.split(), start=1):
-            out.append((line_no, idx, token))
-    return out
+            yield line_no + 1, idx, token
 
 
 def _numbers_match(r: float, c: float, policy: ValidationPolicy) -> bool:
-    if math.isnan(r) and math.isnan(c):
+    if r == c or (math.isnan(r) and math.isnan(c)):
         return True
+    if math.isinf(r) or math.isinf(c):
+        # A tolerance scaled by an infinite reference is infinite too.
+        return False
     return abs(r - c) <= policy.abs_tol + policy.rel_tol * abs(r)
 
 
 def _compare_numeric(
     ref_lines: list[bytes], cand_lines: list[bytes], policy: ValidationPolicy
 ) -> MatchReport:
-    ref_tokens = _tokens_with_positions(ref_lines)
-    cand_tokens = _tokens_with_positions(cand_lines)
-
+    # Byte-equal leading lines hold equal tokens at equal positions, and
+    # equal tokens always match: count them without pairing.
     compared = 0
-    for (r_line, r_idx, r_tok), (_, _, c_tok) in zip(ref_tokens, cand_tokens):
+    start = 0
+    for r_raw, c_raw in zip(ref_lines, cand_lines):
+        if r_raw != c_raw:
+            break
+        compared += len(r_raw.decode("latin-1").split())
+        start += 1
+
+    pairs = zip_longest(_tokens_from(ref_lines, start), _tokens_from(cand_lines, start))
+    for ref, cand in pairs:
+        if ref is None or cand is None:
+            line_no, idx, token = ref or cand
+            ref_side = token if ref else "<end of output>"
+            cand_side = token if cand else "<end of output>"
+            return MatchReport(
+                False,
+                Divergence(line_no, idx, _clip(ref_side), _clip(cand_side)),
+                compared,
+            )
         compared += 1
+        r_line, r_idx, r_tok = ref
+        c_tok = cand[2]
+        if r_tok == c_tok:
+            continue
         r_num = _parse_number(r_tok)
         c_num = _parse_number(c_tok)
-        if r_num is not None and c_num is not None:
-            if _numbers_match(r_num, c_num, policy):
-                continue
-        elif r_tok == c_tok:
+        if r_num is not None and c_num is not None and _numbers_match(r_num, c_num, policy):
             continue
         return MatchReport(
             False,
             Divergence(r_line, r_idx, _clip(r_tok), _clip(c_tok)),
-            compared,
-        )
-
-    if len(ref_tokens) != len(cand_tokens):
-        longer = ref_tokens if len(ref_tokens) > len(cand_tokens) else cand_tokens
-        line_no, idx, token = longer[min(len(ref_tokens), len(cand_tokens))]
-        ref_side = token if len(ref_tokens) > len(cand_tokens) else "<end of output>"
-        cand_side = token if len(cand_tokens) > len(ref_tokens) else "<end of output>"
-        return MatchReport(
-            False,
-            Divergence(line_no, idx, _clip(ref_side), _clip(cand_side)),
             compared,
         )
     return MatchReport(True, None, compared)
@@ -174,9 +185,12 @@ def compare_outputs(
     """Compare program outputs under the benchmark's validation policy.
 
     ExactBytes: byte equality after dropping lines matching any
-    ignore_pattern. NumericTokens: whitespace tokens must pair up;
+    ignore_pattern. NumericTokens: whitespace tokens must pair up.
+    Equal tokens always match, and so do numeric pairs of equal value,
+    so ``inf`` matches ``inf`` and ``1e999``, and NaN matches NaN. Other
     numeric pairs match when |r - c| <= abs_tol + rel_tol * |r| (the
-    reference is ground truth); other pairs must be byte-equal.
+    reference is ground truth), and never when either side is infinite;
+    other pairs must be byte-equal.
     """
     ref_lines = _filter_lines(reference, policy.ignore_patterns)
     cand_lines = _filter_lines(candidate, policy.ignore_patterns)

@@ -1,0 +1,157 @@
+"""Straightforward implementations the optimized code must agree with.
+
+These are the byte-by-byte and list-building versions of the ``patch``
+scanner masks, ``verify``'s NumericTokens comparison and the print-token
+check. They are slow and obviously correct; the equivalence tests run
+them side by side with the library. The number predicate
+(``verify._numbers_match``) is shared, so the comparison tests isolate
+tokenizing, pairing and reporting.
+"""
+
+from __future__ import annotations
+
+import re
+
+from perfagent.manifest import ValidationPolicy
+from perfagent.verify import Divergence, MatchReport, _clip, _numbers_match, _parse_number
+
+
+def active_mask(data: bytes) -> bytearray:
+    n = len(data)
+    mask = bytearray(b"\x01" * n)
+    i = 0
+    while i < n:
+        c = data[i]
+        if c == 0x2F and i + 1 < n and data[i + 1] == 0x2F:  # //
+            while i < n and data[i] != 0x0A:
+                mask[i] = 0
+                i += 1
+            continue
+        if c == 0x2F and i + 1 < n and data[i + 1] == 0x2A:  # /*
+            mask[i] = 0
+            mask[i + 1] = 0
+            i += 2
+            while i < n:
+                mask[i] = 0
+                if data[i] == 0x2A and i + 1 < n and data[i + 1] == 0x2F:
+                    mask[i + 1] = 0
+                    i += 2
+                    break
+                i += 1
+            continue
+        if c in (0x22, 0x27):  # " or '
+            quote = c
+            mask[i] = 0
+            i += 1
+            while i < n:
+                if data[i] == 0x0A:
+                    break
+                mask[i] = 0
+                if data[i] == 0x5C and i + 1 < n:
+                    mask[i + 1] = 0
+                    i += 2
+                    continue
+                if data[i] == quote:
+                    i += 1
+                    break
+                i += 1
+            continue
+        i += 1
+    return mask
+
+
+def mask_directives(data: bytes, mask: bytearray) -> None:
+    orig = bytes(mask)
+    n = len(data)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and data[j] in (0x20, 0x09):
+            j += 1
+        if j < n and data[j] == 0x23 and orig[j]:
+            k = j
+            while k < n:
+                mask[k] = 0
+                if data[k] == 0x0A and orig[k]:
+                    p = k - 1
+                    if p >= 0 and data[p] == 0x0D:
+                        p -= 1
+                    if p >= j and data[p] == 0x5C and orig[p]:
+                        k += 1
+                        continue
+                    break
+                k += 1
+            i = k + 1
+            continue
+        while i < n and data[i] != 0x0A:
+            i += 1
+        i += 1
+
+
+def active_text(source: str, keep_directives: bool = False) -> str:
+    data = source.encode("utf-8")
+    mask = active_mask(data)
+    if not keep_directives:
+        mask_directives(data, mask)
+    out = bytearray(data)
+    for i in range(len(out)):
+        if not mask[i] and out[i] != 0x0A:
+            out[i] = 0x20
+    return out.decode("utf-8", "replace")
+
+
+def print_kinds(active: str, tokens: tuple[str, ...]) -> set[str]:
+    return {t for t in tokens if re.search(rf"\b{re.escape(t)}\b", active)}
+
+
+def filter_lines(data: bytes, patterns: tuple[str, ...]) -> list[bytes]:
+    compiled = [re.compile(p) for p in patterns]
+    kept = []
+    for raw in data.splitlines(keepends=True):
+        text = raw.rstrip(b"\r\n").decode("latin-1")
+        if any(rx.search(text) for rx in compiled):
+            continue
+        kept.append(raw)
+    return kept
+
+
+def _tokens_with_positions(lines: list[bytes]) -> list[tuple[int, int, str]]:
+    out = []
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.rstrip(b"\r\n").decode("latin-1")
+        for idx, token in enumerate(text.split(), start=1):
+            out.append((line_no, idx, token))
+    return out
+
+
+def compare_numeric(reference: bytes, candidate: bytes, policy: ValidationPolicy) -> MatchReport:
+    ref_tokens = _tokens_with_positions(filter_lines(reference, policy.ignore_patterns))
+    cand_tokens = _tokens_with_positions(filter_lines(candidate, policy.ignore_patterns))
+
+    compared = 0
+    for (r_line, r_idx, r_tok), (_, _, c_tok) in zip(ref_tokens, cand_tokens):
+        compared += 1
+        r_num = _parse_number(r_tok)
+        c_num = _parse_number(c_tok)
+        if r_num is not None and c_num is not None:
+            if _numbers_match(r_num, c_num, policy):
+                continue
+        elif r_tok == c_tok:
+            continue
+        return MatchReport(
+            False,
+            Divergence(r_line, r_idx, _clip(r_tok), _clip(c_tok)),
+            compared,
+        )
+
+    if len(ref_tokens) != len(cand_tokens):
+        longer = ref_tokens if len(ref_tokens) > len(cand_tokens) else cand_tokens
+        line_no, idx, token = longer[min(len(ref_tokens), len(cand_tokens))]
+        ref_side = token if len(ref_tokens) > len(cand_tokens) else "<end of output>"
+        cand_side = token if len(cand_tokens) > len(ref_tokens) else "<end of output>"
+        return MatchReport(
+            False,
+            Divergence(line_no, idx, _clip(ref_side), _clip(cand_side)),
+            compared,
+        )
+    return MatchReport(True, None, compared)

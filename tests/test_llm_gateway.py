@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from perfagent import llm_gateway as gw
 
+import reference_impl
 from c_source_gen import gen_translation_unit
 from conftest import write_transcript
 import random
@@ -511,6 +512,19 @@ class TestCheckConstraints:
             'printf("sum %.6f\\n", s);\n    printf("%d\\n", 100);',
         )
         assert gw.check_constraints(ORIGINAL, candidate, gw.Experiment.EX1) == set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                (*gw._PRINT_TOKENS, "_", "x", "2", "::", "std", " ", "\n", "(", "\u00e9", "//", '"')
+            ),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_print_kinds_match_word_boundary_search(self, text):
+        active = gw.patch.active_text(text)
+        assert gw._print_kinds(text) == reference_impl.print_kinds(active, gw._PRINT_TOKENS)
 
     def test_print_token_in_comment_or_string_ignored(self):
         candidate = ORIGINAL.replace(

@@ -5,19 +5,24 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from perfagent import llm_gateway
 from perfagent.patch import (
     AmbiguousFunction,
     FunctionNotFound,
     UnbalancedBraces,
     UnbalancedReplacement,
+    _active_mask,
+    _mask_directives,
+    active_text,
     extract_function,
     list_functions,
     locate_function,
     replace_function,
 )
 
+import reference_impl
 from c_source_gen import gen_replacement, gen_translation_unit
 
 SIMPLE = """\
@@ -163,6 +168,51 @@ def test_unbalanced_body_raises():
     src = "int f(void) {\n    if (1) {\n    return 0;\n"
     with pytest.raises(UnbalancedBraces):
         list_functions(src)
+
+
+def test_unbalanced_source_raises_on_every_call():
+    src = '#include "a.h"\nint f(void) { puts("x");\n'
+    for _ in range(2):
+        with pytest.raises(UnbalancedBraces) as exc:
+            list_functions(src)
+        assert exc.value.name == "f"
+    # Only the definition lookup fails; the other scans still answer.
+    assert active_text(src) == " " * 14 + "\nint f(void) { puts(   );\n"
+    assert llm_gateway.include_names(src) == {"a.h"}
+
+
+def test_returned_list_is_the_callers_own():
+    first = list_functions(SIMPLE)
+    first.clear()
+    assert [s.name for s in list_functions(SIMPLE)] == ["helper", "main"]
+
+
+# Every byte the comment, literal and directive rules react to, plus
+# identifiers and blanks.
+_SCANNER_ATOMS = (
+    "/", "*", '"', "'", "\\", "\n", "\r", "#", "{", "}", "(", ")", ";",
+    "f", "int", "x1", " ", "\t",
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_SCANNER_ATOMS), max_size=40).map("".join))
+@example("#define A 1 \\\r\nint f() { }\n")
+@example('x = "ab\\')
+@example("/*/ x */ y /* z")
+@example('#if 0 /* a\n# b */ c\nint f() { }\n')
+@example("/* a\n# b */ int f() { }\n")
+@example('s = "a\\\n#b"; int f() { }\n')
+def test_masks_match_byte_loop(text):
+    data = text.encode("utf-8")
+    mask = _active_mask(data)
+    expected = reference_impl.active_mask(data)
+    assert mask == expected
+    _mask_directives(data, mask)
+    reference_impl.mask_directives(data, expected)
+    assert mask == expected
+    for keep in (False, True):
+        assert active_text(text, keep) == reference_impl.active_text(text, keep)
 
 
 def test_replace_preserves_surroundings():

@@ -19,6 +19,8 @@ from perfagent.verify import (
     pass_at_1,
 )
 
+import reference_impl
+
 EXACT = ValidationPolicy(mode=ValidationMode.EXACT_BYTES)
 
 
@@ -101,6 +103,23 @@ class TestCompareOutputs:
     def test_nan_pairs_match(self):
         assert compare_outputs(b"nan", b"nan", numeric()).matched
 
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-6])
+    @pytest.mark.parametrize(
+        "ref, cand, matched",
+        [
+            (b"x inf\n", b"x inf\n", True),
+            (b"x -inf\n", b"x -inf\n", True),
+            (b"x 1e999\n", b"x inf\n", True),
+            (b"x inf\n", b"x -inf\n", False),
+            (b"x inf\n", b"x 1e308\n", False),
+            (b"x 1e308\n", b"x inf\n", False),
+        ],
+    )
+    def test_infinities_match_only_themselves(self, ref, cand, matched, rel_tol):
+        report = compare_outputs(ref, cand, numeric(rel_tol=rel_tol))
+        assert report.matched is matched
+        assert report.compared_tokens == 2
+
     def test_relative_tolerance_uses_reference(self):
         # 1% of reference 100 allows candidate 100.9, not reference-side 99 vs 100.9
         assert compare_outputs(b"100", b"100.9", numeric(rel_tol=0.01)).matched
@@ -150,6 +169,113 @@ class TestCompareOutputs:
         rb = " ".join(f"{v!r}" for v in b).encode()
         policy = numeric(abs_tol=abs_tol)
         assert compare_outputs(ra, rb, policy).matched == compare_outputs(rb, ra, policy).matched
+
+
+_WORDS = ("x", "ok", "inf", "-inf", "nan", "NaN", "1e999", "time:", "#", "\xe9")
+# Token and line separators; \x85 and \xa0 are whitespace to str.split.
+_GAPS = (b" ", b"  ", b"\t", b"\x85", b"\xa0", b"\x0b", b"\x1f")
+_BREAKS = (b"\n", b"\r\n", b"\r")
+
+
+@st.composite
+def _token(draw):
+    """A token's renderings; every rendering parses to the same value."""
+    if draw(st.booleans()):
+        return (draw(st.sampled_from(_WORDS)),)
+    mantissa = draw(st.integers(-999, 999))
+    exponent = draw(st.integers(-6, 6))
+    value = float(f"{mantissa}e{exponent}")
+    return (f"{mantissa}e{exponent}", f"{value:.6e}", repr(value), f"{value:.3e}")
+
+
+@st.composite
+def _style(draw):
+    """Gaps and line breaks chosen by position, so equal lines render equal."""
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=1, max_size=5))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=1, max_size=3))
+    return gaps, breaks, draw(st.booleans())
+
+
+def _render(lines: list[list[str]], style) -> bytes:
+    gaps, breaks, final_break = style
+    out = []
+    for i, line in enumerate(lines):
+        for j, tok in enumerate(line):
+            # Odd lines start with a gap; even ones can match "^#".
+            if j or i % 2:
+                out.append(gaps[(i + j) % len(gaps)])
+            out.append(tok.encode("latin-1"))
+        if i < len(lines) - 1 or final_break:
+            out.append(breaks[i % len(breaks)])
+    return b"".join(out)
+
+
+@st.composite
+def _output_pair(draw):
+    """A reference output and a candidate made from it by one edit."""
+    tokens = draw(st.lists(st.lists(_token(), max_size=5), max_size=8))
+    ref = [[t[0] for t in line] for line in tokens]
+    cand = [list(line) for line in ref]
+    flat = [(i, j) for i, line in enumerate(cand) for j in range(len(line))]
+    style = draw(_style())
+    cand_style = style
+    edit = draw(st.sampled_from(("equal", "change", "shorter", "longer", "rebreak", "reformat", "regap")))
+    if edit == "change" and flat:
+        where = draw(st.sampled_from((0, len(flat) // 2, len(flat) - 1)))
+        i, j = flat[where]
+        cand[i][j] = draw(_token())[-1]
+    elif edit == "shorter" and flat:
+        i, j = flat[draw(st.integers(0, len(flat) - 1))]
+        del cand[i][j:]
+        del cand[i + 1 :]
+    elif edit == "longer":
+        cand.append([t[-1] for t in draw(st.lists(_token(), min_size=1, max_size=3))])
+    elif edit == "rebreak":
+        words = [tok for line in cand for tok in line]
+        cuts = sorted(draw(st.lists(st.integers(0, len(words)), max_size=4)))
+        cand = [words[a:b] for a, b in zip([0, *cuts], [*cuts, len(words)])]
+    elif edit == "reformat":
+        cand = [[draw(st.sampled_from(t)) for t in line] for line in tokens]
+    elif edit == "regap":
+        cand_style = draw(_style())
+    return _render(ref, style), _render(cand, cand_style)
+
+
+class TestNumericEquivalence:
+    """The line-skipping, lazily pairing comparison reports exactly what
+    pairing every token of both outputs reports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pair=_output_pair(),
+        abs_tol=st.sampled_from((0.0, 1e-9, 0.5)),
+        rel_tol=st.sampled_from((0.0, 1e-6)),
+        ignore=st.sampled_from(((), ("^#",), ("time", "^$"))),
+    )
+    def test_same_report_as_reference(self, pair, abs_tol, rel_tol, ignore):
+        ref, cand = pair
+        policy = numeric(abs_tol, rel_tol, ignore)
+        assert compare_outputs(ref, cand, policy) == reference_impl.compare_numeric(ref, cand, policy)
+        assert compare_outputs(cand, ref, policy) == reference_impl.compare_numeric(cand, ref, policy)
+
+    @pytest.mark.parametrize(
+        "ref, cand",
+        [
+            (b"1 2\n3 4\n", b"1 2\n3 4\n"),
+            (b"9 2\n3 4\n", b"1 2\n3 4\n"),
+            (b"1 2\n3 4\n5 6\n", b"1 2\n3 9\n5 6\n"),
+            (b"1 2\n3 4\n", b"1 2\n3 9\n"),
+            (b"1 2\n3 4\n", b"1 2\n3\n"),
+            (b"1 2\n3 4\n", b"1 2\n3 4\n5\n"),
+            (b"1 2\n3 4\n", b"1\n2 3\n4"),
+            (b"r 1.5e-01\n", b"r 1.50e-01\n"),
+            (b"a\x85b\xa0c\n", b"a b c\n"),
+            (b"a\x85b\xa0c\n1\n", b"a\x85b\xa0c\n2\n"),
+        ],
+    )
+    def test_named_cases(self, ref, cand):
+        policy = numeric()
+        assert compare_outputs(ref, cand, policy) == reference_impl.compare_numeric(ref, cand, policy)
 
 
 class TestClassifyAttempt:
