@@ -90,7 +90,7 @@ def main() -> int:
         "latency_s": 0.0,
     } for prose, ms in rewrites])
 
-    cfg = ag.AgentConfig(max_iterations=args.iters, provider_id="replay")
+    cfg = ag.AgentConfig(max_iterations=args.iters)
     trace = ag.run_agent(spec, None, provider, cfg, tc.detect(), out / "work")
 
     for record in trace.iterations:

@@ -67,7 +67,6 @@ class StopReason(Enum):
 @dataclass(frozen=True)
 class AgentConfig:
     max_iterations: int = 3
-    provider_id: str = ""
     top_k_hotspots: int = 3
     env_context: dict = field(default_factory=dict)
     metric_request_policy: MetricRequestPolicy = MetricRequestPolicy.HONOR_MODEL_REQUESTS
@@ -249,7 +248,11 @@ def _hotspot_source_file(spec: BenchmarkSpec, src_dir: Path, hotspot_name: str) 
 
 
 def _pull_hotspot_definition(candidate_code: str, hotspot: str) -> str | None:
-    """The hotspot's definition out of whatever code the model returned."""
+    """The hotspot's definition out of whatever code the model returned.
+
+    None unless exactly one definition carries the hotspot's name; a
+    single differently-named definition is a rename, not a match.
+    """
     try:
         spans = patch.list_functions(candidate_code)
     except patch.PatchError:
@@ -257,9 +260,6 @@ def _pull_hotspot_definition(candidate_code: str, hotspot: str) -> str | None:
     named = [s for s in spans if s.name == hotspot]
     if len(named) == 1:
         return patch.extract_function(candidate_code, hotspot)
-    if not named and len(spans) == 1:
-        # A single differently-named definition is a rename, not a match.
-        return None
     return None
 
 

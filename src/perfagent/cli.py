@@ -164,7 +164,6 @@ def cmd_agent(args) -> int:
     source = _dir_profile_source(Path(args.profile_dir)) if args.profile_dir else None
     cfg = agent_mod.AgentConfig(
         max_iterations=args.max_iters,
-        provider_id=provider.provider_id,
         metric_id=args.metric,
         prompt_env=_prompt_env(args.prompt_env) or {},
     )

@@ -29,9 +29,9 @@ from .verify import CorrectnessCategory, classify_attempt, compare_outputs, pass
 
 log = logging.getLogger("perfagent.experiments")
 
+# The default sweep is also the CSV's fixed thread columns; sweeps at
+# other counts keep their extras in JSON only.
 DEFAULT_THREAD_COUNTS = (4, 8, 16, 32)
-# Fixed CSV shape; sweeps at other counts keep their extras in JSON only.
-CSV_THREAD_COLUMNS = (4, 8, 16, 32)
 CSV_COLUMNS = (
     "benchmark_id", "motif", "level", "experiment", "tool_id", "variant_tag",
     "category", "speedup", "na_flag",
@@ -629,7 +629,7 @@ def _csv_text(table: ResultsTable) -> str:
             f"{row.speedup:.6f}",
             "1" if row.na_flag else "0",
         ]
-        for count in CSV_THREAD_COLUMNS:
+        for count in DEFAULT_THREAD_COUNTS:
             value = threads.get(count)
             cells.append("" if value is None else f"{value:.6f}")
         cells.append(";".join(l.label.value for l in row.labels))

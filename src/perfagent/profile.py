@@ -20,6 +20,12 @@ exclusive/inclusive pair for per-node sanity checks. Totals for exclusive
 metrics are summed over all nodes when the document omits them and
 validated to 1e-9 relative when it does not. Trees are immutable after
 import; every operation here is pure.
+
+``import_profile`` reads each node once. Its checks run inline, and the
+path of a node (``roots[0].children[2]``) is assembled from a chain of
+indices only when a check fails, so a valid tree costs no error-path
+strings. Errors name the first violation in document order, children
+before the inclusive bounds their parent puts on them.
 """
 
 from __future__ import annotations
@@ -163,37 +169,91 @@ def _excl_incl_pairs(catalog: dict[str, MetricInfo]) -> list[tuple[str, str]]:
     return pairs
 
 
+def _node_path(link: tuple) -> str:
+    """The ``roots[i].children[j]...`` path of a node's link chain."""
+    indices = []
+    while link is not None:
+        link, index = link
+        indices.append(index)
+    path = f"roots[{indices.pop()}]"
+    return path + "".join(f".children[{i}]" for i in reversed(indices))
+
+
 def _parse_node(
-    doc, path: str, catalog: dict[str, MetricInfo], pairs: list[tuple[str, str]]
+    doc,
+    link: tuple,
+    catalog: dict[str, MetricInfo],
+    pairs: list[tuple[str, str]],
+    inclusive: list[str],
 ) -> ProfileNode:
-    _require(isinstance(doc, dict), path, "node must be an object")
-    _require("frame" in doc, path, "missing frame")
-    frame = _parse_frame(doc["frame"], path + ".frame")
-    metrics = _parse_metrics(doc.get("metrics", {}), path + ".metrics", catalog)
+    """One node and its subtree. ``link`` is ``(parent_link, index)``, with
+    ``(None, i)`` for ``roots[i]``. Checks run inline in the order of the
+    schema's rules; the path is built and the checking helpers called only
+    once a check has failed, so every error carries the same class, path
+    and message as a check-by-check parse would raise first."""
+    if not isinstance(doc, dict) or "frame" not in doc:
+        path = _node_path(link)
+        _require(isinstance(doc, dict), path, "node must be an object")
+        raise SchemaViolation(path, "missing frame")
+
+    frame_doc = doc["frame"]
+    if isinstance(frame_doc, dict):
+        fn = frame_doc.get("fn")
+        file = frame_doc.get("file", "")
+        line = frame_doc.get("line", 0)
+    if (
+        isinstance(frame_doc, dict)
+        and type(fn) is str and fn
+        and type(file) is str
+        and type(line) is int and line >= 0
+    ):
+        frame = Frame(fn=fn, file=file, line=line)
+    else:
+        frame = _parse_frame(frame_doc, _node_path(link) + ".frame")
+
+    metrics_doc = doc.get("metrics", {})
+    metrics: dict[str, float] = {}
+    valid = isinstance(metrics_doc, dict)
+    if valid:
+        for metric_id, value in metrics_doc.items():
+            if metric_id in catalog and type(value) in (float, int):
+                value = float(value)
+                if 0.0 <= value < math.inf:
+                    metrics[metric_id] = value
+                    continue
+            valid = False
+            break
+    if not valid:
+        metrics = _parse_metrics(metrics_doc, _node_path(link) + ".metrics", catalog)
 
     for excl_id, incl_id in pairs:
         if excl_id in metrics and incl_id in metrics:
-            _require(
-                metrics[excl_id] <= metrics[incl_id] * (1 + _REL_TOL) + 1e-12,
-                f"{path}.metrics.{excl_id}",
-                f"exclusive value {metrics[excl_id]} exceeds inclusive {metrics[incl_id]}",
-            )
+            if not metrics[excl_id] <= metrics[incl_id] * (1 + _REL_TOL) + 1e-12:
+                raise SchemaViolation(
+                    f"{_node_path(link)}.metrics.{excl_id}",
+                    f"exclusive value {metrics[excl_id]} exceeds inclusive {metrics[incl_id]}",
+                )
 
     children_doc = doc.get("children", [])
-    _require(isinstance(children_doc, list), path + ".children", "children must be a list")
+    if not isinstance(children_doc, list):
+        raise SchemaViolation(_node_path(link) + ".children", "children must be a list")
+    if not children_doc:
+        return ProfileNode(frame=frame, metrics=metrics)
     children = tuple(
-        _parse_node(child, f"{path}.children[{i}]", catalog, pairs)
+        _parse_node(child, (link, i), catalog, pairs, inclusive)
         for i, child in enumerate(children_doc)
     )
 
+    limits = [
+        (metric_id, metrics[metric_id] * (1 + _REL_TOL) + 1e-12)
+        for metric_id in inclusive
+        if metric_id in metrics
+    ]
     for i, child in enumerate(children):
-        for metric_id, info in catalog.items():
-            if info.kind is not MetricKind.INCLUSIVE:
-                continue
-            if metric_id in metrics and metric_id in child.metrics:
-                _require(
-                    child.metrics[metric_id] <= metrics[metric_id] * (1 + _REL_TOL) + 1e-12,
-                    f"{path}.children[{i}].metrics.{metric_id}",
+        for metric_id, limit in limits:
+            if metric_id in child.metrics and not child.metrics[metric_id] <= limit:
+                raise SchemaViolation(
+                    f"{_node_path((link, i))}.metrics.{metric_id}",
                     f"child inclusive {child.metrics[metric_id]} exceeds "
                     f"parent {metrics[metric_id]}",
                 )
@@ -258,10 +318,11 @@ def import_profile(document: bytes | str) -> ProfileTree:
         catalog[metric_id] = MetricInfo(unit=unit, kind=kind)
 
     pairs = _excl_incl_pairs(catalog)
+    inclusive = [m for m, info in catalog.items() if info.kind is MetricKind.INCLUSIVE]
     roots_doc = doc.get("roots")
     _require(isinstance(roots_doc, list), "roots", "list required")
     roots = tuple(
-        _parse_node(node, f"roots[{i}]", catalog, pairs)
+        _parse_node(node, (None, i), catalog, pairs, inclusive)
         for i, node in enumerate(roots_doc)
     )
 

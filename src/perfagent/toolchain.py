@@ -5,15 +5,26 @@ speedup protocol assumes an otherwise unloaded machine. Build and run
 failures that describe the candidate (bad code, crash, timeout) are
 encoded in the returned records; failures that describe the harness
 itself (missing compiler, build timeout) raise.
+
+A timed repetition writes stdout and stderr into anonymous temporary
+files, not pipes, so no output passes through Python while the clock
+runs; only repetition 1's stdout and the last repetition's stderr are
+ever read back. Each repetition leads its own session, and a watchdog
+thread kills its whole process group at the deadline, so a candidate's
+forked children cannot outlive its timeout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import shutil
+import signal
 import statistics
 import subprocess
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -95,10 +106,15 @@ class BuildOutcome:
 class RunSample:
     """Timed executions of one binary.
 
-    ``wall_times_s`` holds one entry per successful repetition; execution
-    stops at the first repetition that crashes or times out, leaving its
-    status in ``exit_status`` (an integer, or the TIMEOUT sentinel).
-    ``stdout`` is the first repetition's output, the one validation uses.
+    ``wall_times_s`` holds one entry per successful repetition, each from
+    just before the spawn to the reaping of the child; execution stops at
+    the first repetition that crashes or times out, leaving its status in
+    ``exit_status`` (an integer, negative for a signal, or the TIMEOUT
+    sentinel). ``stdout`` is the first repetition's output, the one
+    validation uses, read after it ends; it is empty when that repetition
+    timed out. ``stderr`` is the last repetition's, the one that stopped
+    the run if any, and on timeout holds what it wrote before its process
+    group was killed.
     """
 
     wall_times_s: tuple[float, ...]
@@ -257,6 +273,74 @@ def _resolve_stdin(binary: Path, run: RunRecipe) -> Path | None:
     return candidate
 
 
+def _kill_group(pid: int) -> None:
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+class _Watchdog:
+    """Kills the process group of the repetition in flight at its deadline.
+
+    One daemon thread serves every timed run, since _timed_run_lock lets
+    only one repetition run at a time. It sleeps until the deadline it
+    last saw and is woken only when a repetition is armed with an earlier
+    one, so repetitions that end in time cost no wake-up of their own.
+    The caller disarms right after it reaps the child; pids are handed
+    out cyclically, so in that window the group id cannot yet name a new
+    group.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self._thread: threading.Thread | None = None
+        self._pid: int | None = None
+        self._deadline = 0.0
+        self._sleeping_until = math.inf
+        self._fired = False
+
+    def arm(self, pid: int, deadline: float) -> None:
+        with self._cond:
+            if self._thread is None or not self._thread.is_alive():
+                self._thread = threading.Thread(
+                    target=self._watch, name="perfagent-watchdog", daemon=True
+                )
+                self._thread.start()
+            self._pid, self._deadline, self._fired = pid, deadline, False
+            if deadline < self._sleeping_until:
+                self._cond.notify()
+
+    def disarm(self) -> bool:
+        """Stop watching; True if the deadline passed and the group was killed."""
+        with self._cond:
+            self._pid = None
+            return self._fired
+
+    def _watch(self) -> None:
+        with self._cond:
+            while True:
+                if self._pid is None:
+                    self._sleeping_until = math.inf
+                    self._cond.wait()
+                    continue
+                remaining = self._deadline - time.perf_counter()
+                if remaining > 0:
+                    self._sleeping_until = self._deadline
+                    self._cond.wait(remaining)
+                    continue
+                _kill_group(self._pid)
+                self._fired = True
+                self._pid = None
+
+
+_watchdog = _Watchdog()
+
+
+def _read_all(fd: int) -> bytes:
+    return os.pread(fd, os.fstat(fd).st_size, 0)
+
+
 def run_timed(
     binary: Path | str,
     run: RunRecipe,
@@ -268,6 +352,15 @@ def run_timed(
     files resolve relatively) with OMP_NUM_THREADS set from
     ``thread_count``. Crash and timeout are recorded in the sample, not
     raised, so classification can see them.
+
+    Each repetition writes its stdout and stderr into two anonymous
+    temporary files, emptied before it starts, instead of pipes, so no
+    output passes through Python while the clock runs. The clock runs
+    from just before the spawn to the reaping of the child in a blocking
+    ``wait``; at ``run.timeout_s`` the watchdog kills the repetition's
+    process group (each repetition leads a new session), which ends the
+    wait. Repetition 1's stdout is read after it ends, the last
+    repetition's stderr after the loop.
     """
     binary = Path(binary)
     env = dict(os.environ)
@@ -284,39 +377,46 @@ def run_timed(
 
     wall_times: list[float] = []
     first_stdout = b""
-    last_stderr = b""
     exit_status: int | str = 0
 
-    with _timed_run_lock:
+    with contextlib.ExitStack() as files, _timed_run_lock:
+        out, err = (
+            files.enter_context(tempfile.TemporaryFile(buffering=0)).fileno()
+            for _ in range(2)
+        )
+        stdin = files.enter_context(stdin_path.open("rb")) if stdin_path else subprocess.DEVNULL
         for rep in range(run.repetitions):
-            stdin_handle = stdin_path.open("rb") if stdin_path else subprocess.DEVNULL
+            if rep:
+                for fd in (out, err):
+                    os.ftruncate(fd, 0)
+                    os.lseek(fd, 0, os.SEEK_SET)
+                if stdin_path:
+                    stdin.seek(0)
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                argv, stdin=stdin, stdout=out, stderr=err, env=env, cwd=cwd,
+                start_new_session=True,
+            )
+            _watchdog.arm(proc.pid, start + run.timeout_s)
             try:
-                start = time.perf_counter()
-                try:
-                    proc = subprocess.run(
-                        argv,
-                        stdin=stdin_handle,
-                        capture_output=True,
-                        timeout=run.timeout_s,
-                        env=env,
-                        cwd=cwd,
-                    )
-                except subprocess.TimeoutExpired as exc:
-                    last_stderr = exc.stderr or b""
-                    exit_status = TIMEOUT
-                    break
+                returncode = proc.wait()
                 elapsed = time.perf_counter() - start
             finally:
-                if stdin_path:
-                    stdin_handle.close()
+                timed_out = _watchdog.disarm()
+                if proc.returncode is None:
+                    _kill_group(proc.pid)
+                    proc.wait()
 
-            last_stderr = proc.stderr
+            if timed_out:
+                exit_status = TIMEOUT
+                break
             if rep == 0:
-                first_stdout = proc.stdout
-            if proc.returncode != 0:
-                exit_status = proc.returncode
+                first_stdout = _read_all(out)
+            if returncode != 0:
+                exit_status = returncode
                 break
             wall_times.append(elapsed)
+        last_stderr = _read_all(err)
 
     return RunSample(
         wall_times_s=tuple(wall_times),

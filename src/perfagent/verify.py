@@ -20,6 +20,10 @@ from .toolchain import BuildOutcome, RunSample
 
 _EXCERPT_LIMIT = 120
 
+# Maps every byte that decodes (latin-1) to whitespace onto b" " and every
+# other byte onto b"x", so a token starts at each b"x" after a b" ".
+_TOKEN_CLASS = bytes(ord(" ") if chr(i).isspace() else ord("x") for i in range(256))
+
 
 class CorrectnessCategory(Enum):
     CORRECT = "Correct"
@@ -113,6 +117,12 @@ def _compare_exact(ref_lines: list[bytes], cand_lines: list[bytes]) -> MatchRepo
     return MatchReport(True, None, compared_tokens=count)
 
 
+def _count_tokens(data: bytes) -> int:
+    """``len(data.decode("latin-1").split())`` without building the tokens."""
+    classes = data.translate(_TOKEN_CLASS)
+    return classes.count(b" x") + classes.startswith(b"x")
+
+
 def _parse_number(token: str) -> float | None:
     try:
         value = float(token)
@@ -143,13 +153,12 @@ def _compare_numeric(
 ) -> MatchReport:
     # Byte-equal leading lines hold equal tokens at equal positions, and
     # equal tokens always match: count them without pairing.
-    compared = 0
     start = 0
     for r_raw, c_raw in zip(ref_lines, cand_lines):
         if r_raw != c_raw:
             break
-        compared += len(r_raw.decode("latin-1").split())
         start += 1
+    compared = _count_tokens(b"".join(ref_lines[:start]))
 
     pairs = zip_longest(_tokens_from(ref_lines, start), _tokens_from(cand_lines, start))
     for ref, cand in pairs:
@@ -191,7 +200,19 @@ def compare_outputs(
     numeric pairs match when |r - c| <= abs_tol + rel_tol * |r| (the
     reference is ground truth), and never when either side is infinite;
     other pairs must be byte-equal.
+
+    Work grows with what differs. Byte-identical NumericTokens outputs
+    with no ignore_patterns match without being split into lines: their
+    tokens are counted on a byte-class translation. Equal leading lines
+    are counted the same way, and tokens are paired only from the first
+    unequal line on.
     """
+    if (
+        policy.mode is ValidationMode.NUMERIC_TOKENS
+        and not policy.ignore_patterns
+        and reference == candidate
+    ):
+        return MatchReport(True, None, _count_tokens(reference))
     ref_lines = _filter_lines(reference, policy.ignore_patterns)
     cand_lines = _filter_lines(candidate, policy.ignore_patterns)
     if policy.mode is ValidationMode.EXACT_BYTES:

@@ -253,3 +253,73 @@ def fenced(code: str, lang: str = "c", prose_before: str = "", prose_after: str 
     if prose_after:
         parts.append(prose_after)
     return "\n\n".join(parts)
+
+
+BIG_OUTPUT = """\
+#include <stdio.h>
+
+int main(void) {
+    for (int i = 0; i < 200000; i++) {
+        printf("%06d\\n", i);
+    }
+    return 0;
+}
+"""
+# What BIG_OUTPUT prints: 1.4 MB.
+BIG_OUTPUT_BYTES = b"".join(b"%06d\n" % i for i in range(200000))
+
+COUNTED_RUNS = """\
+#include <stdio.h>
+#include <stdlib.h>
+
+/* Counts its runs in ./runs. Prints "run N" on stdout and "err N" on
+   stderr, then exits 5 if N equals argv[1]. */
+int main(int argc, char **argv) {
+    int n = 0;
+    FILE *f = fopen("runs", "r");
+    if (f) {
+        if (fscanf(f, "%d", &n) != 1) n = 0;
+        fclose(f);
+    }
+    n++;
+    f = fopen("runs", "w");
+    fprintf(f, "%d\\n", n);
+    fclose(f);
+    printf("run %d\\n", n);
+    fprintf(stderr, "err %d\\n", n);
+    return argc > 1 && n == atoi(argv[1]) ? 5 : 0;
+}
+"""
+
+STDIN_ECHO = """\
+#include <stdio.h>
+
+/* Copies stdin to stdout and to stderr. */
+int main(void) {
+    int c;
+    while ((c = getchar()) != EOF) {
+        putchar(c);
+        fputc(c, stderr);
+    }
+    return 0;
+}
+"""
+
+FORK_AND_SLEEP = """\
+#include <stdio.h>
+#include <unistd.h>
+
+/* Forks one grandchild that writes its pid to ./grandchild.pid; then
+   both sleep for 30 s. */
+int main(void) {
+    pid_t pid = fork();
+    if (pid == 0) {
+        FILE *f = fopen("grandchild.pid.tmp", "w");
+        fprintf(f, "%d\\n", (int)getpid());
+        fclose(f);
+        rename("grandchild.pid.tmp", "grandchild.pid");
+    }
+    sleep(30);
+    return 0;
+}
+"""

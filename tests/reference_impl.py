@@ -2,17 +2,36 @@
 
 These are the byte-by-byte and list-building versions of the ``patch``
 scanner masks, ``verify``'s NumericTokens comparison and the print-token
-check. They are slow and obviously correct; the equivalence tests run
-them side by side with the library. The number predicate
-(``verify._numbers_match``) is shared, so the comparison tests isolate
-tokenizing, pairing and reporting.
+check, and the check-by-check cct-v1 import. They are slow and obviously
+correct; the equivalence tests run them side by side with the library.
+The number predicate (``verify._numbers_match``) is shared, so the
+comparison tests isolate tokenizing, pairing and reporting; so are the
+profile data classes and the frame and metrics parsers, so the import
+tests isolate traversal, check order and error paths.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import re
 
 from perfagent.manifest import ValidationPolicy
+from perfagent.profile import (
+    _REL_TOL,
+    SCHEMA_ID,
+    MetricInfo,
+    MetricKind,
+    NegativeMetric,
+    ProfileNode,
+    ProfileTree,
+    SchemaViolation,
+    _excl_incl_pairs,
+    _exclusive_sum,
+    _parse_frame,
+    _parse_metrics,
+    _require,
+)
 from perfagent.verify import Divergence, MatchReport, _clip, _numbers_match, _parse_number
 
 
@@ -155,3 +174,114 @@ def compare_numeric(reference: bytes, candidate: bytes, policy: ValidationPolicy
             compared,
         )
     return MatchReport(True, None, compared)
+
+
+def _parse_node(doc, path: str, catalog: dict, pairs: list) -> ProfileNode:
+    _require(isinstance(doc, dict), path, "node must be an object")
+    _require("frame" in doc, path, "missing frame")
+    frame = _parse_frame(doc["frame"], path + ".frame")
+    metrics = _parse_metrics(doc.get("metrics", {}), path + ".metrics", catalog)
+
+    for excl_id, incl_id in pairs:
+        if excl_id in metrics and incl_id in metrics:
+            _require(
+                metrics[excl_id] <= metrics[incl_id] * (1 + _REL_TOL) + 1e-12,
+                f"{path}.metrics.{excl_id}",
+                f"exclusive value {metrics[excl_id]} exceeds inclusive {metrics[incl_id]}",
+            )
+
+    children_doc = doc.get("children", [])
+    _require(isinstance(children_doc, list), path + ".children", "children must be a list")
+    children = tuple(
+        _parse_node(child, f"{path}.children[{i}]", catalog, pairs)
+        for i, child in enumerate(children_doc)
+    )
+
+    for i, child in enumerate(children):
+        for metric_id, info in catalog.items():
+            if info.kind is not MetricKind.INCLUSIVE:
+                continue
+            if metric_id in metrics and metric_id in child.metrics:
+                _require(
+                    child.metrics[metric_id] <= metrics[metric_id] * (1 + _REL_TOL) + 1e-12,
+                    f"{path}.children[{i}].metrics.{metric_id}",
+                    f"child inclusive {child.metrics[metric_id]} exceeds "
+                    f"parent {metrics[metric_id]}",
+                )
+
+    return ProfileNode(frame=frame, metrics=metrics, children=children)
+
+
+def import_profile(document: bytes | str) -> ProfileTree:
+    if isinstance(document, bytes):
+        document = document.decode("utf-8", "replace")
+    try:
+        doc = json.loads(document)
+    except ValueError as exc:
+        raise SchemaViolation("$", f"not valid JSON: {exc}") from None
+
+    _require(isinstance(doc, dict), "$", "document must be an object")
+    _require(doc.get("schema") == SCHEMA_ID, "schema",
+             f"expected {SCHEMA_ID!r}, got {doc.get('schema')!r}")
+
+    metrics_doc = doc.get("metrics")
+    _require(isinstance(metrics_doc, list) and metrics_doc,
+             "metrics", "non-empty list required")
+    catalog: dict[str, MetricInfo] = {}
+    for i, entry in enumerate(metrics_doc):
+        path = f"metrics[{i}]"
+        _require(isinstance(entry, dict), path, "metric entry must be an object")
+        metric_id = entry.get("id")
+        _require(isinstance(metric_id, str) and metric_id != "",
+                 path + ".id", "non-empty string required")
+        _require(metric_id not in catalog, path + ".id", f"duplicate metric id {metric_id!r}")
+        kind_text = entry.get("kind")
+        try:
+            kind = MetricKind(kind_text)
+        except ValueError:
+            raise SchemaViolation(
+                path + ".kind",
+                f"expected one of {[k.value for k in MetricKind]}, got {kind_text!r}",
+            ) from None
+        unit = entry.get("unit", "")
+        _require(isinstance(unit, str), path + ".unit", "string required")
+        catalog[metric_id] = MetricInfo(unit=unit, kind=kind)
+
+    pairs = _excl_incl_pairs(catalog)
+    roots_doc = doc.get("roots")
+    _require(isinstance(roots_doc, list), "roots", "list required")
+    roots = tuple(
+        _parse_node(node, f"roots[{i}]", catalog, pairs)
+        for i, node in enumerate(roots_doc)
+    )
+
+    total_doc = doc.get("total", {})
+    _require(isinstance(total_doc, dict), "total", "object required")
+    total: dict[str, float] = {}
+    for metric_id, value in total_doc.items():
+        path = f"total.{metric_id}"
+        _require(metric_id in catalog, path, "metric id not declared in catalog")
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                 path, "numeric value required")
+        value = float(value)
+        _require(math.isfinite(value), path, "value must be finite")
+        if value < 0:
+            raise NegativeMetric(path, value)
+        total[metric_id] = value
+
+    for metric_id, info in catalog.items():
+        if info.kind is MetricKind.EXCLUSIVE:
+            computed = _exclusive_sum(roots, metric_id)
+            if metric_id in total:
+                stated = total[metric_id]
+                ok = stated == computed or (
+                    abs(stated - computed) <= _REL_TOL * max(abs(stated), abs(computed))
+                )
+                _require(ok, f"total.{metric_id}",
+                         f"stated total {stated} != node sum {computed}")
+            else:
+                total[metric_id] = computed
+        elif info.kind is MetricKind.INCLUSIVE and metric_id not in total:
+            total[metric_id] = sum(r.metrics.get(metric_id, 0.0) for r in roots)
+
+    return ProfileTree(roots=roots, metric_catalog=catalog, total=total)

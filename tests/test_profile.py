@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from perfagent import profile as pr
 
+import reference_impl
+
 
 def doc_bytes(doc):
     return json.dumps(doc).encode()
@@ -452,3 +454,160 @@ class TestProperties:
             assert report.share == 1.0
         values = [n.metrics["time_excl"] for _, n in pr.walk(tree)]
         assert report.value == max(values)
+
+
+# Catalog entries the generated trees draw from: an exclusive/inclusive
+# pair, an unpaired exclusive, an unpaired inclusive and a rate.
+_CATALOG = (
+    ("time_excl", "Exclusive"),
+    ("time_incl", "Inclusive"),
+    ("l1_excl", "Exclusive"),
+    ("bytes_incl", "Inclusive"),
+    ("miss_rate", "Rate"),
+)
+_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def cct_docs(draw, full=False):
+    """A valid cct-v1 document. Members with defaults are sometimes left
+    out; inclusive values cover their exclusive partner and children.
+    With ``full`` every node carries time_excl and time_incl."""
+    entries = draw(st.permutations(_CATALOG))
+    if not full:
+        entries = entries[: draw(st.integers(1, len(entries)))]
+    ids = [metric_id for metric_id, _ in entries]
+    budget = [draw(st.integers(1, 12))]
+
+    def node(depth):
+        children = []
+        while depth < 4 and budget[0] > 0 and draw(st.booleans()):
+            budget[0] -= 1
+            children.append(node(depth + 1))
+        frame = {"fn": draw(st.text(min_size=1, max_size=6))}
+        if draw(st.booleans()):
+            frame["file"] = draw(st.text(max_size=6))
+        if draw(st.booleans()):
+            frame["line"] = draw(st.integers(0, 5000))
+        metrics = {}
+        for metric_id in draw(st.permutations(ids)):
+            if full and metric_id in ("time_excl", "time_incl") or draw(st.booleans()):
+                metrics[metric_id] = draw(_VALUES)
+        for metric_id in ("time_incl", "bytes_incl"):
+            if metric_id in metrics:
+                covered = [c.get("metrics", {}).get(metric_id, 0) for c in children]
+                if metric_id == "time_incl":
+                    covered.append(metrics.get("time_excl", 0))
+                metrics[metric_id] = sum(covered, metrics[metric_id])
+        out = {"frame": frame}
+        if metrics or draw(st.booleans()):
+            out["metrics"] = metrics
+        if children or draw(st.booleans()):
+            out["children"] = children
+        return out
+
+    roots = [node(0) for _ in range(draw(st.integers(0, 3)))]
+    return {
+        "schema": "cct-v1",
+        "metrics": [{"id": i, "unit": "s", "kind": k} for i, k in entries],
+        "roots": roots,
+    }
+
+
+def _preorder(doc):
+    """(node, parent) for every node of a document, roots first."""
+    stack = [(n, None) for n in reversed(doc["roots"])]
+    while stack:
+        node, parent = stack.pop()
+        yield node, parent
+        stack.extend((c, node) for c in reversed(node.get("children", [])))
+
+
+def _outcome(importer, blob):
+    try:
+        return importer(blob)
+    except pr.ProfileError as exc:
+        return type(exc), exc.path, str(exc)
+
+
+_MUTATIONS = (
+    "bool_line", "negative_line", "empty_fn", "undeclared_metric", "negative_metric",
+    "nan_metric", "inf_metric", "excl_above_incl", "child_above_parent", "children_not_list",
+    "missing_frame", "node_not_object",
+)
+
+
+def _mutate(doc, kind, index):
+    """Break one node of ``doc`` (pre-order ``index``) in place."""
+    nodes = list(_preorder(doc))
+    node, parent = nodes[index % len(nodes)]
+    metrics = node.setdefault("metrics", {})
+    if kind == "bool_line":
+        node["frame"]["line"] = True
+    elif kind == "negative_line":
+        node["frame"]["line"] = -1
+    elif kind == "empty_fn":
+        node["frame"]["fn"] = ""
+    elif kind == "undeclared_metric":
+        metrics["undeclared"] = 1.0
+    elif kind == "negative_metric":
+        metrics["time_excl"] = -0.5
+    elif kind == "nan_metric":
+        metrics["time_incl"] = float("nan")
+    elif kind == "inf_metric":
+        metrics["l1_excl"] = float("inf")
+    elif kind == "excl_above_incl":
+        metrics["time_excl"] = metrics["time_incl"] * 2 + 1
+    elif kind == "child_above_parent":
+        if parent is None:
+            node, parent = nodes[0][0].setdefault("children", []), nodes[0][0]
+            node.append({"frame": {"fn": "extra"}, "metrics": {}})
+            node = node[-1]
+        node["metrics"] = {"time_incl": parent["metrics"]["time_incl"] * 2 + 1}
+    elif kind == "children_not_list":
+        node["children"] = {"0": node.get("children", [])}
+    elif kind == "missing_frame":
+        del node["frame"]
+    elif kind == "node_not_object":
+        siblings = parent["children"] if parent else doc["roots"]
+        siblings[siblings.index(node)] = ["not", "a", "node"]
+
+
+class TestImportEquivalence:
+    """The one-pass import builds the trees and raises the errors that the
+    check-by-check import in ``reference_impl`` does."""
+
+    @given(doc=cct_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_documents_import_to_equal_trees(self, doc):
+        blob = doc_bytes(doc)
+        tree = pr.import_profile(blob)
+        assert tree == reference_impl.import_profile(blob)
+        assert pr.serialize_profile(tree) == pr.serialize_profile(
+            reference_impl.import_profile(blob)
+        )
+
+    @given(
+        doc=cct_docs(full=True).filter(lambda d: d["roots"]),
+        kind=st.sampled_from(_MUTATIONS),
+        index=st.integers(0, 10**6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_single_mutation_raises_the_same_error(self, doc, kind, index):
+        _mutate(doc, kind, index)
+        blob = json.dumps(doc).encode()
+        got = _outcome(pr.import_profile, blob)
+        assert isinstance(got, tuple), f"{kind} imported without error"
+        assert got == _outcome(reference_impl.import_profile, blob)
+
+    @pytest.mark.parametrize("kind", _MUTATIONS)
+    def test_each_mutation_of_the_last_node(self, kind):
+        doc = random_tree_doc(7)
+        _mutate(doc, kind, len(list(_preorder(doc))) - 1)
+        blob = json.dumps(doc).encode()
+        got = _outcome(pr.import_profile, blob)
+        assert isinstance(got, tuple)
+        assert got == _outcome(reference_impl.import_profile, blob)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import stat
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,3 +189,130 @@ def test_thread_sweep_validates_counts(tmp_path):
         tc.thread_sweep("/bin/true", RunRecipe(), [])
     with pytest.raises(ValueError):
         tc.thread_sweep("/bin/true", RunRecipe(), [0, 4])
+
+
+def test_run_timed_large_stdout_byte_exact(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.BIG_OUTPUT)
+    sample = tc.run_timed(binary, RunRecipe(repetitions=2, timeout_s=30))
+    assert sample.ok and len(sample.wall_times_s) == 2
+    assert len(sample.stdout) >= 1_000_000
+    assert sample.stdout == kernels.BIG_OUTPUT_BYTES
+
+
+def test_run_timed_keeps_first_stdout_when_second_crashes(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.COUNTED_RUNS)
+    sample = tc.run_timed(binary, RunRecipe(args=("2",), repetitions=3, timeout_s=10))
+    assert sample.crashed and sample.exit_status == 5
+    assert len(sample.wall_times_s) == 1
+    assert sample.stdout == b"run 1\n"
+    assert sample.stderr == b"err 2\n"
+
+
+def test_run_timed_stderr_is_last_repetitions(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.COUNTED_RUNS)
+    sample = tc.run_timed(binary, RunRecipe(repetitions=3, timeout_s=10))
+    assert sample.ok and len(sample.wall_times_s) == 3
+    assert sample.stdout == b"run 1\n"
+    assert sample.stderr == b"err 3\n"
+
+
+def test_run_timed_feeds_stdin_to_every_repetition(tmp_path, toolchain_config):
+    text = "4 8 15\n16 23 42\n"
+    spec, binary = _build(tmp_path, toolchain_config, kernels.STDIN_ECHO)
+    data = tmp_path / "input.txt"
+    data.write_text(text)
+    sample = tc.run_timed(binary, RunRecipe(repetitions=2, timeout_s=10, stdin_file=str(data)))
+    assert sample.ok
+    assert sample.stdout == text.encode()
+    assert sample.stderr == text.encode()
+
+
+def test_run_timed_timeout_returns_promptly(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.SLEEP_5S)
+    start = time.perf_counter()
+    sample = tc.run_timed(binary, RunRecipe(repetitions=2, timeout_s=0.3))
+    assert time.perf_counter() - start < 0.3 + 1.0
+    assert sample.timed_out
+    assert sample.stdout == b""
+
+
+def test_run_timed_earlier_deadline_is_kept(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.SLEEP_5S)
+    assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=60)).ok
+    start = time.perf_counter()
+    sample = tc.run_timed(binary, RunRecipe(repetitions=1, timeout_s=0.3))
+    assert time.perf_counter() - start < 0.3 + 1.0
+    assert sample.timed_out
+
+
+def test_run_timed_earlier_deadline_kills_nothing_later(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.SLEEP_FRACTION)
+    # The 0.1 s repetition keeps the watchdog armed until it has seen the
+    # 0.3 s deadline, which then passes during the next call.
+    assert tc.run_timed(binary, RunRecipe(repetitions=1, timeout_s=0.3)).ok
+    sample = tc.run_timed(binary, RunRecipe(repetitions=3, timeout_s=10))
+    assert sample.ok and len(sample.wall_times_s) == 3
+
+
+def test_run_timed_from_many_threads_times_out_only_the_sleeper(tmp_path, toolchain_config):
+    """Threads outnumbering the CPUs share the one watchdog: every
+    sleeper times out, and no deadline is applied to another run."""
+    spec, sleeper = _build(tmp_path, toolchain_config, kernels.SLEEP_5S)
+    quick_runs: list[tc.RunSample] = []
+    sleeper_runs: list[tc.RunSample] = []
+
+    def sleep() -> None:
+        for _ in range(3):
+            sleeper_runs.append(tc.run_timed(sleeper, RunRecipe(repetitions=1, timeout_s=0.2)))
+
+    def quick(timeout_s: float) -> None:
+        # Outlasts the sleeper, so deadlines also pass while quick runs alone.
+        while time.monotonic() < stop:
+            quick_runs.append(
+                tc.run_timed("/bin/true", RunRecipe(repetitions=3, timeout_s=timeout_s)))
+
+    stop = time.monotonic() + 1.5
+    threads = [threading.Thread(target=sleep)]
+    threads += [threading.Thread(target=quick, args=(t,)) for t in (0.3, 1.0, 30.0)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(sleeper_runs) == 3 and all(s.timed_out for s in sleeper_runs)
+    assert quick_runs and all(s.ok for s in quick_runs)
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return not Path("/proc/self").exists()
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_run_timed_timeout_kills_grandchildren(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.FORK_AND_SLEEP)
+    sample = tc.run_timed(binary, RunRecipe(repetitions=1, timeout_s=0.5))
+    assert sample.timed_out
+    pid_file = binary.parent.parent / "src" / "grandchild.pid"
+    assert pid_file.exists(), "the grandchild never wrote its pid"
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 1.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(pid), f"grandchild {pid} outlived the timeout"
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)

@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfagent import verify
 from perfagent.manifest import ValidationMode, ValidationPolicy
 from perfagent.toolchain import BuildOutcome, BuildStatus, RunSample
 from perfagent.verify import (
     CorrectnessCategory,
     EmptyList,
     InconsistentInputs,
+    MatchReport,
+    _count_tokens,
     classify_attempt,
     compare_outputs,
     pass_at_1,
@@ -276,6 +279,54 @@ class TestNumericEquivalence:
     def test_named_cases(self, ref, cand):
         policy = numeric()
         assert compare_outputs(ref, cand, policy) == reference_impl.compare_numeric(ref, cand, policy)
+
+
+# Every byte str.split treats as whitespace after a latin-1 decode, and a
+# few that it does not.
+_SPLIT_BYTES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0" + b"a1.-\x00\x84\x86\x9f\xa1\xff"
+
+
+class TestTokenCount:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.one_of(
+            st.lists(st.sampled_from(_SPLIT_BYTES), max_size=60).map(bytes),
+            st.binary(max_size=60),
+        )
+    )
+    def test_counts_what_split_returns(self, data):
+        assert _count_tokens(data) == len(data.decode("latin-1").split())
+
+    def test_every_byte_value(self):
+        for i in range(256):
+            byte = bytes([i])
+            for data in (byte, b"a" + byte, byte + b"a", b"a" + byte + b"a"):
+                assert _count_tokens(data) == len(data.decode("latin-1").split()), data
+
+
+class TestEqualOutputs:
+    """Byte-identical outputs skip the line split but report what the
+    reference reports, with and without ignore_patterns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pair=_output_pair(),
+        ignore=st.sampled_from(((), ("^#",), ("time", "^$"))),
+    )
+    def test_same_report_as_reference(self, pair, ignore):
+        policy = numeric(ignore=ignore)
+        for data in pair:
+            report = compare_outputs(data, bytes(data), policy)
+            assert report == reference_impl.compare_numeric(data, data, policy)
+            assert report.matched
+
+    def test_skips_line_split_without_ignore_patterns(self, monkeypatch):
+        def no_split(*args):
+            raise AssertionError("equal outputs were split into lines")
+
+        monkeypatch.setattr(verify, "_filter_lines", no_split)
+        data = b"1 2\x853\n4\xa05\r\n\x1c6"
+        assert compare_outputs(data, data, numeric()) == MatchReport(True, None, 6)
 
 
 class TestClassifyAttempt:
