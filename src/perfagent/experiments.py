@@ -78,7 +78,6 @@ class AttemptRecord:
     na_flag: bool
     labels: tuple[OptimizationLabel, ...] = ()
     thread_results: tuple[tuple[int, float | None], ...] | None = None
-    wallclock_log: str = ""
 
     def __post_init__(self):
         correct = self.category is CorrectnessCategory.CORRECT
@@ -205,41 +204,44 @@ def _stage_candidate(
     return vsrc
 
 
-def _evaluate_candidate(
-    spec: BenchmarkSpec,
-    src_dir: Path,
-    rel: str,
+def _check_candidate(
     original_text: str,
     extraction: gw.ExtractionResult,
-    toolchain: tc.ToolchainConfig,
-    work_dir: Path,
-    tag: str,
-    baseline: tc.RunSample,
     experiment: Experiment,
-    counts: tuple[int, ...] | None = None,
-) -> _Evaluation:
-    """Build, constraint-check, run, and validate one candidate."""
+) -> tuple[_Evaluation | None, set[str]]:
+    """The verdict on a reply with nothing to build (no code, or code
+    that does not parse), or else None and the constraint flags."""
     if extraction.code is None:
         category = classify_attempt(None, extraction, None, None, set())
-        return _Evaluation(category, None, None, ())
-
-    labels = _labels_for(extraction)
+        return _Evaluation(category, None, None, ()), set()
     try:
-        flags = gw.check_constraints(original_text, extraction.code, experiment)
+        return None, gw.check_constraints(original_text, extraction.code, experiment)
     except gw.UnparseableCandidate:
         category = classify_attempt(None, extraction, None, None, {"Unparseable"})
-        return _Evaluation(category, None, None, labels)
+        return _Evaluation(category, None, None, _labels_for(extraction)), set()
 
-    vsrc = _stage_candidate(spec, src_dir, rel, extraction.code, work_dir, tag)
-    build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
+
+def _score(
+    spec: BenchmarkSpec,
+    build: tc.BuildOutcome,
+    extraction: gw.ExtractionResult | None,
+    flags: set[str],
+    baseline: tc.RunSample,
+    counts: tuple[int, ...] | None = None,
+) -> _Evaluation:
+    """Classify a built candidate; time, validate and speed it up if it
+    built and broke no constraint. ``counts`` thread-sweeps it instead.
+
+    ``extraction`` is None for code that came from outside a model
+    reply (external tool trees).
+    """
+    labels = _labels_for(extraction) if extraction is not None else ()
     if not build.ok or flags:
         category = classify_attempt(build, extraction, None, None, flags)
         return _Evaluation(category, None, None, labels)
 
-    if experiment is Experiment.EX3:
-        return _evaluate_sweep(
-            spec, extraction, build, baseline, counts or DEFAULT_THREAD_COUNTS, labels
-        )
+    if counts is not None:
+        return _evaluate_sweep(spec, extraction, build, baseline, counts, labels)
 
     run = tc.run_timed(build.binary_path, spec.run)
     match = None
@@ -254,7 +256,7 @@ def _evaluate_candidate(
 
 def _evaluate_sweep(
     spec: BenchmarkSpec,
-    extraction: gw.ExtractionResult,
+    extraction: gw.ExtractionResult | None,
     build: tc.BuildOutcome,
     baseline: tc.RunSample,
     counts: tuple[int, ...],
@@ -339,6 +341,7 @@ def _single_shot(
     env = env or host_env(toolchain)
     ex_tag = experiment.value.lower()
     baseline_threads = 1 if experiment is Experiment.EX3 else None
+    sweep = (counts or DEFAULT_THREAD_COUNTS) if experiment is Experiment.EX3 else None
 
     rows = []
     for spec in selection:
@@ -355,12 +358,14 @@ def _single_shot(
         response = _request_or_none(provider, prompt)
         extraction = gw.extract_code(response) if response else _no_code_extraction()
 
-        evaluation = _evaluate_candidate(
-            spec, src_dir, rel, original_text, extraction, toolchain,
-            work_dir, f"{ex_tag}/cand", baseline, experiment, counts,
-        )
+        tag = f"{ex_tag}/cand"
+        evaluation, flags = _check_candidate(original_text, extraction, experiment)
+        if evaluation is None:
+            vsrc = _stage_candidate(spec, src_dir, rel, extraction.code, work_dir, tag)
+            build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
+            evaluation = _score(spec, build, extraction, flags, baseline, sweep)
         rows.append(_row_from_evaluation(
-            spec, experiment, provider.provider_id, f"{ex_tag}/cand", evaluation
+            spec, experiment, provider.provider_id, tag, evaluation
         ))
     return ResultsTable(tuple(rows), _provenance(toolchain, provider.provider_id))
 
@@ -393,6 +398,16 @@ def run_ex3(
 EX2_TURNS = 5
 
 
+def _join_turn(
+    spec: BenchmarkSpec,
+    building: tuple[str, gw.ExtractionResult, set[str], tc.PendingBuild],
+    baseline: tc.RunSample,
+) -> tuple[str, _Evaluation]:
+    """Join an ex2 turn's build and score the turn."""
+    tag, extraction, flags, build = building
+    return tag, _score(spec, build.wait(), extraction, flags, baseline)
+
+
 def run_ex2(
     selection: list[BenchmarkSpec],
     provider: gw.Provider,
@@ -407,6 +422,15 @@ def run_ex2(
     built and timed as its own variant; the recorded row is the fastest
     correct one. With no correct turn the row keeps the final turn's
     failure category and reverts the speedup to exactly 1.0.
+
+    A turn's request depends only on earlier prompts and replies, so
+    each turn's build runs while the next turn's request is in flight:
+    turn t's compiler starts, turn t+1's request is sent, and only then
+    is turn t's build joined, timed and scored. Requests, rows and
+    categories are those of building each turn before the next request.
+    The baseline is built and timed before the first request, and no
+    timed run overlaps a build. If an exception escapes a turn, the
+    build in flight is killed and reaped before it propagates.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
@@ -424,23 +448,39 @@ def run_ex2(
         rel, original_text = _attachment(spec, src_dir)
         history: list[tuple[str, str]] = []
         evaluated: list[tuple[str, _Evaluation]] = []
-
-        for turn in range(1, EX2_TURNS + 1):
-            turn_experiment = Experiment.EX1 if turn == 1 else Experiment.EX2
-            prompt = gw.render_prompt(turn_experiment, spec, original_text, env)
-            response = _request_or_none(provider, prompt, history)
-            if response is None:
-                evaluated.append((f"ex2/turn{turn}", _Evaluation(
-                    CorrectnessCategory.NO_GENERATED_CODE, None, None, ()
-                )))
-                continue
-            history.append((prompt.user_text, response.raw_text))
-            extraction = gw.extract_code(response)
-            evaluation = _evaluate_candidate(
-                spec, src_dir, rel, original_text, extraction, toolchain,
-                work_dir, f"ex2/turn{turn}", baseline, Experiment.EX2,
-            )
-            evaluated.append((f"ex2/turn{turn}", evaluation))
+        # (tag, extraction, flags, build) of the turn whose build is running
+        building = None
+        try:
+            for turn in range(1, EX2_TURNS + 1):
+                tag = f"ex2/turn{turn}"
+                turn_experiment = Experiment.EX1 if turn == 1 else Experiment.EX2
+                prompt = gw.render_prompt(turn_experiment, spec, original_text, env)
+                response = _request_or_none(provider, prompt, history)
+                if building is not None:
+                    evaluated.append(_join_turn(spec, building, baseline))
+                    building = None
+                if response is None:
+                    evaluated.append((tag, _Evaluation(
+                        CorrectnessCategory.NO_GENERATED_CODE, None, None, ()
+                    )))
+                    continue
+                history.append((prompt.user_text, response.raw_text))
+                extraction = gw.extract_code(response)
+                verdict, flags = _check_candidate(original_text, extraction, Experiment.EX2)
+                if verdict is not None:
+                    evaluated.append((tag, verdict))
+                    continue
+                vsrc = _stage_candidate(spec, src_dir, rel, extraction.code, work_dir, tag)
+                building = (
+                    tag, extraction, flags,
+                    tc.start_compile(spec, vsrc, toolchain, tag, work_dir),
+                )
+            if building is not None:
+                evaluated.append(_join_turn(spec, building, baseline))
+                building = None
+        finally:
+            if building is not None:
+                building[3].kill()
 
         best_tag, best = None, None
         for tag, evaluation in evaluated:
@@ -499,19 +539,8 @@ def import_external_tool_results(
                 shutil.copy2(path, target)
 
         build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-        run = match = None
-        if build.ok:
-            run = tc.run_timed(build.binary_path, spec.run)
-            if run.ok:
-                match = compare_outputs(baseline.stdout, run.stdout, spec.validation)
-        category = classify_attempt(build, None, run, match, set())
-        stat = None
-        if category is CorrectnessCategory.CORRECT:
-            stat = tc.measure_speedup(baseline, run)
-        rows.append(_row_from_evaluation(
-            spec, Experiment.EX1, tool_id, tag,
-            _Evaluation(category, stat, None, ()),
-        ))
+        evaluation = _score(spec, build, None, set(), baseline)
+        rows.append(_row_from_evaluation(spec, Experiment.EX1, tool_id, tag, evaluation))
     return ResultsTable(tuple(rows), _provenance(toolchain, tool_id))
 
 
@@ -578,7 +607,6 @@ def record_to_dict(row: AttemptRecord) -> dict:
             None if row.thread_results is None
             else {str(count): value for count, value in row.thread_results}
         ),
-        "wallclock_log": row.wallclock_log,
     }
 
 
@@ -602,7 +630,6 @@ def record_from_dict(doc: dict) -> AttemptRecord:
             None if threads is None
             else tuple(sorted((int(k), v) for k, v in threads.items()))
         ),
-        wallclock_log=doc.get("wallclock_log", ""),
     )
 
 

@@ -1,17 +1,21 @@
 """Compiler detection, variant builds, and serialized timed runs.
 
 Timed runs take a process-wide lock so measurements never overlap; the
-speedup protocol assumes an otherwise unloaded machine. Build and run
-failures that describe the candidate (bad code, crash, timeout) are
-encoded in the returned records; failures that describe the harness
-itself (missing compiler, build timeout) raise.
+speedup protocol assumes an otherwise unloaded machine. A build may run
+while the harness waits on the model (``start_compile`` returns before
+the compiler ends), but never during a timed repetition: ``run_timed``
+refuses to start while a build is not joined. Build and run failures
+that describe the candidate (bad code, crash, timeout) are encoded in
+the returned records; failures that describe the harness itself
+(missing compiler, build timeout) raise.
 
-A timed repetition writes stdout and stderr into anonymous temporary
-files, not pipes, so no output passes through Python while the clock
-runs; only repetition 1's stdout and the last repetition's stderr are
-ever read back. Each repetition leads its own session, and a watchdog
-thread kills its whole process group at the deadline, so a candidate's
-forked children cannot outlive its timeout.
+Compilers and timed repetitions are started the same way. Each child
+leads its own session and writes into anonymous temporary files, not
+pipes, so no output passes through Python while it runs; one watchdog
+thread kills a child's whole process group at its deadline, so neither a
+candidate's forked children nor a compiler's cc1, as and ld outlive a
+timeout. Only a build's stderr, repetition 1's stdout and the last
+repetition's stderr are ever read back.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import IO
 
 from .manifest import BenchmarkSpec, Language, RunRecipe
 
@@ -95,7 +100,6 @@ class BuildOutcome:
     status: BuildStatus
     binary_path: Path | None
     stderr: str
-    elapsed_s: float
 
     @property
     def ok(self) -> bool:
@@ -206,18 +210,85 @@ def variant_dir(work_dir: Path | str, bench_id: str, variant_tag: str) -> Path:
     return Path(work_dir) / bench_id / variant_tag
 
 
-def compile(
+class PendingBuild:
+    """A compiler started by ``start_compile`` and not yet joined.
+
+    ``wait`` joins it and ``kill`` abandons it. Until one of them has
+    run, ``run_timed`` raises, so a build never shares the CPU with a
+    timed repetition.
+    """
+
+    def __init__(
+        self,
+        proc: subprocess.Popen,
+        argv: list[str],
+        stderr: IO[bytes],
+        binary: Path,
+        log_path: Path,
+        timeout_s: float,
+    ) -> None:
+        self._proc = proc
+        self._argv = argv
+        self._stderr = stderr
+        self._binary = binary
+        self._log_path = log_path
+        self._timeout_s = timeout_s
+
+    def wait(self) -> BuildOutcome:
+        """Reap the compiler in one blocking wait and classify the build.
+
+        Raises BuildTimeout when the watchdog killed the compiler's
+        process group at ``build.timeout_s`` from spawn. A compiler that
+        ended in time is never a timeout, however late it is joined.
+        """
+        with self._stderr:
+            try:
+                returncode = self._proc.wait()
+            finally:
+                timed_out = self._release()
+            if timed_out:
+                raise BuildTimeout(self._argv, self._timeout_s)
+            diagnostics = _read_all(self._stderr.fileno())
+        log_text = "$ " + " ".join(self._argv) + "\n" + diagnostics.decode(errors="replace")
+        self._log_path.write_text(log_text)
+        if returncode != 0 or not self._binary.exists():
+            return BuildOutcome(BuildStatus.COMPILE_ERROR, None, log_text)
+        self._binary.chmod(0o755)
+        return BuildOutcome(BuildStatus.OK, self._binary, log_text)
+
+    def kill(self) -> None:
+        """Kill the compiler's process group and reap it; no outcome.
+
+        Does nothing to a build that is already joined.
+        """
+        self._release()
+        self._stderr.close()
+
+    def _release(self) -> bool:
+        _unjoined.discard(self)
+        return _reap(self._proc)
+
+
+# Builds started by start_compile and not yet joined or killed.
+_unjoined: set[PendingBuild] = set()
+
+
+def start_compile(
     spec: BenchmarkSpec,
     src_dir: Path | str,
     toolchain: ToolchainConfig,
     variant_tag: str,
     work_dir: Path | str,
-) -> BuildOutcome:
-    """Build one variant into ``<work>/<bench_id>/<variant_tag>/``.
+) -> PendingBuild:
+    """Start building one variant into ``<work>/<bench_id>/<variant_tag>/``.
 
     The variant directory gets src/ (a copy of ``src_dir``), bin/, and
-    logs/; the full compiler command line is the first line of the
-    outcome's stderr and of logs/build.log.
+    logs/. The compiler leads a new session with stdout discarded and
+    stderr in an anonymous file, and the watchdog kills its process group
+    at ``build.timeout_s`` from now. The caller may do other work, such
+    as waiting on the model, before it joins the build with
+    ``PendingBuild.wait``; the full compiler command line is then the
+    first line of the outcome's stderr and of logs/build.log.
     """
     src_dir = Path(src_dir)
     vdir = variant_dir(work_dir, spec.id, variant_tag)
@@ -243,22 +314,29 @@ def compile(
         str(binary),
     ]
 
-    start = time.perf_counter()
+    stderr = tempfile.TemporaryFile(buffering=0)
     try:
-        proc = subprocess.run(argv, capture_output=True, timeout=spec.build.timeout_s)
-    except subprocess.TimeoutExpired:
-        raise BuildTimeout(argv, spec.build.timeout_s) from None
+        proc = _spawn(
+            argv, time.perf_counter() + spec.build.timeout_s,
+            stdout=subprocess.DEVNULL, stderr=stderr,
+        )
     except OSError as exc:
+        stderr.close()
         raise ToolNotFound(spec.build.compiler_id) from exc
-    elapsed = time.perf_counter() - start
+    build = PendingBuild(proc, argv, stderr, binary, vlogs / "build.log", spec.build.timeout_s)
+    _unjoined.add(build)
+    return build
 
-    log_text = "$ " + " ".join(argv) + "\n" + proc.stderr.decode(errors="replace")
-    (vlogs / "build.log").write_text(log_text)
 
-    if proc.returncode != 0 or not binary.exists():
-        return BuildOutcome(BuildStatus.COMPILE_ERROR, None, log_text, elapsed)
-    binary.chmod(0o755)
-    return BuildOutcome(BuildStatus.OK, binary, log_text, elapsed)
+def compile(
+    spec: BenchmarkSpec,
+    src_dir: Path | str,
+    toolchain: ToolchainConfig,
+    variant_tag: str,
+    work_dir: Path | str,
+) -> BuildOutcome:
+    """Build one variant and wait for it: ``start_compile(...).wait()``."""
+    return start_compile(spec, src_dir, toolchain, variant_tag, work_dir).wait()
 
 
 def _resolve_stdin(binary: Path, run: RunRecipe) -> Path | None:
@@ -281,12 +359,15 @@ def _kill_group(pid: int) -> None:
 
 
 class _Watchdog:
-    """Kills the process group of the repetition in flight at its deadline.
+    """Kills the process group of each armed child at its deadline.
 
-    One daemon thread serves every timed run, since _timed_run_lock lets
-    only one repetition run at a time. It sleeps until the deadline it
-    last saw and is woken only when a repetition is armed with an earlier
-    one, so repetitions that end in time cost no wake-up of their own.
+    One daemon thread serves every child: the timed repetition in flight
+    (``_timed_run_lock`` lets only one run at a time) and any builds
+    started by ``start_compile``. It sleeps until the earliest deadline
+    it knows and is woken only when a child is armed with an earlier
+    one, so children that end in time cost no wake-up of their own. At a
+    deadline it polls the child first: a child that already exited and
+    waits to be joined (a build joined late) is reaped there, not killed.
     The caller disarms right after it reaps the child; pids are handed
     out cyclically, so in that window the group id cannot yet name a new
     group.
@@ -295,46 +376,70 @@ class _Watchdog:
     def __init__(self) -> None:
         self._cond = threading.Condition(threading.Lock())
         self._thread: threading.Thread | None = None
-        self._pid: int | None = None
-        self._deadline = 0.0
+        self._deadlines: dict[subprocess.Popen, float] = {}
+        self._killed: set[subprocess.Popen] = set()
         self._sleeping_until = math.inf
-        self._fired = False
 
-    def arm(self, pid: int, deadline: float) -> None:
+    def arm(self, proc: subprocess.Popen, deadline: float) -> None:
         with self._cond:
             if self._thread is None or not self._thread.is_alive():
                 self._thread = threading.Thread(
                     target=self._watch, name="perfagent-watchdog", daemon=True
                 )
                 self._thread.start()
-            self._pid, self._deadline, self._fired = pid, deadline, False
+            self._deadlines[proc] = deadline
             if deadline < self._sleeping_until:
                 self._cond.notify()
 
-    def disarm(self) -> bool:
-        """Stop watching; True if the deadline passed and the group was killed."""
+    def disarm(self, proc: subprocess.Popen) -> bool:
+        """Stop watching ``proc``; True if its deadline passed and its group was killed."""
         with self._cond:
-            self._pid = None
-            return self._fired
+            self._deadlines.pop(proc, None)
+            if proc in self._killed:
+                self._killed.remove(proc)
+                return True
+            return False
 
     def _watch(self) -> None:
         with self._cond:
             while True:
-                if self._pid is None:
+                if not self._deadlines:
                     self._sleeping_until = math.inf
                     self._cond.wait()
                     continue
-                remaining = self._deadline - time.perf_counter()
+                proc = min(self._deadlines, key=self._deadlines.__getitem__)
+                deadline = self._deadlines[proc]
+                remaining = deadline - time.perf_counter()
                 if remaining > 0:
-                    self._sleeping_until = self._deadline
+                    self._sleeping_until = deadline
                     self._cond.wait(remaining)
                     continue
-                _kill_group(self._pid)
-                self._fired = True
-                self._pid = None
+                del self._deadlines[proc]
+                # poll() answers None while the caller is blocked reaping
+                # the child, so a running child is always killed.
+                if proc.poll() is None:
+                    _kill_group(proc.pid)
+                    self._killed.add(proc)
 
 
 _watchdog = _Watchdog()
+
+
+def _spawn(argv: list[str], deadline: float, **popen_kwargs) -> subprocess.Popen:
+    """Start ``argv`` as the leader of a new session, watched until ``deadline``."""
+    proc = subprocess.Popen(argv, start_new_session=True, **popen_kwargs)
+    _watchdog.arm(proc, deadline)
+    return proc
+
+
+def _reap(proc: subprocess.Popen) -> bool:
+    """Stop watching ``proc`` and make sure it is reaped, killing its
+    process group first if it still runs; True if its deadline killed it."""
+    timed_out = _watchdog.disarm(proc)
+    if proc.returncode is None:
+        _kill_group(proc.pid)
+        proc.wait()
+    return timed_out
 
 
 def _read_all(fd: int) -> bytes:
@@ -361,7 +466,12 @@ def run_timed(
     process group (each repetition leads a new session), which ends the
     wait. Repetition 1's stdout is read after it ends, the last
     repetition's stderr after the loop.
+
+    Raises ToolchainError while a build from ``start_compile`` is not
+    joined: a compiler must not share the CPU with a timed repetition.
     """
+    if _unjoined:
+        raise ToolchainError("a build started by start_compile is not joined yet")
     binary = Path(binary)
     env = dict(os.environ)
     env.update(run.env_dict())
@@ -393,19 +503,15 @@ def run_timed(
                 if stdin_path:
                     stdin.seek(0)
             start = time.perf_counter()
-            proc = subprocess.Popen(
-                argv, stdin=stdin, stdout=out, stderr=err, env=env, cwd=cwd,
-                start_new_session=True,
+            proc = _spawn(
+                argv, start + run.timeout_s,
+                stdin=stdin, stdout=out, stderr=err, env=env, cwd=cwd,
             )
-            _watchdog.arm(proc.pid, start + run.timeout_s)
             try:
                 returncode = proc.wait()
                 elapsed = time.perf_counter() - start
             finally:
-                timed_out = _watchdog.disarm()
-                if proc.returncode is None:
-                    _kill_group(proc.pid)
-                    proc.wait()
+                timed_out = _reap(proc)
 
             if timed_out:
                 exit_status = TIMEOUT

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,19 @@ def load_single(root: Path, bench_id: str):
     matches = [s for s in specs if s.id == bench_id]
     assert len(matches) == 1
     return matches[0]
+
+
+def process_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return not Path("/proc/self").exists()
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # A full-size suite layout: (id, motif, level, language), 24 rows.

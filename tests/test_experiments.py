@@ -3,6 +3,9 @@
 import csv
 import json
 import logging
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +13,13 @@ from hypothesis import strategies as st
 
 from perfagent import experiments as ex
 from perfagent import llm_gateway as gw
+from perfagent import toolchain as tc
 from perfagent.llm_gateway import Experiment
-from perfagent.manifest import Motif
+from perfagent.manifest import Motif, RunRecipe
 from perfagent.verify import CorrectnessCategory as Cat
+from perfagent.verify import classify_attempt
 
-from conftest import load_single, write_bench
+from conftest import load_single, process_running, write_bench
 from kernels import (
     SYNTAX_ERROR,
     fenced,
@@ -116,6 +121,9 @@ class TestRecordInvariants:
             )],
         )
         assert ex.record_from_dict(ex.record_to_dict(row)) == row
+        # report.json files written before wallclock_log was dropped still load.
+        legacy = {**ex.record_to_dict(row), "wallclock_log": ""}
+        assert ex.record_from_dict(legacy) == row
 
 
 class TestEx1:
@@ -294,6 +302,123 @@ class TestEx2:
         second_user = provider.received[1][-1]["content"]
         assert first_user.startswith("Provide the C/C++ code")
         assert second_user.startswith("Propose an additional serial optimization")
+
+
+    def test_pipelined_turns_match_the_serial_protocol(self, tmp_path, toolchain_config,
+                                                       monkeypatch):
+        """Each turn's build overlaps the next request; the requests, the
+        per-turn categories and the rows are those of the serial protocol."""
+        env = {"os": "TestOS", "cpu": "TestCPU", "compilers": "gcc"}
+        unbalanced = "int main(void) {\n    return 0;\n"
+        helper = sleeper(50) + "\nstatic int helper(void) { return 1; }\n"
+        # (reply, answered, category classified for the turn or None)
+        plans = {
+            "alpha": [
+                (fenced(sleeper(60)), True, Cat.CORRECT),
+                (fenced(SYNTAX_ERROR), True, Cat.COMPILATION_ERROR),
+                (fenced(unbalanced), True, Cat.FAILED_TO_FOLLOW_INSTRUCTIONS),
+                ("a reply to a request that does not match", False, None),
+                (fenced(sleeper(90)), True, Cat.CORRECT),
+            ],
+            "beta": [
+                ("Buy a faster computer.", True, Cat.NO_GENERATED_CODE),
+                (fenced(sleeper(50, message="result 99")), True, Cat.OUTPUT_MISMATCH),
+                (fenced(SYNTAX_ERROR), True, Cat.COMPILATION_ERROR),
+                (fenced(helper), True, Cat.FAILED_TO_FOLLOW_INSTRUCTIONS),
+                (fenced(SYNTAX_ERROR), True, Cat.COMPILATION_ERROR),
+            ],
+        }
+        specs = [sleep_bench(tmp_path / "b" / name, name) for name in plans]
+        entries, expected_requests = [], []
+        for spec in specs:
+            original = (spec.root / "main.c").read_text()
+            history = []
+            for turn, (reply, answered, _) in enumerate(plans[spec.id], start=1):
+                experiment = Experiment.EX1 if turn == 1 else Experiment.EX2
+                prompt = gw.render_prompt(experiment, spec, original, env)
+                messages = gw.build_messages(prompt, history)
+                expected_requests.append(messages)
+                # A wrong digest makes the replay raise TranscriptMismatch,
+                # a ProviderError, so the turn goes unanswered.
+                digest = gw.canonical_digest(messages) if answered else "0" * 64
+                entries.append(
+                    {"request_digest": digest, "response_text": reply, "latency_s": 0.0}
+                )
+                if answered:
+                    history.append((prompt.user_text, reply))
+
+        classified = []
+
+        def recording_classify(*args):
+            category = classify_attempt(*args)
+            classified.append(category)
+            return category
+
+        monkeypatch.setattr(ex, "classify_attempt", recording_classify)
+        provider = gw.ReplayProvider(entries)
+        table = ex.run_ex2(specs, provider, toolchain_config, tmp_path / "w", env=env)
+
+        assert provider.received == expected_requests
+        assert classified == [c for spec in specs for _, _, c in plans[spec.id] if c]
+        assert [(r.benchmark_id, r.variant_tag, r.category) for r in table.rows] == [
+            ("alpha", "ex2/turn1", Cat.CORRECT),
+            ("beta", "ex2/turn5", Cat.COMPILATION_ERROR),
+        ]
+        assert table.rows[0].speedup > 1.5
+        assert table.rows[1].speedup == 1.0 and table.rows[1].na_flag
+
+    def test_escaping_error_kills_the_build_in_flight(self, tmp_path, toolchain_config):
+        pids = tmp_path / "turn2.pid"
+        gcc = toolchain_config.compilers["gcc"].c_path
+        # Every build runs gcc, except turn 2's, which hangs until killed.
+        script = tmp_path / "cc"
+        script.write_text(
+            "#!/bin/sh\n"
+            'case "$*" in\n'
+            f'  */ex2/turn2/*) echo $$ >> "{pids}"; sleep 20 & echo $! >> "{pids}"; wait ;;\n'
+            "esac\n"
+            f'exec "{gcc}" "$@"\n'
+        )
+        script.chmod(0o755)
+        info = tc.CompilerInfo(str(script), str(script), "wrapped gcc")
+        wrapped = tc.ToolchainConfig(compilers={"gcc": info}, default_flags={})
+
+        class FailsAtTurn3(gw.Provider):
+            provider_id = "flaky"
+
+            def __init__(self):
+                self.calls = 0
+
+            def complete(self, messages):
+                self.calls += 1
+                if self.calls == 3:
+                    # Fail only once turn 2's compiler and its child run.
+                    deadline = time.monotonic() + 5.0
+                    while time.monotonic() < deadline and not (
+                        pids.exists() and len(pids.read_text().split()) == 2
+                    ):
+                        time.sleep(0.01)
+                    raise RuntimeError("provider bug")
+                return gw.ModelResponse(fenced(sleeper(60)), self.provider_id, 0.0)
+
+        spec = sleep_bench(tmp_path / "b")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="provider bug"):
+            ex.run_ex2([spec], FailsAtTurn3(), wrapped, tmp_path / "w")
+        assert time.perf_counter() - start < 10.0
+        children = [int(line) for line in pids.read_text().split()]
+        assert len(children) == 2
+        try:
+            deadline = time.monotonic() + 1.0
+            while any(process_running(pid) for pid in children) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(process_running(pid) for pid in children), "the turn-2 build outlived run_ex2"
+        finally:
+            for pid in children:
+                if process_running(pid):
+                    os.kill(pid, signal.SIGKILL)
+        # Nothing is left unjoined, so timed runs are allowed again.
+        assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
 
 
 class TestEx3:

@@ -18,7 +18,7 @@ from perfagent import toolchain as tc
 from perfagent.manifest import RunRecipe
 
 import kernels
-from conftest import load_single, write_bench
+from conftest import load_single, process_running, write_bench
 
 
 def _spec(tmp_path, bench_id, files, **overrides):
@@ -288,19 +288,6 @@ def test_run_timed_from_many_threads_times_out_only_the_sleeper(tmp_path, toolch
     assert quick_runs and all(s.ok for s in quick_runs)
 
 
-def _running(pid: int) -> bool:
-    """True while ``pid`` exists and is not a zombie."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return not Path("/proc/self").exists()
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
 def test_run_timed_timeout_kills_grandchildren(tmp_path, toolchain_config):
     spec, binary = _build(tmp_path, toolchain_config, kernels.FORK_AND_SLEEP)
     sample = tc.run_timed(binary, RunRecipe(repetitions=1, timeout_s=0.5))
@@ -310,9 +297,101 @@ def test_run_timed_timeout_kills_grandchildren(tmp_path, toolchain_config):
     pid = int(pid_file.read_text())
     try:
         deadline = time.monotonic() + 1.0
-        while _running(pid) and time.monotonic() < deadline:
+        while process_running(pid) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert not _running(pid), f"grandchild {pid} outlived the timeout"
+        assert not process_running(pid), f"grandchild {pid} outlived the timeout"
     finally:
-        if _running(pid):
+        if process_running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+def _fake_compiler(tmp_path: Path, body: str) -> tc.ToolchainConfig:
+    """A toolchain whose "gcc" is the shell script ``body``."""
+    script = tmp_path / "fake-cc"
+    script.write_text("#!/bin/sh\n" + body)
+    script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    info = tc.CompilerInfo(str(script), str(script), "fake")
+    return tc.ToolchainConfig(compilers={"gcc": info}, default_flags={})
+
+
+def test_build_timeout_kills_the_compiler_process_group(tmp_path):
+    pids = tmp_path / "sleepers.pid"
+    # Like a gcc driver whose cc1 and as outlive it: both sleepers are
+    # children of the shell that the build starts.
+    fake = _fake_compiler(
+        tmp_path,
+        f'sleep 4.37 & echo $! >> "{pids}"\n'
+        f'sleep 4.37 & echo $! >> "{pids}"\n'
+        "wait\n",
+    )
+    spec = _spec(tmp_path, "slow", {"main.c": kernels.sleeper(0)}, build={"timeout_s": 0.5})
+    start = time.perf_counter()
+    with pytest.raises(tc.BuildTimeout):
+        tc.compile(spec, spec.root, fake, "base", tmp_path / "work")
+    assert time.perf_counter() - start < 0.5 + 1.0
+    sleepers = [int(line) for line in pids.read_text().split()]
+    assert len(sleepers) == 2
+    try:
+        time.sleep(0.2)
+        assert not any(process_running(pid) for pid in sleepers), "a compiler child outlived the timeout"
+    finally:
+        for pid in sleepers:
+            if process_running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_build_joined_after_its_deadline_is_not_a_timeout(tmp_path, toolchain_config):
+    spec = _spec(tmp_path, "quick", {"main.c": kernels.sleeper(0)}, build={"timeout_s": 0.5})
+    build = tc.start_compile(spec, spec.root, toolchain_config, "base", tmp_path / "work")
+    time.sleep(1.0)
+    out = build.wait()
+    assert out.status is tc.BuildStatus.OK, out.stderr
+    assert tc.run_timed(out.binary_path, RunRecipe(repetitions=1, timeout_s=10)).ok
+
+
+def test_large_diagnostics_joined_late_are_kept_whole(tmp_path):
+    # 2000 lines of 60 bytes: more than a 64 KiB pipe could hold unread.
+    fake = _fake_compiler(
+        tmp_path,
+        "i=1000\n"
+        "while [ $i -lt 3000 ]; do\n"
+        '  echo "main.c:$i:1: warning: diagnostic number $i, padded out to sixty" >&2\n'
+        "  i=$((i + 1))\n"
+        "done\n"
+        "exit 1\n",
+    )
+    spec = _spec(tmp_path, "noisy", {"main.c": kernels.sleeper(0)})
+    build = tc.start_compile(spec, spec.root, fake, "base", tmp_path / "work")
+    time.sleep(0.5)
+    out = build.wait()
+    assert out.status is tc.BuildStatus.COMPILE_ERROR
+    command, diagnostics = out.stderr.split("\n", 1)
+    assert command.startswith("$ ")
+    expected = "".join(
+        f"main.c:{i}:1: warning: diagnostic number {i}, padded out to sixty\n"
+        for i in range(1000, 3000)
+    )
+    assert len(expected) > 64 * 1024
+    assert diagnostics == expected
+    assert (tmp_path / "work" / "noisy" / "base" / "logs" / "build.log").read_text() == out.stderr
+
+
+def test_run_timed_refuses_while_a_build_is_unjoined(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.sleeper(0))
+    build = tc.start_compile(spec, spec.root, toolchain_config, "pending", tmp_path / "work")
+    try:
+        with pytest.raises(tc.ToolchainError):
+            tc.run_timed(binary, RunRecipe(repetitions=1, timeout_s=10))
+    finally:
+        assert build.wait().ok
+    assert tc.run_timed(binary, RunRecipe(repetitions=1, timeout_s=10)).ok
+
+
+def test_kill_after_a_timed_out_join_does_nothing(tmp_path):
+    fake = _fake_compiler(tmp_path, "exec sleep 5\n")
+    spec = _spec(tmp_path, "hang", {"main.c": kernels.sleeper(0)}, build={"timeout_s": 0.3})
+    build = tc.start_compile(spec, spec.root, fake, "base", tmp_path / "work")
+    with pytest.raises(tc.BuildTimeout):
+        build.wait()
+    build.kill()
+    assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok

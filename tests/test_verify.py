@@ -41,8 +41,8 @@ class FakeExtraction:
     code: str | None
 
 
-GOOD_BUILD = BuildOutcome(BuildStatus.OK, Path("/tmp/x"), "$ cc", 0.1)
-BAD_BUILD = BuildOutcome(BuildStatus.COMPILE_ERROR, None, "error: oops", 0.1)
+GOOD_BUILD = BuildOutcome(BuildStatus.OK, Path("/tmp/x"), "$ cc")
+BAD_BUILD = BuildOutcome(BuildStatus.COMPILE_ERROR, None, "error: oops")
 GOOD_RUN = RunSample((0.5, 0.5), b"out\n", b"", 0)
 CRASHED_RUN = RunSample((), b"", b"", 11)
 TIMEOUT_RUN = RunSample((), b"", b"", "timeout")
