@@ -9,6 +9,7 @@ JSON file that round-trips through load_table.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -134,23 +135,38 @@ class _BaselineFailed(ExperimentError):
     pass
 
 
-def _prepare_baseline(
+def _start_baseline(
     spec: BenchmarkSpec,
     toolchain: tc.ToolchainConfig,
     work_dir: Path,
     ex_tag: str,
+) -> tuple[Path, tc.PendingBuild]:
+    """Prepared source tree plus the started build of the untouched
+    original, which ``_finish_baseline`` joins and times."""
+    try:
+        prep_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/prep")
+        src_dir = manifest.prepare_sources(spec, prep_dir)
+        return src_dir, tc.start_compile(spec, src_dir, toolchain, f"{ex_tag}/base", work_dir)
+    except (tc.ToolchainError, manifest.ManifestError) as exc:
+        raise _BaselineFailed(str(exc)) from exc
+
+
+def _finish_baseline(
+    spec: BenchmarkSpec,
+    build: tc.PendingBuild,
     thread_count: int | None = None,
-) -> tuple[Path, tc.RunSample]:
-    """Prepared source tree plus a timed run of the untouched original."""
-    prep_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/prep")
-    src_dir = manifest.prepare_sources(spec, prep_dir)
-    build = tc.compile(spec, src_dir, toolchain, f"{ex_tag}/base", work_dir)
-    if not build.ok:
+) -> tc.RunSample:
+    """Join the baseline build and time the original."""
+    try:
+        outcome = build.wait()
+    except tc.ToolchainError as exc:
+        raise _BaselineFailed(str(exc)) from exc
+    if not outcome.ok:
         raise _BaselineFailed(f"{spec.id}: baseline build failed")
-    run = tc.run_timed(build.binary_path, spec.run, thread_count=thread_count)
+    run = tc.run_timed(outcome.binary_path, spec.run, thread_count=thread_count)
     if not run.ok:
         raise _BaselineFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
-    return src_dir, run
+    return run
 
 
 def _attachment(spec: BenchmarkSpec, src_dir: Path) -> tuple[str, str]:
@@ -193,14 +209,29 @@ class _Evaluation:
 
 
 def _stage_candidate(
-    spec: BenchmarkSpec, src_dir: Path, rel: str, code: str,
-    work_dir: Path, tag: str,
+    spec: BenchmarkSpec,
+    src_dir: Path,
+    work_dir: Path,
+    tag: str,
+    code: tuple[str, str] | None = None,
+    overlay: Path | None = None,
 ) -> Path:
+    """The variant's src/: a copy of the prepared tree with ``code``, a
+    (relative path, text) pair, written over one file, and every file
+    under the ``overlay`` directory laid over it."""
     vsrc = tc.variant_dir(work_dir, spec.id, tag) / "src"
     if vsrc.exists():
         shutil.rmtree(vsrc)
     shutil.copytree(src_dir, vsrc)
-    (vsrc / rel).write_text(code, encoding="utf-8")
+    if code is not None:
+        rel, text = code
+        (vsrc / rel).write_text(text, encoding="utf-8")
+    if overlay is not None:
+        for path in sorted(overlay.rglob("*")):
+            if path.is_file():
+                target = vsrc / path.relative_to(overlay)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(path, target)
     return vsrc
 
 
@@ -335,6 +366,17 @@ def _single_shot(
     env: dict[str, str] | None,
     counts: tuple[int, ...] | None = None,
 ) -> ResultsTable:
+    """One request per benchmark; the candidate is scored against a
+    freshly built and timed original (at 1 thread on ex3).
+
+    The original's build starts first and runs while the model answers
+    and while the candidate compiles; both builds are joined before the
+    original and then the candidate are timed, back to back, so no timed
+    run overlaps a build. A benchmark whose original fails to prepare,
+    build or run is skipped with an error logged, after its one request.
+    If an exception escapes a row, every build still in flight is killed
+    and reaped before it propagates.
+    """
     if not selection:
         raise EmptySelection("no benchmarks selected")
     work_dir = Path(work_dir)
@@ -342,27 +384,31 @@ def _single_shot(
     ex_tag = experiment.value.lower()
     baseline_threads = 1 if experiment is Experiment.EX3 else None
     sweep = (counts or DEFAULT_THREAD_COUNTS) if experiment is Experiment.EX3 else None
+    tag = f"{ex_tag}/cand"
 
     rows = []
     for spec in selection:
+        build = None
         try:
-            src_dir, baseline = _prepare_baseline(
-                spec, toolchain, work_dir, ex_tag, thread_count=baseline_threads
-            )
-        except (_BaselineFailed, tc.ToolchainError, manifest.ManifestError) as exc:
+            with contextlib.ExitStack() as in_flight:
+                src_dir, base_build = _start_baseline(spec, toolchain, work_dir, ex_tag)
+                in_flight.callback(base_build.kill)
+
+                rel, original_text = _attachment(spec, src_dir)
+                prompt = gw.render_prompt(experiment, spec, original_text, env)
+                response = _request_or_none(provider, prompt)
+                extraction = gw.extract_code(response) if response else _no_code_extraction()
+                evaluation, flags = _check_candidate(original_text, extraction, experiment)
+                if evaluation is None:
+                    vsrc = _stage_candidate(
+                        spec, src_dir, work_dir, tag, code=(rel, extraction.code)
+                    )
+                    build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
+                baseline = _finish_baseline(spec, base_build, baseline_threads)
+        except _BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-
-        rel, original_text = _attachment(spec, src_dir)
-        prompt = gw.render_prompt(experiment, spec, original_text, env)
-        response = _request_or_none(provider, prompt)
-        extraction = gw.extract_code(response) if response else _no_code_extraction()
-
-        tag = f"{ex_tag}/cand"
-        evaluation, flags = _check_candidate(original_text, extraction, experiment)
-        if evaluation is None:
-            vsrc = _stage_candidate(spec, src_dir, rel, extraction.code, work_dir, tag)
-            build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
+        if build is not None:
             evaluation = _score(spec, build, extraction, flags, baseline, sweep)
         rows.append(_row_from_evaluation(
             spec, experiment, provider.provider_id, tag, evaluation
@@ -377,7 +423,11 @@ def run_ex1(
     work_dir: Path | str,
     env: dict[str, str] | None = None,
 ) -> ResultsTable:
-    """One serial-optimization request per benchmark, one row each."""
+    """One serial-optimization request per benchmark, one row each.
+
+    A benchmark whose original does not build or run has no row, though
+    its request was sent.
+    """
     return _single_shot(selection, provider, toolchain, work_dir, Experiment.EX1, env)
 
 
@@ -389,7 +439,11 @@ def run_ex3(
     counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
     env: dict[str, str] | None = None,
 ) -> ResultsTable:
-    """One parallel-optimization request per benchmark, thread-swept."""
+    """One parallel-optimization request per benchmark, thread-swept.
+
+    A benchmark whose original does not build or run has no row, though
+    its request was sent.
+    """
     return _single_shot(
         selection, provider, toolchain, work_dir, Experiment.EX3, env, tuple(counts)
     )
@@ -426,11 +480,14 @@ def run_ex2(
     A turn's request depends only on earlier prompts and replies, so
     each turn's build runs while the next turn's request is in flight:
     turn t's compiler starts, turn t+1's request is sent, and only then
-    is turn t's build joined, timed and scored. Requests, rows and
-    categories are those of building each turn before the next request.
-    The baseline is built and timed before the first request, and no
-    timed run overlaps a build. If an exception escapes a turn, the
-    build in flight is killed and reaped before it propagates.
+    is turn t's build joined, timed and scored. The original's build
+    likewise starts before turn 1's request and is joined and timed
+    right after its reply. Requests, rows and categories are those of
+    building each turn before the next request, and no timed run
+    overlaps a build. A benchmark whose original fails to prepare, build
+    or run is skipped with an error logged, after turn 1's request. If
+    an exception escapes a row, every build still in flight is killed
+    and reaped before it propagates.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
@@ -439,48 +496,47 @@ def run_ex2(
 
     rows = []
     for spec in selection:
-        try:
-            src_dir, baseline = _prepare_baseline(spec, toolchain, work_dir, "ex2")
-        except (_BaselineFailed, tc.ToolchainError, manifest.ManifestError) as exc:
-            log.error("%s: skipped, %s", spec.id, exc)
-            continue
-
-        rel, original_text = _attachment(spec, src_dir)
-        history: list[tuple[str, str]] = []
         evaluated: list[tuple[str, _Evaluation]] = []
-        # (tag, extraction, flags, build) of the turn whose build is running
-        building = None
         try:
-            for turn in range(1, EX2_TURNS + 1):
-                tag = f"ex2/turn{turn}"
-                turn_experiment = Experiment.EX1 if turn == 1 else Experiment.EX2
-                prompt = gw.render_prompt(turn_experiment, spec, original_text, env)
-                response = _request_or_none(provider, prompt, history)
+            with contextlib.ExitStack() as in_flight:
+                src_dir, base_build = _start_baseline(spec, toolchain, work_dir, "ex2")
+                in_flight.callback(base_build.kill)
+                rel, original_text = _attachment(spec, src_dir)
+                history: list[tuple[str, str]] = []
+                # (tag, extraction, flags, build) of the turn whose build is running
+                building = None
+                for turn in range(1, EX2_TURNS + 1):
+                    tag = f"ex2/turn{turn}"
+                    turn_experiment = Experiment.EX1 if turn == 1 else Experiment.EX2
+                    prompt = gw.render_prompt(turn_experiment, spec, original_text, env)
+                    response = _request_or_none(provider, prompt, history)
+                    if turn == 1:
+                        baseline = _finish_baseline(spec, base_build)
+                    if building is not None:
+                        evaluated.append(_join_turn(spec, building, baseline))
+                        building = None
+                    if response is None:
+                        evaluated.append((tag, _Evaluation(
+                            CorrectnessCategory.NO_GENERATED_CODE, None, None, ()
+                        )))
+                        continue
+                    history.append((prompt.user_text, response.raw_text))
+                    extraction = gw.extract_code(response)
+                    verdict, flags = _check_candidate(original_text, extraction, Experiment.EX2)
+                    if verdict is not None:
+                        evaluated.append((tag, verdict))
+                        continue
+                    vsrc = _stage_candidate(
+                        spec, src_dir, work_dir, tag, code=(rel, extraction.code)
+                    )
+                    build = tc.start_compile(spec, vsrc, toolchain, tag, work_dir)
+                    in_flight.callback(build.kill)
+                    building = (tag, extraction, flags, build)
                 if building is not None:
                     evaluated.append(_join_turn(spec, building, baseline))
-                    building = None
-                if response is None:
-                    evaluated.append((tag, _Evaluation(
-                        CorrectnessCategory.NO_GENERATED_CODE, None, None, ()
-                    )))
-                    continue
-                history.append((prompt.user_text, response.raw_text))
-                extraction = gw.extract_code(response)
-                verdict, flags = _check_candidate(original_text, extraction, Experiment.EX2)
-                if verdict is not None:
-                    evaluated.append((tag, verdict))
-                    continue
-                vsrc = _stage_candidate(spec, src_dir, rel, extraction.code, work_dir, tag)
-                building = (
-                    tag, extraction, flags,
-                    tc.start_compile(spec, vsrc, toolchain, tag, work_dir),
-                )
-            if building is not None:
-                evaluated.append(_join_turn(spec, building, baseline))
-                building = None
-        finally:
-            if building is not None:
-                building[3].kill()
+        except _BaselineFailed as exc:
+            log.error("%s: skipped, %s", spec.id, exc)
+            continue
 
         best_tag, best = None, None
         for tag, evaluation in evaluated:
@@ -508,6 +564,8 @@ def import_external_tool_results(
     ``dir`` holds one subdirectory per benchmark id; its files overlay the
     prepared original, so a tree may ship only the sources it changed.
     No model is involved, so constraint checks and labels do not apply.
+    The original builds beside the tree; a benchmark whose original
+    fails to prepare, build or run is skipped with an error logged.
     """
     dir = Path(dir)
     work_dir = Path(work_dir)
@@ -520,25 +578,17 @@ def import_external_tool_results(
         if spec is None:
             log.warning("%s: no benchmark with this id in the selection", bench_id)
             continue
+        tag = f"import/{tool_id}"
         try:
-            src_dir, baseline = _prepare_baseline(spec, toolchain, work_dir, "import")
-        except (_BaselineFailed, tc.ToolchainError, manifest.ManifestError) as exc:
+            with contextlib.ExitStack() as in_flight:
+                src_dir, base_build = _start_baseline(spec, toolchain, work_dir, "import")
+                in_flight.callback(base_build.kill)
+                vsrc = _stage_candidate(spec, src_dir, work_dir, tag, overlay=dir / bench_id)
+                build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
+                baseline = _finish_baseline(spec, base_build)
+        except _BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-
-        tag = f"import/{tool_id}"
-        vsrc = tc.variant_dir(work_dir, spec.id, tag) / "src"
-        if vsrc.exists():
-            shutil.rmtree(vsrc)
-        shutil.copytree(src_dir, vsrc)
-        tree = dir / bench_id
-        for path in sorted(tree.rglob("*")):
-            if path.is_file():
-                target = vsrc / path.relative_to(tree)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(path, target)
-
-        build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
         evaluation = _score(spec, build, None, set(), baseline)
         rows.append(_row_from_evaluation(spec, Experiment.EX1, tool_id, tag, evaluation))
     return ResultsTable(tuple(rows), _provenance(toolchain, tool_id))

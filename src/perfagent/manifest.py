@@ -12,6 +12,8 @@ import json
 import re
 import shutil
 import subprocess
+import tempfile
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -377,6 +379,32 @@ def _default_preprocessor(language: Language) -> list[str]:
     raise PreprocessFailure(f"no preprocessor found among {names}")
 
 
+def _preprocess(argv: list[str], timeout_s: float) -> bytes:
+    """The preprocessor's stdout. It runs like a compiler: in its own
+    session, into anonymous files, its process group killed at
+    ``timeout_s``."""
+    # toolchain imports this module, so its child helpers load late.
+    from .toolchain import _read_all, _reap, _spawn
+
+    with tempfile.TemporaryFile(buffering=0) as out, tempfile.TemporaryFile(buffering=0) as err:
+        try:
+            proc = _spawn(
+                argv, time.perf_counter() + timeout_s,
+                stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+            )
+        except OSError as exc:
+            raise PreprocessFailure(str(exc)) from None
+        try:
+            returncode = proc.wait()
+        finally:
+            timed_out = _reap(proc)
+        if timed_out:
+            raise PreprocessFailure(f"timed out after {timeout_s}s: {' '.join(argv)}")
+        if returncode != 0:
+            raise PreprocessFailure(_read_all(err.fileno()).decode(errors="replace"))
+        return _read_all(out.fileno())
+
+
 def prepare_sources(
     spec: BenchmarkSpec,
     work_dir: Path | str,
@@ -386,8 +414,10 @@ def prepare_sources(
 
     With all options off the copy is byte-identical. Pragma stripping
     drops whole lines that begin (after whitespace) with ``#pragma omp``.
-    Macro expansion pipes each listed source through the preprocessor
+    Macro expansion runs each listed source through the preprocessor
     (``-E -P``) and runs after stripping so removed pragmas stay removed.
+    A preprocessor still running at ``build.timeout_s`` is killed with
+    its whole process group and raises PreprocessFailure.
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -408,14 +438,6 @@ def prepare_sources(
         for rel in spec.source_files:
             src = work_dir / rel
             argv = [*command, "-E", "-P", *spec.build.flags, f"-I{src.parent}", str(src)]
-            try:
-                proc = subprocess.run(
-                    argv, capture_output=True, timeout=spec.build.timeout_s
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                raise PreprocessFailure(str(exc)) from None
-            if proc.returncode != 0:
-                raise PreprocessFailure(proc.stderr.decode(errors="replace"))
-            src.write_bytes(proc.stdout)
+            src.write_bytes(_preprocess(argv, spec.build.timeout_s))
 
     return work_dir

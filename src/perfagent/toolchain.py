@@ -1,21 +1,24 @@
 """Compiler detection, variant builds, and serialized timed runs.
 
 Timed runs take a process-wide lock so measurements never overlap; the
-speedup protocol assumes an otherwise unloaded machine. A build may run
-while the harness waits on the model (``start_compile`` returns before
-the compiler ends), but never during a timed repetition: ``run_timed``
-refuses to start while a build is not joined. Build and run failures
+speedup protocol assumes an otherwise unloaded machine. Builds may run
+while the harness waits on the model and beside one another
+(``start_compile`` returns before the compiler ends, so the experiment
+drivers build a row's original while the model answers and the
+candidate compiles), but never during a timed repetition: ``run_timed``
+refuses to start while any build is not joined. Build and run failures
 that describe the candidate (bad code, crash, timeout) are encoded in
 the returned records; failures that describe the harness itself
 (missing compiler, build timeout) raise.
 
-Compilers and timed repetitions are started the same way. Each child
+Compilers, timed repetitions and the macro-expanding preprocessor of
+``manifest.prepare_sources`` are started the same way. Each child
 leads its own session and writes into anonymous temporary files, not
 pipes, so no output passes through Python while it runs; one watchdog
 thread kills a child's whole process group at its deadline, so neither a
 candidate's forked children nor a compiler's cc1, as and ld outlive a
-timeout. Only a build's stderr, repetition 1's stdout and the last
-repetition's stderr are ever read back.
+timeout. Only a build's stderr, the preprocessor's output, repetition
+1's stdout and the last repetition's stderr are ever read back.
 """
 
 from __future__ import annotations

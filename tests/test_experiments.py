@@ -21,6 +21,7 @@ from perfagent.verify import classify_attempt
 
 from conftest import load_single, process_running, write_bench
 from kernels import (
+    EXIT_NONZERO,
     SYNTAX_ERROR,
     fenced,
     matmul_ijk,
@@ -66,6 +67,73 @@ def sleep_bench(root, bench_id="sleepy", ms=120):
         run={"repetitions": 2},
     )
     return load_single(root, bench_id)
+
+
+def wrapped_gcc(tmp_path, toolchain_config, prelude):
+    """A toolchain whose compiler is a shell script that runs ``prelude``
+    (the compiler's arguments are in "$*") and then gcc."""
+    gcc = toolchain_config.compilers["gcc"].c_path
+    script = tmp_path / "cc"
+    script.write_text(f'#!/bin/sh\n{prelude}\nexec "{gcc}" "$@"\n')
+    script.chmod(0o755)
+    info = tc.CompilerInfo(str(script), str(script), "wrapped gcc")
+    return tc.ToolchainConfig(compilers={"gcc": info}, default_flags={})
+
+
+def hang_build(pids, path_part):
+    """Prelude that makes the build whose arguments contain ``path_part``
+    record its pid and a forked child's in ``pids`` and hang until killed."""
+    return (
+        'case "$*" in\n'
+        f'  *{path_part}*) echo $$ >> "{pids}"; sleep 20 & echo $! >> "{pids}"; wait ;;\n'
+        "esac"
+    )
+
+
+def wait_for_pids(pids, count=2, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline and not (
+        pids.exists() and len(pids.read_text().split()) == count
+    ):
+        time.sleep(0.01)
+
+
+def assert_reaped(pids):
+    """Every process listed in ``pids`` is gone, and timed runs are
+    allowed again because no build is left unjoined."""
+    children = [int(line) for line in pids.read_text().split()]
+    assert len(children) == 2
+    try:
+        deadline = time.monotonic() + 1.0
+        while any(process_running(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(process_running(pid) for pid in children), "a build outlived the driver"
+    finally:
+        for pid in children:
+            if process_running(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert not tc._unjoined
+    assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
+
+
+def drive(name, specs, provider, toolchain, work):
+    """Run one experiment driver; "import" scores a sleeper(60) tree
+    per benchmark and ignores ``provider``."""
+    if name == "import":
+        ext = work.parent / "ext"
+        for spec in specs:
+            (ext / spec.id).mkdir(parents=True, exist_ok=True)
+            (ext / spec.id / "main.c").write_text(sleeper(60))
+        return ex.import_external_tool_results(ext, "srcfix", specs, toolchain, work)
+    if name == "ex3":
+        return ex.run_ex3(specs, provider, toolchain, work, counts=(1, 2))
+    return {"ex1": ex.run_ex1, "ex2": ex.run_ex2}[name](specs, provider, toolchain, work)
+
+
+def parallel(code):
+    """``code`` with the OpenMP pragma ex3's instructions ask for; gcc
+    ignores it without -fopenmp."""
+    return code.replace("int main(void) {\n", "int main(void) {\n#pragma omp parallel\n", 1)
 
 
 def make_record(bench_id="b1", category=Cat.CORRECT, speedup=2.0, tool="t",
@@ -369,19 +437,8 @@ class TestEx2:
 
     def test_escaping_error_kills_the_build_in_flight(self, tmp_path, toolchain_config):
         pids = tmp_path / "turn2.pid"
-        gcc = toolchain_config.compilers["gcc"].c_path
         # Every build runs gcc, except turn 2's, which hangs until killed.
-        script = tmp_path / "cc"
-        script.write_text(
-            "#!/bin/sh\n"
-            'case "$*" in\n'
-            f'  */ex2/turn2/*) echo $$ >> "{pids}"; sleep 20 & echo $! >> "{pids}"; wait ;;\n'
-            "esac\n"
-            f'exec "{gcc}" "$@"\n'
-        )
-        script.chmod(0o755)
-        info = tc.CompilerInfo(str(script), str(script), "wrapped gcc")
-        wrapped = tc.ToolchainConfig(compilers={"gcc": info}, default_flags={})
+        wrapped = wrapped_gcc(tmp_path, toolchain_config, hang_build(pids, "/ex2/turn2/"))
 
         class FailsAtTurn3(gw.Provider):
             provider_id = "flaky"
@@ -393,11 +450,7 @@ class TestEx2:
                 self.calls += 1
                 if self.calls == 3:
                     # Fail only once turn 2's compiler and its child run.
-                    deadline = time.monotonic() + 5.0
-                    while time.monotonic() < deadline and not (
-                        pids.exists() and len(pids.read_text().split()) == 2
-                    ):
-                        time.sleep(0.01)
+                    wait_for_pids(pids)
                     raise RuntimeError("provider bug")
                 return gw.ModelResponse(fenced(sleeper(60)), self.provider_id, 0.0)
 
@@ -406,19 +459,7 @@ class TestEx2:
         with pytest.raises(RuntimeError, match="provider bug"):
             ex.run_ex2([spec], FailsAtTurn3(), wrapped, tmp_path / "w")
         assert time.perf_counter() - start < 10.0
-        children = [int(line) for line in pids.read_text().split()]
-        assert len(children) == 2
-        try:
-            deadline = time.monotonic() + 1.0
-            while any(process_running(pid) for pid in children) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not any(process_running(pid) for pid in children), "the turn-2 build outlived run_ex2"
-        finally:
-            for pid in children:
-                if process_running(pid):
-                    os.kill(pid, signal.SIGKILL)
-        # Nothing is left unjoined, so timed runs are allowed again.
-        assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
+        assert_reaped(pids)
 
 
 class TestEx3:
@@ -529,6 +570,128 @@ class TestImport:
             )
         assert table.rows == ()
         assert any("stranger" in r.message for r in caplog.records)
+
+
+class TestBaselineBesideCandidate:
+    """Each driver builds the original while the model answers and the
+    candidate compiles, and times both only once every build is joined."""
+
+    @pytest.mark.parametrize("driver", ["ex1", "import"])
+    def test_original_and_candidate_builds_overlap(self, tmp_path, toolchain_config, driver):
+        builds = tmp_path / "builds.log"
+        # The original's compiler is slowed down, so a candidate build
+        # that starts only once the original is built cannot overlap it.
+        wrapped = wrapped_gcc(
+            tmp_path, toolchain_config,
+            'start=$(date +%s.%N)\n'
+            'case "$*" in */base/*) sleep 0.3 ;; esac\n'
+            f'"{toolchain_config.compilers["gcc"].c_path}" "$@" || exit $?\n'
+            f'echo "$start $(date +%s.%N) $*" >> "{builds}"\n'
+            "exit 0",
+        )
+        spec = sleep_bench(tmp_path / "b")
+        table = drive(driver, [spec], replay([fenced(sleeper(60))]), wrapped, tmp_path / "w")
+
+        assert table.rows[0].category is Cat.CORRECT
+        spans = {}
+        for line in builds.read_text().splitlines():
+            start, end, args = line.split(" ", 2)
+            spans["base" if "/base/" in args else "cand"] = (float(start), float(end))
+        assert set(spans) == {"base", "cand"}
+        (base_start, base_end), (cand_start, _) = spans["base"], spans["cand"]
+        assert base_start < cand_start < base_end
+
+    @pytest.mark.parametrize("experiment", [Experiment.EX1, Experiment.EX3])
+    def test_requests_and_rows_match_the_serial_protocol(self, tmp_path, toolchain_config,
+                                                         monkeypatch, experiment):
+        """The requests, the per-attempt categories and the rows are those
+        of building and timing the original before the request."""
+        env = {"os": "TestOS", "cpu": "TestCPU", "compilers": "gcc"}
+        shape = parallel if experiment is Experiment.EX3 else (lambda code: code)
+        unbalanced = "int main(void) {\n    return 0;\n"
+        # (benchmark, reply, answered, category classified)
+        plans = [
+            ("alpha", fenced(shape(sleeper(60))), True, Cat.CORRECT),
+            ("beta", fenced(shape(SYNTAX_ERROR)), True, Cat.COMPILATION_ERROR),
+            ("gamma", fenced(unbalanced), True, Cat.FAILED_TO_FOLLOW_INSTRUCTIONS),
+            ("delta", "a reply to a request that does not match", False,
+             Cat.NO_GENERATED_CODE),
+            ("epsilon", fenced(shape(sleeper(50, message="result 99"))), True,
+             Cat.OUTPUT_MISMATCH),
+            ("zeta", "Buy a faster computer.", True, Cat.NO_GENERATED_CODE),
+        ]
+        specs = [sleep_bench(tmp_path / "b" / name, name) for name, *_ in plans]
+        entries, expected_requests = [], []
+        for spec, (_, reply, answered, _) in zip(specs, plans):
+            original = (spec.root / "main.c").read_text()
+            prompt = gw.render_prompt(experiment, spec, original, env)
+            messages = gw.build_messages(prompt, [])
+            expected_requests.append(messages)
+            # A wrong digest makes the replay raise TranscriptMismatch,
+            # a ProviderError, so the request goes unanswered.
+            digest = gw.canonical_digest(messages) if answered else "0" * 64
+            entries.append({"request_digest": digest, "response_text": reply, "latency_s": 0.0})
+
+        classified = []
+
+        def recording_classify(*args):
+            category = classify_attempt(*args)
+            classified.append(category)
+            return category
+
+        monkeypatch.setattr(ex, "classify_attempt", recording_classify)
+        provider = gw.ReplayProvider(entries)
+        if experiment is Experiment.EX1:
+            table = ex.run_ex1(specs, provider, toolchain_config, tmp_path / "w", env=env)
+        else:
+            table = ex.run_ex3(specs, provider, toolchain_config, tmp_path / "w",
+                               counts=(1, 2), env=env)
+
+        tag = f"{experiment.value.lower()}/cand"
+        assert provider.received == expected_requests
+        assert classified == [category for *_, category in plans]
+        assert [(r.benchmark_id, r.variant_tag, r.category) for r in table.rows] == [
+            (name, tag, category) for name, *_, category in plans
+        ]
+        assert table.rows[0].speedup > 1.5
+        assert all(r.speedup == 1.0 and r.na_flag for r in table.rows[1:])
+        if experiment is Experiment.EX3:
+            assert set(table.rows[0].thread_map) == {1, 2}
+
+    @pytest.mark.parametrize("driver", ["ex1", "ex2", "ex3"])
+    def test_provider_error_kills_the_original_build(self, tmp_path, toolchain_config, driver):
+        pids = tmp_path / "base.pid"
+        wrapped = wrapped_gcc(tmp_path, toolchain_config, hang_build(pids, "/base/"))
+
+        class FailsWhileBuilding(gw.Provider):
+            provider_id = "flaky"
+
+            def complete(self, messages):
+                wait_for_pids(pids)
+                raise RuntimeError("provider bug")
+
+        spec = sleep_bench(tmp_path / "b")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="provider bug"):
+            drive(driver, [spec], FailsWhileBuilding(), wrapped, tmp_path / "w")
+        assert time.perf_counter() - start < 10.0
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("driver", ["ex1", "ex2", "ex3", "import"])
+    @pytest.mark.parametrize("broken_main", [SYNTAX_ERROR, EXIT_NONZERO], ids=["build", "run"])
+    def test_broken_original_skips_its_row_and_leaves_nothing_unjoined(
+        self, tmp_path, toolchain_config, caplog, driver, broken_main,
+    ):
+        write_bench(tmp_path / "bb", "broken", {"main.c": broken_main})
+        broken = load_single(tmp_path / "bb", "broken")
+        good = sleep_bench(tmp_path / "bg", "good")
+        provider = replay([fenced(sleeper(60))] * 6)
+        with caplog.at_level(logging.ERROR, logger="perfagent.experiments"):
+            table = drive(driver, [broken, good], provider, toolchain_config, tmp_path / "w")
+        assert [r.benchmark_id for r in table.rows] == ["good"]
+        assert any("broken" in r.message for r in caplog.records)
+        assert not tc._unjoined
+        assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
 
 
 class TestAggregate:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import signal
 import subprocess
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,7 @@ from perfagent.manifest import (
 )
 
 import kernels
-from conftest import write_bench, write_full_suite
+from conftest import process_running, write_bench, write_full_suite
 
 TRIVIAL_MAIN = "int main(void) { return 0; }\n"
 
@@ -179,6 +182,37 @@ def test_preprocess_failure_reported(tmp_path):
     spec = load_manifest(tmp_path / "suite")[0]
     with pytest.raises(PreprocessFailure):
         prepare_sources(spec, tmp_path / "work")
+
+
+def test_preprocessor_timeout_kills_its_process_group(tmp_path):
+    pids = tmp_path / "pids"
+    fake = tmp_path / "cpp"
+    fake.write_text(
+        "#!/bin/sh\n"
+        f'sleep 4.37 & echo $! >> "{pids}"\n'
+        f'echo $$ >> "{pids}"\n'
+        "exec sleep 4.37\n"
+    )
+    fake.chmod(0o755)
+    write_bench(
+        tmp_path / "suite", "slow", {"main.c": TRIVIAL_MAIN},
+        build={"timeout_s": 0.5}, prep={"expand_macros": True},
+    )
+    spec = load_manifest(tmp_path / "suite")[0]
+
+    start = time.perf_counter()
+    with pytest.raises(PreprocessFailure, match="timed out"):
+        prepare_sources(spec, tmp_path / "work", preprocessor=[str(fake)])
+    assert time.perf_counter() - start < 3.0
+    time.sleep(0.2)
+    sleepers = [int(line) for line in pids.read_text().split()]
+    try:
+        assert len(sleepers) == 2
+        assert not any(process_running(pid) for pid in sleepers), "a sleeper outlived the timeout"
+    finally:
+        for pid in sleepers:
+            if process_running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_spec_roundtrip(tmp_path):
