@@ -8,6 +8,10 @@ cap, when the model declines with the configured sentinel, or on a fatal
 harness failure. Incorrect iterations burn a slot but never become the
 base for later ones.
 
+The original and each candidate are prepared, staged, built and scored
+on the experiment drivers' path; the original builds beside the first
+request (see ``run_agent``). Traces keep a digest of each run's stdout.
+
 Profile acquisition is a callback so tests stay hermetic: they serve
 synthetic cct-v1 fixtures keyed by variant tag, while production wiring
 can shell out to a real profiler and converter.
@@ -15,20 +19,22 @@ can shell out to a real profiler and converter.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import logging
 import re
-import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable
 
+from . import experiments as ex
 from . import llm_gateway as gw
 from . import patch, profile
 from . import toolchain as tc
 from .manifest import BenchmarkSpec
-from .verify import CorrectnessCategory, classify_attempt, compare_outputs
+from .verify import CorrectnessCategory, classify_attempt
 
 log = logging.getLogger(__name__)
 
@@ -110,11 +116,22 @@ class AgentTrace:
 
 @dataclass(frozen=True)
 class ProfileRequest:
+    """One variant to profile, run under ``run``, the run recipe.
+
+    For the original ("agent/base"), reading ``binary_path`` joins and
+    times its build, so a source that opens the binary gets an executable
+    and one that never does lets the build go on beside the first request.
+    """
+
     spec: BenchmarkSpec
     variant_tag: str
-    binary_path: Path
+    binary: Callable[[], Path]
     run: object
     metric_ids: tuple[str, ...] = ()
+
+    @property
+    def binary_path(self) -> Path:
+        return self.binary()
 
 
 ProfileSource = Callable[[ProfileRequest], profile.ProfileTree]
@@ -247,46 +264,56 @@ def _hotspot_source_file(spec: BenchmarkSpec, src_dir: Path, hotspot_name: str) 
     raise AgentError(f"hotspot {hotspot_name!r} not found in sources")
 
 
-def _pull_hotspot_definition(candidate_code: str, hotspot: str) -> str | None:
-    """The hotspot's definition out of whatever code the model returned.
-
-    None unless exactly one definition carries the hotspot's name; a
-    single differently-named definition is a rename, not a match.
-    """
-    try:
-        spans = patch.list_functions(candidate_code)
-    except patch.PatchError:
-        return None
-    named = [s for s in spans if s.name == hotspot]
-    if len(named) == 1:
-        return patch.extract_function(candidate_code, hotspot)
-    return None
-
-
 def _profile_or_fallback(
     profile_source: ProfileSource | None,
     request: ProfileRequest,
     spec: BenchmarkSpec,
     hotspot_name: str,
-    mean_s: float,
+    mean_s: Callable[[], float],
 ) -> tuple[profile.ProfileTree, str]:
+    """The source's tree for ``request``, or a fallback carrying ``mean_s()``."""
     if profile_source is None:
-        return _fallback_tree(spec, hotspot_name, mean_s), ""
+        return _fallback_tree(spec, hotspot_name, mean_s()), ""
     try:
         return profile_source(request), ""
     except Exception as exc:  # profiler trouble must not kill the run
         log.warning("profile source failed for %s: %s", request.variant_tag, exc)
         return (
-            _fallback_tree(spec, hotspot_name, mean_s),
+            _fallback_tree(spec, hotspot_name, mean_s()),
             f"profile source failed: {exc}",
         )
+
+
+class _Original:
+    """The original's build, joined and timed on first need. A failure
+    is raised again on every later call, so no caller can swallow it."""
+
+    def __init__(self, spec: BenchmarkSpec, build: tc.PendingBuild) -> None:
+        self._spec = spec
+        self._build = build
+        self._outcome: tc.RunSample | AgentError | None = None
+
+    def sample(self) -> tc.RunSample:
+        if self._outcome is None:
+            try:
+                self._outcome = ex._finish_baseline(self._spec, self._build)
+            except ex._BaselineRunFailed as exc:
+                self._outcome = BaselineRunFailed(str(exc))
+            except ex._BaselineFailed as exc:
+                self._outcome = BaselineBuildFailed(str(exc))
+        if isinstance(self._outcome, AgentError):
+            raise self._outcome
+        return self._outcome
+
+    def binary_path(self) -> Path:
+        self.sample()
+        return self._build.binary_path
 
 
 def _resolve_hotspot(
     spec: BenchmarkSpec,
     profile_source: ProfileSource | None,
-    binary_path: Path,
-    baseline_run: tc.RunSample,
+    original: _Original,
     cfg: AgentConfig,
 ) -> tuple[profile.ProfileTree, str, str]:
     """Baseline profile plus the function name the loop will patch.
@@ -294,10 +321,11 @@ def _resolve_hotspot(
     The manifest's entry_hotspot wins; without one the baseline profile's
     hotspot is used, which then requires a working profile source.
     """
-    request = ProfileRequest(spec, "agent/base", binary_path, spec.run)
+    request = ProfileRequest(spec, "agent/base", original.binary_path, spec.run)
     if spec.entry_hotspot:
         tree, note = _profile_or_fallback(
-            profile_source, request, spec, spec.entry_hotspot, baseline_run.mean_s
+            profile_source, request, spec, spec.entry_hotspot,
+            lambda: original.sample().mean_s,
         )
         return tree, note, spec.entry_hotspot
     if profile_source is None:
@@ -308,6 +336,35 @@ def _resolve_hotspot(
     return tree, "", report.node.frame.fn
 
 
+def _patch_hotspot(
+    base_source: str, hotspot: str, extraction: gw.ExtractionResult,
+) -> tuple[str | None, CorrectnessCategory | None, str]:
+    """``base_source`` with the reply's one definition of ``hotspot``
+    patched in, or None, the reply's category and why it does not follow
+    the instructions (a single differently-named definition is a rename).
+    """
+    unfollowed = CorrectnessCategory.FAILED_TO_FOLLOW_INSTRUCTIONS
+    try:
+        named = [span for span in patch.list_functions(extraction.code) if span.name == hotspot]
+    except patch.PatchError:
+        named = []
+    if len(named) != 1:
+        return None, unfollowed, f"no definition of {hotspot!r} in reply"
+    try:
+        new_function = patch.extract_function(extraction.code, hotspot)
+        new_source = patch.replace_function(base_source, hotspot, new_function)
+    except patch.PatchError as exc:
+        return None, unfollowed, f"patch failed: {exc}"
+    try:
+        flags = gw.check_constraints(base_source, new_source, gw.Experiment.AGENT)
+    except gw.UnparseableCandidate:
+        flags = {gw.ConstraintFlag.ADDED_FUNCTION}
+    if flags:
+        category = classify_attempt(None, extraction, None, None, flags)
+        return None, category, "violated: " + ", ".join(sorted(f.value for f in flags))
+    return new_source, None, ""
+
+
 def run_agent(
     spec: BenchmarkSpec,
     profile_source: ProfileSource | None,
@@ -316,37 +373,61 @@ def run_agent(
     toolchain: tc.ToolchainConfig,
     work_dir: Path,
 ) -> AgentTrace:
-    """Drive the full loop for one benchmark; returns the persisted trace."""
+    """Drive the full loop for one benchmark; returns the persisted trace.
+
+    The original is prepared as its ``prep`` options say and its build
+    started first. It is joined and timed when first needed: by the
+    fallback tree, by a profile source reading its ``binary_path``, by
+    the first candidate's timed run (the two are then timed back to
+    back) or at the end of the loop. BaselineBuildFailed and
+    BaselineRunFailed are raised then, so with a profile source that
+    does not read the binary a broken original is reported after the
+    first request. An escaping exception kills the original's build.
+    """
     work_dir = Path(work_dir)
     agent_dir = work_dir / spec.id / "agent"
     agent_dir.mkdir(parents=True, exist_ok=True)
+    with contextlib.ExitStack() as in_flight:
+        try:
+            src_dir, base_build = ex._start_baseline(spec, toolchain, work_dir, "agent")
+        except ex._BaselineFailed as exc:
+            raise BaselineBuildFailed(str(exc)) from exc
+        in_flight.callback(base_build.kill)
+        original = _Original(spec, base_build)
+        iterations, stop_reason, best_iteration = _iterate(
+            spec, src_dir, original, profile_source, provider, cfg, toolchain, work_dir
+        )
+        trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
+    save_trace(trace, agent_dir / TRACE_FILE)
+    return trace
 
-    base_build = tc.compile(spec, spec.root, toolchain, "agent/base", work_dir)
-    if not base_build.ok:
-        raise BaselineBuildFailed(base_build.stderr[-2000:])
-    baseline_run = tc.run_timed(base_build.binary_path, spec.run)
-    if not baseline_run.ok:
-        raise BaselineRunFailed(f"exit status {baseline_run.exit_status}")
+
+def _iterate(
+    spec: BenchmarkSpec,
+    src_dir: Path,
+    original: _Original,
+    profile_source: ProfileSource | None,
+    provider: gw.Provider,
+    cfg: AgentConfig,
+    toolchain: tc.ToolchainConfig,
+    work_dir: Path,
+) -> tuple[tuple[IterationRecord, ...], StopReason, int | None]:
+    """The loop's iterations, why it stopped, and the best iteration."""
+    try:
+        current_tree, profile_note, hotspot_name = _resolve_hotspot(
+            spec, profile_source, original, cfg
+        )
+        hotspot_path = _hotspot_source_file(spec, src_dir, hotspot_name)
+    except (AgentError, profile.ProfileError) as exc:
+        log.error("%s: %s", spec.id, exc)
+        return (), StopReason.FATAL_ERROR, None
+    hotspot_rel = hotspot_path.relative_to(src_dir)
+    base_source = hotspot_path.read_text(encoding="utf-8", errors="replace")
+    metric_id = cfg.metric_id or profile.default_exclusive_metric(current_tree)
 
     iterations: list[IterationRecord] = []
     # (mean_s, index, source) of correct versions, in iteration order
     correct_versions: list[tuple[float, int, str]] = []
-
-    base_src_dir = base_build.binary_path.parent.parent / "src"
-    try:
-        current_tree, profile_note, hotspot_name = _resolve_hotspot(
-            spec, profile_source, base_build.binary_path, baseline_run, cfg
-        )
-        hotspot_path = _hotspot_source_file(spec, base_src_dir, hotspot_name)
-    except (AgentError, profile.ProfileError) as exc:
-        log.error("%s: %s", spec.id, exc)
-        trace = AgentTrace(spec.id, baseline_run, (), StopReason.FATAL_ERROR, None)
-        save_trace(trace, agent_dir / TRACE_FILE)
-        return trace
-    hotspot_rel = hotspot_path.relative_to(base_src_dir)
-    base_source = hotspot_path.read_text(encoding="utf-8", errors="replace")
-    metric_id = cfg.metric_id or profile.default_exclusive_metric(current_tree)
-
     stop_reason = StopReason.THRESHOLD_REACHED
 
     for index in range(1, cfg.max_iterations + 1):
@@ -366,126 +447,45 @@ def run_agent(
             hotspot_code, summary, memory, cfg.prompt_env, cfg.decline_sentinel
         )
 
-        note = profile_note
-        profile_note = ""
+        note, profile_note = profile_note, ""
+        requested: tuple[str, ...] = ()
+        new_source = run = speedup = delta = None
+        category = CorrectnessCategory.NO_GENERATED_CODE
         try:
             response = gw.request(provider, bundle)
+            extraction = gw.extract_code(response)
         except gw.ProviderError as exc:
             response = gw.ModelResponse("", provider.provider_id, 0.0)
-            extraction = gw.ExtractionResult(None, None, gw.ExtractionRule.NONE)
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=CorrectnessCategory.NO_GENERATED_CODE,
-                note=_join_notes(note, f"provider error: {exc}"),
-            ))
-            continue
+            extraction = ex._no_code_extraction()
+            note = _join_notes(note, f"provider error: {exc}")
+        declined = _is_decline(response.raw_text, extraction, cfg.decline_sentinel)
 
-        extraction = gw.extract_code(response)
-
-        if _is_decline(response.raw_text, extraction, cfg.decline_sentinel):
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=CorrectnessCategory.NO_GENERATED_CODE,
-                note=_join_notes(note, "model declined further optimization"),
-            ))
+        if declined:
+            note = _join_notes(note, "model declined further optimization")
             stop_reason = StopReason.MODEL_DECLINED
-            break
+        elif extraction.code is not None:
+            catalog = current_tree.metric_catalog
+            if cfg.metric_request_policy is MetricRequestPolicy.HONOR_MODEL_REQUESTS:
+                requested = tuple(parse_metric_requests(response.raw_text, catalog))
+            else:
+                requested = tuple(m for m in cfg.fixed_metrics if m in catalog)
+            new_source, category, why = _patch_hotspot(base_source, hotspot_name, extraction)
+            note = _join_notes(note, why)
 
-        if extraction.code is None:
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=CorrectnessCategory.NO_GENERATED_CODE,
-                note=note,
-            ))
-            continue
-
-        catalog = current_tree.metric_catalog
-        if cfg.metric_request_policy is MetricRequestPolicy.HONOR_MODEL_REQUESTS:
-            requested = tuple(parse_metric_requests(response.raw_text, catalog))
-        else:
-            requested = tuple(m for m in cfg.fixed_metrics if m in catalog)
-
-        new_function = _pull_hotspot_definition(extraction.code, hotspot_name)
-        if new_function is None:
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=CorrectnessCategory.FAILED_TO_FOLLOW_INSTRUCTIONS,
-                requested_metrics=requested,
-                note=_join_notes(note, f"no definition of {hotspot_name!r} in reply"),
-            ))
-            continue
-
-        try:
-            new_source = patch.replace_function(
-                base_source, hotspot_name, new_function
+        if new_source is not None:
+            tag = f"agent/iter{index}"
+            vsrc = ex._stage_candidate(
+                spec, src_dir, work_dir, tag, code=(hotspot_rel, new_source)
             )
-        except patch.PatchError as exc:
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=CorrectnessCategory.FAILED_TO_FOLLOW_INSTRUCTIONS,
-                requested_metrics=requested,
-                note=_join_notes(note, f"patch failed: {exc}"),
-            ))
-            continue
+            build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
+            evaluation = ex._score(spec, build, extraction, set(), original.sample())
+            category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
 
-        try:
-            flags = gw.check_constraints(base_source, new_source, gw.Experiment.AGENT)
-        except gw.UnparseableCandidate:
-            flags = {gw.ConstraintFlag.ADDED_FUNCTION}
-        if flags:
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=classify_attempt(None, extraction, None, None, flags),
-                requested_metrics=requested,
-                note=_join_notes(note, "violated: " + ", ".join(
-                    sorted(f.value for f in flags))),
-            ))
-            continue
-
-        tag = f"agent/iter{index}"
-        iter_src = tc.variant_dir(work_dir, spec.id, tag) / "src"
-        if iter_src.exists():
-            shutil.rmtree(iter_src)
-        shutil.copytree(base_src_dir, iter_src)
-        (iter_src / hotspot_rel).write_text(new_source, encoding="utf-8")
-        build = tc.compile(spec, iter_src, toolchain, tag, work_dir)
-
-        if not build.ok:
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=classify_attempt(build, extraction, None, None, set()),
-                requested_metrics=requested, note=note,
-            ))
-            continue
-
-        run = tc.run_timed(build.binary_path, spec.run)
-        if run.crashed or run.timed_out:
-            iterations.append(IterationRecord(
-                index=index, context_sent=bundle.user_text, response=response,
-                extraction=extraction,
-                category=classify_attempt(build, extraction, run, None, set()),
-                run=run, requested_metrics=requested, note=note,
-            ))
-            continue
-
-        match = compare_outputs(baseline_run.stdout, run.stdout, spec.validation)
-        category = classify_attempt(build, extraction, run, match, set())
-
-        speedup = None
-        delta = None
         if category is CorrectnessCategory.CORRECT:
-            speedup = tc.measure_speedup(baseline_run, run)
             next_tree, fail_note = _profile_or_fallback(
                 profile_source,
-                ProfileRequest(spec, tag, build.binary_path, spec.run, requested),
-                spec, hotspot_name, run.mean_s,
+                ProfileRequest(spec, tag, lambda: build.binary_path, spec.run, requested),
+                spec, hotspot_name, lambda: run.mean_s,
             )
             note = _join_notes(note, fail_note)
             try:
@@ -509,17 +509,11 @@ def run_agent(
             speedup_vs_original=speedup, requested_metrics=requested,
             profile_delta=delta, note=note,
         ))
+        if declined:
+            break
 
     best_iteration = min(correct_versions)[1] if correct_versions else None
-    trace = AgentTrace(
-        benchmark_id=spec.id,
-        baseline=baseline_run,
-        iterations=tuple(iterations),
-        stop_reason=stop_reason,
-        best_iteration=best_iteration,
-    )
-    save_trace(trace, agent_dir / TRACE_FILE)
-    return trace
+    return tuple(iterations), stop_reason, best_iteration
 
 
 def _join_notes(*notes: str) -> str:
@@ -538,11 +532,16 @@ def _run_sample_doc(run: tc.RunSample | None) -> dict | None:
         return None
     return {
         "wall_times_s": list(run.wall_times_s),
-        "stdout": run.stdout.decode("latin-1"),
+        "stdout_sha256": hashlib.sha256(run.stdout).hexdigest(),
+        "stdout_bytes": len(run.stdout),
         "stderr": run.stderr[-4000:].decode("latin-1"),
         "exit_status": run.exit_status,
         "thread_count": run.thread_count,
     }
+
+
+def _asdict_or_none(record) -> dict | None:
+    return None if record is None else asdict(record)
 
 
 def trace_to_dict(trace: AgentTrace) -> dict:
@@ -570,27 +569,9 @@ def trace_to_dict(trace: AgentTrace) -> dict:
             },
             "category": record.category.value,
             "run": _run_sample_doc(record.run),
-            "speedup_vs_original": (
-                None if record.speedup_vs_original is None else {
-                    "baseline_mean_s": record.speedup_vs_original.baseline_mean_s,
-                    "candidate_mean_s": record.speedup_vs_original.candidate_mean_s,
-                    "speedup": record.speedup_vs_original.speedup,
-                }
-            ),
+            "speedup_vs_original": _asdict_or_none(record.speedup_vs_original),
             "requested_metrics": list(record.requested_metrics),
-            "profile_delta": (
-                None if record.profile_delta is None else {
-                    "path": list(record.profile_delta.path),
-                    "entries": {
-                        metric_id: {
-                            "before": e.before,
-                            "after": e.after,
-                            "relative_change": e.relative_change,
-                        }
-                        for metric_id, e in record.profile_delta.entries.items()
-                    },
-                }
-            ),
+            "profile_delta": _asdict_or_none(record.profile_delta),
             "note": record.note,
         }
         doc["iterations"].append(entry)

@@ -135,6 +135,10 @@ class _BaselineFailed(ExperimentError):
     pass
 
 
+class _BaselineRunFailed(_BaselineFailed):
+    """The original built but did not run cleanly."""
+
+
 def _start_baseline(
     spec: BenchmarkSpec,
     toolchain: tc.ToolchainConfig,
@@ -162,10 +166,10 @@ def _finish_baseline(
     except tc.ToolchainError as exc:
         raise _BaselineFailed(str(exc)) from exc
     if not outcome.ok:
-        raise _BaselineFailed(f"{spec.id}: baseline build failed")
+        raise _BaselineFailed(f"{spec.id}: baseline build failed\n{outcome.stderr[-2000:]}")
     run = tc.run_timed(outcome.binary_path, spec.run, thread_count=thread_count)
     if not run.ok:
-        raise _BaselineFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
+        raise _BaselineRunFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
     return run
 
 
@@ -206,6 +210,8 @@ class _Evaluation:
     stat: tc.SpeedupStat | None
     thread_results: tuple[tuple[int, float | None], ...] | None
     labels: tuple[OptimizationLabel, ...]
+    # The timed run the category rests on; None when nothing ran.
+    run: tc.RunSample | None = None
 
 
 def _stage_candidate(
@@ -282,7 +288,7 @@ def _score(
     stat = None
     if category is CorrectnessCategory.CORRECT:
         stat = tc.measure_speedup(baseline, run)
-    return _Evaluation(category, stat, None, labels)
+    return _Evaluation(category, stat, None, labels, run)
 
 
 def _evaluate_sweep(
@@ -319,7 +325,7 @@ def _evaluate_sweep(
     if category is CorrectnessCategory.CORRECT:
         best = max(v for _, v in per_count if v is not None)
         stat = tc.SpeedupStat(baseline.mean_s, baseline.mean_s / best, best)
-    return _Evaluation(category, stat, tuple(per_count), labels)
+    return _Evaluation(category, stat, tuple(per_count), labels, run)
 
 
 def _row_from_evaluation(

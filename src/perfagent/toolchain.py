@@ -218,7 +218,8 @@ class PendingBuild:
 
     ``wait`` joins it and ``kill`` abandons it. Until one of them has
     run, ``run_timed`` raises, so a build never shares the CPU with a
-    timed repetition.
+    timed repetition. ``binary_path`` is where the executable appears
+    once a successful build is joined.
     """
 
     def __init__(
@@ -233,7 +234,7 @@ class PendingBuild:
         self._proc = proc
         self._argv = argv
         self._stderr = stderr
-        self._binary = binary
+        self.binary_path = binary
         self._log_path = log_path
         self._timeout_s = timeout_s
 
@@ -254,10 +255,10 @@ class PendingBuild:
             diagnostics = _read_all(self._stderr.fileno())
         log_text = "$ " + " ".join(self._argv) + "\n" + diagnostics.decode(errors="replace")
         self._log_path.write_text(log_text)
-        if returncode != 0 or not self._binary.exists():
+        if returncode != 0 or not self.binary_path.exists():
             return BuildOutcome(BuildStatus.COMPILE_ERROR, None, log_text)
-        self._binary.chmod(0o755)
-        return BuildOutcome(BuildStatus.OK, self._binary, log_text)
+        self.binary_path.chmod(0o755)
+        return BuildOutcome(BuildStatus.OK, self.binary_path, log_text)
 
     def kill(self) -> None:
         """Kill the compiler's process group and reap it; no outcome.

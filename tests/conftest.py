@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
 from perfagent import toolchain as tc
-from perfagent.manifest import load_manifest
+from perfagent.manifest import RunRecipe, load_manifest
 
 DEFAULT_MANIFEST = {
     "motif": "DenseLinearAlgebra",
@@ -65,6 +67,80 @@ def process_running(pid: int) -> bool:
     except FileNotFoundError:
         return not Path("/proc/self").exists()
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wrapped_gcc(tmp_path, toolchain_config, prelude):
+    """A toolchain whose compiler is a shell script that runs ``prelude``
+    (the compiler's arguments are in "$*") and then gcc."""
+    gcc = toolchain_config.compilers["gcc"].c_path
+    script = tmp_path / "cc"
+    script.write_text(f'#!/bin/sh\n{prelude}\nexec "{gcc}" "$@"\n')
+    script.chmod(0o755)
+    info = tc.CompilerInfo(str(script), str(script), "wrapped gcc")
+    return tc.ToolchainConfig(compilers={"gcc": info}, default_flags={})
+
+
+def hang_build(pids, path_part):
+    """Prelude that makes the build whose arguments contain ``path_part``
+    record its pid and a forked child's in ``pids`` and hang until killed."""
+    return (
+        'case "$*" in\n'
+        f'  *{path_part}*) echo $$ >> "{pids}"; sleep 20 & echo $! >> "{pids}"; wait ;;\n'
+        "esac"
+    )
+
+
+def slow_original_gcc(tmp_path, toolchain_config, builds):
+    """A wrapped gcc that slows the original's build (its arguments hold
+    "/base/") by 0.3 s, so a candidate build that starts only once the
+    original is built cannot overlap it, and appends each build's start
+    and end times and arguments to ``builds``."""
+    return wrapped_gcc(
+        tmp_path, toolchain_config,
+        'start=$(date +%s.%N)\n'
+        'case "$*" in */base/*) sleep 0.3 ;; esac\n'
+        f'"{toolchain_config.compilers["gcc"].c_path}" "$@" || exit $?\n'
+        f'echo "$start $(date +%s.%N) $*" >> "{builds}"\n'
+        "exit 0",
+    )
+
+
+def assert_candidate_built_beside_original(builds):
+    """``builds``, as logged by ``slow_original_gcc``, holds the original's
+    build and one candidate build, which started while the original's ran."""
+    spans = {}
+    for line in builds.read_text().splitlines():
+        start, end, args = line.split(" ", 2)
+        spans["base" if "/base/" in args else "cand"] = (float(start), float(end))
+    assert set(spans) == {"base", "cand"}
+    (base_start, base_end), (cand_start, _) = spans["base"], spans["cand"]
+    assert base_start < cand_start < base_end
+
+
+def wait_for_pids(pids, count=2, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline and not (
+        pids.exists() and len(pids.read_text().split()) == count
+    ):
+        time.sleep(0.01)
+
+
+def assert_reaped(pids):
+    """Every process listed in ``pids`` is gone, and timed runs are
+    allowed again because no build is left unjoined."""
+    children = [int(line) for line in pids.read_text().split()]
+    assert len(children) == 2
+    try:
+        deadline = time.monotonic() + 1.0
+        while any(process_running(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(process_running(pid) for pid in children), "a build outlived the driver"
+    finally:
+        for pid in children:
+            if process_running(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert not tc._unjoined
+    assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
 
 
 # A full-size suite layout: (id, motif, level, language), 24 rows.

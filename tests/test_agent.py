@@ -1,7 +1,10 @@
 """Iteration loop behavior: stops, bases, categories, trace persistence."""
 
+import hashlib
 import json
 import logging
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,16 @@ from perfagent import profile as pr
 from perfagent import toolchain as tc
 from perfagent.verify import CorrectnessCategory as Cat
 
-from conftest import load_single, write_bench
+from conftest import (
+    assert_candidate_built_beside_original,
+    assert_reaped,
+    hang_build,
+    load_single,
+    slow_original_gcc,
+    wait_for_pids,
+    wrapped_gcc,
+    write_bench,
+)
 from kernels import CRASH_MAIN, SYNTAX_ERROR, fenced, hotspot_program, kernel_replacement
 
 pytestmark = pytest.mark.usefixtures("toolchain_config")
@@ -142,17 +154,23 @@ class TestStops:
         assert len(trace.iterations) == 2
         assert trace.stop_reason is ag.StopReason.THRESHOLD_REACHED
 
-    def test_baseline_build_failure(self, tmp_path, toolchain_config):
+    @pytest.mark.parametrize("source", ["none", "ignores_binary", "reads_binary"])
+    def test_baseline_build_failure(self, tmp_path, toolchain_config, source):
         write_bench(tmp_path / "b", "broken", {"main.c": SYNTAX_ERROR})
         spec = load_single(tmp_path / "b", "broken")
         with pytest.raises(ag.BaselineBuildFailed):
-            run(spec, replay([]), toolchain_config, tmp_path / "w")
+            run(spec, replay([]), toolchain_config, tmp_path / "w",
+                profile_source=PROFILE_SOURCES[source])
+        assert not tc._unjoined
 
-    def test_baseline_run_failure(self, tmp_path, toolchain_config):
+    @pytest.mark.parametrize("source", ["none", "ignores_binary", "reads_binary"])
+    def test_baseline_run_failure(self, tmp_path, toolchain_config, source):
         write_bench(tmp_path / "b", "crashy", {"main.c": CRASH_MAIN})
         spec = load_single(tmp_path / "b", "crashy")
         with pytest.raises(ag.BaselineRunFailed):
-            run(spec, replay([]), toolchain_config, tmp_path / "w")
+            run(spec, replay([]), toolchain_config, tmp_path / "w",
+                profile_source=PROFILE_SOURCES[source])
+        assert not tc._unjoined
 
 
 class TestFailedIterations:
@@ -269,6 +287,139 @@ def two_node_tree(kernel_excl, extra_metrics=None):
     return pr.import_profile(json.dumps(doc))
 
 
+def ignores_binary(request):
+    """A profile source serving a saved tree; it never opens the binary."""
+    return two_node_tree(0.100)
+
+
+def reads_binary(request):
+    """A profile source that opens the binary, as a real profiler does."""
+    with open(request.binary_path, "rb"):
+        return two_node_tree(0.100)
+
+
+PROFILE_SOURCES = {"none": None, "ignores_binary": ignores_binary, "reads_binary": reads_binary}
+
+
+class TestOriginalBesideCandidate:
+    """The original builds while the first request is answered and the
+    first candidate compiles, and is joined and timed only when needed."""
+
+    def test_original_and_first_candidate_builds_overlap(self, tmp_path, toolchain_config):
+        builds = tmp_path / "builds.log"
+        wrapped = slow_original_gcc(tmp_path, toolchain_config, builds)
+        spec = hotspot_bench(tmp_path / "b", kernel_ms=30)
+        trace = run(spec, replay([fenced(kernel_replacement(10))]), wrapped, tmp_path / "w",
+                    profile_source=ignores_binary, max_iterations=1)
+
+        assert trace.iterations[0].category is Cat.CORRECT
+        assert_candidate_built_beside_original(builds)
+
+    def test_escaping_error_kills_the_original_build(self, tmp_path, toolchain_config):
+        pids = tmp_path / "base.pid"
+        wrapped = wrapped_gcc(tmp_path, toolchain_config, hang_build(pids, "/agent/base/"))
+
+        class FailsWhileBuilding(gw.Provider):
+            provider_id = "flaky"
+
+            def complete(self, messages):
+                wait_for_pids(pids)
+                raise RuntimeError("provider bug")
+
+        spec = hotspot_bench(tmp_path / "b", kernel_ms=30)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="provider bug"):
+            run(spec, FailsWhileBuilding(), wrapped, tmp_path / "w",
+                profile_source=ignores_binary)
+        assert time.perf_counter() - start < 10.0
+        assert_reaped(pids)
+
+    def test_fallback_tree_times_the_original_before_the_first_request(
+        self, tmp_path, toolchain_config, monkeypatch,
+    ):
+        fallback_means = []
+        fallback_tree = ag._fallback_tree
+
+        def recording_fallback(spec, hotspot_name, mean_s):
+            fallback_means.append(mean_s)
+            return fallback_tree(spec, hotspot_name, mean_s)
+
+        class JoinedProvider(gw.Provider):
+            """Replies in turn and records whether every build was joined."""
+
+            provider_id = "joined"
+
+            def __init__(self, texts):
+                self.texts = list(texts)
+                self.joined = []
+
+            def complete(self, messages):
+                self.joined.append(not tc._unjoined)
+                return gw.ModelResponse(self.texts.pop(0), self.provider_id, 0.0)
+
+        monkeypatch.setattr(ag, "_fallback_tree", recording_fallback)
+        spec = hotspot_bench(tmp_path / "b", kernel_ms=30)
+        provider = JoinedProvider([
+            fenced(kernel_replacement(10)),
+            fenced("void kernel(void) { this is not c code }"),
+            "Consider using a faster machine.",
+            fenced('void kernel(void) { puts("fast!"); }'),
+            fenced("void kernel(void) { __builtin_trap(); }"),
+        ])
+        trace = run(spec, provider, toolchain_config, tmp_path / "w", max_iterations=5)
+
+        assert provider.joined[0]
+        assert fallback_means[0] == trace.baseline.mean_s
+        assert fallback_means[1] == trace.iterations[0].run.mean_s
+        assert [r.category for r in trace.iterations] == [
+            Cat.CORRECT, Cat.COMPILATION_ERROR, Cat.NO_GENERATED_CODE,
+            Cat.FAILED_TO_FOLLOW_INSTRUCTIONS, Cat.OUTPUT_MISMATCH,
+        ]
+
+    def test_source_reading_the_original_gets_an_executable(self, tmp_path, toolchain_config):
+        seen = {}
+
+        def source(request):
+            path = request.binary_path
+            seen[request.variant_tag] = (path, path.is_file() and os.access(path, os.X_OK))
+            return two_node_tree(0.100)
+
+        spec = hotspot_bench(tmp_path / "b", kernel_ms=30)
+        trace = run(spec, replay([fenced(kernel_replacement(10))]), toolchain_config,
+                    tmp_path / "w", profile_source=source, max_iterations=1)
+
+        assert trace.iterations[0].category is Cat.CORRECT
+        base = tc.variant_dir(tmp_path / "w", "loopy", "agent/base") / "bin" / "loopy"
+        assert seen["agent/base"] == (base, True)
+        assert seen["agent/iter1"][1]
+
+
+class TestPrep:
+    def test_strip_omp_pragmas_applies_to_the_agent(self, tmp_path, toolchain_config):
+        # Without -fopenmp this pragma fails the build, so the original
+        # builds only from the prepared sources.
+        source = hotspot_program(30).replace(
+            "    nanosleep(&ts, 0);\n}\n\nint main", "    #pragma omp critical\n"
+            "    nanosleep(&ts, 0);\n}\n\nint main",
+        )
+        assert "#pragma omp" in source
+        write_bench(
+            tmp_path / "b", "pragmatic", {"main.c": source},
+            entry_hotspot="kernel",
+            build={"flags": ["-O0", "-Werror=unknown-pragmas"]},
+            run={"repetitions": 2},
+            prep={"strip_omp_pragmas": True},
+        )
+        spec = load_single(tmp_path / "b", "pragmatic")
+        trace = run(spec, replay([fenced(kernel_replacement(10))]), toolchain_config,
+                    tmp_path / "w", max_iterations=1)
+
+        assert trace.baseline.ok
+        assert trace.iterations[0].category is Cat.CORRECT
+        assert "kernel" in trace.iterations[0].context_sent
+        assert "#pragma" not in trace.iterations[0].context_sent
+
+
 class TestProfileWiring:
     def test_callback_requests_and_delta(self, tmp_path, toolchain_config):
         calls = []
@@ -360,6 +511,35 @@ class TestTracePersistence:
         assert doc["iterations"][1]["extraction"]["rule"] == "None"
         assert doc["baseline"]["exit_status"] == 0
         assert len(doc["baseline"]["wall_times_s"]) == 2
+        assert doc["baseline"]["stdout_sha256"] == hashlib.sha256(
+            trace.baseline.stdout).hexdigest()
+        assert doc["baseline"]["stdout_bytes"] == len(trace.baseline.stdout) > 0
+        assert doc["iterations"][1]["run"] is None
+
+    def test_large_output_is_stored_as_a_digest(self, tmp_path, toolchain_config):
+        printing_kernel = (
+            "void kernel(void) {\n"
+            "    for (int i = 0; i < 200000; i++) printf(\"%06d\\n\", i);\n"
+            "}"
+        )
+        source = ("#include <stdio.h>\n\n" + printing_kernel
+                  + "\n\nint main(void) {\n    kernel();\n    return 0;\n}\n")
+        write_bench(tmp_path / "b", "chatty", {"main.c": source}, entry_hotspot="kernel",
+                    build={"flags": ["-O0"]}, run={"repetitions": 1})
+        spec = load_single(tmp_path / "b", "chatty")
+        trace = run(spec, replay([fenced(printing_kernel)]), toolchain_config,
+                    tmp_path / "w", max_iterations=1)
+
+        assert trace.iterations[0].category is Cat.CORRECT
+        assert len(trace.baseline.stdout) > 1_000_000
+        path = tmp_path / "w" / "chatty" / "agent" / "trace.json"
+        assert path.stat().st_size < 64 * 1024
+        doc = json.loads(path.read_text())
+        for run_doc, sample in [(doc["baseline"], trace.baseline),
+                                (doc["iterations"][0]["run"], trace.iterations[0].run)]:
+            assert run_doc["stdout_sha256"] == hashlib.sha256(sample.stdout).hexdigest()
+            assert run_doc["stdout_bytes"] == len(sample.stdout)
+            assert "stdout" not in run_doc
 
     def test_replay_is_deterministic_up_to_timing(self, tmp_path, toolchain_config):
         texts = [

@@ -3,8 +3,6 @@
 import csv
 import json
 import logging
-import os
-import signal
 import time
 
 import pytest
@@ -19,7 +17,16 @@ from perfagent.manifest import Motif, RunRecipe
 from perfagent.verify import CorrectnessCategory as Cat
 from perfagent.verify import classify_attempt
 
-from conftest import load_single, process_running, write_bench
+from conftest import (
+    assert_candidate_built_beside_original,
+    assert_reaped,
+    hang_build,
+    load_single,
+    slow_original_gcc,
+    wait_for_pids,
+    wrapped_gcc,
+    write_bench,
+)
 from kernels import (
     EXIT_NONZERO,
     SYNTAX_ERROR,
@@ -67,53 +74,6 @@ def sleep_bench(root, bench_id="sleepy", ms=120):
         run={"repetitions": 2},
     )
     return load_single(root, bench_id)
-
-
-def wrapped_gcc(tmp_path, toolchain_config, prelude):
-    """A toolchain whose compiler is a shell script that runs ``prelude``
-    (the compiler's arguments are in "$*") and then gcc."""
-    gcc = toolchain_config.compilers["gcc"].c_path
-    script = tmp_path / "cc"
-    script.write_text(f'#!/bin/sh\n{prelude}\nexec "{gcc}" "$@"\n')
-    script.chmod(0o755)
-    info = tc.CompilerInfo(str(script), str(script), "wrapped gcc")
-    return tc.ToolchainConfig(compilers={"gcc": info}, default_flags={})
-
-
-def hang_build(pids, path_part):
-    """Prelude that makes the build whose arguments contain ``path_part``
-    record its pid and a forked child's in ``pids`` and hang until killed."""
-    return (
-        'case "$*" in\n'
-        f'  *{path_part}*) echo $$ >> "{pids}"; sleep 20 & echo $! >> "{pids}"; wait ;;\n'
-        "esac"
-    )
-
-
-def wait_for_pids(pids, count=2, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline and not (
-        pids.exists() and len(pids.read_text().split()) == count
-    ):
-        time.sleep(0.01)
-
-
-def assert_reaped(pids):
-    """Every process listed in ``pids`` is gone, and timed runs are
-    allowed again because no build is left unjoined."""
-    children = [int(line) for line in pids.read_text().split()]
-    assert len(children) == 2
-    try:
-        deadline = time.monotonic() + 1.0
-        while any(process_running(pid) for pid in children) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not any(process_running(pid) for pid in children), "a build outlived the driver"
-    finally:
-        for pid in children:
-            if process_running(pid):
-                os.kill(pid, signal.SIGKILL)
-    assert not tc._unjoined
-    assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
 
 
 def drive(name, specs, provider, toolchain, work):
@@ -579,27 +539,12 @@ class TestBaselineBesideCandidate:
     @pytest.mark.parametrize("driver", ["ex1", "import"])
     def test_original_and_candidate_builds_overlap(self, tmp_path, toolchain_config, driver):
         builds = tmp_path / "builds.log"
-        # The original's compiler is slowed down, so a candidate build
-        # that starts only once the original is built cannot overlap it.
-        wrapped = wrapped_gcc(
-            tmp_path, toolchain_config,
-            'start=$(date +%s.%N)\n'
-            'case "$*" in */base/*) sleep 0.3 ;; esac\n'
-            f'"{toolchain_config.compilers["gcc"].c_path}" "$@" || exit $?\n'
-            f'echo "$start $(date +%s.%N) $*" >> "{builds}"\n'
-            "exit 0",
-        )
+        wrapped = slow_original_gcc(tmp_path, toolchain_config, builds)
         spec = sleep_bench(tmp_path / "b")
         table = drive(driver, [spec], replay([fenced(sleeper(60))]), wrapped, tmp_path / "w")
 
         assert table.rows[0].category is Cat.CORRECT
-        spans = {}
-        for line in builds.read_text().splitlines():
-            start, end, args = line.split(" ", 2)
-            spans["base" if "/base/" in args else "cand"] = (float(start), float(end))
-        assert set(spans) == {"base", "cand"}
-        (base_start, base_end), (cand_start, _) = spans["base"], spans["cand"]
-        assert base_start < cand_start < base_end
+        assert_candidate_built_beside_original(builds)
 
     @pytest.mark.parametrize("experiment", [Experiment.EX1, Experiment.EX3])
     def test_requests_and_rows_match_the_serial_protocol(self, tmp_path, toolchain_config,
