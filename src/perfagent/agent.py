@@ -251,19 +251,6 @@ def _fallback_tree(spec: BenchmarkSpec, hotspot_name: str, mean_s: float) -> pro
     return profile.import_profile(json.dumps(doc))
 
 
-def _hotspot_source_file(spec: BenchmarkSpec, src_dir: Path, hotspot_name: str) -> Path:
-    for rel in spec.source_files:
-        path = src_dir / rel
-        source = path.read_text(encoding="utf-8", errors="replace")
-        try:
-            names = {s.name for s in patch.list_functions(source)}
-        except patch.PatchError:
-            continue
-        if hotspot_name in names:
-            return path
-    raise AgentError(f"hotspot {hotspot_name!r} not found in sources")
-
-
 def _profile_or_fallback(
     profile_source: ProfileSource | None,
     request: ProfileRequest,
@@ -284,36 +271,10 @@ def _profile_or_fallback(
         )
 
 
-class _Original:
-    """The original's build, joined and timed on first need. A failure
-    is raised again on every later call, so no caller can swallow it."""
-
-    def __init__(self, spec: BenchmarkSpec, build: tc.PendingBuild) -> None:
-        self._spec = spec
-        self._build = build
-        self._outcome: tc.RunSample | AgentError | None = None
-
-    def sample(self) -> tc.RunSample:
-        if self._outcome is None:
-            try:
-                self._outcome = ex._finish_baseline(self._spec, self._build)
-            except ex._BaselineRunFailed as exc:
-                self._outcome = BaselineRunFailed(str(exc))
-            except ex._BaselineFailed as exc:
-                self._outcome = BaselineBuildFailed(str(exc))
-        if isinstance(self._outcome, AgentError):
-            raise self._outcome
-        return self._outcome
-
-    def binary_path(self) -> Path:
-        self.sample()
-        return self._build.binary_path
-
-
 def _resolve_hotspot(
     spec: BenchmarkSpec,
     profile_source: ProfileSource | None,
-    original: _Original,
+    original: ex._Baseline,
     cfg: AgentConfig,
 ) -> tuple[profile.ProfileTree, str, str]:
     """Baseline profile plus the function name the loop will patch.
@@ -387,25 +348,25 @@ def run_agent(
     work_dir = Path(work_dir)
     agent_dir = work_dir / spec.id / "agent"
     agent_dir.mkdir(parents=True, exist_ok=True)
-    with contextlib.ExitStack() as in_flight:
-        try:
-            src_dir, base_build = ex._start_baseline(spec, toolchain, work_dir, "agent")
-        except ex._BaselineFailed as exc:
-            raise BaselineBuildFailed(str(exc)) from exc
-        in_flight.callback(base_build.kill)
-        original = _Original(spec, base_build)
-        iterations, stop_reason, best_iteration = _iterate(
-            spec, src_dir, original, profile_source, provider, cfg, toolchain, work_dir
-        )
-        trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
+    try:
+        with contextlib.ExitStack() as in_flight:
+            original = ex._Baseline(spec, toolchain, work_dir, "agent")
+            in_flight.callback(original.kill)
+            iterations, stop_reason, best_iteration = _iterate(
+                spec, original, profile_source, provider, cfg, toolchain, work_dir
+            )
+            trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
+    except ex._BaselineRunFailed as exc:
+        raise BaselineRunFailed(str(exc)) from exc
+    except ex._BaselineFailed as exc:
+        raise BaselineBuildFailed(str(exc)) from exc
     save_trace(trace, agent_dir / TRACE_FILE)
     return trace
 
 
 def _iterate(
     spec: BenchmarkSpec,
-    src_dir: Path,
-    original: _Original,
+    original: ex._Baseline,
     profile_source: ProfileSource | None,
     provider: gw.Provider,
     cfg: AgentConfig,
@@ -417,12 +378,13 @@ def _iterate(
         current_tree, profile_note, hotspot_name = _resolve_hotspot(
             spec, profile_source, original, cfg
         )
-        hotspot_path = _hotspot_source_file(spec, src_dir, hotspot_name)
+        found = ex._defining_file(spec, original.src_dir, hotspot_name)
+        if found is None:
+            raise AgentError(f"hotspot {hotspot_name!r} not found in sources")
     except (AgentError, profile.ProfileError) as exc:
         log.error("%s: %s", spec.id, exc)
         return (), StopReason.FATAL_ERROR, None
-    hotspot_rel = hotspot_path.relative_to(src_dir)
-    base_source = hotspot_path.read_text(encoding="utf-8", errors="replace")
+    hotspot_rel, base_source = found
     metric_id = cfg.metric_id or profile.default_exclusive_metric(current_tree)
 
     iterations: list[IterationRecord] = []
@@ -475,7 +437,7 @@ def _iterate(
         if new_source is not None:
             tag = f"agent/iter{index}"
             vsrc = ex._stage_candidate(
-                spec, src_dir, work_dir, tag, code=(hotspot_rel, new_source)
+                spec, original.src_dir, work_dir, tag, code=(hotspot_rel, new_source)
             )
             build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
             evaluation = ex._score(spec, build, extraction, set(), original.sample())

@@ -139,38 +139,75 @@ class _BaselineRunFailed(_BaselineFailed):
     """The original built but did not run cleanly."""
 
 
-def _start_baseline(
-    spec: BenchmarkSpec,
-    toolchain: tc.ToolchainConfig,
-    work_dir: Path,
-    ex_tag: str,
-) -> tuple[Path, tc.PendingBuild]:
-    """Prepared source tree plus the started build of the untouched
-    original, which ``_finish_baseline`` joins and times."""
-    try:
-        prep_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/prep")
-        src_dir = manifest.prepare_sources(spec, prep_dir)
-        return src_dir, tc.start_compile(spec, src_dir, toolchain, f"{ex_tag}/base", work_dir)
-    except (tc.ToolchainError, manifest.ManifestError) as exc:
-        raise _BaselineFailed(str(exc)) from exc
+class _Baseline:
+    """One row's untouched original. Construction prepares its sources
+    (``src_dir``) and starts its build; ``sample`` joins the build and
+    times it once, on first need. Every failure is a _BaselineFailed."""
+
+    def __init__(
+        self,
+        spec: BenchmarkSpec,
+        toolchain: tc.ToolchainConfig,
+        work_dir: Path,
+        ex_tag: str,
+        thread_count: int | None = None,
+    ) -> None:
+        self._spec = spec
+        self._thread_count = thread_count
+        self._outcome: tc.RunSample | _BaselineFailed | None = None
+        try:
+            prep_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/prep")
+            self.src_dir = manifest.prepare_sources(spec, prep_dir)
+            self._build = tc.start_compile(
+                spec, self.src_dir, toolchain, f"{ex_tag}/base", work_dir
+            )
+        except (tc.ToolchainError, manifest.ManifestError) as exc:
+            raise _BaselineFailed(str(exc)) from exc
+
+    def sample(self) -> tc.RunSample:
+        """The original's timed run. A failure is cached and raised again
+        on every later call, so no caller can swallow it."""
+        if self._outcome is None:
+            try:
+                self._outcome = self._join_and_time()
+            except _BaselineFailed as exc:
+                self._outcome = exc
+        if isinstance(self._outcome, _BaselineFailed):
+            raise self._outcome
+        return self._outcome
+
+    def binary_path(self) -> Path:
+        self.sample()
+        return self._build.binary_path
+
+    def kill(self) -> None:
+        self._build.kill()
+
+    def _join_and_time(self) -> tc.RunSample:
+        spec = self._spec
+        try:
+            outcome = self._build.wait()
+        except tc.ToolchainError as exc:
+            raise _BaselineFailed(str(exc)) from exc
+        if not outcome.ok:
+            raise _BaselineFailed(f"{spec.id}: baseline build failed\n{outcome.stderr[-2000:]}")
+        run = tc.run_timed(outcome.binary_path, spec.run, thread_count=self._thread_count)
+        if not run.ok:
+            raise _BaselineRunFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
+        return run
 
 
-def _finish_baseline(
-    spec: BenchmarkSpec,
-    build: tc.PendingBuild,
-    thread_count: int | None = None,
-) -> tc.RunSample:
-    """Join the baseline build and time the original."""
-    try:
-        outcome = build.wait()
-    except tc.ToolchainError as exc:
-        raise _BaselineFailed(str(exc)) from exc
-    if not outcome.ok:
-        raise _BaselineFailed(f"{spec.id}: baseline build failed\n{outcome.stderr[-2000:]}")
-    run = tc.run_timed(outcome.binary_path, spec.run, thread_count=thread_count)
-    if not run.ok:
-        raise _BaselineRunFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
-    return run
+def _defining_file(spec: BenchmarkSpec, src_dir: Path, name: str) -> tuple[str, str] | None:
+    """(relative path, text) of the first source that defines ``name``."""
+    for rel in spec.source_files:
+        text = (src_dir / rel).read_text(encoding="utf-8", errors="replace")
+        try:
+            spans = patch.list_functions(text)
+        except patch.PatchError:
+            continue
+        if any(span.name == name for span in spans):
+            return rel, text
+    return None
 
 
 def _attachment(spec: BenchmarkSpec, src_dir: Path) -> tuple[str, str]:
@@ -181,16 +218,10 @@ def _attachment(spec: BenchmarkSpec, src_dir: Path) -> tuple[str, str]:
     """
     rels = spec.source_files
     if spec.entry_hotspot and len(rels) > 1:
-        for rel in rels:
-            text = (src_dir / rel).read_text(encoding="utf-8", errors="replace")
-            try:
-                spans = patch.list_functions(text)
-            except patch.PatchError:
-                continue
-            if any(span.name == spec.entry_hotspot for span in spans):
-                return rel, text
-    rel = rels[0]
-    return rel, (src_dir / rel).read_text(encoding="utf-8", errors="replace")
+        found = _defining_file(spec, src_dir, spec.entry_hotspot)
+        if found is not None:
+            return found
+    return rels[0], (src_dir / rels[0]).read_text(encoding="utf-8", errors="replace")
 
 
 def _no_code_extraction() -> gw.ExtractionResult:
@@ -363,62 +394,103 @@ def _request_or_none(
         return None
 
 
-def _single_shot(
+EX2_TURNS = 5
+
+
+def _join_turn(
+    spec: BenchmarkSpec,
+    building: tuple[str, gw.ExtractionResult, set[str], tc.PendingBuild],
+    base: _Baseline,
+    counts: tuple[int, ...] | None,
+) -> tuple[str, _Evaluation]:
+    """Join a turn's build, then the original's, and score the turn."""
+    tag, extraction, flags, build = building
+    return tag, _score(spec, build.wait(), extraction, flags, base.sample(), counts)
+
+
+def _converse(
     selection: list[BenchmarkSpec],
     provider: gw.Provider,
     toolchain: tc.ToolchainConfig,
     work_dir: Path | str,
     experiment: Experiment,
+    turns: tuple[tuple[Experiment, str], ...],
     env: dict[str, str] | None,
     counts: tuple[int, ...] | None = None,
 ) -> ResultsTable:
-    """One request per benchmark; the candidate is scored against a
-    freshly built and timed original (at 1 thread on ex3).
+    """One conversation of ``turns``, (prompt template, variant tag)
+    pairs, per benchmark; the row is its fastest correct turn, else its
+    last turn with the speedup reverted to exactly 1.0.
 
-    The original's build starts first and runs while the model answers
-    and while the candidate compiles; both builds are joined before the
-    original and then the candidate are timed, back to back, so no timed
-    run overlaps a build. A benchmark whose original fails to prepare,
-    build or run is skipped with an error logged, after its one request.
-    If an exception escapes a row, every build still in flight is killed
-    and reaped before it propagates.
+    Each request carries the earlier answered exchanges. Each turn's
+    code is built and scored as its own variant against the original,
+    thread-swept over ``counts`` against a 1-thread original if given.
+    The original's build starts before the first request; turn t's build
+    starts, turn t+1's request is sent, and only then is turn t's build
+    joined and scored. A turn's build is joined before the original's,
+    and no timed run overlaps a build. When more turns follow, the
+    original is timed right after the first reply; a single turn's
+    candidate builds beside the original and the two are timed back to
+    back. Requests, rows and categories are those of timing the original
+    before the first request and building each turn before the next. A
+    benchmark whose original fails to prepare, build or run is skipped
+    with an error logged, after its first request. If an exception
+    escapes a row, every build in flight is killed and reaped.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
     work_dir = Path(work_dir)
     env = env or host_env(toolchain)
     ex_tag = experiment.value.lower()
-    baseline_threads = 1 if experiment is Experiment.EX3 else None
-    sweep = (counts or DEFAULT_THREAD_COUNTS) if experiment is Experiment.EX3 else None
-    tag = f"{ex_tag}/cand"
+    baseline_threads = 1 if counts is not None else None
 
     rows = []
     for spec in selection:
-        build = None
+        evaluated: list[tuple[str, _Evaluation]] = []
         try:
             with contextlib.ExitStack() as in_flight:
-                src_dir, base_build = _start_baseline(spec, toolchain, work_dir, ex_tag)
-                in_flight.callback(base_build.kill)
-
-                rel, original_text = _attachment(spec, src_dir)
-                prompt = gw.render_prompt(experiment, spec, original_text, env)
-                response = _request_or_none(provider, prompt)
-                extraction = gw.extract_code(response) if response else _no_code_extraction()
-                evaluation, flags = _check_candidate(original_text, extraction, experiment)
-                if evaluation is None:
+                base = _Baseline(spec, toolchain, work_dir, ex_tag, baseline_threads)
+                in_flight.callback(base.kill)
+                rel, original_text = _attachment(spec, base.src_dir)
+                history: list[tuple[str, str]] = []
+                # (tag, extraction, flags, build) of the turn whose build is running
+                building = None
+                for turn, (template, tag) in enumerate(turns, start=1):
+                    prompt = gw.render_prompt(template, spec, original_text, env)
+                    response = _request_or_none(provider, prompt, history)
+                    if turn < len(turns):
+                        base.sample()
+                    if building is not None:
+                        evaluated.append(_join_turn(spec, building, base, counts))
+                        building = None
+                    if response is None:
+                        extraction = _no_code_extraction()
+                    else:
+                        history.append((prompt.user_text, response.raw_text))
+                        extraction = gw.extract_code(response)
+                    verdict, flags = _check_candidate(original_text, extraction, experiment)
+                    if verdict is not None:
+                        evaluated.append((tag, verdict))
+                        continue
                     vsrc = _stage_candidate(
-                        spec, src_dir, work_dir, tag, code=(rel, extraction.code)
+                        spec, base.src_dir, work_dir, tag, code=(rel, extraction.code)
                     )
-                    build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-                baseline = _finish_baseline(spec, base_build, baseline_threads)
+                    build = tc.start_compile(spec, vsrc, toolchain, tag, work_dir)
+                    in_flight.callback(build.kill)
+                    building = (tag, extraction, flags, build)
+                if building is not None:
+                    evaluated.append(_join_turn(spec, building, base, counts))
+                # A row with nothing built is still skipped for a broken original.
+                base.sample()
         except _BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-        if build is not None:
-            evaluation = _score(spec, build, extraction, flags, baseline, sweep)
-        rows.append(_row_from_evaluation(
-            spec, experiment, provider.provider_id, tag, evaluation
-        ))
+        correct = [(tag, e) for tag, e in evaluated if e.category is CorrectnessCategory.CORRECT]
+        # The first of equally fast correct turns wins.
+        best_tag, best = (
+            max(correct, key=lambda pair: pair[1].stat.speedup) if correct else evaluated[-1]
+        )
+        rows.append(_row_from_evaluation(spec, experiment, provider.provider_id, best_tag, best))
     return ResultsTable(tuple(rows), _provenance(toolchain, provider.provider_id))
 
 
@@ -429,12 +501,29 @@ def run_ex1(
     work_dir: Path | str,
     env: dict[str, str] | None = None,
 ) -> ResultsTable:
-    """One serial-optimization request per benchmark, one row each.
+    """One serial-optimization request per benchmark: a one-turn
+    ``_converse``, which states how rows are built and timed."""
+    return _converse(
+        selection, provider, toolchain, work_dir, Experiment.EX1,
+        ((Experiment.EX1, "ex1/cand"),), env,
+    )
 
-    A benchmark whose original does not build or run has no row, though
-    its request was sent.
-    """
-    return _single_shot(selection, provider, toolchain, work_dir, Experiment.EX1, env)
+
+def run_ex2(
+    selection: list[BenchmarkSpec],
+    provider: gw.Provider,
+    toolchain: tc.ToolchainConfig,
+    work_dir: Path | str,
+    env: dict[str, str] | None = None,
+) -> ResultsTable:
+    """Five-turn incremental conversation (``_converse``): the
+    single-optimization instruction, then four additional-optimization
+    turns, tagged ``ex2/turn<t>``; the row is the best correct turn."""
+    turns = tuple(
+        (Experiment.EX1 if t == 1 else Experiment.EX2, f"ex2/turn{t}")
+        for t in range(1, EX2_TURNS + 1)
+    )
+    return _converse(selection, provider, toolchain, work_dir, Experiment.EX2, turns, env)
 
 
 def run_ex3(
@@ -445,117 +534,16 @@ def run_ex3(
     counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
     env: dict[str, str] | None = None,
 ) -> ResultsTable:
-    """One parallel-optimization request per benchmark, thread-swept.
-
-    A benchmark whose original does not build or run has no row, though
-    its request was sent.
-    """
-    return _single_shot(
-        selection, provider, toolchain, work_dir, Experiment.EX3, env, tuple(counts)
+    """One parallel-optimization request per benchmark, thread-swept over
+    ``counts``: a one-turn ``_converse``. Raises ValueError before any
+    request when ``counts`` is empty or holds a count below 1."""
+    counts = tuple(counts)
+    if not counts or min(counts) < 1:
+        raise ValueError("counts must be non-empty positive integers")
+    return _converse(
+        selection, provider, toolchain, work_dir, Experiment.EX3,
+        ((Experiment.EX3, "ex3/cand"),), env, counts,
     )
-
-
-EX2_TURNS = 5
-
-
-def _join_turn(
-    spec: BenchmarkSpec,
-    building: tuple[str, gw.ExtractionResult, set[str], tc.PendingBuild],
-    baseline: tc.RunSample,
-) -> tuple[str, _Evaluation]:
-    """Join an ex2 turn's build and score the turn."""
-    tag, extraction, flags, build = building
-    return tag, _score(spec, build.wait(), extraction, flags, baseline)
-
-
-def run_ex2(
-    selection: list[BenchmarkSpec],
-    provider: gw.Provider,
-    toolchain: tc.ToolchainConfig,
-    work_dir: Path | str,
-    env: dict[str, str] | None = None,
-) -> ResultsTable:
-    """Five-turn incremental conversation; the row is the best correct turn.
-
-    The conversation opens with the single-optimization instruction and
-    follows with four additional-optimization turns. Every turn's code is
-    built and timed as its own variant; the recorded row is the fastest
-    correct one. With no correct turn the row keeps the final turn's
-    failure category and reverts the speedup to exactly 1.0.
-
-    A turn's request depends only on earlier prompts and replies, so
-    each turn's build runs while the next turn's request is in flight:
-    turn t's compiler starts, turn t+1's request is sent, and only then
-    is turn t's build joined, timed and scored. The original's build
-    likewise starts before turn 1's request and is joined and timed
-    right after its reply. Requests, rows and categories are those of
-    building each turn before the next request, and no timed run
-    overlaps a build. A benchmark whose original fails to prepare, build
-    or run is skipped with an error logged, after turn 1's request. If
-    an exception escapes a row, every build still in flight is killed
-    and reaped before it propagates.
-    """
-    if not selection:
-        raise EmptySelection("no benchmarks selected")
-    work_dir = Path(work_dir)
-    env = env or host_env(toolchain)
-
-    rows = []
-    for spec in selection:
-        evaluated: list[tuple[str, _Evaluation]] = []
-        try:
-            with contextlib.ExitStack() as in_flight:
-                src_dir, base_build = _start_baseline(spec, toolchain, work_dir, "ex2")
-                in_flight.callback(base_build.kill)
-                rel, original_text = _attachment(spec, src_dir)
-                history: list[tuple[str, str]] = []
-                # (tag, extraction, flags, build) of the turn whose build is running
-                building = None
-                for turn in range(1, EX2_TURNS + 1):
-                    tag = f"ex2/turn{turn}"
-                    turn_experiment = Experiment.EX1 if turn == 1 else Experiment.EX2
-                    prompt = gw.render_prompt(turn_experiment, spec, original_text, env)
-                    response = _request_or_none(provider, prompt, history)
-                    if turn == 1:
-                        baseline = _finish_baseline(spec, base_build)
-                    if building is not None:
-                        evaluated.append(_join_turn(spec, building, baseline))
-                        building = None
-                    if response is None:
-                        evaluated.append((tag, _Evaluation(
-                            CorrectnessCategory.NO_GENERATED_CODE, None, None, ()
-                        )))
-                        continue
-                    history.append((prompt.user_text, response.raw_text))
-                    extraction = gw.extract_code(response)
-                    verdict, flags = _check_candidate(original_text, extraction, Experiment.EX2)
-                    if verdict is not None:
-                        evaluated.append((tag, verdict))
-                        continue
-                    vsrc = _stage_candidate(
-                        spec, src_dir, work_dir, tag, code=(rel, extraction.code)
-                    )
-                    build = tc.start_compile(spec, vsrc, toolchain, tag, work_dir)
-                    in_flight.callback(build.kill)
-                    building = (tag, extraction, flags, build)
-                if building is not None:
-                    evaluated.append(_join_turn(spec, building, baseline))
-        except _BaselineFailed as exc:
-            log.error("%s: skipped, %s", spec.id, exc)
-            continue
-
-        best_tag, best = None, None
-        for tag, evaluation in evaluated:
-            if evaluation.category is not CorrectnessCategory.CORRECT:
-                continue
-            if best is None or evaluation.stat.speedup > best.stat.speedup:
-                best_tag, best = tag, evaluation
-        if best is None:
-            best_tag, best = evaluated[-1]
-        rows.append(_row_from_evaluation(
-            spec, Experiment.EX2, provider.provider_id, best_tag, best
-        ))
-    return ResultsTable(tuple(rows), _provenance(toolchain, provider.provider_id))
 
 
 def import_external_tool_results(
@@ -587,11 +575,11 @@ def import_external_tool_results(
         tag = f"import/{tool_id}"
         try:
             with contextlib.ExitStack() as in_flight:
-                src_dir, base_build = _start_baseline(spec, toolchain, work_dir, "import")
-                in_flight.callback(base_build.kill)
-                vsrc = _stage_candidate(spec, src_dir, work_dir, tag, overlay=dir / bench_id)
+                base = _Baseline(spec, toolchain, work_dir, "import")
+                in_flight.callback(base.kill)
+                vsrc = _stage_candidate(spec, base.src_dir, work_dir, tag, overlay=dir / bench_id)
                 build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-                baseline = _finish_baseline(spec, base_build)
+                baseline = base.sample()
         except _BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue

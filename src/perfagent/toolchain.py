@@ -29,7 +29,6 @@ import math
 import os
 import shutil
 import signal
-import statistics
 import subprocess
 import tempfile
 import threading
@@ -147,20 +146,6 @@ class RunSample:
         if not self.wall_times_s:
             raise EmptySample()
         return sum(self.wall_times_s) / len(self.wall_times_s)
-
-    @property
-    def min_s(self) -> float:
-        if not self.wall_times_s:
-            raise EmptySample()
-        return min(self.wall_times_s)
-
-    @property
-    def stddev_s(self) -> float:
-        if not self.wall_times_s:
-            raise EmptySample()
-        if len(self.wall_times_s) < 2:
-            return 0.0
-        return statistics.stdev(self.wall_times_s)
 
 
 @dataclass(frozen=True)

@@ -345,7 +345,7 @@ class TestEx2:
                 (fenced(sleeper(60)), True, Cat.CORRECT),
                 (fenced(SYNTAX_ERROR), True, Cat.COMPILATION_ERROR),
                 (fenced(unbalanced), True, Cat.FAILED_TO_FOLLOW_INSTRUCTIONS),
-                ("a reply to a request that does not match", False, None),
+                ("a reply to a request that does not match", False, Cat.NO_GENERATED_CODE),
                 (fenced(sleeper(90)), True, Cat.CORRECT),
             ],
             "beta": [
@@ -482,6 +482,15 @@ class TestEx3:
         threads = row.thread_map
         assert threads[4] is not None
         assert threads[8] is None
+
+    @pytest.mark.parametrize("counts", [(), (0, 2)])
+    def test_invalid_counts_rejected_before_any_request(self, tmp_path, toolchain_config,
+                                                        counts):
+        spec = sleep_bench(tmp_path / "b")
+        provider = replay([fenced(parallel(sleeper(60)))])
+        with pytest.raises(ValueError):
+            ex.run_ex3([spec], provider, toolchain_config, tmp_path / "w", counts=counts)
+        assert provider.received == []
 
 
 class TestImport:
@@ -635,6 +644,12 @@ class TestBaselineBesideCandidate:
             table = drive(driver, [broken, good], provider, toolchain_config, tmp_path / "w")
         assert [r.benchmark_id for r in table.rows] == ["good"]
         assert any("broken" in r.message for r in caplog.records)
+        # A broken original is skipped after its row's first request; import sends none.
+        carrying_broken = [
+            messages for messages in provider.received
+            if any(broken_main in m["content"] for m in messages)
+        ]
+        assert len(carrying_broken) == (0 if driver == "import" else 1)
         assert not tc._unjoined
         assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
 
