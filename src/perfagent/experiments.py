@@ -156,8 +156,10 @@ class _Baseline:
         self._thread_count = thread_count
         self._outcome: tc.RunSample | _BaselineFailed | None = None
         try:
-            prep_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/prep")
-            self.src_dir = manifest.prepare_sources(spec, prep_dir)
+            # Prepared straight into the variant's src/, which the build
+            # then compiles in place instead of copying.
+            base_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/base")
+            self.src_dir = manifest.prepare_sources(spec, base_dir / "src")
             self._build = tc.start_compile(
                 spec, self.src_dir, toolchain, f"{ex_tag}/base", work_dir
             )

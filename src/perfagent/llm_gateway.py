@@ -483,22 +483,29 @@ def extract_code(response: ModelResponse) -> ExtractionResult:
     return ExtractionResult(None, None, ExtractionRule.NONE)
 
 
-_INCLUDE_LINE = re.compile(rb'^[ \t]*#[ \t]*include[ \t]*[<"]([^>"\n]+)[>"]', re.MULTILINE)
+# An include directive from its "#"; it counts when only blanks precede
+# the "#" on its line and the "#" is live.
+_INCLUDE = re.compile(rb'#[ \t]*include[ \t]*[<"]([^>"\n]+)[>"]')
 
 
 def include_names(source: str) -> set[str]:
     """Names of headers included by live (uncommented) directives."""
-    scan = patch._scan(source)
+    return set(patch._derived(source, _include_names))
+
+
+def _include_names(scan) -> frozenset[str]:
+    # The raw bytes, not the zeroed copy: quote-form include names are
+    # string literals and are zeroed there; only the "#" must be live.
     data = scan.data
-    # The byte mask, not active_text: quote-form include names are string
-    # literals and would be blanked; only the "#" needs an activity check.
-    names = set()
-    for m in _INCLUDE_LINE.finditer(data):
-        if scan.literal_mask[data.index(b"#", m.start())]:
-            names.add(m.group(1).decode("utf-8", "replace"))
-    return names
+    return frozenset(
+        m.group(1).decode("utf-8", "replace")
+        for m in _INCLUDE.finditer(data)
+        if scan.literal[m.start()]
+        and not data[data.rfind(b"\n", 0, m.start()) + 1 : m.start()].strip(b" \t")
+    )
 
 
+_WORD_CHAR = re.compile(r"\w")
 # Word characters only, so a token occurs as a whole word exactly when
 # it is one of the text's \w+ runs.
 _PRINT_TOKENS = (
@@ -521,8 +528,24 @@ def _function_names(source: str, side: str) -> set[str]:
         raise UnparseableCandidate(f"{side} source: {exc}") from None
 
 
-def _print_kinds(source: str) -> set[str]:
-    return set(re.findall(r"\w+", patch.active_text(source))).intersection(_PRINT_TOKENS)
+def _print_kinds(source: str) -> frozenset[str]:
+    return patch._derived(source, _print_kinds_of)
+
+
+def _print_kinds_of(scan) -> frozenset[str]:
+    # Inactive bytes are zeroed, so they end words as blanks would.
+    text = scan.code.decode("utf-8", "replace")
+    return frozenset(token for token in _PRINT_TOKENS if _occurs_as_word(text, token))
+
+
+def _occurs_as_word(text: str, word: str) -> bool:
+    """True when ``word`` is one of the \\w+ runs of ``text``."""
+    i = text.find(word)
+    while i >= 0:
+        if not (i and _WORD_CHAR.match(text, i - 1) or _WORD_CHAR.match(text, i + len(word))):
+            return True
+        i = text.find(word, i + 1)
+    return False
 
 
 def has_parallel_construct(source: str) -> bool:

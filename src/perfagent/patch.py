@@ -1,11 +1,23 @@
 """Lexical C/C++ function location and replacement.
 
-Finds top-level function definitions without a real parser. A scanner masks
-out comments, string and character literals, and preprocessor directive
-lines; brace and parenthesis depth over the remaining bytes then identifies
-``name(args) { ... }`` definitions at file scope. The masks and the
-definitions come from one cached scan per source text, so asking about an
-unchanged source again costs a dictionary lookup.
+Finds top-level function definitions without a real parser. Each source
+text gets one cached scan, which holds two copies of the text's UTF-8
+encoding with every inactive byte zeroed:
+
+- ``literal``: comments and string and character literals zeroed;
+- ``code``: preprocessor directive lines zeroed as well.
+
+A compiled-regex split builds the first copy, and a search for each live
+"#" that starts a line builds the second. Everything after works on
+``code`` with compiled-regex searches and ``bytes.find``/``bytes.count``,
+never byte by byte. A delimiter's match is the first closer at which every
+opener counted since is closed. The file-scope walk jumps from one
+delimiter or identifier to the next and skips each brace or parenthesis
+group whole. Brace and parenthesis depth then identifies
+``name(args) { ... }`` definitions at file scope.
+
+Asking about an unchanged source again costs a dictionary lookup. So does
+anything another module derives from the scan through ``_derived``.
 
 Known limits, by design: K&R definitions, qualified member definitions
 (``Foo::bar``), functions nested in ``extern "C"`` or class bodies, and
@@ -17,7 +29,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
 
 __all__ = [
     "FunctionSpan",
@@ -79,10 +94,10 @@ class FunctionSpan:
 
 
 _WS = frozenset(b" \t\r\n\v\f")
-_IDENT_START = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset(b"0123456789")
-# Bytes allowed in the declaration prefix scanned backward from the name.
-_PREFIX = _IDENT_CONT | _WS | frozenset(b"*&")
+_SKIPPED = _WS | {0}  # whitespace and zeroed bytes
+# Bytes allowed in the declaration prefix scanned backward from the name;
+# a zeroed byte is none of them.
+_PREFIX = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789*&") | _WS
 # Words that can precede "(" at file scope but never name a definition:
 # control flow, plus reserved type and storage words (these absorb the
 # "type (*name(args))(args)" declarator form, which stays unrecognized).
@@ -100,144 +115,128 @@ _NOT_NAMES = frozenset(
 # Comments and string/char literals, in the order a left-to-right scan
 # meets them. A literal stops at a raw newline instead of swallowing the
 # rest of the file; a backslash escapes any byte (a newline included), and
-# a lone trailing backslash belongs to the literal.
+# a lone trailing backslash belongs to the literal. A block comment ends
+# at its first "*/" or at the end of the text. The loops are unrolled so
+# that runs of plain bytes match without trying an alternative per byte.
 _INERT = re.compile(
-    rb"//[^\n]*"
-    rb"|/\*.*?(?:\*/|\Z)"
-    rb'|"(?:[^"\\\n]|\\.?)*"?'
-    rb"|'(?:[^'\\\n]|\\.?)*'?",
+    rb"(//[^\n]*"
+    rb"|/\*[^*]*(?:\*+[^*/][^*]*)*(?:\*+/|\*+\Z|\Z)"
+    rb'|"[^"\\\n]*(?:\\.?[^"\\\n]*)*"?'
+    rb"|'[^'\\\n]*(?:\\.?[^'\\\n]*)*'?)",
     re.DOTALL,
 )
-_DIRECTIVE_START = re.compile(rb"^[ \t]*#", re.MULTILINE)
+# A directive of the literal-zeroed copy from its "#" through the newline
+# that ends it. Newlines inside comments and literals are zeroed there, so
+# only a live newline ends the line, and only a live backslash before it
+# (a carriage return may sit between) continues it.
+_DIRECTIVE_BODY = re.compile(rb"#(?:\\\r?\n|[^\n])*\n?")
 _INACTIVE_RUN = re.compile(rb"\x00+")
+_SKIP = re.compile(rb"[\x00 \t\r\n\v\f]*")  # a run of _SKIPPED bytes
+_IDENT = re.compile(rb"[A-Za-z_][A-Za-z0-9_]*")
+# What the top-level walk stops at: a delimiter or an identifier.
+_TOP = re.compile(rb"[{}()]|[A-Za-z_][A-Za-z0-9_]*")
+_DELIM = re.compile(rb"[{}()]")
 # Blanks every byte but the newline.
 _BLANK = bytes(0x0A if b == 0x0A else 0x20 for b in range(256))
 _SCAN_CACHE_SIZE = 8
 
 
-def _active_mask(data: bytes) -> bytearray:
-    """Mark live code bytes; comments and string/char literals become 0."""
-    mask = bytearray(b"\x01" * len(data))
-    for m in _INERT.finditer(data):
-        mask[m.start() : m.end()] = bytes(m.end() - m.start())
-    return mask
+def _zero_inert(data: bytes) -> bytes:
+    """``data`` with comments and literals zeroed."""
+    parts = _INERT.split(data)  # code, comment or literal, code, ...
+    parts[1::2] = map(bytes, map(len, parts[1::2]))
+    return b"".join(parts)
 
 
-def _mask_directives(data: bytes, mask: bytearray) -> None:
-    """Zero out preprocessor directive lines, honoring continuations.
+def _zero_directives(literal: bytes) -> bytes:
+    """``literal`` with directive lines zeroed from their "#" on.
 
-    Activity tests use a snapshot of the comment/literal mask so that a
-    backslash already zeroed here still counts as a continuation, while
-    one inside a comment does not. A newline inside a comment or escaped
-    in a literal does not end the directive.
+    A live "#" starts a directive when only blanks precede it on its line.
+    Lines are found from the live newlines alone: a newline zeroed inside
+    a comment or literal is never followed by a live "#" on the next line.
     """
-    orig = bytes(mask)
-    n = len(data)
-    for m in _DIRECTIVE_START.finditer(data):
-        j = m.end() - 1
-        if not orig[j]:
+    parts = []
+    done = pos = 0
+    while (j := literal.find(b"#", pos)) >= 0:
+        pos = j + 1
+        if literal[literal.rfind(b"\n", 0, j) + 1 : j].strip(b" \t"):
             continue
-        k = j
-        while True:
-            k = data.find(b"\n", k)
-            if k < 0:
-                k = n
-                break
-            if orig[k]:
-                p = k - 1
-                if data[p] == 0x0D:
-                    p -= 1
-                if not (data[p] == 0x5C and orig[p]):
-                    break
-            k += 1
-        end = min(k + 1, n)
-        mask[j:end] = bytes(end - j)
+        end = _DIRECTIVE_BODY.match(literal, j).end()
+        parts += (literal[done:j], bytes(end - j))
+        done = pos = end
+    parts.append(literal[done:])
+    return b"".join(parts)
 
 
-def _skip_inert(data: bytes, mask: bytes, i: int) -> int:
-    """Advance past whitespace and masked bytes."""
-    n = len(data)
-    while i < n and (not mask[i] or data[i] in _WS):
-        i += 1
-    return i
+def _match_delim(code: bytes, i: int, op: bytes, cl: bytes) -> int:
+    """Index of the delimiter closing ``op`` at ``i``, or -1: the first
+    closer at which the openers counted since ``i`` are all closed."""
+    depth = 1
+    k = i + 1
+    while True:
+        close = code.find(cl, k)
+        if close < 0:
+            return -1
+        depth += code.count(op, k, close) - 1
+        if depth == 0:
+            return close
+        k = close + 1
 
 
-def _match_delim(data: bytes, mask: bytes, i: int, op: int, cl: int) -> int:
-    """Index of the delimiter closing the one at ``i``, or -1."""
-    depth = 0
-    n = len(data)
-    while i < n:
-        if mask[i]:
-            if data[i] == op:
-                depth += 1
-            elif data[i] == cl:
-                depth -= 1
-                if depth == 0:
-                    return i
-        i += 1
-    return -1
-
-
-def _preceded_by_member_op(data: bytes, mask: bytes, i: int) -> bool:
+def _preceded_by_member_op(code: bytes, i: int) -> bool:
     """True when the byte before ``i`` (skipping inert bytes) is . -> or ::"""
     j = i - 1
-    while j >= 0 and (not mask[j] or data[j] in _WS):
+    while j >= 0 and code[j] in _SKIPPED:
         j -= 1
     if j < 0:
         return False
-    if data[j] == 0x2E:  # .
+    if code[j] == 0x2E:  # .
         return True
-    if j >= 1 and mask[j - 1]:
-        pair = data[j - 1 : j + 1]
-        if pair in (b"->", b"::"):
-            return True
-    return False
+    return j >= 1 and code[j - 1 : j + 1] in (b"->", b"::")
 
 
-def _try_definition(data, mask, name_start, name_end, name):
+def _try_definition(data: bytes, code: bytes, name_start: int, name_end: int, name: str):
     """Return (span, resume_index); span is None when this is not one."""
-    n = len(data)
+    n = len(code)
     if name in _NOT_NAMES:
         return None, name_end
-    if _preceded_by_member_op(data, mask, name_start):
+    k = _SKIP.match(code, name_end).end()
+    if k >= n or code[k] != 0x28:  # (
         return None, name_end
-
-    k = _skip_inert(data, mask, name_end)
-    if k >= n or data[k] != 0x28:  # (
+    if _preceded_by_member_op(code, name_start):
         return None, name_end
-    rparen = _match_delim(data, mask, k, 0x28, 0x29)
+    rparen = _match_delim(code, k, b"(", b")")
     if rparen < 0:
         return None, name_end
 
     # Trailing qualifiers between the parameter list and the body:
     # identifiers (const, noexcept, attribute macros) and paren groups.
-    k = _skip_inert(data, mask, rparen + 1)
+    k = _SKIP.match(code, rparen + 1).end()
     while k < n:
-        if data[k] in _IDENT_START:
-            while k < n and mask[k] and data[k] in _IDENT_CONT:
-                k += 1
-            k = _skip_inert(data, mask, k)
+        word = _IDENT.match(code, k)
+        if word is not None:
+            k = _SKIP.match(code, word.end()).end()
             continue
-        if data[k] == 0x28:
-            close = _match_delim(data, mask, k, 0x28, 0x29)
+        if code[k] == 0x28:
+            close = _match_delim(code, k, b"(", b")")
             if close < 0:
                 return None, name_end
-            k = _skip_inert(data, mask, close + 1)
+            k = _SKIP.match(code, close + 1).end()
             continue
         break
-    if k >= n or data[k] != 0x7B:  # {
+    if k >= n or code[k] != 0x7B:  # {
         return None, name_end
 
-    close = _match_delim(data, mask, k, 0x7B, 0x7D)
+    close = _match_delim(code, k, b"{", b"}")
     if close < 0:
         raise UnbalancedBraces(name)
     byte_end = close + 1
 
     start = name_start - 1
-    while start >= 0 and mask[start] and data[start] in _PREFIX:
+    while start >= 0 and code[start] in _PREFIX:
         start -= 1
     start += 1
-    while start < name_start and data[start] in _WS:
+    while start < name_start and code[start] in _WS:
         start += 1
 
     sig = " ".join(data[start:k].decode("utf-8", "replace").split())
@@ -246,59 +245,95 @@ def _try_definition(data, mask, name_start, name_end, name):
 
 @dataclass(frozen=True)
 class _Scan:
-    """What the scanner derives from one source text."""
+    """What the scanner derives from one source text.
+
+    The zeroed copies index like ``data``; a NUL byte of the source reads
+    0x01 in them, so 0 always means inactive.
+    """
 
     data: bytes  # UTF-8 encoding; every offset indexes it
-    literal_mask: bytes  # 0 on comments and literals
-    code_mask: bytes  # 0 on directive lines as well
+    literal: bytes  # comments and literals zeroed, their newlines too
+    code: bytes  # directive lines zeroed as well
     spans: tuple[FunctionSpan, ...]
     unbalanced: str | None  # name whose body never closes; spans is then empty
+    # What other modules compute from this source, by deriving function.
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _find_definitions(data: bytes, mask: bytes) -> list[FunctionSpan]:
+def _find_definitions(data: bytes, code: bytes) -> list[FunctionSpan]:
+    """Walk ``code`` at file scope. Outside every brace and parenthesis
+    the walk stops at each delimiter and identifier and skips a group
+    whole, carrying over the depth of the other delimiter kind inside it;
+    once a depth is off zero it steps from delimiter to delimiter."""
     spans: list[FunctionSpan] = []
-    n = len(data)
-    brace_depth = 0
-    paren_depth = 0
-    i = 0
-    while i < n:
-        if not mask[i]:
-            i += 1
+    braces = parens = 0
+    pos = 0
+    while True:
+        if braces or parens:
+            m = _DELIM.search(code, pos)
+            if m is None:
+                break
+            c = code[m.start()]
+            if c == 0x7B:
+                braces += 1
+            elif c == 0x7D:
+                braces -= 1
+            elif c == 0x28:
+                parens += 1
+            else:
+                parens -= 1
+            pos = m.end()
             continue
-        c = data[i]
+        m = _TOP.search(code, pos)
+        if m is None:
+            break
+        i = m.start()
+        c = code[i]
         if c == 0x7B:
-            brace_depth += 1
-        elif c == 0x7D:
-            brace_depth -= 1
+            close = _match_delim(code, i, b"{", b"}")
+            if close < 0:
+                break  # the brace depth never returns to zero
+            parens = code.count(b"(", i, close) - code.count(b")", i, close)
+            pos = close + 1
         elif c == 0x28:
-            paren_depth += 1
+            close = _match_delim(code, i, b"(", b")")
+            if close < 0:
+                break  # the parenthesis depth never returns to zero
+            braces = code.count(b"{", i, close) - code.count(b"}", i, close)
+            pos = close + 1
+        elif c == 0x7D:
+            braces = -1
+            pos = i + 1
         elif c == 0x29:
-            paren_depth -= 1
-        elif brace_depth == 0 and paren_depth == 0 and c in _IDENT_START:
-            j = i + 1
-            while j < n and mask[j] and data[j] in _IDENT_CONT:
-                j += 1
-            name = data[i:j].decode("utf-8", "replace")
-            span, resume = _try_definition(data, mask, i, j, name)
+            parens = -1
+            pos = i + 1
+        else:
+            span, pos = _try_definition(data, code, i, m.end(), m.group().decode("ascii"))
             if span is not None:
                 spans.append(span)
-            i = resume
-            continue
-        i += 1
     return spans
 
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _scan(source: str) -> _Scan:
     data = source.encode("utf-8")
-    mask = _active_mask(data)
-    literal_mask = bytes(mask)
-    _mask_directives(data, mask)
-    code_mask = bytes(mask)
+    literal = _zero_inert(data.replace(b"\x00", b"\x01"))
+    code = _zero_directives(literal)
     try:
-        return _Scan(data, literal_mask, code_mask, tuple(_find_definitions(data, code_mask)), None)
+        return _Scan(data, literal, code, tuple(_find_definitions(data, code)), None)
     except UnbalancedBraces as exc:
-        return _Scan(data, literal_mask, code_mask, (), exc.name)
+        return _Scan(data, literal, code, (), exc.name)
+
+
+def _derived(source: str, derive: Callable[[_Scan], _T]) -> _T:
+    """``derive(scan)`` for the cached scan of ``source``, computed once
+    while that scan stays cached. The value is shared: keep it immutable."""
+    scan = _scan(source)
+    try:
+        return scan.derived[derive]
+    except KeyError:
+        value = scan.derived[derive] = derive(scan)
+        return value
 
 
 def active_text(source: str, keep_directives: bool = False) -> str:
@@ -312,7 +347,7 @@ def active_text(source: str, keep_directives: bool = False) -> str:
     scan = _scan(source)
     data = scan.data
     out = bytearray(data)
-    for m in _INACTIVE_RUN.finditer(scan.literal_mask if keep_directives else scan.code_mask):
+    for m in _INACTIVE_RUN.finditer(scan.literal if keep_directives else scan.code):
         out[m.start() : m.end()] = data[m.start() : m.end()].translate(_BLANK)
     return out.decode("utf-8", "replace")
 
@@ -351,24 +386,29 @@ def replace_function(source: str, name: str, new_text: str) -> str:
     zero without going negative, counted outside comments and literals.
     """
     span = locate_function(source, name)
-    rdata = new_text.encode("utf-8")
-    rmask = _active_mask(rdata)
-    _mask_directives(rdata, rmask)
-    depth = 0
-    pairs = 0
-    for idx, b in enumerate(rdata):
-        if not rmask[idx]:
-            continue
-        if b == 0x7B:
-            depth += 1
-            pairs += 1
-        elif b == 0x7D:
-            depth -= 1
-            if depth < 0:
-                raise UnbalancedReplacement(name)
-    if depth != 0 or pairs == 0:
+    replacement = _scan(new_text)
+    if not _braces_balance(replacement.code):
         raise UnbalancedReplacement(name)
-
     data = _scan(source).data
-    out = data[: span.byte_start] + rdata + data[span.byte_end :]
+    out = data[: span.byte_start] + replacement.data + data[span.byte_end :]
     return out.decode("utf-8")
+
+
+def _braces_balance(code: bytes) -> bool:
+    """True when ``code`` has at least one brace pair and its brace depth
+    returns to zero without going negative. Top-level groups are matched
+    in turn; a closer before the next opener would go negative."""
+    pos = 0
+    pairs = False
+    while True:
+        opener = code.find(b"{", pos)
+        closer = code.find(b"}", pos)
+        if closer < 0:
+            return pairs and opener < 0
+        if opener < 0 or closer < opener:
+            return False
+        close = _match_delim(code, opener, b"{", b"}")
+        if close < 0:
+            return False
+        pairs = True
+        pos = close + 1

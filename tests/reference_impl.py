@@ -1,7 +1,7 @@
 """Straightforward implementations the optimized code must agree with.
 
 These are the byte-by-byte and list-building versions of the ``patch``
-scanner masks, ``verify``'s NumericTokens comparison and the print-token
+scanner (its masks, delimiter matching and file-scope walk), ``verify``'s NumericTokens comparison and the print-token
 check, and the check-by-check cct-v1 import. They are slow and obviously
 correct; the equivalence tests run them side by side with the library.
 The number predicate (``verify._numbers_match``) is shared, so the
@@ -17,6 +17,7 @@ import math
 import re
 
 from perfagent.manifest import ValidationPolicy
+from perfagent.patch import _NOT_NAMES, FunctionSpan, UnbalancedBraces
 from perfagent.profile import (
     _REL_TOL,
     SCHEMA_ID,
@@ -27,7 +28,6 @@ from perfagent.profile import (
     ProfileTree,
     SchemaViolation,
     _excl_incl_pairs,
-    _exclusive_sum,
     _parse_frame,
     _parse_metrics,
     _require,
@@ -119,6 +119,155 @@ def active_text(source: str, keep_directives: bool = False) -> str:
     return out.decode("utf-8", "replace")
 
 
+_WS = frozenset(b" \t\r\n\v\f")
+_IDENT_START = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | frozenset(b"0123456789")
+_PREFIX = _IDENT_CONT | _WS | frozenset(b"*&")
+
+
+def skip_inert(data: bytes, mask: bytes, i: int) -> int:
+    n = len(data)
+    while i < n and (not mask[i] or data[i] in _WS):
+        i += 1
+    return i
+
+
+def match_delim(data: bytes, mask: bytes, i: int, op: int, cl: int) -> int:
+    depth = 0
+    n = len(data)
+    while i < n:
+        if mask[i]:
+            if data[i] == op:
+                depth += 1
+            elif data[i] == cl:
+                depth -= 1
+                if depth == 0:
+                    return i
+        i += 1
+    return -1
+
+
+def preceded_by_member_op(data: bytes, mask: bytes, i: int) -> bool:
+    j = i - 1
+    while j >= 0 and (not mask[j] or data[j] in _WS):
+        j -= 1
+    if j < 0:
+        return False
+    if data[j] == 0x2E:  # .
+        return True
+    if j >= 1 and mask[j - 1]:
+        pair = data[j - 1 : j + 1]
+        if pair in (b"->", b"::"):
+            return True
+    return False
+
+
+def try_definition(data, mask, name_start, name_end, name):
+    n = len(data)
+    if name in _NOT_NAMES:
+        return None, name_end
+    if preceded_by_member_op(data, mask, name_start):
+        return None, name_end
+
+    k = skip_inert(data, mask, name_end)
+    if k >= n or data[k] != 0x28:  # (
+        return None, name_end
+    rparen = match_delim(data, mask, k, 0x28, 0x29)
+    if rparen < 0:
+        return None, name_end
+
+    k = skip_inert(data, mask, rparen + 1)
+    while k < n:
+        if data[k] in _IDENT_START:
+            while k < n and mask[k] and data[k] in _IDENT_CONT:
+                k += 1
+            k = skip_inert(data, mask, k)
+            continue
+        if data[k] == 0x28:
+            close = match_delim(data, mask, k, 0x28, 0x29)
+            if close < 0:
+                return None, name_end
+            k = skip_inert(data, mask, close + 1)
+            continue
+        break
+    if k >= n or data[k] != 0x7B:  # {
+        return None, name_end
+
+    close = match_delim(data, mask, k, 0x7B, 0x7D)
+    if close < 0:
+        raise UnbalancedBraces(name)
+    byte_end = close + 1
+
+    start = name_start - 1
+    while start >= 0 and mask[start] and data[start] in _PREFIX:
+        start -= 1
+    start += 1
+    while start < name_start and data[start] in _WS:
+        start += 1
+
+    sig = " ".join(data[start:k].decode("utf-8", "replace").split())
+    return FunctionSpan(name, start, byte_end, sig), byte_end
+
+
+def find_definitions(data: bytes, mask: bytes) -> list[FunctionSpan]:
+    spans: list[FunctionSpan] = []
+    n = len(data)
+    brace_depth = 0
+    paren_depth = 0
+    i = 0
+    while i < n:
+        if not mask[i]:
+            i += 1
+            continue
+        c = data[i]
+        if c == 0x7B:
+            brace_depth += 1
+        elif c == 0x7D:
+            brace_depth -= 1
+        elif c == 0x28:
+            paren_depth += 1
+        elif c == 0x29:
+            paren_depth -= 1
+        elif brace_depth == 0 and paren_depth == 0 and c in _IDENT_START:
+            j = i + 1
+            while j < n and mask[j] and data[j] in _IDENT_CONT:
+                j += 1
+            name = data[i:j].decode("utf-8", "replace")
+            span, resume = try_definition(data, mask, i, j, name)
+            if span is not None:
+                spans.append(span)
+            i = resume
+            continue
+        i += 1
+    return spans
+
+
+def list_functions(source: str) -> list[FunctionSpan]:
+    data = source.encode("utf-8")
+    mask = active_mask(data)
+    mask_directives(data, mask)
+    return find_definitions(data, mask)
+
+
+def braces_balance(text: str) -> bool:
+    data = text.encode("utf-8")
+    mask = active_mask(data)
+    mask_directives(data, mask)
+    depth = 0
+    pairs = 0
+    for idx, b in enumerate(data):
+        if not mask[idx]:
+            continue
+        if b == 0x7B:
+            depth += 1
+            pairs += 1
+        elif b == 0x7D:
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0 and pairs > 0
+
+
 def print_kinds(active: str, tokens: tuple[str, ...]) -> set[str]:
     return {t for t in tokens if re.search(rf"\b{re.escape(t)}\b", active)}
 
@@ -174,6 +323,16 @@ def compare_numeric(reference: bytes, candidate: bytes, policy: ValidationPolicy
             compared,
         )
     return MatchReport(True, None, compared)
+
+
+def _exclusive_sum(roots: tuple[ProfileNode, ...], metric_id: str) -> float:
+    total = 0.0
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        total += node.metrics.get(metric_id, 0.0)
+        stack.extend(node.children)
+    return total
 
 
 def _parse_node(doc, path: str, catalog: dict, pairs: list) -> ProfileNode:

@@ -5,7 +5,7 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfagent import llm_gateway as gw
@@ -522,6 +522,14 @@ class TestCheckConstraints:
             max_size=20,
         ).map("".join)
     )
+    @example('fprintf(stderr, "a");\nprintf("b");\n')
+    @example("fprintf(stderr, x);\n")
+    @example("putc(c, f);\nputchar(c);\n")
+    @example("putchar(c);\n")
+    @example("std::cout << x << std::endl;\nstd::cerr << y;\n")
+    @example('const char *s = "printf puts";\n/* fputs putc */\n// perror cout\nx = 1;\n')
+    @example("char c = 'putc';\n#define LOG puts\nclog(x);\n")
+    @example("\u00e9printf(1); puts\u00e9(2); _putchar(3); perror_(4);\n")
     def test_print_kinds_match_word_boundary_search(self, text):
         active = gw.patch.active_text(text)
         assert gw._print_kinds(text) == reference_impl.print_kinds(active, gw._PRINT_TOKENS)
@@ -570,6 +578,25 @@ class TestCheckConstraints:
     def test_unbalanced_candidate_rejected(self):
         with pytest.raises(gw.UnparseableCandidate):
             gw.check_constraints(ORIGINAL, "int f(void) {", gw.Experiment.EX1)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_flags_same_with_warm_and_cleared_scan_cache(self, seed):
+        rng = random.Random(seed)
+        original, _ = gen_translation_unit(rng)
+        original = "#include <stdio.h>\n#include <math.h>\n" + original
+        candidates = [
+            original,
+            original.replace("#include <math.h>\n", ""),
+            original + 'int extra(void) { puts("x"); return 0; }\n',
+            original.replace("{\n", '{\n    fprintf(stderr, "{");\n', 1),
+        ]
+        for candidate in candidates:
+            for experiment in (gw.Experiment.EX1, gw.Experiment.EX3):
+                warm = gw.check_constraints(original, candidate, experiment)
+                assert gw.check_constraints(original, candidate, experiment) == warm
+                gw.patch._scan.cache_clear()
+                assert gw.check_constraints(original, candidate, experiment) == warm
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)

@@ -13,8 +13,8 @@ from perfagent.patch import (
     FunctionNotFound,
     UnbalancedBraces,
     UnbalancedReplacement,
-    _active_mask,
-    _mask_directives,
+    _braces_balance,
+    _scan,
     active_text,
     extract_function,
     list_functions,
@@ -195,6 +195,18 @@ _SCANNER_ATOMS = (
 )
 
 
+def _live(zeroed: bytes) -> bytearray:
+    """The 0/1 activity mask a zeroed copy stands for."""
+    return bytearray(1 if b else 0 for b in zeroed)
+
+
+def _functions_or_unbalanced(list_fn, source):
+    try:
+        return list_fn(source)
+    except UnbalancedBraces as exc:
+        return ("unbalanced", exc.name)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.sampled_from(_SCANNER_ATOMS), max_size=40).map("".join))
 @example("#define A 1 \\\r\nint f() { }\n")
@@ -203,16 +215,57 @@ _SCANNER_ATOMS = (
 @example('#if 0 /* a\n# b */ c\nint f() { }\n')
 @example("/* a\n# b */ int f() { }\n")
 @example('s = "a\\\n#b"; int f() { }\n')
+@example("f\x00() { }\nint g(void) { }\x00\n")
+@example("#define A \\\n#include <x.h>\n")
+@example("{ ( } int f() { } ) int g() { }\n")
+@example("( { ) int f() { } } int g() { }\n")
+@example("} int f() { } { int g() { }\n")
+@example("/* a **\nint f() { }")
+@example("/* a **/ int f() { }\n")
 def test_masks_match_byte_loop(text):
     data = text.encode("utf-8")
-    mask = _active_mask(data)
+    scan = _scan(text)
     expected = reference_impl.active_mask(data)
-    assert mask == expected
-    _mask_directives(data, mask)
+    assert _live(scan.literal) == expected
     reference_impl.mask_directives(data, expected)
-    assert mask == expected
+    assert _live(scan.code) == expected
     for keep in (False, True):
         assert active_text(text, keep) == reference_impl.active_text(text, keep)
+    assert _functions_or_unbalanced(list_functions, text) == _functions_or_unbalanced(
+        reference_impl.list_functions, text
+    )
+    assert _braces_balance(scan.code) == reference_impl.braces_balance(text)
+
+
+# Lexical noise spliced into generated sources at random offsets: braces
+# and parentheses in strings, char literals, comments and directives;
+# member and scope calls, some shaped like definitions; stray delimiters;
+# and bodies that never close.
+_NOISE = (
+    '"{"', '"}"', '"("', '")"', '"\\"{"', "'{'", "'}'", "'('", "')'", "'\\''",
+    "/* { ( */", "/* } ) */", "// { (\n", "// } )\n",
+    "\n#define OPEN_NOISE {\n", "\n#define CLOSE_NOISE )\n",
+    "\n#if 0 /* { */\n", "\n#define M(x) \\\n    { (x);\n",
+    " obj.run(1); ", " ptr->go(2); ", " ns::call(3); ",
+    " a.b(c) { } ", " p->q(void) { } ", " A::b() { } ",
+    "{", "}", "(", ")", ";",
+    "\nint never_closes(void) {\n", "\nstatic void open_body(int a) { if (a) {\n",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    noise=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from(_NOISE)), max_size=6),
+)
+def test_list_functions_matches_byte_loop_on_noisy_sources(seed, noise):
+    source, _ = gen_translation_unit(random.Random(seed))
+    for where, fragment in noise:
+        at = int(where * len(source))
+        source = source[:at] + fragment + source[at:]
+    assert _functions_or_unbalanced(list_functions, source) == _functions_or_unbalanced(
+        reference_impl.list_functions, source
+    )
 
 
 def test_replace_preserves_surroundings():

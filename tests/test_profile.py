@@ -576,6 +576,60 @@ def _mutate(doc, kind, index):
         siblings[siblings.index(node)] = ["not", "a", "node"]
 
 
+def agent_shaped_doc(seed, stated_totals):
+    """A cct-v1 tree shaped like the agent benchmark's: main over 14
+    callees, each with fanout 3 to depth 4 (561 nodes), and four metrics.
+    ``stated_totals`` states every metric's total, summed in document order."""
+    rng = random.Random(seed)
+
+    def node(fn, level, excl):
+        children = []
+        if level < 4:
+            children = [node(f"{fn}_c{k}", level + 1, rng.uniform(1e-5, 1e-3)) for k in range(3)]
+        return {
+            "frame": {"fn": fn, "file": "main.c", "line": rng.randrange(1, 2000)},
+            "metrics": {
+                "time_excl": excl,
+                "time_incl": excl + sum(c["metrics"]["time_incl"] for c in children),
+                "l1_dcache_miss": float(rng.randrange(1000, 10**6)),
+                "fp_inst": float(rng.randrange(10**4, 10**8)),
+            },
+            "children": children,
+        }
+
+    callees = [node("relax", 1, 0.03), node("init_field", 1, 0.002)]
+    callees += [node(f"helper_{i}", 1, rng.uniform(1e-6, 1e-4)) for i in range(12)]
+    main = {
+        "frame": {"fn": "main", "file": "main.c", "line": 1},
+        "metrics": {
+            "time_excl": 1e-4,
+            "time_incl": 1e-4 + sum(c["metrics"]["time_incl"] for c in callees),
+            "l1_dcache_miss": 10.0,
+            "fp_inst": 10.0,
+        },
+        "children": callees,
+    }
+    doc = {
+        "schema": "cct-v1",
+        "metrics": [
+            {"id": "time_excl", "unit": "s", "kind": "Exclusive"},
+            {"id": "time_incl", "unit": "s", "kind": "Inclusive"},
+            {"id": "l1_dcache_miss", "unit": "count", "kind": "Exclusive"},
+            {"id": "fp_inst", "unit": "count", "kind": "Exclusive"},
+        ],
+        "roots": [main],
+    }
+    if stated_totals:
+        nodes = [n for n, _ in _preorder(doc)]
+        doc["total"] = {
+            "time_excl": sum(n["metrics"]["time_excl"] for n in nodes),
+            "time_incl": main["metrics"]["time_incl"],
+            "l1_dcache_miss": sum(n["metrics"]["l1_dcache_miss"] for n in nodes),
+            "fp_inst": sum(n["metrics"]["fp_inst"] for n in nodes),
+        }
+    return doc
+
+
 class TestImportEquivalence:
     """The one-pass import builds the trees and raises the errors that the
     check-by-check import in ``reference_impl`` does."""
@@ -602,6 +656,20 @@ class TestImportEquivalence:
         got = _outcome(pr.import_profile, blob)
         assert isinstance(got, tuple), f"{kind} imported without error"
         assert got == _outcome(reference_impl.import_profile, blob)
+
+    @pytest.mark.parametrize("stated_totals", [True, False])
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_agent_shaped_tree_imports_equal(self, seed, stated_totals):
+        doc = agent_shaped_doc(seed, stated_totals)
+        assert sum(1 for _ in _preorder(doc)) == 561
+        blob = doc_bytes(doc)
+        tree = pr.import_profile(blob)
+        expected = reference_impl.import_profile(blob)
+        assert tree == expected
+        # Equal floats, bit for bit: the stated totals as given, or the
+        # node sums taken in the same order.
+        assert [v.hex() for v in tree.total.values()] == [v.hex() for v in expected.total.values()]
+        assert list(tree.total) == list(expected.total)
 
     @pytest.mark.parametrize("kind", _MUTATIONS)
     def test_each_mutation_of_the_last_node(self, kind):
