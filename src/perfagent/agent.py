@@ -489,12 +489,18 @@ def _find_fn_path(tree: profile.ProfileTree, fn: str) -> tuple[str, ...] | None:
     return None
 
 
-def _run_sample_doc(run: tc.RunSample | None) -> dict | None:
+def _run_sample_doc(run: tc.RunSample | None, digests: dict[int, str]) -> dict | None:
+    """``digests`` maps ``id(stdout)`` to its SHA-256 for the stdout
+    objects already hashed: runs that share the original's output hash
+    it once."""
     if run is None:
         return None
+    digest = digests.get(id(run.stdout))
+    if digest is None:
+        digest = digests[id(run.stdout)] = hashlib.sha256(run.stdout).hexdigest()
     return {
         "wall_times_s": list(run.wall_times_s),
-        "stdout_sha256": hashlib.sha256(run.stdout).hexdigest(),
+        "stdout_sha256": digest,
         "stdout_bytes": len(run.stdout),
         "stderr": run.stderr[-4000:].decode("latin-1"),
         "exit_status": run.exit_status,
@@ -507,9 +513,11 @@ def _asdict_or_none(record) -> dict | None:
 
 
 def trace_to_dict(trace: AgentTrace) -> dict:
+    # The trace holds every stdout, so no id is reused while this runs.
+    digests: dict[int, str] = {}
     doc = {
         "benchmark_id": trace.benchmark_id,
-        "baseline": _run_sample_doc(trace.baseline),
+        "baseline": _run_sample_doc(trace.baseline, digests),
         "stop_reason": trace.stop_reason.value,
         "best_iteration": trace.best_iteration,
         "iterations": [],
@@ -530,7 +538,7 @@ def trace_to_dict(trace: AgentTrace) -> dict:
                 "rule": record.extraction.extraction_rule_fired.value,
             },
             "category": record.category.value,
-            "run": _run_sample_doc(record.run),
+            "run": _run_sample_doc(record.run, digests),
             "speedup_vs_original": _asdict_or_none(record.speedup_vs_original),
             "requested_metrics": list(record.requested_metrics),
             "profile_delta": _asdict_or_none(record.profile_delta),

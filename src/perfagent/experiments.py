@@ -17,7 +17,7 @@ import logging
 import math
 import platform
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -303,7 +303,10 @@ def _score(
     built and broke no constraint. ``counts`` thread-sweeps it instead.
 
     ``extraction`` is None for code that came from outside a model
-    reply (external tool trees).
+    reply (external tool trees). A timed run whose stdout equals the
+    original's holds the original's bytes object, not its own copy, so a
+    row keeps one copy of each distinct output however many attempts
+    reproduce it.
     """
     labels = _labels_for(extraction) if extraction is not None else ()
     if not build.ok or flags:
@@ -313,7 +316,7 @@ def _score(
     if counts is not None:
         return _evaluate_sweep(spec, extraction, build, baseline, counts, labels)
 
-    run = tc.run_timed(build.binary_path, spec.run)
+    run = _share_stdout(tc.run_timed(build.binary_path, spec.run), baseline)
     match = None
     if run.ok:
         match = compare_outputs(baseline.stdout, run.stdout, spec.validation)
@@ -322,6 +325,13 @@ def _score(
     if category is CorrectnessCategory.CORRECT:
         stat = tc.measure_speedup(baseline, run)
     return _Evaluation(category, stat, None, labels, run)
+
+
+def _share_stdout(sample: tc.RunSample, baseline: tc.RunSample) -> tc.RunSample:
+    """``sample`` holding ``baseline.stdout`` itself when the two are equal."""
+    if sample.stdout == baseline.stdout:
+        return replace(sample, stdout=baseline.stdout)
+    return sample
 
 
 def _evaluate_sweep(
@@ -339,7 +349,7 @@ def _evaluate_sweep(
     fallback: tuple[tc.RunSample, object] | None = None
 
     for count in sorted(counts):
-        sample = sweep[count]
+        sample = _share_stdout(sweep[count], baseline)
         match = None
         if sample.ok:
             match = compare_outputs(baseline.stdout, sample.stdout, spec.validation)

@@ -30,6 +30,7 @@ before the inclusive bounds their parent puts on them.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -468,17 +469,20 @@ def summarize_for_model(
     if info is None:
         raise UnknownMetric(f"metric {metric_id!r} not in catalog")
 
+    # Walk order breaks ties, so no two entries ever compare their nodes.
     ranked = []
-    for order, (path, node) in enumerate(walk(tree)):
+    stack = list(reversed(tree.roots))
+    while stack:
+        node = stack.pop()
         value = node.metrics.get(metric_id)
         if value is not None:
-            ranked.append((-value, order, path, node))
-    ranked.sort()
+            ranked.append((-value, len(ranked), node))
+        stack.extend(reversed(node.children))
 
     total = tree.total.get(metric_id, 0.0)
     unit = f", {info.unit}" if info.unit else ""
     lines = [f"Top {min(top_k, len(ranked))} frames by {metric_id}{unit}:"]
-    for rank, (neg_value, _, path, node) in enumerate(ranked[:top_k], start=1):
+    for rank, (neg_value, _, node) in enumerate(heapq.nsmallest(top_k, ranked), start=1):
         share = (-neg_value) / total if total > 0 else 0.0
         frame = node.frame
         location = f"{frame.file}:{frame.line}" if frame.file else "?"

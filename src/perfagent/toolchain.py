@@ -462,10 +462,12 @@ def run_timed(
     if _unjoined:
         raise ToolchainError("a build started by start_compile is not joined yet")
     binary = Path(binary)
-    env = dict(os.environ)
-    env.update(run.env_dict())
+    extra = run.env_dict()
     if thread_count is not None:
-        env[OMP_THREADS_VAR] = str(thread_count)
+        extra[OMP_THREADS_VAR] = str(thread_count)
+    # Without additions every repetition inherits the environment as it
+    # is, instead of re-encoding all of it inside the timed window.
+    env = {**os.environ, **extra} if extra else None
 
     cwd = binary.parent.parent / "src"
     if not cwd.is_dir():

@@ -5,6 +5,12 @@ NoGeneratedCode, then CompilationError, then FailedToFollowInstructions,
 then OutputMismatch, then Correct. Any non-Correct category makes the
 attempt NA downstream: its speedup is recorded as 1.0 against itself,
 since measurement reverts to the original code.
+
+``compare_outputs`` reads both outputs in place: slice compares find
+where they first differ, the equal lines before that are counted in
+fixed-size chunks, and only the rest is split, a chunk at a time, and
+paired lazily. It holds a few chunks at a time, or one line where a
+line is longer than a chunk, whatever the outputs' size.
 """
 
 from __future__ import annotations
@@ -13,12 +19,17 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .manifest import ValidationMode, ValidationPolicy
 from .toolchain import BuildOutcome, RunSample
 
 _EXCERPT_LIMIT = 120
+_END = "<end of output>"
+# Size of the slices compared to find a first difference, and of the
+# chunks tokens are counted in.
+_CHUNK = 1 << 14
+_BREAK = re.compile(rb"\r\n?|\n")
 
 # Maps every byte that decodes (latin-1) to whitespace onto b" " and every
 # other byte onto b"x", so a token starts at each b"x" after a b" ".
@@ -62,65 +73,105 @@ class MatchReport:
     compared_tokens: int
 
 
-def _filter_lines(data: bytes, patterns: tuple[str, ...]) -> list[bytes]:
-    if not patterns:
-        return data.splitlines(keepends=True)
-    compiled = [re.compile(p) for p in patterns]
-    kept = []
-    for raw in data.splitlines(keepends=True):
-        text = raw.rstrip(b"\r\n").decode("latin-1")
-        if any(rx.search(text) for rx in compiled):
-            continue
-        kept.append(raw)
-    return kept
-
-
 def _clip(text: str) -> str:
     return text if len(text) <= _EXCERPT_LIMIT else text[:_EXCERPT_LIMIT] + "..."
 
 
-def _compare_exact(ref_lines: list[bytes], cand_lines: list[bytes]) -> MatchReport:
-    count = min(len(ref_lines), len(cand_lines))
-    for i in range(count):
-        if ref_lines[i] != cand_lines[i]:
-            col = next(
-                (
-                    j
-                    for j, (a, b) in enumerate(zip(ref_lines[i], cand_lines[i]))
-                    if a != b
-                ),
-                min(len(ref_lines[i]), len(cand_lines[i])),
-            )
+def _shared_line_start(data: bytes, agreed: int) -> int:
+    """The last line start at or before ``agreed`` that every output equal
+    to ``data`` on its first ``agreed`` bytes shares. A b"\\r" just before
+    ``agreed`` ends a line only where no b"\\n" follows it."""
+    if agreed == 0:
+        return 0
+    return max(data.rfind(b"\n", 0, agreed), data.rfind(b"\r", 0, agreed - 1)) + 1
+
+
+def _filter_lines(data: bytes, start: int, end: int, patterns: tuple[re.Pattern, ...]):
+    """Yield the lines of ``data[start:end]``, breaks included, that no
+    pattern matches, as ``bytes.splitlines`` splits them; ``start`` must
+    be a line start. Each yielded list comes from about ``_CHUNK`` bytes."""
+    while start < end:
+        brk = _BREAK.search(data, min(start + _CHUNK, end), end)
+        cut = brk.end() if brk else end
+        lines = data[start:cut].splitlines(keepends=True)
+        for rx in patterns:
+            lines = [raw for raw in lines if not rx.search(raw.rstrip(b"\r\n").decode("latin-1"))]
+        yield lines
+        start = cut
+
+
+def _count_lines(data: bytes, end: int, patterns: tuple[re.Pattern, ...]) -> int:
+    """Kept lines of ``data[:end]``; ``end`` is a line start or ``len(data)``."""
+    if patterns:
+        return sum(len(lines) for lines in _filter_lines(data, 0, end, patterns))
+    count = data.count(b"\n", 0, end)
+    if data.find(b"\r", 0, end) >= 0:
+        count += data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
+    return count + (end > 0 and data[end - 1] not in b"\r\n")
+
+
+def _count_tokens(data: bytes, end: int | None = None, patterns: tuple[re.Pattern, ...] = ()) -> int:
+    """Tokens of the kept lines of ``data[:end]``: for no patterns
+    ``len(data[:end].decode("latin-1").split())``, counted on fixed-size
+    slices without building the tokens."""
+    end = len(data) if end is None else end
+    if patterns:
+        return sum(_count_tokens(b"".join(lines)) for lines in _filter_lines(data, 0, end, patterns))
+    count = 0
+    before = b" "  # byte class just before the slice
+    for i in range(0, end, _CHUNK):
+        classes = data[i : min(i + _CHUNK, end)].translate(_TOKEN_CLASS)
+        count += classes.count(b" x") + (before == b" " and classes.startswith(b"x"))
+        before = classes[-1:]
+    return count
+
+
+def _mismatch(a: bytes, b: bytes) -> int:
+    """Index of the first byte where ``a`` and ``b`` differ, or the
+    shorter length when one is a prefix of the other.
+
+    Compares fixed-size slices, then halves the first unequal one.
+    """
+    n = min(len(a), len(b))
+    done = 0
+    while done < n:
+        step = min(_CHUNK, n - done)
+        if a[done : done + step] == b[done : done + step]:
+            done += step
+            continue
+        while step > 1:
+            half = step // 2
+            if a[done : done + half] == b[done : done + half]:
+                done += half
+                step -= half
+            else:
+                step = half
+        return done
+    return n
+
+
+def _line_text(raw: bytes) -> str:
+    return _clip(raw.decode("latin-1").rstrip("\r\n"))
+
+
+def _compare_exact(ref_lines, cand_lines, line: int) -> MatchReport:
+    """Pair the kept lines that follow ``line`` equal ones."""
+    for ref, cand in zip_longest(ref_lines, cand_lines):
+        if ref is None or cand is None:
+            extra = _line_text(ref or cand)
             return MatchReport(
                 False,
-                Divergence(
-                    line=i + 1,
-                    index=col,
-                    reference_excerpt=_clip(ref_lines[i].decode("latin-1").rstrip("\r\n")),
-                    candidate_excerpt=_clip(cand_lines[i].decode("latin-1").rstrip("\r\n")),
-                ),
-                compared_tokens=i + 1,
+                Divergence(line + 1, 0, extra if ref else _END, extra if cand else _END),
+                compared_tokens=line,
             )
-    if len(ref_lines) != len(cand_lines):
-        longer = ref_lines if len(ref_lines) > count else cand_lines
-        extra = longer[count].decode("latin-1").rstrip("\r\n")
-        return MatchReport(
-            False,
-            Divergence(
-                line=count + 1,
-                index=0,
-                reference_excerpt=_clip(extra) if len(ref_lines) > count else "<end of output>",
-                candidate_excerpt=_clip(extra) if len(cand_lines) > count else "<end of output>",
-            ),
-            compared_tokens=count,
-        )
-    return MatchReport(True, None, compared_tokens=count)
-
-
-def _count_tokens(data: bytes) -> int:
-    """``len(data.decode("latin-1").split())`` without building the tokens."""
-    classes = data.translate(_TOKEN_CLASS)
-    return classes.count(b" x") + classes.startswith(b"x")
+        line += 1
+        if ref != cand:
+            return MatchReport(
+                False,
+                Divergence(line, _mismatch(ref, cand), _line_text(ref), _line_text(cand)),
+                compared_tokens=line,
+            )
+    return MatchReport(True, None, compared_tokens=line)
 
 
 def _parse_number(token: str) -> float | None:
@@ -131,12 +182,13 @@ def _parse_number(token: str) -> float | None:
     return value
 
 
-def _tokens_from(lines: list[bytes], start: int):
-    """Yield (line, index, token) for every token from ``lines[start]`` on."""
-    for line_no in range(start, len(lines)):
-        text = lines[line_no].decode("latin-1")
-        for idx, token in enumerate(text.split(), start=1):
-            yield line_no + 1, idx, token
+def _tokens(lines, line: int):
+    """Yield (line, index, token) for every token of ``lines``, numbering
+    them after the ``line`` kept before."""
+    for raw in lines:
+        line += 1
+        for index, token in enumerate(raw.decode("latin-1").split(), start=1):
+            yield line, index, token
 
 
 def _numbers_match(r: float, c: float, policy: ValidationPolicy) -> bool:
@@ -149,30 +201,20 @@ def _numbers_match(r: float, c: float, policy: ValidationPolicy) -> bool:
 
 
 def _compare_numeric(
-    ref_lines: list[bytes], cand_lines: list[bytes], policy: ValidationPolicy
+    ref_lines, cand_lines, line: int, compared: int, policy: ValidationPolicy
 ) -> MatchReport:
-    # Byte-equal leading lines hold equal tokens at equal positions, and
-    # equal tokens always match: count them without pairing.
-    start = 0
-    for r_raw, c_raw in zip(ref_lines, cand_lines):
-        if r_raw != c_raw:
-            break
-        start += 1
-    compared = _count_tokens(b"".join(ref_lines[:start]))
-
-    pairs = zip_longest(_tokens_from(ref_lines, start), _tokens_from(cand_lines, start))
-    for ref, cand in pairs:
+    """Pair the tokens of the kept lines that follow ``line`` equal ones
+    holding ``compared`` tokens."""
+    for ref, cand in zip_longest(_tokens(ref_lines, line), _tokens(cand_lines, line)):
         if ref is None or cand is None:
-            line_no, idx, token = ref or cand
-            ref_side = token if ref else "<end of output>"
-            cand_side = token if cand else "<end of output>"
+            line, index, token = ref or cand
             return MatchReport(
                 False,
-                Divergence(line_no, idx, _clip(ref_side), _clip(cand_side)),
+                Divergence(line, index, _clip(token) if ref else _END, _clip(token) if cand else _END),
                 compared,
             )
         compared += 1
-        r_line, r_idx, r_tok = ref
+        line, index, r_tok = ref
         c_tok = cand[2]
         if r_tok == c_tok:
             continue
@@ -182,7 +224,7 @@ def _compare_numeric(
             continue
         return MatchReport(
             False,
-            Divergence(r_line, r_idx, _clip(r_tok), _clip(c_tok)),
+            Divergence(line, index, _clip(r_tok), _clip(c_tok)),
             compared,
         )
     return MatchReport(True, None, compared)
@@ -201,23 +243,29 @@ def compare_outputs(
     reference is ground truth), and never when either side is infinite;
     other pairs must be byte-equal.
 
-    Work grows with what differs. Byte-identical NumericTokens outputs
-    with no ignore_patterns match without being split into lines: their
-    tokens are counted on a byte-class translation. Equal leading lines
-    are counted the same way, and tokens are paired only from the first
-    unequal line on.
+    Both outputs are read where they lie: no call builds a line list or
+    copies a whole output. Equal outputs (an identity check when they are
+    one object) are only counted. Otherwise fixed-size slice compares
+    find the first differing byte, the walk backs up to the last line
+    start both outputs share, and the lines and tokens before it are
+    counted in fixed-size chunks. From there both outputs are split
+    about ``_CHUNK`` bytes at a time, ignore_patterns drop lines one at a
+    time, and lines (ExactBytes) or tokens are paired lazily up to the
+    first divergence.
     """
-    if (
-        policy.mode is ValidationMode.NUMERIC_TOKENS
-        and not policy.ignore_patterns
-        and reference == candidate
-    ):
-        return MatchReport(True, None, _count_tokens(reference))
-    ref_lines = _filter_lines(reference, policy.ignore_patterns)
-    cand_lines = _filter_lines(candidate, policy.ignore_patterns)
-    if policy.mode is ValidationMode.EXACT_BYTES:
-        return _compare_exact(ref_lines, cand_lines)
-    return _compare_numeric(ref_lines, cand_lines, policy)
+    patterns = tuple(re.compile(p) for p in policy.ignore_patterns)
+    exact = policy.mode is ValidationMode.EXACT_BYTES
+    if reference == candidate:
+        count = _count_lines if exact else _count_tokens
+        return MatchReport(True, None, count(reference, len(reference), patterns))
+    start = _shared_line_start(reference, _mismatch(reference, candidate))
+    lines = _count_lines(reference, start, patterns)
+    ref_lines = chain.from_iterable(_filter_lines(reference, start, len(reference), patterns))
+    cand_lines = chain.from_iterable(_filter_lines(candidate, start, len(candidate), patterns))
+    if exact:
+        return _compare_exact(ref_lines, cand_lines, lines)
+    tokens = _count_tokens(reference, start, patterns)
+    return _compare_numeric(ref_lines, cand_lines, lines, tokens, policy)
 
 
 def classify_attempt(

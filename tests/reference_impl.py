@@ -1,9 +1,11 @@
 """Straightforward implementations the optimized code must agree with.
 
 These are the byte-by-byte and list-building versions of the ``patch``
-scanner (its masks, delimiter matching and file-scope walk), ``verify``'s NumericTokens comparison and the print-token
-check, and the check-by-check cct-v1 import. They are slow and obviously
-correct; the equivalence tests run them side by side with the library.
+scanner (its masks, delimiter matching and file-scope walk), ``verify``'s
+ExactBytes and NumericTokens comparisons and the print-token check, the
+check-by-check cct-v1 import, and the sort-based top-k profile summary.
+They are slow and obviously correct; the equivalence tests run them side
+by side with the library.
 The number predicate (``verify._numbers_match``) is shared, so the
 comparison tests isolate tokenizing, pairing and reporting; so are the
 profile data classes and the frame and metrics parsers, so the import
@@ -19,18 +21,24 @@ import re
 from perfagent.manifest import ValidationPolicy
 from perfagent.patch import _NOT_NAMES, FunctionSpan, UnbalancedBraces
 from perfagent.profile import (
+    _ENV_KEYS,
     _REL_TOL,
+    DEFAULT_CHAR_BUDGET,
     SCHEMA_ID,
+    TRUNCATION_MARKER,
     MetricInfo,
     MetricKind,
     NegativeMetric,
     ProfileNode,
     ProfileTree,
     SchemaViolation,
+    UnknownMetric,
     _excl_incl_pairs,
     _parse_frame,
     _parse_metrics,
     _require,
+    default_exclusive_metric,
+    walk,
 )
 from perfagent.verify import Divergence, MatchReport, _clip, _numbers_match, _parse_number
 
@@ -283,6 +291,46 @@ def filter_lines(data: bytes, patterns: tuple[str, ...]) -> list[bytes]:
     return kept
 
 
+def compare_exact(reference: bytes, candidate: bytes, policy: ValidationPolicy) -> MatchReport:
+    ref_lines = filter_lines(reference, policy.ignore_patterns)
+    cand_lines = filter_lines(candidate, policy.ignore_patterns)
+    count = min(len(ref_lines), len(cand_lines))
+    for i in range(count):
+        if ref_lines[i] != cand_lines[i]:
+            col = next(
+                (
+                    j
+                    for j, (a, b) in enumerate(zip(ref_lines[i], cand_lines[i]))
+                    if a != b
+                ),
+                min(len(ref_lines[i]), len(cand_lines[i])),
+            )
+            return MatchReport(
+                False,
+                Divergence(
+                    line=i + 1,
+                    index=col,
+                    reference_excerpt=_clip(ref_lines[i].decode("latin-1").rstrip("\r\n")),
+                    candidate_excerpt=_clip(cand_lines[i].decode("latin-1").rstrip("\r\n")),
+                ),
+                compared_tokens=i + 1,
+            )
+    if len(ref_lines) != len(cand_lines):
+        longer = ref_lines if len(ref_lines) > count else cand_lines
+        extra = longer[count].decode("latin-1").rstrip("\r\n")
+        return MatchReport(
+            False,
+            Divergence(
+                line=count + 1,
+                index=0,
+                reference_excerpt=_clip(extra) if len(ref_lines) > count else "<end of output>",
+                candidate_excerpt=_clip(extra) if len(cand_lines) > count else "<end of output>",
+            ),
+            compared_tokens=count,
+        )
+    return MatchReport(True, None, compared_tokens=count)
+
+
 def _tokens_with_positions(lines: list[bytes]) -> list[tuple[int, int, str]]:
     out = []
     for line_no, raw in enumerate(lines, start=1):
@@ -444,3 +492,54 @@ def import_profile(document: bytes | str) -> ProfileTree:
             total[metric_id] = sum(r.metrics.get(metric_id, 0.0) for r in roots)
 
     return ProfileTree(roots=roots, metric_catalog=catalog, total=total)
+
+
+def summarize_for_model(
+    tree: ProfileTree,
+    top_k: int,
+    env: dict | None = None,
+    metric_id: str | None = None,
+    char_budget: int = DEFAULT_CHAR_BUDGET,
+) -> str:
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    if metric_id is None:
+        metric_id = default_exclusive_metric(tree)
+    info = tree.metric_catalog.get(metric_id)
+    if info is None:
+        raise UnknownMetric(f"metric {metric_id!r} not in catalog")
+
+    ranked = []
+    for order, (path, node) in enumerate(walk(tree)):
+        value = node.metrics.get(metric_id)
+        if value is not None:
+            ranked.append((-value, order, path, node))
+    ranked.sort()
+
+    total = tree.total.get(metric_id, 0.0)
+    unit = f", {info.unit}" if info.unit else ""
+    lines = [f"Top {min(top_k, len(ranked))} frames by {metric_id}{unit}:"]
+    for rank, (neg_value, _, path, node) in enumerate(ranked[:top_k], start=1):
+        share = (-neg_value) / total if total > 0 else 0.0
+        frame = node.frame
+        location = f"{frame.file}:{frame.line}" if frame.file else "?"
+        lines.append(f"  {rank}. {frame.fn} at {location} ({share * 100:.1f}%)")
+    if env:
+        parts = [f"{key}={env[key]}" for key in _ENV_KEYS if key in env and env[key] is not None]
+        if parts:
+            lines.append("Environment: " + ", ".join(parts))
+
+    text = "\n".join(lines)
+    if len(text) <= char_budget:
+        return text
+    kept: list[str] = []
+    used = 0
+    for line in lines:
+        cost = len(line) + (1 if kept else 0)
+        if used + cost + len(TRUNCATION_MARKER) + 1 > char_budget:
+            break
+        kept.append(line)
+        used += cost
+    if not kept:
+        return TRUNCATION_MARKER
+    return "\n".join(kept) + "\n" + TRUNCATION_MARKER

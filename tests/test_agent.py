@@ -516,7 +516,7 @@ class TestTracePersistence:
         assert doc["baseline"]["stdout_bytes"] == len(trace.baseline.stdout) > 0
         assert doc["iterations"][1]["run"] is None
 
-    def test_large_output_is_stored_as_a_digest(self, tmp_path, toolchain_config):
+    def test_large_output_is_stored_as_a_digest(self, tmp_path, toolchain_config, monkeypatch):
         printing_kernel = (
             "void kernel(void) {\n"
             "    for (int i = 0; i < 200000; i++) printf(\"%06d\\n\", i);\n"
@@ -540,6 +540,15 @@ class TestTracePersistence:
             assert run_doc["stdout_sha256"] == hashlib.sha256(sample.stdout).hexdigest()
             assert run_doc["stdout_bytes"] == len(sample.stdout)
             assert "stdout" not in run_doc
+
+        # The iteration printed the original's output, so the two runs hold
+        # one bytes object and the trace hashes it once.
+        assert trace.iterations[0].run.stdout is trace.baseline.stdout
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(ag.hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        assert json.loads(json.dumps(ag.trace_to_dict(trace))) == doc
+        assert len(hashed) == 1
 
     def test_replay_is_deterministic_up_to_timing(self, tmp_path, toolchain_config):
         texts = [

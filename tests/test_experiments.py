@@ -493,6 +493,32 @@ class TestEx3:
         assert provider.received == []
 
 
+class TestScoreSharesOutput:
+    """A timed run that prints the original's output holds the original's
+    bytes object; one that prints something else keeps its own."""
+
+    @pytest.mark.parametrize("counts", [None, (1, 2)])
+    @pytest.mark.parametrize(
+        "message, category",
+        [("result 42", Cat.CORRECT), ("result 99", Cat.OUTPUT_MISMATCH)],
+    )
+    def test_equal_output_is_the_original_object(
+        self, tmp_path, toolchain_config, message, category, counts
+    ):
+        spec = sleep_bench(tmp_path / "b", ms=5)
+        original = tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "w")
+        baseline = tc.run_timed(original.binary_path, spec.run)
+        cand_dir = tmp_path / "cand"
+        cand_dir.mkdir()
+        (cand_dir / "main.c").write_text(sleeper(1, message=message))
+        build = tc.compile(spec, cand_dir, toolchain_config, "cand", tmp_path / "w")
+
+        evaluation = ex._score(spec, build, None, set(), baseline, counts)
+        assert evaluation.category is category
+        assert evaluation.run.stdout == f"{message}\n".encode()
+        assert (evaluation.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
+
+
 class TestImport:
     def test_pre_optimized_tree_scores_like_a_variant(self, tmp_path, toolchain_config):
         spec = matmul_bench(tmp_path / "b")

@@ -679,3 +679,27 @@ class TestImportEquivalence:
         got = _outcome(pr.import_profile, blob)
         assert isinstance(got, tuple)
         assert got == _outcome(reference_impl.import_profile, blob)
+
+
+class TestSummarizeEquivalence:
+    """Picking the top k with a heap over the node walk writes the text
+    that sorting every (path, node) pair writes."""
+
+    @given(doc=cct_docs(), env=st.sampled_from((None, {"threads": 4, "hardware": "x86"})))
+    @settings(max_examples=200, deadline=None)
+    def test_same_text_as_sorting_everything(self, doc, env):
+        tree = pr.import_profile(doc_bytes(doc))
+        for metric_id in tree.metric_catalog:
+            for top_k in (1, 2, 3, 50):
+                for budget in (4, 40, 120, pr.DEFAULT_CHAR_BUDGET):
+                    args = (tree, top_k, env, metric_id, budget)
+                    assert pr.summarize_for_model(*args) == reference_impl.summarize_for_model(*args)
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_agent_shaped_tree(self, seed):
+        tree = pr.import_profile(doc_bytes(agent_shaped_doc(seed, stated_totals=False)))
+        for metric_id in tree.metric_catalog:
+            for top_k in (1, 5, 600):
+                assert pr.summarize_for_model(tree, top_k, metric_id=metric_id) == (
+                    reference_impl.summarize_for_model(tree, top_k, metric_id=metric_id)
+                )

@@ -99,6 +99,49 @@ def test_run_timed_sets_thread_env(tmp_path, toolchain_config):
     assert sample.thread_count == 8
 
 
+_ENV_LOG = """\
+#include <stdio.h>
+#include <stdlib.h>
+
+static const char *get(const char *name) {
+    const char *v = getenv(name);
+    return v ? v : "unset";
+}
+
+int main(void) {
+    FILE *log = fopen("env.log", "a");
+    if (!log) return 1;
+    fprintf(log, "%s %s %s\\n", get("PERFAGENT_TEST_INHERITED"),
+            get("PERFAGENT_TEST_RUN"), get("OMP_NUM_THREADS"));
+    return fclose(log) != 0;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "run_env, thread_count, expected",
+    [
+        ((), None, "inherited unset unset"),
+        ((("PERFAGENT_TEST_RUN", "from-run"),), None, "inherited from-run unset"),
+        ((("PERFAGENT_TEST_RUN", "from-run"),), 2, "inherited from-run 2"),
+        ((), 3, "inherited unset 3"),
+    ],
+)
+def test_run_timed_env_reaches_every_repetition(
+    tmp_path, toolchain_config, monkeypatch, run_env, thread_count, expected
+):
+    monkeypatch.setenv("PERFAGENT_TEST_INHERITED", "inherited")
+    monkeypatch.delenv("PERFAGENT_TEST_RUN", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    spec, binary = _build(tmp_path, toolchain_config, _ENV_LOG)
+    sample = tc.run_timed(
+        binary, RunRecipe(repetitions=3, timeout_s=10, env=run_env), thread_count=thread_count
+    )
+    assert sample.ok, sample.stderr
+    log = binary.parent.parent / "src" / "env.log"
+    assert log.read_text().splitlines() == [expected] * 3
+
+
 def test_run_timed_records_crash(tmp_path, toolchain_config):
     spec, binary = _build(tmp_path, toolchain_config, kernels.EXIT_NONZERO)
     sample = tc.run_timed(binary, RunRecipe(repetitions=3, timeout_s=10))

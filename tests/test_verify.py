@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -281,6 +283,86 @@ class TestNumericEquivalence:
         assert compare_outputs(ref, cand, policy) == reference_impl.compare_numeric(ref, cand, policy)
 
 
+_IGNORES = ((), ("^#",), ("time", "^$"))
+
+
+def _reference(ref: bytes, cand: bytes, policy: ValidationPolicy) -> MatchReport:
+    if policy.mode is ValidationMode.EXACT_BYTES:
+        return reference_impl.compare_exact(ref, cand, policy)
+    return reference_impl.compare_numeric(ref, cand, policy)
+
+
+class TestExactEquivalence:
+    """The in-place ExactBytes walk reports exactly what comparing the two
+    outputs' filtered line lists reports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=_output_pair(), ignore=st.sampled_from(_IGNORES))
+    def test_same_report_as_reference(self, pair, ignore):
+        ref, cand = pair
+        policy = ValidationPolicy(mode=ValidationMode.EXACT_BYTES, ignore_patterns=ignore)
+        assert compare_outputs(ref, cand, policy) == reference_impl.compare_exact(ref, cand, policy)
+        assert compare_outputs(cand, ref, policy) == reference_impl.compare_exact(cand, ref, policy)
+
+
+# An equal prefix longer than three of the chunks the walk reads.
+_LONG = b"".join(b"%d 0.5 x\n" % i for i in range(4 * verify._CHUNK // 8))
+
+
+class TestInPlaceWalk:
+    """Named cases for where the first difference lies, in both modes,
+    both argument orders, with and without ignore_patterns."""
+
+    @pytest.mark.parametrize("ignore", _IGNORES)
+    @pytest.mark.parametrize("mode", list(ValidationMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "ref, cand",
+        [
+            # A line that ends in a bare \r on one side and \r\n on the other.
+            (b"1 2\r3 4\n", b"1 2\r\n3 4\n"),
+            (b"1 2\r", b"1 2\r\n"),
+            (b"1\n2 3\r", b"1\n2 3\r\n4\n"),
+            (b"a\r\rb\n", b"a\r\r\nb\n"),
+            # The first byte, the last byte, past the end of the shorter output.
+            (b"1 2\n3\n", b"9 2\n3\n"),
+            (b"1 2\n3 4\n", b"1 2\n3 4\r"),
+            (b"1 2\n3 4", b"1 2\n3 5"),
+            (b"1 2\n", b"1 2\n3\n"),
+            (b"1 2", b"1 2\n"),
+            (b"1 2", b"1 2 3"),
+            (b"", b"1\n"),
+            (b"", b"\n"),
+            # Equal prefixes longer than three chunks.
+            (_LONG + b"7 1\n", _LONG + b"7 2\n"),
+            (_LONG + b"# 1\n5\n", _LONG + b"# 2\n5\n"),
+            (_LONG, _LONG + b"time 1\n"),
+            (_LONG + b"1 2\r", _LONG + b"1 2\r\n"),
+        ],
+    )
+    def test_same_report_as_reference(self, ref, cand, mode, ignore):
+        policy = ValidationPolicy(mode=mode, ignore_patterns=ignore)
+        assert compare_outputs(ref, cand, policy) == _reference(ref, cand, policy)
+        assert compare_outputs(cand, ref, policy) == _reference(cand, ref, policy)
+
+    @pytest.mark.parametrize("ignore", _IGNORES)
+    @pytest.mark.parametrize("mode", list(ValidationMode), ids=lambda m: m.value)
+    def test_late_mismatch_peak_memory(self, mode, ignore):
+        line = b"1.234567e+00 2.345678e-01 3.456789e+02 4.567890e-03 5.678901e+04\n"
+        body = line * (4_000_000 // len(line))
+        ref, cand = body + b"9 9 9\n", body + b"9 9 8\n"
+        policy = ValidationPolicy(mode=mode, ignore_patterns=ignore)
+        compare_outputs(b"1\n", b"2\n", policy)  # compile the patterns
+        tracemalloc.start()
+        try:
+            report = compare_outputs(ref, cand, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.matched
+        assert report.first_divergence.line == body.count(b"\n") + 1
+        assert peak < 1_000_000
+
+
 # Every byte str.split treats as whitespace after a latin-1 decode, and a
 # few that it does not.
 _SPLIT_BYTES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0" + b"a1.-\x00\x84\x86\x9f\xa1\xff"
@@ -295,6 +377,12 @@ class TestTokenCount:
         )
     )
     def test_counts_what_split_returns(self, data):
+        assert _count_tokens(data) == len(data.decode("latin-1").split())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_across_chunks(self, seed):
+        rng = random.Random(seed)
+        data = bytes(rng.choice(_SPLIT_BYTES) for _ in range(3 * verify._CHUNK + 7))
         assert _count_tokens(data) == len(data.decode("latin-1").split())
 
     def test_every_byte_value(self):
