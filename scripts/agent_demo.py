@@ -3,6 +3,7 @@
 Runs the profile-guided agent against a two-phase program (cheap setup,
 tunable kernel) using three stored kernel rewrites. Shows the memory
 digest growing across turns and the trace landing on the best iteration.
+Exits 1 unless every iteration that got a stored rewrite is Correct.
 
     python3 scripts/agent_demo.py [--out DIR] [--iters 3]
 """
@@ -17,6 +18,7 @@ from perfagent import agent as ag
 from perfagent import llm_gateway as gw
 from perfagent import manifest as mf
 from perfagent import toolchain as tc
+from perfagent.verify import CorrectnessCategory
 
 PROGRAM = """\
 #include <stdio.h>
@@ -99,6 +101,12 @@ def main() -> int:
         print(f"iter {record.index}: {record.category.value} {shown}")
     print(f"stop: {trace.stop_reason.value}; best iteration: {trace.best_iteration}")
     print(f"trace: {out / 'work' / spec.id / 'agent' / 'trace.json'}")
+    served = trace.iterations[:len(rewrites)]
+    if len(served) < min(args.iters, len(rewrites)) or any(
+        r.category is not CorrectnessCategory.CORRECT for r in served
+    ):
+        print("error: a stored rewrite was not Correct", file=sys.stderr)
+        return 1
     return 0
 
 

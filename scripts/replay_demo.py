@@ -3,6 +3,7 @@
 Builds a matmul benchmark in a scratch directory, replays a stored
 "optimization" (loop interchange), and writes the three report formats.
 No network, no API key, no external benchmark suite required.
+Exits 1 unless the row is Correct.
 
     python3 scripts/replay_demo.py [--out DIR] [--n 512] [--reps 3]
 """
@@ -17,6 +18,7 @@ from perfagent import experiments as exp
 from perfagent import llm_gateway as gw
 from perfagent import manifest as mf
 from perfagent import toolchain as tc
+from perfagent.verify import CorrectnessCategory
 
 MATMUL = """\
 #include <stdio.h>
@@ -115,6 +117,9 @@ def main() -> int:
     paths = exp.emit_report(table, exp.aggregate(table), out / "reports")
     for fmt in sorted(paths):
         print(f"wrote {paths[fmt]}")
+    if [row.category for row in table.rows] != [CorrectnessCategory.CORRECT]:
+        print("error: the interchanged matmul was not Correct", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,10 +1,10 @@
 """Iterative profile-guided optimization loop.
 
-Each iteration profiles the current best binary, shows the model the top
+Each iteration profiles the last correct binary, shows the model the top
 hotspots plus a digest of prior iterations, asks for an optimized hotspot
 function, patches it in, rebuilds, validates against the original
 program's output, and measures speedup. The loop ends at the iteration
-cap, when the model declines with the configured sentinel, or on a fatal
+cap, when the model declines with the decline sentinel, or on a fatal
 harness failure. Incorrect iterations burn a slot but never become the
 base for later ones.
 
@@ -40,6 +40,8 @@ log = logging.getLogger(__name__)
 
 TRACE_FILE = "trace.json"
 MEMORY_MARKER = "[memory truncated]"
+TOP_K_HOTSPOTS = 3
+MEMORY_BUDGET_CHARS = 1600
 
 
 class AgentError(Exception):
@@ -54,16 +56,6 @@ class BaselineRunFailed(AgentError):
     pass
 
 
-class MetricRequestPolicy(Enum):
-    HONOR_MODEL_REQUESTS = "HonorModelRequests"
-    FIXED_SET = "FixedSet"
-
-
-class BasePolicy(Enum):
-    LAST_CORRECT = "LastCorrect"
-    BEST_CORRECT = "BestCorrect"
-
-
 class StopReason(Enum):
     THRESHOLD_REACHED = "ThresholdReached"
     MODEL_DECLINED = "ModelDeclined"
@@ -72,23 +64,18 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class AgentConfig:
+    """``env_context`` goes into the profile summary, ``prompt_env`` into
+    the system prompt. ``metric_id`` ranks hotspots; without it the
+    profile's default exclusive metric does."""
+
     max_iterations: int = 3
-    top_k_hotspots: int = 3
     env_context: dict = field(default_factory=dict)
-    metric_request_policy: MetricRequestPolicy = MetricRequestPolicy.HONOR_MODEL_REQUESTS
-    base_policy: BasePolicy = BasePolicy.LAST_CORRECT
-    decline_sentinel: str = gw.DEFAULT_DECLINE_SENTINEL
     prompt_env: dict = field(default_factory=dict)
     metric_id: str | None = None
-    fixed_metrics: tuple[str, ...] = ()
-    summary_budget_chars: int = profile.DEFAULT_CHAR_BUDGET
-    memory_budget_chars: int = 1600
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.top_k_hotspots < 1:
-            raise ValueError("top_k_hotspots must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,17 +153,12 @@ def parse_metric_requests(response_text: str, catalog) -> list[str]:
     text = (response_text or "").lower()
     if not text:
         return []
-    known = set(catalog)
     hits: dict[str, int] = {}
-    for phrase, metric_id in METRIC_ALIASES.items():
-        if metric_id not in known:
-            continue
+    # Aliases, then the catalog's own ids in its order: ids found at the
+    # same position keep that order.
+    for phrase, metric_id in [*METRIC_ALIASES.items(), *((m.lower(), m) for m in catalog)]:
         pos = text.find(phrase)
-        if pos >= 0 and (metric_id not in hits or pos < hits[metric_id]):
-            hits[metric_id] = pos
-    for metric_id in known:
-        pos = text.find(metric_id.lower())
-        if pos >= 0 and (metric_id not in hits or pos < hits[metric_id]):
+        if pos >= 0 and metric_id in catalog and pos < hits.get(metric_id, len(text)):
             hits[metric_id] = pos
     if not hits and any(cue in text for cue in _REQUEST_CUES):
         log.info("metric request matched nothing in catalog: %.80s", response_text)
@@ -199,24 +181,8 @@ def _digest_line(record: IterationRecord) -> str:
 
 def build_memory_digest(iterations, budget: int) -> str:
     """Most-recent-first one-line-per-iteration history, capped at budget."""
-    records = list(iterations)
-    if not records:
-        return ""
-    lines = [_digest_line(r) for r in reversed(records)]
-    text = "\n".join(lines)
-    if len(text) <= budget:
-        return text
-    kept: list[str] = []
-    used = 0
-    for line in lines:
-        cost = len(line) + (1 if kept else 0)
-        if used + cost + len(MEMORY_MARKER) + 1 > budget:
-            break
-        kept.append(line)
-        used += cost
-    if not kept:
-        return MEMORY_MARKER
-    return "\n".join(kept) + "\n" + MEMORY_MARKER
+    lines = [_digest_line(r) for r in reversed(list(iterations))]
+    return profile.fit_lines(lines, budget, MEMORY_MARKER)
 
 
 _AFFIRM_NO_CHANGE = re.compile(
@@ -226,8 +192,8 @@ _AFFIRM_NO_CHANGE = re.compile(
 )
 
 
-def _is_decline(raw_text: str, extraction: gw.ExtractionResult, sentinel: str) -> bool:
-    if sentinel and sentinel in raw_text:
+def _is_decline(raw_text: str, extraction: gw.ExtractionResult) -> bool:
+    if gw.DECLINE_SENTINEL in raw_text:
         return True
     return (
         extraction.code is None
@@ -238,17 +204,13 @@ def _is_decline(raw_text: str, extraction: gw.ExtractionResult, sentinel: str) -
 
 def _fallback_tree(spec: BenchmarkSpec, hotspot_name: str, mean_s: float) -> profile.ProfileTree:
     """Single-node stand-in when no profiler is wired up."""
-    doc = {
-        "schema": profile.SCHEMA_ID,
-        "metrics": [{"id": "time_excl", "unit": "s", "kind": "Exclusive"}],
-        "roots": [{
-            "frame": {"fn": hotspot_name,
-                      "file": str(spec.source_files[0]), "line": 0},
-            "metrics": {"time_excl": max(mean_s, 0.0)},
-            "children": [],
-        }],
-    }
-    return profile.import_profile(json.dumps(doc))
+    metrics = {"time_excl": max(mean_s, 0.0)}
+    frame = profile.Frame(hotspot_name, str(spec.source_files[0]), 0)
+    return profile.ProfileTree(
+        roots=(profile.ProfileNode(frame, metrics),),
+        metric_catalog={"time_excl": profile.MetricInfo("s", profile.MetricKind.EXCLUSIVE)},
+        total=dict(metrics),
+    )
 
 
 def _profile_or_fallback(
@@ -276,8 +238,9 @@ def _resolve_hotspot(
     profile_source: ProfileSource | None,
     original: ex._Baseline,
     cfg: AgentConfig,
-) -> tuple[profile.ProfileTree, str, str]:
-    """Baseline profile plus the function name the loop will patch.
+) -> tuple[profile.ProfileTree, str, str, str]:
+    """Baseline profile, a note on how it was got, the function name the
+    loop will patch and the metric that ranks hotspots.
 
     The manifest's entry_hotspot wins; without one the baseline profile's
     hotspot is used, which then requires a working profile source.
@@ -288,13 +251,13 @@ def _resolve_hotspot(
             profile_source, request, spec, spec.entry_hotspot,
             lambda: original.sample().mean_s,
         )
-        return tree, note, spec.entry_hotspot
-    if profile_source is None:
+    elif profile_source is None:
         raise AgentError("no entry_hotspot in manifest and no profile source")
-    tree = profile_source(request)
+    else:
+        tree, note = profile_source(request), ""
     metric_id = cfg.metric_id or profile.default_exclusive_metric(tree)
-    report = profile.hotspot(tree, metric_id)
-    return tree, "", report.node.frame.fn
+    name = spec.entry_hotspot or profile.hotspot(tree, metric_id).node.frame.fn
+    return tree, note, name, metric_id
 
 
 def _patch_hotspot(
@@ -375,7 +338,7 @@ def _iterate(
 ) -> tuple[tuple[IterationRecord, ...], StopReason, int | None]:
     """The loop's iterations, why it stopped, and the best iteration."""
     try:
-        current_tree, profile_note, hotspot_name = _resolve_hotspot(
+        current_tree, profile_note, hotspot_name, metric_id = _resolve_hotspot(
             spec, profile_source, original, cfg
         )
         found = ex._defining_file(spec, original.src_dir, hotspot_name)
@@ -385,29 +348,30 @@ def _iterate(
         log.error("%s: %s", spec.id, exc)
         return (), StopReason.FATAL_ERROR, None
     hotspot_rel, base_source = found
-    metric_id = cfg.metric_id or profile.default_exclusive_metric(current_tree)
 
     iterations: list[IterationRecord] = []
-    # (mean_s, index, source) of correct versions, in iteration order
-    correct_versions: list[tuple[float, int, str]] = []
+    # (mean_s, index) of correct versions, in iteration order
+    correct_versions: list[tuple[float, int]] = []
     stop_reason = StopReason.THRESHOLD_REACHED
 
     for index in range(1, cfg.max_iterations + 1):
         try:
+            # A metric the current profile lacks gives way to its default
+            # one, for good unless the config names it.
+            ranking = metric_id
+            if ranking not in current_tree.metric_catalog:
+                ranking = profile.default_exclusive_metric(current_tree)
+            metric_id = cfg.metric_id or ranking
             summary = profile.summarize_for_model(
-                current_tree, cfg.top_k_hotspots, cfg.env_context,
-                metric_id=metric_id if metric_id in current_tree.metric_catalog else None,
-                char_budget=cfg.summary_budget_chars,
+                current_tree, TOP_K_HOTSPOTS, cfg.env_context, metric_id=ranking
             )
-            memory = build_memory_digest(iterations, cfg.memory_budget_chars)
+            memory = build_memory_digest(iterations, MEMORY_BUDGET_CHARS)
             hotspot_code = patch.extract_function(base_source, hotspot_name)
         except (patch.PatchError, profile.ProfileError) as exc:
             log.error("%s iteration %d: %s", spec.id, index, exc)
             stop_reason = StopReason.FATAL_ERROR
             break
-        bundle = gw.render_agent_prompt(
-            hotspot_code, summary, memory, cfg.prompt_env, cfg.decline_sentinel
-        )
+        bundle = gw.render_agent_prompt(hotspot_code, summary, memory, cfg.prompt_env)
 
         note, profile_note = profile_note, ""
         requested: tuple[str, ...] = ()
@@ -420,17 +384,15 @@ def _iterate(
             response = gw.ModelResponse("", provider.provider_id, 0.0)
             extraction = ex._no_code_extraction()
             note = _join_notes(note, f"provider error: {exc}")
-        declined = _is_decline(response.raw_text, extraction, cfg.decline_sentinel)
+        declined = _is_decline(response.raw_text, extraction)
 
         if declined:
             note = _join_notes(note, "model declined further optimization")
             stop_reason = StopReason.MODEL_DECLINED
         elif extraction.code is not None:
-            catalog = current_tree.metric_catalog
-            if cfg.metric_request_policy is MetricRequestPolicy.HONOR_MODEL_REQUESTS:
-                requested = tuple(parse_metric_requests(response.raw_text, catalog))
-            else:
-                requested = tuple(m for m in cfg.fixed_metrics if m in catalog)
+            requested = tuple(
+                parse_metric_requests(response.raw_text, current_tree.metric_catalog)
+            )
             new_source, category, why = _patch_hotspot(base_source, hotspot_name, extraction)
             note = _join_notes(note, why)
 
@@ -456,14 +418,9 @@ def _iterate(
                     delta = profile.diff_metrics(current_tree, next_tree, hotspot_fn_path)
             except profile.NodeNotFound as exc:
                 note = _join_notes(note, f"profile diff unavailable: {exc}")
-            correct_versions.append((run.mean_s, index, new_source))
-            if cfg.base_policy is BasePolicy.BEST_CORRECT:
-                base_source = min(correct_versions)[2]
-            else:
-                base_source = new_source
+            correct_versions.append((run.mean_s, index))
+            base_source = new_source
             current_tree = next_tree
-            if cfg.metric_id is None and metric_id not in next_tree.metric_catalog:
-                metric_id = profile.default_exclusive_metric(next_tree)
 
         iterations.append(IterationRecord(
             index=index, context_sent=bundle.user_text, response=response,
@@ -508,10 +465,6 @@ def _run_sample_doc(run: tc.RunSample | None, digests: dict[int, str]) -> dict |
     }
 
 
-def _asdict_or_none(record) -> dict | None:
-    return None if record is None else asdict(record)
-
-
 def trace_to_dict(trace: AgentTrace) -> dict:
     # The trace holds every stdout, so no id is reused while this runs.
     digests: dict[int, str] = {}
@@ -523,15 +476,11 @@ def trace_to_dict(trace: AgentTrace) -> dict:
         "iterations": [],
     }
     for record in trace.iterations:
+        stat, delta = record.speedup_vs_original, record.profile_delta
         entry = {
             "index": record.index,
             "context_sent": record.context_sent,
-            "response": {
-                "raw_text": record.response.raw_text,
-                "provider_id": record.response.provider_id,
-                "latency_s": record.response.latency_s,
-                "token_counts": record.response.token_counts,
-            },
+            "response": asdict(record.response),
             "extraction": {
                 "code": record.extraction.code,
                 "explanation": record.extraction.explanation,
@@ -539,9 +488,9 @@ def trace_to_dict(trace: AgentTrace) -> dict:
             },
             "category": record.category.value,
             "run": _run_sample_doc(record.run, digests),
-            "speedup_vs_original": _asdict_or_none(record.speedup_vs_original),
+            "speedup_vs_original": None if stat is None else asdict(stat),
             "requested_metrics": list(record.requested_metrics),
-            "profile_delta": _asdict_or_none(record.profile_delta),
+            "profile_delta": None if delta is None else asdict(delta),
             "note": record.note,
         }
         doc["iterations"].append(entry)

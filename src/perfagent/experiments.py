@@ -300,31 +300,50 @@ def _score(
     counts: tuple[int, ...] | None = None,
 ) -> _Evaluation:
     """Classify a built candidate; time, validate and speed it up if it
-    built and broke no constraint. ``counts`` thread-sweeps it instead.
+    built and broke no constraint. ``counts`` thread-sweeps it instead,
+    against a 1-thread ``baseline``.
 
-    ``extraction`` is None for code that came from outside a model
-    reply (external tool trees). A timed run whose stdout equals the
-    original's holds the original's bytes object, not its own copy, so a
-    row keeps one copy of each distinct output however many attempts
-    reproduce it.
+    Every sample, the one run or one per count, is compared with the
+    original's output. The category rests on the first sample whose
+    output matches, else on the first sample; the speedup is that of the
+    fastest matching sample. ``extraction`` is None for code that came
+    from outside a model reply (external tool trees). A timed run whose
+    stdout equals the original's holds the original's bytes object, not
+    its own copy, so a row keeps one copy of each distinct output however
+    many attempts reproduce it.
     """
     labels = _labels_for(extraction) if extraction is not None else ()
     if not build.ok or flags:
         category = classify_attempt(build, extraction, None, None, flags)
         return _Evaluation(category, None, None, labels)
 
-    if counts is not None:
-        return _evaluate_sweep(spec, extraction, build, baseline, counts, labels)
+    if counts is None:
+        sweep = {None: tc.run_timed(build.binary_path, spec.run)}
+    else:
+        sweep = tc.thread_sweep(build.binary_path, spec.run, list(counts))
+    checked = []  # (sample, match) per count, ascending
+    matching = []  # the matching ones among them
+    per_count: list[tuple[int, float | None]] = []
+    for count, sample in sweep.items():
+        sample = _share_stdout(sample, baseline)
+        match = None
+        if sample.ok:
+            match = compare_outputs(baseline.stdout, sample.stdout, spec.validation)
+        checked.append((sample, match))
+        if sample.ok and match.matched:
+            matching.append((sample, match))
+            per_count.append((count, baseline.mean_s / sample.mean_s))
+        else:
+            per_count.append((count, None))
 
-    run = _share_stdout(tc.run_timed(build.binary_path, spec.run), baseline)
-    match = None
-    if run.ok:
-        match = compare_outputs(baseline.stdout, run.stdout, spec.validation)
+    run, match = (matching or checked)[0]
     category = classify_attempt(build, extraction, run, match, set())
     stat = None
     if category is CorrectnessCategory.CORRECT:
-        stat = tc.measure_speedup(baseline, run)
-    return _Evaluation(category, stat, None, labels, run)
+        fastest = min((sample for sample, _ in matching), key=lambda sample: sample.mean_s)
+        stat = tc.measure_speedup(baseline, fastest)
+    thread_results = None if counts is None else tuple(per_count)
+    return _Evaluation(category, stat, thread_results, labels, run)
 
 
 def _share_stdout(sample: tc.RunSample, baseline: tc.RunSample) -> tc.RunSample:
@@ -332,43 +351,6 @@ def _share_stdout(sample: tc.RunSample, baseline: tc.RunSample) -> tc.RunSample:
     if sample.stdout == baseline.stdout:
         return replace(sample, stdout=baseline.stdout)
     return sample
-
-
-def _evaluate_sweep(
-    spec: BenchmarkSpec,
-    extraction: gw.ExtractionResult | None,
-    build: tc.BuildOutcome,
-    baseline: tc.RunSample,
-    counts: tuple[int, ...],
-    labels: tuple[OptimizationLabel, ...],
-) -> _Evaluation:
-    """Thread-sweep a parallel candidate against the 1-thread baseline."""
-    sweep = tc.thread_sweep(build.binary_path, spec.run, list(counts))
-    per_count: list[tuple[int, float | None]] = []
-    representative: tuple[tc.RunSample, object] | None = None
-    fallback: tuple[tc.RunSample, object] | None = None
-
-    for count in sorted(counts):
-        sample = _share_stdout(sweep[count], baseline)
-        match = None
-        if sample.ok:
-            match = compare_outputs(baseline.stdout, sample.stdout, spec.validation)
-        if fallback is None:
-            fallback = (sample, match)
-        if sample.ok and match.matched:
-            per_count.append((count, baseline.mean_s / sample.mean_s))
-            if representative is None:
-                representative = (sample, match)
-        else:
-            per_count.append((count, None))
-
-    run, match = representative or fallback
-    category = classify_attempt(build, extraction, run, match, set())
-    stat = None
-    if category is CorrectnessCategory.CORRECT:
-        best = max(v for _, v in per_count if v is not None)
-        stat = tc.SpeedupStat(baseline.mean_s, baseline.mean_s / best, best)
-    return _Evaluation(category, stat, tuple(per_count), labels, run)
 
 
 def _row_from_evaluation(

@@ -46,6 +46,8 @@ EX3_INSTRUCTION = (
     "without adding any new functions or print statements."
 )
 
+DECLINE_SENTINEL = "NO FURTHER OPTIMIZATIONS"
+
 AGENT_INSTRUCTION = (
     "You are optimizing the hotspot function of a C/C++ program. Using the "
     "profiling summary and the iteration history below, provide an "
@@ -54,10 +56,8 @@ AGENT_INSTRUCTION = (
     "functions or print statements. Your output must only be compilable "
     "source code. You may also name additional performance metrics worth "
     "measuring next. If no further optimizations are possible, reply "
-    "exactly: {sentinel}"
+    "exactly: " + DECLINE_SENTINEL
 )
-
-DEFAULT_DECLINE_SENTINEL = "NO FURTHER OPTIMIZATIONS"
 
 
 class Experiment(Enum):
@@ -206,10 +206,9 @@ def render_agent_prompt(
     profile_summary: str,
     memory_digest: str,
     env: dict[str, str],
-    decline_sentinel: str = DEFAULT_DECLINE_SENTINEL,
 ) -> PromptBundle:
     """Iteration prompt: instruction, profile summary, memory, hotspot code."""
-    sections = [AGENT_INSTRUCTION.format(sentinel=decline_sentinel)]
+    sections = [AGENT_INSTRUCTION]
     sections.append("## Profiling summary\n" + profile_summary)
     if memory_digest:
         sections.append("## Prior iterations\n" + memory_digest)
@@ -383,6 +382,9 @@ class HttpChatProvider(Provider):
 
 def load_provider_config(path: Path | str) -> ProviderConfig:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    for key in ("provider_id", "kind"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise GatewayError(f"{path}: provider config has no {key!r}")
     return ProviderConfig(
         provider_id=doc["provider_id"],
         kind=doc["kind"],

@@ -9,6 +9,7 @@ can assume well-formed specs.
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -138,14 +139,26 @@ _LANGUAGE_SPELLINGS = {
 }
 
 
-def _want(doc: dict, key: str, kind, path: Path):
+def _want(doc: dict, key: str, kind, path: Path, default=None, section: str = ""):
+    """``doc[key]`` if it is a ``kind``, else MalformedManifest; ``default``
+    when the key is absent and a default is given. A float is a finite
+    JSON number, an integer one included. Errors name the key as
+    ``section.key`` when ``doc`` is a section of the manifest."""
+    name = f"{section}.{key}" if section else key
     if key not in doc:
-        raise MalformedManifest(path, f"missing key {key!r}")
+        if default is not None:
+            return default
+        raise MalformedManifest(path, f"missing key {name!r}")
     value = doc[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise MalformedManifest(path, f"key {key!r} must be {kind.__name__}")
+        raise MalformedManifest(path, f"key {name!r} must be {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise MalformedManifest(path, f"key {name!r} must be finite")
     return value
 
 
@@ -210,8 +223,8 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
             )
 
     bdoc = _want(doc, "build", dict, path)
-    compiler_id = _want(bdoc, "compiler_id", str, path)
-    build_timeout = float(bdoc.get("timeout_s", 120))
+    compiler_id = _want(bdoc, "compiler_id", str, path, section="build")
+    build_timeout = _want(bdoc, "timeout_s", float, path, 120.0, "build")
     if build_timeout <= 0:
         raise MalformedManifest(path, "build.timeout_s must be > 0")
     build = BuildRecipe(
@@ -225,7 +238,7 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
     repetitions = rdoc.get("repetitions", 10)
     if not isinstance(repetitions, int) or isinstance(repetitions, bool) or repetitions < 1:
         raise MalformedManifest(path, "run.repetitions must be an integer >= 1")
-    run_timeout = float(rdoc.get("timeout_s", 60))
+    run_timeout = _want(rdoc, "timeout_s", float, path, 60.0, "run")
     if run_timeout <= 0:
         raise MalformedManifest(path, "run.timeout_s must be > 0")
     stdin_file = rdoc.get("stdin_file")
@@ -248,13 +261,13 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
     )
 
     vdoc = _want(doc, "validation", dict, path)
-    mode_name = _want(vdoc, "mode", str, path)
+    mode_name = _want(vdoc, "mode", str, path, section="validation")
     try:
         mode = ValidationMode(mode_name)
     except ValueError:
         raise MalformedManifest(path, f"unknown validation mode {mode_name!r}") from None
-    abs_tol = float(vdoc.get("abs_tol", 0.0))
-    rel_tol = float(vdoc.get("rel_tol", 0.0))
+    abs_tol = _want(vdoc, "abs_tol", float, path, 0.0, "validation")
+    rel_tol = _want(vdoc, "rel_tol", float, path, 0.0, "validation")
     if abs_tol < 0 or rel_tol < 0:
         raise MalformedManifest(path, "validation tolerances must be >= 0")
     patterns = tuple(_str_list(vdoc, "ignore_patterns", path, default=[]))
@@ -269,8 +282,8 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
     if not isinstance(pdoc, dict):
         raise MalformedManifest(path, "prep must be an object")
     prep = PrepOptions(
-        strip_omp_pragmas=bool(pdoc.get("strip_omp_pragmas", False)),
-        expand_macros=bool(pdoc.get("expand_macros", False)),
+        strip_omp_pragmas=_want(pdoc, "strip_omp_pragmas", bool, path, False, "prep"),
+        expand_macros=_want(pdoc, "expand_macros", bool, path, False, "prep"),
     )
 
     return BenchmarkSpec(

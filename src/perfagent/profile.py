@@ -492,21 +492,26 @@ def summarize_for_model(
         if parts:
             lines.append("Environment: " + ", ".join(parts))
 
+    return fit_lines(lines, char_budget, TRUNCATION_MARKER)
+
+
+def fit_lines(lines: list[str], budget: int, marker: str) -> str:
+    """``lines`` joined by newlines when that fits ``budget`` characters,
+    else the longest prefix that fits with ``marker`` on a line after it:
+    the marker alone when not even one line fits, even if itself over
+    budget."""
     text = "\n".join(lines)
-    if len(text) <= char_budget:
+    if len(text) <= budget:
         return text
     kept: list[str] = []
     used = 0
     for line in lines:
         cost = len(line) + (1 if kept else 0)
-        if used + cost + len(TRUNCATION_MARKER) + 1 > char_budget:
+        if used + cost + len(marker) + 1 > budget:
             break
         kept.append(line)
         used += cost
-    if not kept:
-        # Budget under one line: the marker alone, even if itself oversize.
-        return TRUNCATION_MARKER
-    return "\n".join(kept) + "\n" + TRUNCATION_MARKER
+    return "\n".join(kept + [marker])
 
 
 def find_node(tree: ProfileTree, fn_path: tuple[str, ...] | list[str]) -> ProfileNode | None:

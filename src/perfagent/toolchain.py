@@ -178,19 +178,30 @@ def detect() -> ToolchainConfig:
 
 
 def load(path: Path | str) -> ToolchainConfig:
-    """Toolchain config from JSON: compiler paths and default flags."""
+    """Toolchain config from JSON: compiler paths and default flags. A
+    document of another shape is a ToolchainError."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ToolchainError(f"{path}: toolchain config must be an object")
+    compilers_doc = doc.get("compilers", {})
+    flags_doc = doc.get("default_flags", {})
+    if not isinstance(compilers_doc, dict) or not isinstance(flags_doc, dict):
+        raise ToolchainError(f"{path}: 'compilers' and 'default_flags' must be objects")
     compilers = {}
-    for cid, entry in doc.get("compilers", {}).items():
+    for cid, entry in compilers_doc.items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("c_path"), str):
+            raise ToolchainError(f"{path}: compiler {cid!r} has no 'c_path'")
         c_path = entry["c_path"]
         compilers[cid] = CompilerInfo(
             c_path=c_path,
             cxx_path=entry.get("cxx_path", c_path),
             version_string=entry.get("version_string") or _probe_version(c_path),
         )
-    default_flags = {
-        cid: tuple(flags) for cid, flags in doc.get("default_flags", {}).items()
-    }
+    default_flags = {}
+    for cid, flags in flags_doc.items():
+        if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+            raise ToolchainError(f"{path}: default_flags {cid!r} must be a list of strings")
+        default_flags[cid] = tuple(flags)
     return ToolchainConfig(compilers=compilers, default_flags=default_flags)
 
 

@@ -4,7 +4,10 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -84,20 +87,6 @@ class TestHappyPath:
         assert "100L" in trace.iterations[0].context_sent
         assert "30L" in trace.iterations[1].context_sent
         assert "60L" in trace.iterations[2].context_sent
-
-    def test_best_correct_base_policy(self, tmp_path, toolchain_config):
-        spec = hotspot_bench(tmp_path / "b")
-        provider = replay([
-            fenced(kernel_replacement(30)),
-            fenced(kernel_replacement(60)),
-            fenced(kernel_replacement(45)),
-        ])
-        trace = run(
-            spec, provider, toolchain_config, tmp_path / "w",
-            max_iterations=3, base_policy=ag.BasePolicy.BEST_CORRECT,
-        )
-        assert "30L" in trace.iterations[2].context_sent
-        assert trace.best_iteration == 1
 
     def test_memory_digest_reaches_prompt(self, tmp_path, toolchain_config):
         spec = hotspot_bench(tmp_path / "b")
@@ -287,6 +276,20 @@ def two_node_tree(kernel_excl, extra_metrics=None):
     return pr.import_profile(json.dumps(doc))
 
 
+def inclusive_only_tree():
+    """A tree with no exclusive metric, so nothing to rank hotspots by."""
+    return pr.import_profile(json.dumps({
+        "schema": "cct-v1",
+        "metrics": [{"id": "time_incl", "unit": "s", "kind": "Inclusive"}],
+        "roots": [{
+            "frame": {"fn": "main", "file": "main.c", "line": 30},
+            "metrics": {"time_incl": 0.12},
+            "children": [{"frame": {"fn": "kernel", "file": "main.c", "line": 12},
+                          "metrics": {"time_incl": 0.1}}],
+        }],
+    }))
+
+
 def ignores_binary(request):
     """A profile source serving a saved tree; it never opens the binary."""
     return two_node_tree(0.100)
@@ -466,21 +469,31 @@ class TestProfileWiring:
         assert "kernel at main.c:12" in context
         assert "83.3%" in context  # 0.100 of 0.120
 
-    def test_fixed_metric_policy_ignores_model_request(self, tmp_path, toolchain_config):
-        def source(request):
-            return two_node_tree(0.100, {"fp_inst": 1.0})
+    def test_original_profile_without_exclusive_metric_is_fatal(
+        self, tmp_path, toolchain_config,
+    ):
+        spec = hotspot_bench(tmp_path / "b", kernel_ms=30)
+        trace = run(spec, replay([]), toolchain_config, tmp_path / "w",
+                    profile_source=lambda request: inclusive_only_tree())
 
-        spec = hotspot_bench(tmp_path / "b")
-        provider = replay([
-            fenced(kernel_replacement(30), prose_after="Measure L1 cache misses."),
-        ])
-        trace = run(
-            spec, provider, toolchain_config, tmp_path / "w",
-            profile_source=source, max_iterations=1,
-            metric_request_policy=ag.MetricRequestPolicy.FIXED_SET,
-            fixed_metrics=("fp_inst", "not_in_catalog"),
-        )
-        assert trace.iterations[0].requested_metrics == ("fp_inst",)
+        assert trace.stop_reason is ag.StopReason.FATAL_ERROR
+        assert trace.iterations == ()
+        doc = json.loads((tmp_path / "w" / "loopy" / "agent" / "trace.json").read_text())
+        assert doc["stop_reason"] == "FatalError"
+
+    def test_later_profile_without_exclusive_metric_is_fatal(self, tmp_path, toolchain_config):
+        trees = {"agent/base": two_node_tree(0.100), "agent/iter1": inclusive_only_tree()}
+        spec = hotspot_bench(tmp_path / "b", kernel_ms=30)
+        provider = replay([fenced(kernel_replacement(10)), fenced(kernel_replacement(5))])
+        trace = run(spec, provider, toolchain_config, tmp_path / "w",
+                    profile_source=lambda request: trees[request.variant_tag],
+                    max_iterations=2)
+
+        assert [r.category for r in trace.iterations] == [Cat.CORRECT]
+        assert trace.stop_reason is ag.StopReason.FATAL_ERROR
+        doc = json.loads((tmp_path / "w" / "loopy" / "agent" / "trace.json").read_text())
+        assert doc["stop_reason"] == "FatalError"
+        assert [it["category"] for it in doc["iterations"]] == ["Correct"]
 
     def test_failing_profile_source_falls_back(self, tmp_path, toolchain_config):
         def source(request):
@@ -577,10 +590,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ag.AgentConfig(max_iterations=0)
 
-    def test_zero_top_k_rejected(self):
-        with pytest.raises(ValueError):
-            ag.AgentConfig(top_k_hotspots=0)
-
 
 CATALOG = {"l1_dcache_miss": None, "fp_inst": None, "time_excl": None,
            "stalled_cycles_frontend": None}
@@ -618,6 +627,22 @@ class TestParseMetricRequests:
     def test_frontend_stalls_alias(self):
         got = ag.parse_metric_requests("check frontend stalled cycles", CATALOG)
         assert got == ["stalled_cycles_frontend"]
+
+    def test_ids_at_one_position_keep_catalog_order_under_any_hash_seed(self):
+        code = (
+            "from perfagent.agent import parse_metric_requests\n"
+            "print(parse_metric_requests('measure time_excl, then fp_inst',"
+            " {'time': 0, 'time_excl': 0, 'fp': 0, 'fp_inst': 0}))\n"
+        )
+        src = str(Path(ag.__file__).resolve().parents[1])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            ).stdout
+            for seed in range(8)
+        }
+        assert outputs == {"['time', 'time_excl', 'fp', 'fp_inst']\n"}
 
 
 def make_record(index, category=Cat.CORRECT, speedup=None, explanation=None):

@@ -120,6 +120,40 @@ class TestExperimentCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["provider_id", "kind"])
+    def test_provider_config_missing_key_fails_cleanly(self, tmp_path, capsys, missing):
+        suite(tmp_path / "suite")
+        config = replay_config(tmp_path, ["x"])
+        doc = json.loads(config.read_text())
+        del doc[missing]
+        config.write_text(json.dumps(doc))
+        code = main([
+            "ex1", "--root", str(tmp_path / "suite"),
+            "--provider", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and missing in err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"compilers": {"gcc": {"cxx_path": "g++"}}}, "c_path"),
+        ([], "object"),
+        ({"compilers": []}, "compilers"),
+        ({"default_flags": {"gcc": 5}}, "default_flags"),
+    ])
+    def test_malformed_toolchain_config_fails_cleanly(self, tmp_path, capsys, doc, named):
+        suite(tmp_path / "suite")
+        config = replay_config(tmp_path, ["x"])
+        toolchain = tmp_path / "toolchain.json"
+        toolchain.write_text(json.dumps(doc))
+        code = main([
+            "ex1", "--root", str(tmp_path / "suite"), "--provider", str(config),
+            "--toolchain", str(toolchain), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
+
     def test_import_tool(self, tmp_path, capsys):
         suite(tmp_path / "suite")
         tree = tmp_path / "ext" / "alpha"

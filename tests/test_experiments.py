@@ -519,6 +519,50 @@ class TestScoreSharesOutput:
         assert (evaluation.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
 
 
+class TestScoreSweep:
+    """A sweep's category rests on its first matching sample, else its
+    first sample; its speedup is its fastest matching sample's, to the
+    bit of the best per-count ratio."""
+
+    BASELINE = tc.RunSample((0.3, 0.4), b"42\n", b"", 0)
+
+    def score(self, tmp_path, monkeypatch, samples):
+        spec = sleep_bench(tmp_path / "b", ms=5)
+        monkeypatch.setattr(tc, "thread_sweep", lambda binary, run, counts: dict(samples))
+        build = tc.BuildOutcome(tc.BuildStatus.OK, tmp_path / "bin", "")
+        return ex._score(spec, build, None, set(), self.BASELINE, tuple(samples))
+
+    def test_fastest_matching_count_sets_the_speedup(self, tmp_path, monkeypatch):
+        samples = {
+            1: tc.RunSample((0.7,), b"41\n", b"", 0, 1),
+            2: tc.RunSample((0.3, 0.1), b"42\n", b"", 0, 2),
+            4: tc.RunSample((), b"", b"", -11, 4),
+            8: tc.RunSample((0.1,), b"42\n", b"", 0, 8),
+        }
+        evaluation = self.score(tmp_path, monkeypatch, samples)
+
+        b = self.BASELINE.mean_s
+        assert evaluation.category is Cat.CORRECT
+        assert evaluation.run.thread_count == 2
+        assert evaluation.thread_results == (
+            (1, None), (2, b / samples[2].mean_s), (4, None), (8, b / samples[8].mean_s),
+        )
+        assert evaluation.stat == tc.SpeedupStat(b, samples[8].mean_s, b / samples[8].mean_s)
+        assert evaluation.stat.speedup == max(v for _, v in evaluation.thread_results if v)
+
+    def test_no_matching_count_rests_on_the_first(self, tmp_path, monkeypatch):
+        samples = {
+            1: tc.RunSample((0.7,), b"41\n", b"", 0, 1),
+            2: tc.RunSample((), b"", b"", -11, 2),
+        }
+        evaluation = self.score(tmp_path, monkeypatch, samples)
+
+        assert evaluation.category is Cat.OUTPUT_MISMATCH
+        assert evaluation.run.thread_count == 1
+        assert evaluation.thread_results == ((1, None), (2, None))
+        assert evaluation.stat is None
+
+
 class TestImport:
     def test_pre_optimized_tree_scores_like_a_variant(self, tmp_path, toolchain_config):
         spec = matmul_bench(tmp_path / "b")

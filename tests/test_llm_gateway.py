@@ -96,11 +96,6 @@ class TestPromptRendering:
         assert "Prior iterations" not in bundle.user_text
         assert "Profiling summary" in bundle.user_text
 
-    def test_agent_prompt_custom_sentinel(self):
-        bundle = gw.render_agent_prompt("int f;", "s", "", ENV, decline_sentinel="DONE NOW")
-        assert "DONE NOW" in bundle.user_text
-        assert "NO FURTHER OPTIMIZATIONS" not in bundle.user_text
-
 
 class TestMessageBuilding:
     def test_single_turn_is_system_plus_user(self):

@@ -240,6 +240,24 @@ def test_repetitions_default_is_ten(tmp_path):
     assert spec.run.repetitions == 10
 
 
+@pytest.mark.parametrize("section, values", [
+    ("build", {"timeout_s": [5]}),
+    ("build", {"timeout_s": float("nan")}),
+    ("run", {"timeout_s": float("inf")}),
+    ("run", {"timeout_s": "30"}),
+    ("run", {"timeout_s": 10**400}),
+    ("validation", {"abs_tol": float("nan")}),
+    ("validation", {"rel_tol": [1e-9]}),
+    ("prep", {"strip_omp_pragmas": "false"}),
+    ("prep", {"expand_macros": 1}),
+])
+def test_numbers_must_be_finite_and_flags_boolean(tmp_path, section, values):
+    write_bench(tmp_path, "odd", {"main.c": TRIVIAL_MAIN}, **{section: values})
+    key = f"'{section}.{next(iter(values))}'"
+    with pytest.raises(MalformedManifest, match=key):
+        load_manifest(tmp_path)
+
+
 @pytest.fixture(scope="module")
 def suite_specs(tmp_path_factory) -> list[BenchmarkSpec]:
     root = tmp_path_factory.mktemp("suite")
