@@ -20,7 +20,6 @@ can shell out to a real profiler and converter.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
 import re
@@ -447,19 +446,19 @@ def _find_fn_path(tree: profile.ProfileTree, fn: str) -> tuple[str, ...] | None:
 
 
 def _run_sample_doc(run: tc.RunSample | None, digests: dict[int, str]) -> dict | None:
-    """``digests`` maps ``id(stdout)`` to its SHA-256 for the stdout
-    objects already hashed: runs that share the original's output hash
-    it once."""
+    """``digests`` maps ``id(stdout)`` to its SHA-256 for the outputs
+    already hashed: runs that share the original's output hash it once,
+    streamed from its file."""
     if run is None:
         return None
     digest = digests.get(id(run.stdout))
     if digest is None:
-        digest = digests[id(run.stdout)] = hashlib.sha256(run.stdout).hexdigest()
+        digest = digests[id(run.stdout)] = run.stdout.sha256()
     return {
         "wall_times_s": list(run.wall_times_s),
         "stdout_sha256": digest,
         "stdout_bytes": len(run.stdout),
-        "stderr": run.stderr[-4000:].decode("latin-1"),
+        "stderr": run.stderr[-tc.STDERR_TAIL:].decode("latin-1"),
         "exit_status": run.exit_status,
         "thread_count": run.thread_count,
     }

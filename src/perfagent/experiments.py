@@ -308,9 +308,9 @@ def _score(
     output matches, else on the first sample; the speedup is that of the
     fastest matching sample. ``extraction`` is None for code that came
     from outside a model reply (external tool trees). A timed run whose
-    stdout equals the original's holds the original's bytes object, not
-    its own copy, so a row keeps one copy of each distinct output however
-    many attempts reproduce it.
+    stdout equals the original's holds the original's ``Output`` and
+    closes its own file, so a row keeps one file for each distinct
+    output however many attempts reproduce it.
     """
     labels = _labels_for(extraction) if extraction is not None else ()
     if not build.ok or flags:
@@ -347,10 +347,12 @@ def _score(
 
 
 def _share_stdout(sample: tc.RunSample, baseline: tc.RunSample) -> tc.RunSample:
-    """``sample`` holding ``baseline.stdout`` itself when the two are equal."""
-    if sample.stdout == baseline.stdout:
-        return replace(sample, stdout=baseline.stdout)
-    return sample
+    """``sample`` holding ``baseline.stdout`` itself when the two are
+    equal, its own output closed."""
+    if sample.stdout is baseline.stdout or sample.stdout != baseline.stdout:
+        return sample
+    sample.stdout.close()
+    return replace(sample, stdout=baseline.stdout)
 
 
 def _row_from_evaluation(

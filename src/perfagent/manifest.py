@@ -397,7 +397,7 @@ def _preprocess(argv: list[str], timeout_s: float) -> bytes:
     session, into anonymous files, its process group killed at
     ``timeout_s``."""
     # toolchain imports this module, so its child helpers load late.
-    from .toolchain import _read_all, _reap, _spawn
+    from .toolchain import _read_all, _reap, _spawn, _wait_exit
 
     with tempfile.TemporaryFile(buffering=0) as out, tempfile.TemporaryFile(buffering=0) as err:
         try:
@@ -408,12 +408,12 @@ def _preprocess(argv: list[str], timeout_s: float) -> bytes:
         except OSError as exc:
             raise PreprocessFailure(str(exc)) from None
         try:
-            returncode = proc.wait()
+            _wait_exit(proc)
         finally:
             timed_out = _reap(proc)
         if timed_out:
             raise PreprocessFailure(f"timed out after {timeout_s}s: {' '.join(argv)}")
-        if returncode != 0:
+        if proc.returncode != 0:
             raise PreprocessFailure(_read_all(err.fileno()).decode(errors="replace"))
         return _read_all(out.fileno())
 

@@ -14,16 +14,23 @@ the returned records; failures that describe the harness itself
 Compilers, timed repetitions and the macro-expanding preprocessor of
 ``manifest.prepare_sources`` are started the same way. Each child
 leads its own session and writes into anonymous temporary files, not
-pipes, so no output passes through Python while it runs; one watchdog
-thread kills a child's whole process group at its deadline, so neither a
-candidate's forked children nor a compiler's cc1, as and ld outlive a
-timeout. Only a build's stderr, the preprocessor's output, repetition
-1's stdout and the last repetition's stderr are ever read back.
+pipes, so no output passes through Python while it runs. One watchdog
+thread kills a child's whole process group at its deadline; a child
+that ends on its own is left unreaped until its group has been killed
+too, so neither a candidate's forked children nor a compiler's cc1, as
+and ld outlive the child that started them. A build's stderr and the
+preprocessor's output are read back whole, and the last repetition's
+stderr only as its last ``STDERR_TAIL`` bytes. Repetition 1's stdout is
+never read back here: ``RunSample.stdout`` is an ``Output``, a handle on
+the file it was written into, which callers compare, hash or read a
+slice at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import json
 import math
 import os
@@ -33,6 +40,7 @@ import subprocess
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -44,6 +52,12 @@ OMP_THREADS_VAR = "OMP_NUM_THREADS"
 
 # Exit-status sentinel for a repetition killed at run.timeout_s.
 TIMEOUT = "timeout"
+
+# Bytes of a repetition's stderr that a RunSample keeps: its end.
+STDERR_TAIL = 4000
+
+# Size of the reads an Output is compared and hashed in.
+_READ = 1 << 16
 
 _timed_run_lock = threading.Lock()
 
@@ -108,26 +122,119 @@ class BuildOutcome:
         return self.status is BuildStatus.OK
 
 
+def _closed_read(n: int, offset: int) -> bytes:
+    raise ValueError("read from a closed Output")
+
+
+class Output:
+    """A program's output, read on demand and never changed.
+
+    ``run_timed`` hands out a handle on the anonymous file a repetition
+    wrote into (``from_fd``); ``Output(data)`` wraps bytes made in
+    memory, so both are read the same way. ``len()`` is the size in
+    bytes, ``read(start, stop)`` one bounded slice, ``==`` (against bytes
+    or another Output) and ``sha256()`` stream ``_READ`` bytes at a time,
+    and ``bytes()`` reads it whole. The file closes when the handle is
+    dropped or ``close`` is called; reading a closed Output raises
+    ValueError. Outputs compare like bytes but, being possibly large and
+    file-backed, are not hashable.
+    """
+
+    __slots__ = ("_size", "_pread", "_finalizer", "__weakref__")
+
+    def __init__(self, data: bytes = b"") -> None:
+        self._size = len(data)
+        self._pread = lambda n, offset: data[offset : offset + n]
+        self._finalizer = None
+
+    @classmethod
+    def from_fd(cls, fd: int) -> Output:
+        """A handle on the file open as ``fd``, as it is now: its own
+        duplicate of the descriptor, closed with the handle."""
+        out = cls.__new__(cls)
+        own = os.dup(fd)
+        out._size = os.fstat(own).st_size
+        out._pread = functools.partial(os.pread, own)
+        out._finalizer = weakref.finalize(out, os.close, own)
+        return out
+
+    def __len__(self) -> int:
+        return self._size
+
+    def read(self, start: int = 0, stop: int | None = None) -> bytes:
+        """Bytes ``start:stop`` (clipped to the output) in one read."""
+        stop = self._size if stop is None else min(stop, self._size)
+        if start >= stop:
+            return b""
+        return self._pread(stop - start, start)
+
+    def __bytes__(self) -> bytes:
+        return self.read()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, bytes):
+            other = Output(other)
+        if not isinstance(other, Output):
+            return NotImplemented
+        if other is self:
+            return True
+        if len(other) != self._size:
+            return False
+        return all(
+            self.read(start, start + _READ) == other.read(start, start + _READ)
+            for start in range(0, self._size, _READ)
+        )
+
+    def sha256(self) -> str:
+        """Hex SHA-256 of the whole output."""
+        digest = hashlib.sha256()
+        for start in range(0, self._size, _READ):
+            digest.update(self.read(start, start + _READ))
+        return digest.hexdigest()
+
+    def close(self) -> None:
+        self._pread = _closed_read
+        if self._finalizer is not None:
+            self._finalizer()
+
+    @property
+    def closed(self) -> bool:
+        return self._pread is _closed_read
+
+    def __repr__(self) -> str:
+        if self.closed:
+            return "Output(<closed>)"
+        if self._size <= 64:
+            return f"Output({self.read()!r})"
+        return f"Output(<{self._size} bytes>)"
+
+
 @dataclass(frozen=True)
 class RunSample:
     """Timed executions of one binary.
 
     ``wall_times_s`` holds one entry per successful repetition, each from
-    just before the spawn to the reaping of the child; execution stops at
-    the first repetition that crashes or times out, leaving its status in
-    ``exit_status`` (an integer, negative for a signal, or the TIMEOUT
-    sentinel). ``stdout`` is the first repetition's output, the one
-    validation uses, read after it ends; it is empty when that repetition
-    timed out. ``stderr`` is the last repetition's, the one that stopped
-    the run if any, and on timeout holds what it wrote before its process
-    group was killed.
+    just before the spawn to the exit of the child, seen before it is
+    reaped; execution stops at the first repetition that crashes or times
+    out, leaving its status in ``exit_status`` (an integer, negative for
+    a signal, or the TIMEOUT sentinel). ``stdout`` is the first
+    repetition's output, the one validation uses: from ``run_timed``, a
+    handle on the file it wrote into, empty when that repetition timed
+    out. Bytes given here are wrapped in an ``Output`` too. ``stderr`` is
+    the last ``STDERR_TAIL`` bytes of the last repetition's stderr, the
+    one that stopped the run if any, and on timeout ends with what it
+    wrote before its process group was killed.
     """
 
     wall_times_s: tuple[float, ...]
-    stdout: bytes
+    stdout: Output
     stderr: bytes
     exit_status: int | str
     thread_count: int | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.stdout, Output):
+            object.__setattr__(self, "stdout", Output(self.stdout))
 
     @property
     def ok(self) -> bool:
@@ -235,7 +342,7 @@ class PendingBuild:
         self._timeout_s = timeout_s
 
     def wait(self) -> BuildOutcome:
-        """Reap the compiler in one blocking wait and classify the build.
+        """Join the compiler in one blocking wait and classify the build.
 
         Raises BuildTimeout when the watchdog killed the compiler's
         process group at ``build.timeout_s`` from spawn. A compiler that
@@ -243,11 +350,12 @@ class PendingBuild:
         """
         with self._stderr:
             try:
-                returncode = self._proc.wait()
+                _wait_exit(self._proc)
             finally:
                 timed_out = self._release()
             if timed_out:
                 raise BuildTimeout(self._argv, self._timeout_s)
+            returncode = self._proc.returncode
             diagnostics = _read_all(self._stderr.fileno())
         log_text = "$ " + " ".join(self._argv) + "\n" + diagnostics.decode(errors="replace")
         self._log_path.write_text(log_text)
@@ -366,11 +474,11 @@ class _Watchdog:
     started by ``start_compile``. It sleeps until the earliest deadline
     it knows and is woken only when a child is armed with an earlier
     one, so children that end in time cost no wake-up of their own. At a
-    deadline it polls the child first: a child that already exited and
-    waits to be joined (a build joined late) is reaped there, not killed.
-    The caller disarms right after it reaps the child; pids are handed
-    out cyclically, so in that window the group id cannot yet name a new
-    group.
+    deadline it checks the child without reaping it: a child that already
+    exited and waits to be joined (a build joined late) is left alone,
+    not killed. Only ``_reap`` reaps a watched child, after disarming it,
+    so while the watchdog may kill a group, the group's leader is alive
+    or an unreaped zombie, and its id cannot name another group.
     """
 
     def __init__(self) -> None:
@@ -415,9 +523,7 @@ class _Watchdog:
                     self._cond.wait(remaining)
                     continue
                 del self._deadlines[proc]
-                # poll() answers None while the caller is blocked reaping
-                # the child, so a running child is always killed.
-                if proc.poll() is None:
+                if not _exited(proc):
                     _kill_group(proc.pid)
                     self._killed.add(proc)
 
@@ -432,9 +538,21 @@ def _spawn(argv: list[str], deadline: float, **popen_kwargs) -> subprocess.Popen
     return proc
 
 
+def _exited(proc: subprocess.Popen) -> bool:
+    """True once ``proc`` has exited; it is left unreaped."""
+    return os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+
+def _wait_exit(proc: subprocess.Popen) -> None:
+    """Block until ``proc`` exits, leaving it an unreaped zombie that
+    still holds its process group's id for ``_reap``."""
+    os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+
+
 def _reap(proc: subprocess.Popen) -> bool:
-    """Stop watching ``proc`` and make sure it is reaped, killing its
-    process group first if it still runs; True if its deadline killed it."""
+    """Stop watching ``proc``, kill its process group (whatever the
+    leader left running, or the leader itself if it still runs) and reap
+    it; True if its deadline killed it. Does nothing to a reaped child."""
     timed_out = _watchdog.disarm(proc)
     if proc.returncode is None:
         _kill_group(proc.pid)
@@ -444,6 +562,12 @@ def _reap(proc: subprocess.Popen) -> bool:
 
 def _read_all(fd: int) -> bytes:
     return os.pread(fd, os.fstat(fd).st_size, 0)
+
+
+def _read_tail(fd: int) -> bytes:
+    """The last ``STDERR_TAIL`` bytes of the file open as ``fd``."""
+    size = os.fstat(fd).st_size
+    return os.pread(fd, min(size, STDERR_TAIL), max(0, size - STDERR_TAIL))
 
 
 def run_timed(
@@ -458,14 +582,20 @@ def run_timed(
     ``thread_count``. Crash and timeout are recorded in the sample, not
     raised, so classification can see them.
 
-    Each repetition writes its stdout and stderr into two anonymous
-    temporary files, emptied before it starts, instead of pipes, so no
-    output passes through Python while the clock runs. The clock runs
-    from just before the spawn to the reaping of the child in a blocking
-    ``wait``; at ``run.timeout_s`` the watchdog kills the repetition's
-    process group (each repetition leads a new session), which ends the
-    wait. Repetition 1's stdout is read after it ends, the last
-    repetition's stderr after the loop.
+    Each repetition writes its stdout and stderr into anonymous
+    temporary files instead of pipes, so no output passes through Python
+    while the clock runs: repetition 1's stdout into a file of its own,
+    which the sample keeps as an ``Output`` and nothing reads here, and
+    the later repetitions' into a scratch file emptied before each; every
+    repetition's stderr into one file emptied likewise. The clock runs
+    from just before the spawn to the exit of the child, seen by a
+    blocking wait that leaves it unreaped; at ``run.timeout_s`` the
+    watchdog kills the repetition's process group (each repetition leads
+    a new session), which ends the wait. After the clock stops, the
+    group is killed, so nothing the repetition forked runs on into the
+    next one or writes into a kept output, and then the child is
+    reaped. The tail of the last repetition's stderr is read after the
+    loop.
 
     Raises ToolchainError while a build from ``start_compile`` is not
     joined: a compiler must not share the CPU with a timed repetition.
@@ -488,17 +618,20 @@ def run_timed(
     argv = [str(binary), *run.args]
 
     wall_times: list[float] = []
-    first_stdout = b""
+    stdout = Output()
     exit_status: int | str = 0
 
     with contextlib.ExitStack() as files, _timed_run_lock:
-        out, err = (
+        kept, err = (
             files.enter_context(tempfile.TemporaryFile(buffering=0)).fileno()
             for _ in range(2)
         )
+        out = kept
         stdin = files.enter_context(stdin_path.open("rb")) if stdin_path else subprocess.DEVNULL
         for rep in range(run.repetitions):
             if rep:
+                if out == kept:
+                    out = files.enter_context(tempfile.TemporaryFile(buffering=0)).fileno()
                 for fd in (out, err):
                     os.ftruncate(fd, 0)
                     os.lseek(fd, 0, os.SEEK_SET)
@@ -510,7 +643,7 @@ def run_timed(
                 stdin=stdin, stdout=out, stderr=err, env=env, cwd=cwd,
             )
             try:
-                returncode = proc.wait()
+                _wait_exit(proc)
                 elapsed = time.perf_counter() - start
             finally:
                 timed_out = _reap(proc)
@@ -519,16 +652,16 @@ def run_timed(
                 exit_status = TIMEOUT
                 break
             if rep == 0:
-                first_stdout = _read_all(out)
-            if returncode != 0:
-                exit_status = returncode
+                stdout = Output.from_fd(kept)
+            if proc.returncode != 0:
+                exit_status = proc.returncode
                 break
             wall_times.append(elapsed)
-        last_stderr = _read_all(err)
+        last_stderr = _read_tail(err)
 
     return RunSample(
         wall_times_s=tuple(wall_times),
-        stdout=first_stdout,
+        stdout=stdout,
         stderr=last_stderr,
         exit_status=exit_status,
         thread_count=thread_count,

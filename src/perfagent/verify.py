@@ -6,11 +6,14 @@ then OutputMismatch, then Correct. Any non-Correct category makes the
 attempt NA downstream: its speedup is recorded as 1.0 against itself,
 since measurement reverts to the original code.
 
-``compare_outputs`` reads both outputs in place: slice compares find
-where they first differ, the equal lines before that are counted in
-fixed-size chunks, and only the rest is split, a chunk at a time, and
-paired lazily. It holds a few chunks at a time, or one line where a
-line is longer than a chunk, whatever the outputs' size.
+``compare_outputs`` reaches both outputs only through fixed-size reads
+of ``toolchain.Output`` handles (bytes are wrapped in one), so an output
+may stay in the file the program wrote it into. One pass compares them
+a chunk at a time and counts the lines or tokens of the equal chunks,
+which for equal outputs is the whole report; after the first
+difference, only the rest is split, a chunk at a time, and paired
+lazily. It holds a few chunks at a time, or, with ignore_patterns, one
+line where a line is longer than a chunk, whatever the outputs' size.
 """
 
 from __future__ import annotations
@@ -22,14 +25,12 @@ from enum import Enum
 from itertools import chain, zip_longest
 
 from .manifest import ValidationMode, ValidationPolicy
-from .toolchain import BuildOutcome, RunSample
+from .toolchain import BuildOutcome, Output, RunSample
 
 _EXCERPT_LIMIT = 120
 _END = "<end of output>"
-# Size of the slices compared to find a first difference, and of the
-# chunks tokens are counted in.
+# Size of the reads that compare, count and split outputs.
 _CHUNK = 1 << 14
-_BREAK = re.compile(rb"\r\n?|\n")
 
 # Maps every byte that decodes (latin-1) to whitespace onto b" " and every
 # other byte onto b"x", so a token starts at each b"x" after a b" ".
@@ -77,53 +78,169 @@ def _clip(text: str) -> str:
     return text if len(text) <= _EXCERPT_LIMIT else text[:_EXCERPT_LIMIT] + "..."
 
 
-def _shared_line_start(data: bytes, agreed: int) -> int:
-    """The last line start at or before ``agreed`` that every output equal
-    to ``data`` on its first ``agreed`` bytes shares. A b"\\r" just before
-    ``agreed`` ends a line only where no b"\\n" follows it."""
-    if agreed == 0:
-        return 0
-    return max(data.rfind(b"\n", 0, agreed), data.rfind(b"\r", 0, agreed - 1)) + 1
+def _cut(chunk: bytes, cr: bool) -> int:
+    """Offset in the non-empty ``chunk`` of the last line start its bytes
+    determine, or -1. A b"\\r" that ends ``chunk`` determines nothing
+    yet, since a b"\\n" may follow; ``cr`` says the bytes before
+    ``chunk`` ended in one, which ends a line unless ``chunk`` starts
+    with b"\\n"."""
+    cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+    return cut if cut or cr else -1
 
 
-def _filter_lines(data: bytes, start: int, end: int, patterns: tuple[re.Pattern, ...]):
-    """Yield the lines of ``data[start:end]``, breaks included, that no
-    pattern matches, as ``bytes.splitlines`` splits them; ``start`` must
-    be a line start. Each yielded list comes from about ``_CHUNK`` bytes."""
-    while start < end:
-        brk = _BREAK.search(data, min(start + _CHUNK, end), end)
-        cut = brk.end() if brk else end
-        lines = data[start:cut].splitlines(keepends=True)
-        for rx in patterns:
-            lines = [raw for raw in lines if not rx.search(raw.rstrip(b"\r\n").decode("latin-1"))]
-        yield lines
-        start = cut
+class _Lines:
+    """Splits an output fed to it a chunk at a time into lines, breaks
+    included, as ``bytes.splitlines`` splits the whole. It holds only the
+    line not yet ended."""
+
+    def __init__(self) -> None:
+        self._open: list[bytes] = []
+        self._cr = False
+
+    def feed(self, chunk: bytes) -> list[bytes] | None:
+        """The lines the non-empty ``chunk`` ends, or None if it ends none."""
+        cut = _cut(chunk, self._cr)
+        self._cr = chunk.endswith(b"\r")
+        if cut < 0:
+            self._open.append(chunk)
+            return None
+        lines = b"".join((*self._open, chunk[:cut])).splitlines(keepends=True)
+        self._open = [chunk[cut:]]
+        return lines
+
+    def end(self) -> list[bytes]:
+        """The lines left at the end of the output."""
+        return b"".join(self._open).splitlines(keepends=True)
 
 
-def _count_lines(data: bytes, end: int, patterns: tuple[re.Pattern, ...]) -> int:
-    """Kept lines of ``data[:end]``; ``end`` is a line start or ``len(data)``."""
-    if patterns:
-        return sum(len(lines) for lines in _filter_lines(data, 0, end, patterns))
-    count = data.count(b"\n", 0, end)
-    if data.find(b"\r", 0, end) >= 0:
-        count += data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
-    return count + (end > 0 and data[end - 1] not in b"\r\n")
+def _kept(lines: list[bytes], patterns: tuple[re.Pattern, ...]) -> list[bytes]:
+    for rx in patterns:
+        lines = [raw for raw in lines if not rx.search(raw.rstrip(b"\r\n").decode("latin-1"))]
+    return lines
 
 
-def _count_tokens(data: bytes, end: int | None = None, patterns: tuple[re.Pattern, ...] = ()) -> int:
-    """Tokens of the kept lines of ``data[:end]``: for no patterns
-    ``len(data[:end].decode("latin-1").split())``, counted on fixed-size
+def _filter_lines(out: Output, start: int, patterns: tuple[re.Pattern, ...]):
+    """Yield the lines of ``out`` from ``start``, a line start, that no
+    pattern matches, breaks included, as ``bytes.splitlines`` splits
+    them: one list for each ``_CHUNK`` read that ends a line, and one for
+    the end."""
+    lines = _Lines()
+    for pos in range(start, len(out), _CHUNK):
+        ended = lines.feed(out.read(pos, pos + _CHUNK))
+        if ended is not None:
+            yield _kept(ended, patterns)
+    yield _kept(lines.end(), patterns)
+
+
+class _Tally:
+    """Counts the lines (``exact``) or the tokens of an output fed to it
+    in order, a chunk at a time, building no line: breaks are counted
+    over ranges of each chunk and tokens on its byte classes.
+    ``at_line_start`` holds the count as of the last line start the bytes
+    fed so far determine; ``finish`` gives it at the end of the output."""
+
+    def __init__(self, exact: bool) -> None:
+        self.count = self.at_line_start = 0
+        self._exact = exact
+        self._cr = False  # the bytes fed end in b"\r"
+        self._unended = False  # ... in a line with no break yet
+        self._before = b" "  # byte class of the last byte fed
+
+    def feed(self, chunk: bytes) -> None:
+        """Count the non-empty ``chunk``, which follows what was fed."""
+        cut = _cut(chunk, self._cr)
+        if self._exact and self._cr and chunk.startswith(b"\n"):
+            self.count -= 1  # a b"\r\n" split between two chunks is one break
+        self._cr = chunk.endswith(b"\r")
+        self._unended = chunk[-1] not in b"\r\n"
+        data = chunk if self._exact else chunk.translate(_TOKEN_CLASS)
+        if cut >= 0:
+            self._add(data, 0, cut)
+            self.at_line_start = self.count
+        self._add(data, max(cut, 0), len(data))
+        self._before = data[-1:]
+
+    def finish(self) -> int:
+        """The count of the whole output fed."""
+        if self._exact:
+            self.count += self._unended
+            self._unended = False
+        return self.count
+
+    def _add(self, data: bytes, i: int, j: int) -> None:
+        """Count ``data[i:j]``, a chunk's bytes (lines) or byte classes
+        (tokens), which no b"\\r\\n" straddles."""
+        if i == j:
+            return
+        if self._exact:
+            self.count += data.count(b"\n", i, j)
+            if data.find(b"\r", i, j) >= 0:
+                self.count += data.count(b"\r", i, j) - data.count(b"\r\n", i, j)
+        else:
+            # A token starts at each b"x" class after a b" " one.
+            before = data[i - 1 : i] if i else self._before
+            self.count += data.count(b" x", i, j) + (before == b" " and data[i] == 0x78)
+
+
+class _FilteredTally:
+    """``_Tally`` for the lines no ignore_pattern matches: lines are
+    split and filtered as ``_filter_lines`` does, so it holds the line
+    not yet ended."""
+
+    def __init__(self, patterns: tuple[re.Pattern, ...], exact: bool) -> None:
+        self.count = self.at_line_start = 0
+        self._patterns = patterns
+        self._exact = exact
+        self._split = _Lines()
+
+    def feed(self, chunk: bytes) -> None:
+        ended = self._split.feed(chunk)
+        if ended is not None:
+            self._add(ended)
+            self.at_line_start = self.count
+
+    def finish(self) -> int:
+        self._add(self._split.end())
+        return self.count
+
+    def _add(self, lines: list[bytes]) -> None:
+        kept = _kept(lines, self._patterns)
+        self.count += len(kept) if self._exact else _count_tokens(b"".join(kept))
+
+
+def _tally(patterns: tuple[re.Pattern, ...], exact: bool) -> _Tally | _FilteredTally:
+    return _FilteredTally(patterns, exact) if patterns else _Tally(exact)
+
+
+def _count(out: Output, end: int, patterns: tuple[re.Pattern, ...], exact: bool) -> int:
+    """Kept lines (``exact``) or their tokens in ``out[:end]``, where
+    ``end`` is a line start or ``len(out)``."""
+    tally = _tally(patterns, exact)
+    for pos in range(0, end, _CHUNK):
+        tally.feed(out.read(pos, min(pos + _CHUNK, end)))
+    return tally.finish()
+
+
+def _count_tokens(data: bytes) -> int:
+    """``len(data.decode("latin-1").split())``, counted on fixed-size
     slices without building the tokens."""
-    end = len(data) if end is None else end
-    if patterns:
-        return sum(_count_tokens(b"".join(lines)) for lines in _filter_lines(data, 0, end, patterns))
-    count = 0
-    before = b" "  # byte class just before the slice
-    for i in range(0, end, _CHUNK):
-        classes = data[i : min(i + _CHUNK, end)].translate(_TOKEN_CLASS)
-        count += classes.count(b" x") + (before == b" " and classes.startswith(b"x"))
-        before = classes[-1:]
-    return count
+    return _count(Output(data), len(data), (), exact=False)
+
+
+def _shared_line_start(out: Output, agreed: int) -> int:
+    """The last line start at or before ``agreed`` that every output equal
+    to ``out`` on its first ``agreed`` bytes shares. A b"\\r" just before
+    ``agreed`` ends a line only where no b"\\n" follows it. Reads back
+    from ``agreed`` a chunk at a time."""
+    end = agreed
+    while end > 0:
+        begin = max(0, end - _CHUNK)
+        piece = out.read(begin, end)
+        last = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, len(piece) - (end == agreed)))
+        if last >= 0:
+            return begin + last + 1
+        end = begin
+    return 0
 
 
 def _mismatch(a: bytes, b: bytes) -> int:
@@ -231,7 +348,7 @@ def _compare_numeric(
 
 
 def compare_outputs(
-    reference: bytes, candidate: bytes, policy: ValidationPolicy
+    reference: bytes | Output, candidate: bytes | Output, policy: ValidationPolicy
 ) -> MatchReport:
     """Compare program outputs under the benchmark's validation policy.
 
@@ -243,29 +360,50 @@ def compare_outputs(
     reference is ground truth), and never when either side is infinite;
     other pairs must be byte-equal.
 
-    Both outputs are read where they lie: no call builds a line list or
-    copies a whole output. Equal outputs (an identity check when they are
-    one object) are only counted. Otherwise fixed-size slice compares
-    find the first differing byte, the walk backs up to the last line
-    start both outputs share, and the lines and tokens before it are
-    counted in fixed-size chunks. From there both outputs are split
-    about ``_CHUNK`` bytes at a time, ignore_patterns drop lines one at a
-    time, and lines (ExactBytes) or tokens are paired lazily up to the
-    first divergence.
+    Both outputs are read ``_CHUNK`` bytes at a time, at the same
+    offsets, and no call builds a line list or holds a whole output. The
+    lines (ExactBytes) or tokens of each equal pair of chunks are counted
+    as they are compared, so equal outputs (one read per chunk when they
+    are one object) take one pass. At the first differing chunk, halving
+    finds the first differing byte, and the walk backs up to the last
+    line start both outputs share, whose counts the same pass has
+    reached. From there both outputs are split a chunk at a time,
+    ignore_patterns drop lines one at a time, and lines or tokens are
+    paired lazily up to the first divergence.
     """
     patterns = tuple(re.compile(p) for p in policy.ignore_patterns)
     exact = policy.mode is ValidationMode.EXACT_BYTES
-    if reference == candidate:
-        count = _count_lines if exact else _count_tokens
-        return MatchReport(True, None, count(reference, len(reference), patterns))
-    start = _shared_line_start(reference, _mismatch(reference, candidate))
-    lines = _count_lines(reference, start, patterns)
-    ref_lines = chain.from_iterable(_filter_lines(reference, start, len(reference), patterns))
-    cand_lines = chain.from_iterable(_filter_lines(candidate, start, len(candidate), patterns))
+    ref = reference if isinstance(reference, Output) else Output(reference)
+    if candidate is reference:
+        cand = ref
+    else:
+        cand = candidate if isinstance(candidate, Output) else Output(candidate)
+    tally = _tally(patterns, exact)
+    pos = 0
+    while True:
+        a = ref.read(pos, pos + _CHUNK)
+        b = a if cand is ref else cand.read(pos, pos + _CHUNK)
+        if a != b:
+            break
+        if a:
+            tally.feed(a)
+        if len(a) < _CHUNK:
+            return MatchReport(True, None, tally.finish())
+        pos += _CHUNK
+    start = _shared_line_start(ref, pos + _mismatch(a, b))
+    if start >= pos:
+        if start > pos:
+            tally.feed(a[: start - pos])
+        counted = tally.finish()
+    else:
+        # The fed bytes end inside the line that starts at ``start``.
+        counted = tally.at_line_start
+    lines = counted if exact else _count(ref, start, patterns, exact=True)
+    ref_lines = chain.from_iterable(_filter_lines(ref, start, patterns))
+    cand_lines = chain.from_iterable(_filter_lines(cand, start, patterns))
     if exact:
         return _compare_exact(ref_lines, cand_lines, lines)
-    tokens = _count_tokens(reference, start, patterns)
-    return _compare_numeric(ref_lines, cand_lines, lines, tokens, policy)
+    return _compare_numeric(ref_lines, cand_lines, lines, counted, policy)
 
 
 def classify_attempt(

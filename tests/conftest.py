@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,6 +55,18 @@ def load_single(root: Path, bench_id: str):
     matches = [s for s in specs if s.id == bench_id]
     assert len(matches) == 1
     return matches[0]
+
+
+def file_output(data: bytes) -> tc.Output:
+    """``data`` as a file-backed Output, the kind ``run_timed`` returns."""
+    with tempfile.TemporaryFile() as f:
+        f.write(data)
+        f.flush()
+        return tc.Output.from_fd(f.fileno())
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 def process_running(pid: int) -> bool:

@@ -323,3 +323,34 @@ int main(void) {
     return 0;
 }
 """
+
+FORK_AND_PRINT_LATE = """\
+#include <stdio.h>
+#include <unistd.h>
+
+/* The leader prints its child's pid and exits at once; the child sleeps
+   0.3 s, then prints a line and creates ./late.marker. */
+int main(void) {
+    pid_t pid = fork();
+    if (pid == 0) {
+        usleep(300000);
+        printf("late\\n");
+        fflush(stdout);
+        fclose(fopen("late.marker", "w"));
+        return 0;
+    }
+    printf("leader %d\\n", (int)pid);
+    return 0;
+}
+"""
+
+# 8.4 MB on stderr, one numbered line at a time.
+STDERR_FLOOD_LINES = 700000
+STDERR_FLOOD = """\
+#include <stdio.h>
+
+int main(void) {
+    for (int i = 0; i < %d; i++) fprintf(stderr, "%%011d\\n", i);
+    return 0;
+}
+""" % STDERR_FLOOD_LINES

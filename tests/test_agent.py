@@ -24,6 +24,7 @@ from conftest import (
     assert_reaped,
     hang_build,
     load_single,
+    open_fds,
     slow_original_gcc,
     wait_for_pids,
     wrapped_gcc,
@@ -525,7 +526,7 @@ class TestTracePersistence:
         assert doc["baseline"]["exit_status"] == 0
         assert len(doc["baseline"]["wall_times_s"]) == 2
         assert doc["baseline"]["stdout_sha256"] == hashlib.sha256(
-            trace.baseline.stdout).hexdigest()
+            bytes(trace.baseline.stdout)).hexdigest()
         assert doc["baseline"]["stdout_bytes"] == len(trace.baseline.stdout) > 0
         assert doc["iterations"][1]["run"] is None
 
@@ -550,18 +551,30 @@ class TestTracePersistence:
         doc = json.loads(path.read_text())
         for run_doc, sample in [(doc["baseline"], trace.baseline),
                                 (doc["iterations"][0]["run"], trace.iterations[0].run)]:
-            assert run_doc["stdout_sha256"] == hashlib.sha256(sample.stdout).hexdigest()
+            assert run_doc["stdout_sha256"] == hashlib.sha256(bytes(sample.stdout)).hexdigest()
             assert run_doc["stdout_bytes"] == len(sample.stdout)
             assert "stdout" not in run_doc
 
         # The iteration printed the original's output, so the two runs hold
-        # one bytes object and the trace hashes it once.
+        # one Output and the trace hashes it once.
         assert trace.iterations[0].run.stdout is trace.baseline.stdout
         hashed = []
-        sha256 = hashlib.sha256
-        monkeypatch.setattr(ag.hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        sha256 = tc.Output.sha256
+        monkeypatch.setattr(tc.Output, "sha256", lambda out: hashed.append(out) or sha256(out))
         assert json.loads(json.dumps(ag.trace_to_dict(trace))) == doc
         assert len(hashed) == 1
+
+    def test_a_run_leaves_no_file_open(self, tmp_path, toolchain_config):
+        spec = hotspot_bench(tmp_path / "b")
+        prints_more = 'void kernel(void) {\n    printf("extra 1\\n");\n}'
+        provider = replay([fenced(kernel_replacement(30)), fenced(prints_more),
+                           fenced(kernel_replacement(20))])
+        before = open_fds()
+        trace = run(spec, provider, toolchain_config, tmp_path / "w", max_iterations=3)
+        assert [r.category for r in trace.iterations] == [Cat.CORRECT, Cat.OUTPUT_MISMATCH,
+                                                          Cat.CORRECT]
+        del trace
+        assert open_fds() == before
 
     def test_replay_is_deterministic_up_to_timing(self, tmp_path, toolchain_config):
         texts = [

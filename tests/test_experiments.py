@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from conftest import (
     assert_reaped,
     hang_build,
     load_single,
+    open_fds,
     slow_original_gcc,
     wait_for_pids,
     wrapped_gcc,
@@ -322,6 +324,16 @@ class TestEx2:
         assert row.category is Cat.CORRECT
         assert row.variant_tag == "ex2/turn2"
 
+    def test_a_row_leaves_no_file_open(self, tmp_path, toolchain_config):
+        spec = sleep_bench(tmp_path / "b", ms=5)
+        texts = [fenced(sleeper(1)), fenced(sleeper(2, message="result 7")), "no code",
+                 fenced(SYNTAX_ERROR), fenced(sleeper(3))]
+        before = open_fds()
+        table = ex.run_ex2([spec], replay(texts), toolchain_config, tmp_path / "w")
+        assert table.rows[0].category is Cat.CORRECT
+        del table
+        assert open_fds() == before
+
     def test_turn_instructions(self, tmp_path, toolchain_config):
         spec = sleep_bench(tmp_path / "b")
         provider = replay(["a"] * 5)
@@ -495,7 +507,8 @@ class TestEx3:
 
 class TestScoreSharesOutput:
     """A timed run that prints the original's output holds the original's
-    bytes object; one that prints something else keeps its own."""
+    Output and closes its own; one that prints something else keeps its
+    own."""
 
     @pytest.mark.parametrize("counts", [None, (1, 2)])
     @pytest.mark.parametrize(
@@ -503,7 +516,7 @@ class TestScoreSharesOutput:
         [("result 42", Cat.CORRECT), ("result 99", Cat.OUTPUT_MISMATCH)],
     )
     def test_equal_output_is_the_original_object(
-        self, tmp_path, toolchain_config, message, category, counts
+        self, tmp_path, toolchain_config, monkeypatch, message, category, counts
     ):
         spec = sleep_bench(tmp_path / "b", ms=5)
         original = tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "w")
@@ -513,10 +526,56 @@ class TestScoreSharesOutput:
         (cand_dir / "main.c").write_text(sleeper(1, message=message))
         build = tc.compile(spec, cand_dir, toolchain_config, "cand", tmp_path / "w")
 
+        own = []  # the samples as timed, before scoring shares an output
+        run_timed = tc.run_timed
+        monkeypatch.setattr(tc, "run_timed", lambda *a, **kw: own.append(run_timed(*a, **kw)) or own[-1])
         evaluation = ex._score(spec, build, None, set(), baseline, counts)
         assert evaluation.category is category
         assert evaluation.run.stdout == f"{message}\n".encode()
         assert (evaluation.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
+        # An equal output's own file is closed; the original's stays open.
+        assert len(own) == (1 if counts is None else len(counts))
+        assert all(sample.stdout.closed is (category is Cat.CORRECT) for sample in own)
+        assert not baseline.stdout.closed
+
+
+_BIG_OUTPUT = """\
+#include <stdio.h>
+
+int main(void) {
+    for (int i = 0; i < 1000000; i++) printf("%%07d\\n", i);
+    printf("last %s\\n");
+    return 0;
+}
+"""
+
+
+class TestScoreMemory:
+    """Scoring compares an output where it lies, in its file: an 8 MB one
+    costs the heap no copy, equal or not."""
+
+    @pytest.mark.parametrize("mode", ["ExactBytes", "NumericTokens"])
+    @pytest.mark.parametrize("last, category", [("A", Cat.CORRECT), ("B", Cat.OUTPUT_MISMATCH)])
+    def test_peak_heap_stays_under_a_megabyte(self, tmp_path, toolchain_config, mode, last, category):
+        write_bench(tmp_path / "b", "big", {"main.c": _BIG_OUTPUT % "A"},
+                    run={"repetitions": 1}, validation={"mode": mode})
+        spec = load_single(tmp_path / "b", "big")
+        original = tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "w")
+        baseline = tc.run_timed(original.binary_path, spec.run)
+        assert len(baseline.stdout) >= 8_000_000
+        cand_dir = tmp_path / "cand"
+        cand_dir.mkdir()
+        (cand_dir / "main.c").write_text(_BIG_OUTPUT % last)
+        build = tc.compile(spec, cand_dir, toolchain_config, "cand", tmp_path / "w")
+
+        tracemalloc.start()
+        try:
+            evaluation = ex._score(spec, build, None, set(), baseline)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert evaluation.category is category
+        assert peak < 1_000_000
 
 
 class TestScoreSweep:

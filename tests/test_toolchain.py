@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import signal
@@ -18,7 +19,7 @@ from perfagent import toolchain as tc
 from perfagent.manifest import RunRecipe
 
 import kernels
-from conftest import load_single, process_running, write_bench
+from conftest import file_output, load_single, open_fds, process_running, write_bench
 
 
 def _spec(tmp_path, bench_id, files, **overrides):
@@ -346,6 +347,87 @@ def test_run_timed_timeout_kills_grandchildren(tmp_path, toolchain_config):
     finally:
         if process_running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+def test_run_timed_kills_what_a_repetition_leaves_running(tmp_path, toolchain_config):
+    """A child forked by a repetition that exits normally is killed with
+    its group before the next repetition, so it neither runs on nor
+    writes into the kept output."""
+    spec, binary = _build(tmp_path, toolchain_config, kernels.FORK_AND_PRINT_LATE)
+    start = time.monotonic()
+    sample = tc.run_timed(binary, RunRecipe(repetitions=2, timeout_s=10))
+    assert sample.ok
+    pid = int(bytes(sample.stdout).split()[1])
+    try:
+        deadline = time.monotonic() + 1.0
+        while process_running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not process_running(pid), f"child {pid} outlived its repetition"
+    finally:
+        if process_running(pid):
+            os.kill(pid, signal.SIGKILL)
+    time.sleep(max(0.0, start + 0.6 - time.monotonic()))
+    assert not (binary.parent.parent / "src" / "late.marker").exists()
+    assert bytes(sample.stdout) == b"leader %d\n" % pid
+
+
+def test_run_timed_keeps_the_tail_of_stderr(tmp_path, toolchain_config):
+    spec, binary = _build(tmp_path, toolchain_config, kernels.STDERR_FLOOD)
+    sample = tc.run_timed(binary, RunRecipe(repetitions=1, timeout_s=30))
+    assert sample.ok
+    flood = b"".join(b"%011d\n" % i for i in range(kernels.STDERR_FLOOD_LINES))
+    assert len(flood) > 8_000_000
+    assert tc.STDERR_TAIL == 4000
+    assert sample.stderr == flood[-4000:]
+    assert sample.stderr.endswith(b"%011d\n" % (kernels.STDERR_FLOOD_LINES - 1))
+
+
+class TestOutput:
+    DATA = b"".join(b"%06d\n" % i for i in range(30000))  # 210 kB, several reads
+
+    @pytest.mark.parametrize("make", [tc.Output, file_output], ids=["bytes", "file"])
+    def test_reads(self, make):
+        out = make(self.DATA)
+        assert len(out) == len(self.DATA)
+        assert bytes(out) == self.DATA
+        assert out.read(7, 14) == self.DATA[7:14]
+        assert out.read(len(self.DATA) - 3, len(self.DATA) + 100) == self.DATA[-3:]
+        assert out.read(10, 10) == out.read(len(self.DATA), len(self.DATA) + 5) == b""
+        assert out.sha256() == hashlib.sha256(self.DATA).hexdigest()
+        assert out == self.DATA and self.DATA == out
+        assert out == file_output(self.DATA) and out == tc.Output(self.DATA)
+        assert out != self.DATA[:-1] and out != self.DATA[:-1] + b"x"
+        assert out != file_output(self.DATA[:-1] + b"x")
+        assert out != self.DATA.decode()
+        with pytest.raises(TypeError):
+            hash(out)
+
+    @pytest.mark.parametrize("make", [tc.Output, file_output], ids=["bytes", "file"])
+    def test_closed_output_refuses_reads(self, make):
+        out = make(b"abc\n")
+        assert not out.closed
+        out.close()
+        out.close()
+        assert out.closed
+        with pytest.raises(ValueError):
+            out.read()
+        assert len(out) == 4
+
+    def test_file_closes_with_its_handle(self):
+        before = open_fds()
+        out = file_output(self.DATA)
+        assert open_fds() == before + 1
+        del out
+        assert open_fds() == before
+        out = file_output(self.DATA)
+        out.close()
+        assert open_fds() == before
+
+    def test_run_sample_wraps_bytes(self):
+        sample = tc.RunSample((1.0,), b"42\n", b"", 0)
+        assert isinstance(sample.stdout, tc.Output)
+        assert sample.stdout == b"42\n"
+        assert sample == tc.RunSample((1.0,), b"42\n", b"", 0)
 
 
 def _fake_compiler(tmp_path: Path, body: str) -> tc.ToolchainConfig:

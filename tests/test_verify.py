@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from perfagent.verify import (
 )
 
 import reference_impl
+from conftest import file_output
 
 EXACT = ValidationPolicy(mode=ValidationMode.EXACT_BYTES)
 
@@ -303,6 +305,29 @@ class TestExactEquivalence:
         policy = ValidationPolicy(mode=ValidationMode.EXACT_BYTES, ignore_patterns=ignore)
         assert compare_outputs(ref, cand, policy) == reference_impl.compare_exact(ref, cand, policy)
         assert compare_outputs(cand, ref, policy) == reference_impl.compare_exact(cand, ref, policy)
+
+
+class TestChunkBoundaries:
+    """File-backed outputs read a few bytes at a time, so b"\\r\\n" pairs,
+    tokens, lines and ignored lines straddle read edges, report what the
+    reference reports on the same bytes, in both argument orders."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pair=_output_pair(),
+        mode=st.sampled_from(list(ValidationMode)),
+        abs_tol=st.sampled_from((0.0, 0.5)),
+        ignore=st.sampled_from(_IGNORES),
+    )
+    def test_same_report_as_reference(self, pair, mode, abs_tol, ignore):
+        policy = ValidationPolicy(mode=mode, abs_tol=abs_tol, ignore_patterns=ignore)
+        ref, cand = pair
+        ref_out, cand_out = file_output(ref), file_output(cand)
+        for chunk in (1, 2, 3, 7):
+            with mock.patch.object(verify, "_CHUNK", chunk):
+                assert compare_outputs(ref_out, cand_out, policy) == _reference(ref, cand, policy)
+                assert compare_outputs(cand_out, ref_out, policy) == _reference(cand, ref, policy)
+                assert compare_outputs(ref_out, ref_out, policy) == _reference(ref, ref, policy)
 
 
 # An equal prefix longer than three of the chunks the walk reads.
