@@ -403,6 +403,10 @@ def _iterate(
             build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
             evaluation = ex._score(spec, build, extraction, set(), original.sample())
             category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
+            if run is not None and run.stdout is not original.sample().stdout:
+                # The trace keeps the output's size and digest, not its file.
+                run.stdout.sha256()
+                run.stdout.close()
 
         if category is CorrectnessCategory.CORRECT:
             next_tree, fail_note = _profile_or_fallback(
@@ -445,18 +449,14 @@ def _find_fn_path(tree: profile.ProfileTree, fn: str) -> tuple[str, ...] | None:
     return None
 
 
-def _run_sample_doc(run: tc.RunSample | None, digests: dict[int, str]) -> dict | None:
-    """``digests`` maps ``id(stdout)`` to its SHA-256 for the outputs
-    already hashed: runs that share the original's output hash it once,
-    streamed from its file."""
+def _run_sample_doc(run: tc.RunSample | None) -> dict | None:
+    """An Output keeps its digest, so runs that share the original's
+    output hash it once, streamed from its file."""
     if run is None:
         return None
-    digest = digests.get(id(run.stdout))
-    if digest is None:
-        digest = digests[id(run.stdout)] = run.stdout.sha256()
     return {
         "wall_times_s": list(run.wall_times_s),
-        "stdout_sha256": digest,
+        "stdout_sha256": run.stdout.sha256(),
         "stdout_bytes": len(run.stdout),
         "stderr": run.stderr[-tc.STDERR_TAIL:].decode("latin-1"),
         "exit_status": run.exit_status,
@@ -465,11 +465,9 @@ def _run_sample_doc(run: tc.RunSample | None, digests: dict[int, str]) -> dict |
 
 
 def trace_to_dict(trace: AgentTrace) -> dict:
-    # The trace holds every stdout, so no id is reused while this runs.
-    digests: dict[int, str] = {}
     doc = {
         "benchmark_id": trace.benchmark_id,
-        "baseline": _run_sample_doc(trace.baseline, digests),
+        "baseline": _run_sample_doc(trace.baseline),
         "stop_reason": trace.stop_reason.value,
         "best_iteration": trace.best_iteration,
         "iterations": [],
@@ -486,7 +484,7 @@ def trace_to_dict(trace: AgentTrace) -> dict:
                 "rule": record.extraction.extraction_rule_fired.value,
             },
             "category": record.category.value,
-            "run": _run_sample_doc(record.run, digests),
+            "run": _run_sample_doc(record.run),
             "speedup_vs_original": None if stat is None else asdict(stat),
             "requested_metrics": list(record.requested_metrics),
             "profile_delta": None if delta is None else asdict(delta),

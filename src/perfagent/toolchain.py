@@ -56,8 +56,9 @@ TIMEOUT = "timeout"
 # Bytes of a repetition's stderr that a RunSample keeps: its end.
 STDERR_TAIL = 4000
 
-# Size of the reads an Output is compared and hashed in.
-_READ = 1 << 16
+# Size of the reads that compare, hash, count and split outputs, here
+# and in verify.
+READ_SIZE = 1 << 14
 
 _timed_run_lock = threading.Lock()
 
@@ -133,19 +134,22 @@ class Output:
     wrote into (``from_fd``); ``Output(data)`` wraps bytes made in
     memory, so both are read the same way. ``len()`` is the size in
     bytes, ``read(start, stop)`` one bounded slice, ``==`` (against bytes
-    or another Output) and ``sha256()`` stream ``_READ`` bytes at a time,
-    and ``bytes()`` reads it whole. The file closes when the handle is
-    dropped or ``close`` is called; reading a closed Output raises
-    ValueError. Outputs compare like bytes but, being possibly large and
+    or another Output) and ``sha256()`` stream ``READ_SIZE`` bytes at a
+    time, and ``bytes()`` reads it whole. ``sha256()`` hashes once and
+    keeps the digest. The file closes when the handle is dropped or
+    ``close`` is called; a closed Output still gives its length and a
+    digest taken before it closed, and reading it raises ValueError.
+    Outputs compare like bytes but, being possibly large and
     file-backed, are not hashable.
     """
 
-    __slots__ = ("_size", "_pread", "_finalizer", "__weakref__")
+    __slots__ = ("_size", "_pread", "_finalizer", "_digest", "__weakref__")
 
     def __init__(self, data: bytes = b"") -> None:
         self._size = len(data)
         self._pread = lambda n, offset: data[offset : offset + n]
         self._finalizer = None
+        self._digest = None
 
     @classmethod
     def from_fd(cls, fd: int) -> Output:
@@ -156,6 +160,7 @@ class Output:
         out._size = os.fstat(own).st_size
         out._pread = functools.partial(os.pread, own)
         out._finalizer = weakref.finalize(out, os.close, own)
+        out._digest = None
         return out
 
     def __len__(self) -> int:
@@ -181,16 +186,18 @@ class Output:
         if len(other) != self._size:
             return False
         return all(
-            self.read(start, start + _READ) == other.read(start, start + _READ)
-            for start in range(0, self._size, _READ)
+            self.read(start, start + READ_SIZE) == other.read(start, start + READ_SIZE)
+            for start in range(0, self._size, READ_SIZE)
         )
 
     def sha256(self) -> str:
-        """Hex SHA-256 of the whole output."""
-        digest = hashlib.sha256()
-        for start in range(0, self._size, _READ):
-            digest.update(self.read(start, start + _READ))
-        return digest.hexdigest()
+        """Hex SHA-256 of the whole output, hashed on the first call."""
+        if self._digest is None:
+            digest = hashlib.sha256()
+            for start in range(0, self._size, READ_SIZE):
+                digest.update(self.read(start, start + READ_SIZE))
+            self._digest = digest.hexdigest()
+        return self._digest
 
     def close(self) -> None:
         self._pread = _closed_read

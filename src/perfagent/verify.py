@@ -6,14 +6,15 @@ then OutputMismatch, then Correct. Any non-Correct category makes the
 attempt NA downstream: its speedup is recorded as 1.0 against itself,
 since measurement reverts to the original code.
 
-``compare_outputs`` reaches both outputs only through fixed-size reads
-of ``toolchain.Output`` handles (bytes are wrapped in one), so an output
-may stay in the file the program wrote it into. One pass compares them
-a chunk at a time and counts the lines or tokens of the equal chunks,
-which for equal outputs is the whole report; after the first
-difference, only the rest is split, a chunk at a time, and paired
-lazily. It holds a few chunks at a time, or, with ignore_patterns, one
-line where a line is longer than a chunk, whatever the outputs' size.
+``compare_outputs`` reaches both outputs only through bounded reads of
+``toolchain.Output`` handles (bytes are wrapped in one), so an output
+may stay in the file the program wrote it into. The outputs are compared
+a read at a time; equal ones are then counted, and otherwise the walk
+backs up from the first differing byte to the last line start both
+share, counts what precedes it, and splits only the rest, a read at a
+time, pairing lines lazily. It holds a few reads at a time, or, with
+ignore_patterns, one line where a line is longer than a read, whatever
+the outputs' size.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, zip_longest
 
+from . import toolchain as tc
 from .manifest import ValidationMode, ValidationPolicy
 from .toolchain import BuildOutcome, Output, RunSample
 
 _EXCERPT_LIMIT = 120
 _END = "<end of output>"
-# Size of the reads that compare, count and split outputs.
-_CHUNK = 1 << 14
 
 # Maps every byte that decodes (latin-1) to whitespace onto b" " and every
 # other byte onto b"x", so a token starts at each b"x" after a b" ".
@@ -119,122 +119,82 @@ def _kept(lines: list[bytes], patterns: tuple[re.Pattern, ...]) -> list[bytes]:
     return lines
 
 
-def _filter_lines(out: Output, start: int, patterns: tuple[re.Pattern, ...]):
-    """Yield the lines of ``out`` from ``start``, a line start, that no
-    pattern matches, breaks included, as ``bytes.splitlines`` splits
-    them: one list for each ``_CHUNK`` read that ends a line, and one for
-    the end."""
+def _filter_lines(out: Output, start: int, end: int, patterns: tuple[re.Pattern, ...]):
+    """Yield the lines of ``out[start:end]``, where ``start`` is a line
+    start and ``end`` one or ``len(out)``, that no pattern matches,
+    breaks included, as ``bytes.splitlines`` splits them: one list for
+    each read that ends a line, and one for the end."""
     lines = _Lines()
-    for pos in range(start, len(out), _CHUNK):
-        ended = lines.feed(out.read(pos, pos + _CHUNK))
+    for pos in range(start, end, tc.READ_SIZE):
+        ended = lines.feed(out.read(pos, min(pos + tc.READ_SIZE, end)))
         if ended is not None:
             yield _kept(ended, patterns)
     yield _kept(lines.end(), patterns)
 
 
-class _Tally:
-    """Counts the lines (``exact``) or the tokens of an output fed to it
-    in order, a chunk at a time, building no line: breaks are counted
-    over ranges of each chunk and tokens on its byte classes.
-    ``at_line_start`` holds the count as of the last line start the bytes
-    fed so far determine; ``finish`` gives it at the end of the output."""
-
-    def __init__(self, exact: bool) -> None:
-        self.count = self.at_line_start = 0
-        self._exact = exact
-        self._cr = False  # the bytes fed end in b"\r"
-        self._unended = False  # ... in a line with no break yet
-        self._before = b" "  # byte class of the last byte fed
-
-    def feed(self, chunk: bytes) -> None:
-        """Count the non-empty ``chunk``, which follows what was fed."""
-        cut = _cut(chunk, self._cr)
-        if self._exact and self._cr and chunk.startswith(b"\n"):
-            self.count -= 1  # a b"\r\n" split between two chunks is one break
-        self._cr = chunk.endswith(b"\r")
-        self._unended = chunk[-1] not in b"\r\n"
-        data = chunk if self._exact else chunk.translate(_TOKEN_CLASS)
-        if cut >= 0:
-            self._add(data, 0, cut)
-            self.at_line_start = self.count
-        self._add(data, max(cut, 0), len(data))
-        self._before = data[-1:]
-
-    def finish(self) -> int:
-        """The count of the whole output fed."""
-        if self._exact:
-            self.count += self._unended
-            self._unended = False
-        return self.count
-
-    def _add(self, data: bytes, i: int, j: int) -> None:
-        """Count ``data[i:j]``, a chunk's bytes (lines) or byte classes
-        (tokens), which no b"\\r\\n" straddles."""
-        if i == j:
-            return
-        if self._exact:
-            self.count += data.count(b"\n", i, j)
-            if data.find(b"\r", i, j) >= 0:
-                self.count += data.count(b"\r", i, j) - data.count(b"\r\n", i, j)
-        else:
-            # A token starts at each b"x" class after a b" " one.
-            before = data[i - 1 : i] if i else self._before
-            self.count += data.count(b" x", i, j) + (before == b" " and data[i] == 0x78)
+def _count_lines(out: Output, end: int) -> int:
+    """Lines of ``out[:end]``, where ``end`` is a line start or
+    ``len(out)``, as ``bytes.splitlines`` counts them, a read at a time."""
+    count = 0
+    cr = False  # the bytes read before end in b"\r"
+    for pos in range(0, end, tc.READ_SIZE):
+        chunk = out.read(pos, min(pos + tc.READ_SIZE, end))
+        # A b"\r\n" split between two reads is one break.
+        count += chunk.count(b"\n") - (cr and chunk.startswith(b"\n"))
+        if b"\r" in chunk:
+            count += chunk.count(b"\r") - chunk.count(b"\r\n")
+        cr = chunk.endswith(b"\r")
+    return count + (end > 0 and out.read(end - 1, end) not in (b"\r", b"\n"))
 
 
-class _FilteredTally:
-    """``_Tally`` for the lines no ignore_pattern matches: lines are
-    split and filtered as ``_filter_lines`` does, so it holds the line
-    not yet ended."""
-
-    def __init__(self, patterns: tuple[re.Pattern, ...], exact: bool) -> None:
-        self.count = self.at_line_start = 0
-        self._patterns = patterns
-        self._exact = exact
-        self._split = _Lines()
-
-    def feed(self, chunk: bytes) -> None:
-        ended = self._split.feed(chunk)
-        if ended is not None:
-            self._add(ended)
-            self.at_line_start = self.count
-
-    def finish(self) -> int:
-        self._add(self._split.end())
-        return self.count
-
-    def _add(self, lines: list[bytes]) -> None:
-        kept = _kept(lines, self._patterns)
-        self.count += len(kept) if self._exact else _count_tokens(b"".join(kept))
-
-
-def _tally(patterns: tuple[re.Pattern, ...], exact: bool) -> _Tally | _FilteredTally:
-    return _FilteredTally(patterns, exact) if patterns else _Tally(exact)
+def _count_tokens(data: bytes | Output, end: int | None = None) -> int:
+    """``len(data[:end].decode("latin-1").split())``, counted on the byte
+    classes of each read without building the tokens."""
+    out = data if isinstance(data, Output) else Output(data)
+    end = len(out) if end is None else end
+    count = 0
+    before = b" "  # byte class just before the read
+    for pos in range(0, end, tc.READ_SIZE):
+        classes = out.read(pos, min(pos + tc.READ_SIZE, end)).translate(_TOKEN_CLASS)
+        # A token starts at each b"x" class after a b" " one.
+        count += classes.count(b" x") + (before == b" " and classes.startswith(b"x"))
+        before = classes[-1:]
+    return count
 
 
 def _count(out: Output, end: int, patterns: tuple[re.Pattern, ...], exact: bool) -> int:
     """Kept lines (``exact``) or their tokens in ``out[:end]``, where
     ``end`` is a line start or ``len(out)``."""
-    tally = _tally(patterns, exact)
-    for pos in range(0, end, _CHUNK):
-        tally.feed(out.read(pos, min(pos + _CHUNK, end)))
-    return tally.finish()
+    if not patterns:
+        return _count_lines(out, end) if exact else _count_tokens(out, end)
+    kept = _filter_lines(out, 0, end, patterns)
+    if exact:
+        return sum(map(len, kept))
+    return sum(_count_tokens(b"".join(lines)) for lines in kept)
 
 
-def _count_tokens(data: bytes) -> int:
-    """``len(data.decode("latin-1").split())``, counted on fixed-size
-    slices without building the tokens."""
-    return _count(Output(data), len(data), (), exact=False)
+def _first_difference(a: Output, b: Output) -> int:
+    """Offset of the first byte where ``a`` and ``b`` differ, or the
+    shorter length when one is a prefix of the other, found a read at a
+    time; one object is not read at all."""
+    shorter = min(len(a), len(b))
+    if a is b:
+        return shorter
+    for pos in range(0, shorter, tc.READ_SIZE):
+        x, y = a.read(pos, pos + tc.READ_SIZE), b.read(pos, pos + tc.READ_SIZE)
+        if x != y:
+            return pos + _mismatch(x, y)
+    return shorter
 
 
 def _shared_line_start(out: Output, agreed: int) -> int:
     """The last line start at or before ``agreed`` that every output equal
     to ``out`` on its first ``agreed`` bytes shares. A b"\\r" just before
     ``agreed`` ends a line only where no b"\\n" follows it. Reads back
-    from ``agreed`` a chunk at a time."""
+    from ``agreed`` a read at a time."""
     end = agreed
     while end > 0:
-        begin = max(0, end - _CHUNK)
+        begin = max(0, end - tc.READ_SIZE)
         piece = out.read(begin, end)
         last = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, len(piece) - (end == agreed)))
         if last >= 0:
@@ -252,7 +212,7 @@ def _mismatch(a: bytes, b: bytes) -> int:
     n = min(len(a), len(b))
     done = 0
     while done < n:
-        step = min(_CHUNK, n - done)
+        step = min(tc.READ_SIZE, n - done)
         if a[done : done + step] == b[done : done + step]:
             done += step
             continue
@@ -360,16 +320,16 @@ def compare_outputs(
     reference is ground truth), and never when either side is infinite;
     other pairs must be byte-equal.
 
-    Both outputs are read ``_CHUNK`` bytes at a time, at the same
-    offsets, and no call builds a line list or holds a whole output. The
-    lines (ExactBytes) or tokens of each equal pair of chunks are counted
-    as they are compared, so equal outputs (one read per chunk when they
-    are one object) take one pass. At the first differing chunk, halving
-    finds the first differing byte, and the walk backs up to the last
-    line start both outputs share, whose counts the same pass has
-    reached. From there both outputs are split a chunk at a time,
-    ignore_patterns drop lines one at a time, and lines or tokens are
-    paired lazily up to the first divergence.
+    Both outputs are read ``toolchain.READ_SIZE`` bytes at a time, at
+    the same offsets, and no call builds a line list or holds a whole
+    output. Equal outputs (not read at all when they are one object) are
+    then only counted: lines (ExactBytes) or tokens. Otherwise halving
+    finds the first differing byte in the first differing read, the walk
+    backs up to the last line start both outputs share, and the lines
+    and tokens before it are counted a read at a time. From there both
+    outputs are split a read at a time, ignore_patterns drop lines one
+    at a time, and lines or tokens are paired lazily up to the first
+    divergence.
     """
     patterns = tuple(re.compile(p) for p in policy.ignore_patterns)
     exact = policy.mode is ValidationMode.EXACT_BYTES
@@ -378,32 +338,17 @@ def compare_outputs(
         cand = ref
     else:
         cand = candidate if isinstance(candidate, Output) else Output(candidate)
-    tally = _tally(patterns, exact)
-    pos = 0
-    while True:
-        a = ref.read(pos, pos + _CHUNK)
-        b = a if cand is ref else cand.read(pos, pos + _CHUNK)
-        if a != b:
-            break
-        if a:
-            tally.feed(a)
-        if len(a) < _CHUNK:
-            return MatchReport(True, None, tally.finish())
-        pos += _CHUNK
-    start = _shared_line_start(ref, pos + _mismatch(a, b))
-    if start >= pos:
-        if start > pos:
-            tally.feed(a[: start - pos])
-        counted = tally.finish()
-    else:
-        # The fed bytes end inside the line that starts at ``start``.
-        counted = tally.at_line_start
-    lines = counted if exact else _count(ref, start, patterns, exact=True)
-    ref_lines = chain.from_iterable(_filter_lines(ref, start, patterns))
-    cand_lines = chain.from_iterable(_filter_lines(cand, start, patterns))
+    agreed = _first_difference(ref, cand)
+    if agreed == len(ref) == len(cand):
+        return MatchReport(True, None, _count(ref, agreed, patterns, exact))
+    start = _shared_line_start(ref, agreed)
+    lines = _count(ref, start, patterns, exact=True)
+    ref_lines = chain.from_iterable(_filter_lines(ref, start, len(ref), patterns))
+    cand_lines = chain.from_iterable(_filter_lines(cand, start, len(cand), patterns))
     if exact:
         return _compare_exact(ref_lines, cand_lines, lines)
-    return _compare_numeric(ref_lines, cand_lines, lines, counted, policy)
+    tokens = _count(ref, start, patterns, exact=False)
+    return _compare_numeric(ref_lines, cand_lines, lines, tokens, policy)
 
 
 def classify_attempt(

@@ -6,8 +6,10 @@ import logging
 import os
 import subprocess
 import sys
+import resource
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -541,6 +543,9 @@ class TestTracePersistence:
         write_bench(tmp_path / "b", "chatty", {"main.c": source}, entry_hotspot="kernel",
                     build={"flags": ["-O0"]}, run={"repetitions": 1})
         spec = load_single(tmp_path / "b", "chatty")
+        hashed = []
+        monkeypatch.setattr(tc, "hashlib", SimpleNamespace(
+            sha256=lambda: hashed.append(1) or hashlib.sha256()))
         trace = run(spec, replay([fenced(printing_kernel)]), toolchain_config,
                     tmp_path / "w", max_iterations=1)
 
@@ -556,11 +561,8 @@ class TestTracePersistence:
             assert "stdout" not in run_doc
 
         # The iteration printed the original's output, so the two runs hold
-        # one Output and the trace hashes it once.
+        # one Output, hashed once however often the trace is written.
         assert trace.iterations[0].run.stdout is trace.baseline.stdout
-        hashed = []
-        sha256 = tc.Output.sha256
-        monkeypatch.setattr(tc.Output, "sha256", lambda out: hashed.append(out) or sha256(out))
         assert json.loads(json.dumps(ag.trace_to_dict(trace))) == doc
         assert len(hashed) == 1
 
@@ -575,6 +577,27 @@ class TestTracePersistence:
                                                           Cat.CORRECT]
         del trace
         assert open_fds() == before
+
+    def test_more_iterations_than_free_descriptors(self, tmp_path, toolchain_config):
+        # An iteration's own output is hashed and closed once scored, so the
+        # trace holds no descriptor per iteration.
+        spec = hotspot_bench(tmp_path / "b", kernel_ms=1, repetitions=1)
+        prints_more = 'void kernel(void) {\n    printf("extra 1\\n");\n}'
+        iterations = 32
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds() + iterations // 2, hard))
+        try:
+            trace = run(spec, replay([fenced(prints_more)] * iterations), toolchain_config,
+                        tmp_path / "w", max_iterations=iterations)
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert [r.category for r in trace.iterations] == [Cat.OUTPUT_MISMATCH] * iterations
+        assert all(r.run.stdout.closed for r in trace.iterations)
+        assert not trace.baseline.stdout.closed
+        doc = json.loads((tmp_path / "w" / "loopy" / "agent" / "trace.json").read_text())
+        run_doc = doc["iterations"][-1]["run"]
+        assert run_doc["stdout_bytes"] == len(bytes(trace.baseline.stdout)) + len(b"extra 1\n")
+        assert run_doc["stdout_sha256"] != doc["baseline"]["stdout_sha256"]
 
     def test_replay_is_deterministic_up_to_timing(self, tmp_path, toolchain_config):
         texts = [

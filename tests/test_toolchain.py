@@ -413,6 +413,17 @@ class TestOutput:
             out.read()
         assert len(out) == 4
 
+    @pytest.mark.parametrize("make", [tc.Output, file_output], ids=["bytes", "file"])
+    def test_digest_outlives_the_file(self, make):
+        out = make(self.DATA)
+        digest = out.sha256()
+        out.close()
+        assert out.sha256() == digest == hashlib.sha256(self.DATA).hexdigest()
+        unhashed = make(self.DATA)
+        unhashed.close()
+        with pytest.raises(ValueError):
+            unhashed.sha256()
+
     def test_file_closes_with_its_handle(self):
         before = open_fds()
         out = file_output(self.DATA)

@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfagent import toolchain as tc
 from perfagent import verify
 from perfagent.manifest import ValidationMode, ValidationPolicy
 from perfagent.toolchain import BuildOutcome, BuildStatus, RunSample
@@ -324,14 +325,14 @@ class TestChunkBoundaries:
         ref, cand = pair
         ref_out, cand_out = file_output(ref), file_output(cand)
         for chunk in (1, 2, 3, 7):
-            with mock.patch.object(verify, "_CHUNK", chunk):
+            with mock.patch.object(tc, "READ_SIZE", chunk):
                 assert compare_outputs(ref_out, cand_out, policy) == _reference(ref, cand, policy)
                 assert compare_outputs(cand_out, ref_out, policy) == _reference(cand, ref, policy)
                 assert compare_outputs(ref_out, ref_out, policy) == _reference(ref, ref, policy)
 
 
 # An equal prefix longer than three of the chunks the walk reads.
-_LONG = b"".join(b"%d 0.5 x\n" % i for i in range(4 * verify._CHUNK // 8))
+_LONG = b"".join(b"%d 0.5 x\n" % i for i in range(4 * tc.READ_SIZE // 8))
 
 
 class TestInPlaceWalk:
@@ -407,7 +408,7 @@ class TestTokenCount:
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_across_chunks(self, seed):
         rng = random.Random(seed)
-        data = bytes(rng.choice(_SPLIT_BYTES) for _ in range(3 * verify._CHUNK + 7))
+        data = bytes(rng.choice(_SPLIT_BYTES) for _ in range(3 * tc.READ_SIZE + 7))
         assert _count_tokens(data) == len(data.decode("latin-1").split())
 
     def test_every_byte_value(self):
