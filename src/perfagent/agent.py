@@ -47,14 +47,6 @@ class AgentError(Exception):
     pass
 
 
-class BaselineBuildFailed(AgentError):
-    pass
-
-
-class BaselineRunFailed(AgentError):
-    pass
-
-
 class StopReason(Enum):
     THRESHOLD_REACHED = "ThresholdReached"
     MODEL_DECLINED = "ModelDeclined"
@@ -302,26 +294,22 @@ def run_agent(
     started first. It is joined and timed when first needed: by the
     fallback tree, by a profile source reading its ``binary_path``, by
     the first candidate's timed run (the two are then timed back to
-    back) or at the end of the loop. BaselineBuildFailed and
-    BaselineRunFailed are raised then, so with a profile source that
-    does not read the binary a broken original is reported after the
-    first request. An escaping exception kills the original's build.
+    back) or at the end of the loop. ``experiments.BaselineFailed``
+    propagates then (``BaselineRunFailed`` when the original built but
+    did not run cleanly), so with a profile source that does not read
+    the binary a broken original is reported after the first request.
+    An escaping exception kills the original's build.
     """
     work_dir = Path(work_dir)
     agent_dir = work_dir / spec.id / "agent"
     agent_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        with contextlib.ExitStack() as in_flight:
-            original = ex._Baseline(spec, toolchain, work_dir, "agent")
-            in_flight.callback(original.kill)
-            iterations, stop_reason, best_iteration = _iterate(
-                spec, original, profile_source, provider, cfg, toolchain, work_dir
-            )
-            trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
-    except ex._BaselineRunFailed as exc:
-        raise BaselineRunFailed(str(exc)) from exc
-    except ex._BaselineFailed as exc:
-        raise BaselineBuildFailed(str(exc)) from exc
+    with contextlib.ExitStack() as in_flight:
+        original = ex._Baseline(spec, toolchain, work_dir, "agent")
+        in_flight.callback(original.kill)
+        iterations, stop_reason, best_iteration = _iterate(
+            spec, original, profile_source, provider, cfg, toolchain, work_dir
+        )
+        trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
     save_trace(trace, agent_dir / TRACE_FILE)
     return trace
 

@@ -267,7 +267,6 @@ _KNOWN_ERRORS = (
     exp.ExperimentError,
     gw.GatewayError,
     tc.ToolchainError,
-    agent_mod.AgentError,
     profile.ProfileError,
     ValueError,
     OSError,

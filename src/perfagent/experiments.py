@@ -131,18 +131,18 @@ def _provenance(toolchain: tc.ToolchainConfig, tool_id: str) -> dict:
     }
 
 
-class _BaselineFailed(ExperimentError):
-    pass
+class BaselineFailed(ExperimentError):
+    """The original did not prepare, build or run cleanly."""
 
 
-class _BaselineRunFailed(_BaselineFailed):
+class BaselineRunFailed(BaselineFailed):
     """The original built but did not run cleanly."""
 
 
 class _Baseline:
     """One row's untouched original. Construction prepares its sources
     (``src_dir``) and starts its build; ``sample`` joins the build and
-    times it once, on first need. Every failure is a _BaselineFailed."""
+    times it once, on first need. Every failure is a BaselineFailed."""
 
     def __init__(
         self,
@@ -154,7 +154,7 @@ class _Baseline:
     ) -> None:
         self._spec = spec
         self._thread_count = thread_count
-        self._outcome: tc.RunSample | _BaselineFailed | None = None
+        self._outcome: tc.RunSample | BaselineFailed | None = None
         try:
             # Prepared straight into the variant's src/, which the build
             # then compiles in place instead of copying.
@@ -164,7 +164,7 @@ class _Baseline:
                 spec, self.src_dir, toolchain, f"{ex_tag}/base", work_dir
             )
         except (tc.ToolchainError, manifest.ManifestError) as exc:
-            raise _BaselineFailed(str(exc)) from exc
+            raise BaselineFailed(str(exc)) from exc
 
     def sample(self) -> tc.RunSample:
         """The original's timed run. A failure is cached and raised again
@@ -172,9 +172,9 @@ class _Baseline:
         if self._outcome is None:
             try:
                 self._outcome = self._join_and_time()
-            except _BaselineFailed as exc:
+            except BaselineFailed as exc:
                 self._outcome = exc
-        if isinstance(self._outcome, _BaselineFailed):
+        if isinstance(self._outcome, BaselineFailed):
             raise self._outcome
         return self._outcome
 
@@ -190,12 +190,12 @@ class _Baseline:
         try:
             outcome = self._build.wait()
         except tc.ToolchainError as exc:
-            raise _BaselineFailed(str(exc)) from exc
+            raise BaselineFailed(str(exc)) from exc
         if not outcome.ok:
-            raise _BaselineFailed(f"{spec.id}: baseline build failed\n{outcome.stderr[-2000:]}")
+            raise BaselineFailed(f"{spec.id}: baseline build failed\n{outcome.stderr[-2000:]}")
         run = tc.run_timed(outcome.binary_path, spec.run, thread_count=self._thread_count)
         if not run.ok:
-            raise _BaselineRunFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
+            raise BaselineRunFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
         return run
 
 
@@ -452,7 +452,7 @@ def _converse(
                 # (tag, extraction, flags, build) of the turn whose build is running
                 building = None
                 for turn, (template, tag) in enumerate(turns, start=1):
-                    prompt = gw.render_prompt(template, spec, original_text, env)
+                    prompt = gw.render_prompt(template, original_text, env)
                     response = _request_or_none(provider, prompt, history)
                     if turn < len(turns):
                         base.sample()
@@ -478,7 +478,7 @@ def _converse(
                     evaluated.append(_join_turn(spec, building, base, counts))
                 # A row with nothing built is still skipped for a broken original.
                 base.sample()
-        except _BaselineFailed as exc:
+        except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
         correct = [(tag, e) for tag, e in evaluated if e.category is CorrectnessCategory.CORRECT]
@@ -557,6 +557,8 @@ def import_external_tool_results(
     The original builds beside the tree; a benchmark whose original
     fails to prepare, build or run is skipped with an error logged.
     """
+    if not manifest.is_plain_name(tool_id):
+        raise ValueError(f"tool id {tool_id!r} must be one plain path component")
     dir = Path(dir)
     work_dir = Path(work_dir)
     by_id = {spec.id: spec for spec in selection}
@@ -576,7 +578,7 @@ def import_external_tool_results(
                 vsrc = _stage_candidate(spec, base.src_dir, work_dir, tag, overlay=dir / bench_id)
                 build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
                 baseline = base.sample()
-        except _BaselineFailed as exc:
+        except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
         evaluation = _score(spec, build, None, set(), baseline)
@@ -675,8 +677,11 @@ def record_from_dict(doc: dict) -> AttemptRecord:
 
 def load_table(path: Path | str) -> ResultsTable:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = tuple(record_from_dict(d) for d in doc["rows"])
-    return ResultsTable(rows, doc.get("provenance", {}))
+    try:
+        rows = tuple(record_from_dict(d) for d in doc["rows"])
+        return ResultsTable(rows, doc.get("provenance", {}))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InvalidRecord(f"{path}: not a results table ({type(exc).__name__}: {exc})") from None
 
 
 def _csv_text(table: ResultsTable) -> str:

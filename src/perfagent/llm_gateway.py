@@ -105,10 +105,11 @@ class UnparseableCandidate(GatewayError):
 
 @dataclass(frozen=True)
 class PromptBundle:
+    """The two messages a request sends: the system prompt and the user
+    message, which already holds the instruction and the attached code."""
+
     system_text: str
     user_text: str
-    experiment: Experiment
-    attached_code: str
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,6 @@ def render_system_text(env: dict[str, str]) -> str:
 
 def render_prompt(
     experiment: Experiment,
-    spec,
     code: str,
     env: dict[str, str],
 ) -> PromptBundle:
@@ -196,8 +196,6 @@ def render_prompt(
     return PromptBundle(
         system_text=render_system_text(env),
         user_text=instruction + "\n\n" + code,
-        experiment=experiment,
-        attached_code=code,
     )
 
 
@@ -216,8 +214,6 @@ def render_agent_prompt(
     return PromptBundle(
         system_text=render_system_text(env),
         user_text="\n\n".join(sections),
-        experiment=Experiment.AGENT,
-        attached_code=hotspot_code,
     )
 
 

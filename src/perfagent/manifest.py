@@ -15,7 +15,7 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -173,6 +173,12 @@ def _str_list(doc: dict, key: str, path: Path, default=None) -> list[str]:
     return value
 
 
+def is_plain_name(name: str) -> bool:
+    """True when ``name`` is one path component that stays where it is
+    joined: not empty, not "." or "..", without "/" or NUL."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
+
+
 def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> BenchmarkSpec:
     """Validate a parsed manifest document into a BenchmarkSpec."""
     path = manifest_path or root / MANIFEST_NAME
@@ -180,8 +186,8 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
         raise MalformedManifest(path, "top level must be an object")
 
     bench_id = _want(doc, "id", str, path)
-    if not bench_id:
-        raise MalformedManifest(path, "id must be non-empty")
+    if not is_plain_name(bench_id):
+        raise MalformedManifest(path, f"id {bench_id!r} must be one plain path component")
 
     motif_name = _want(doc, "motif", str, path)
     try:
@@ -215,7 +221,11 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
         defs = 0
         for rel in sources:
             text = (root / rel).read_text(encoding="utf-8", errors="replace")
-            defs += sum(1 for s in patch.list_functions(text) if s.name == entry_hotspot)
+            try:
+                spans = patch.list_functions(text)
+            except patch.UnbalancedBraces as exc:
+                raise MalformedManifest(path, f"{rel}: {exc}") from None
+            defs += sum(1 for s in spans if s.name == entry_hotspot)
         if defs != 1:
             raise MalformedManifest(
                 path,
@@ -299,44 +309,6 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
         prep=prep,
         root=root,
     )
-
-
-def spec_to_dict(spec: BenchmarkSpec) -> dict:
-    """Manifest-shaped document; load(spec_to_dict(s)) equals s."""
-    doc = {
-        "id": spec.id,
-        "motif": spec.motif.value,
-        "level": spec.level,
-        "language": spec.language.value,
-        "sources": list(spec.source_files),
-        "build": {
-            "compiler_id": spec.build.compiler_id,
-            "flags": list(spec.build.flags),
-            "extra_objects": list(spec.build.extra_objects),
-            "timeout_s": spec.build.timeout_s,
-        },
-        "run": {
-            "args": list(spec.run.args),
-            "repetitions": spec.run.repetitions,
-            "timeout_s": spec.run.timeout_s,
-            "env": {k: v for k, v in spec.run.env},
-        },
-        "validation": {
-            "mode": spec.validation.mode.value,
-            "abs_tol": spec.validation.abs_tol,
-            "rel_tol": spec.validation.rel_tol,
-            "ignore_patterns": list(spec.validation.ignore_patterns),
-        },
-        "prep": {
-            "strip_omp_pragmas": spec.prep.strip_omp_pragmas,
-            "expand_macros": spec.prep.expand_macros,
-        },
-    }
-    if spec.entry_hotspot:
-        doc["entry_hotspot"] = spec.entry_hotspot
-    if spec.run.stdin_file:
-        doc["run"]["stdin_file"] = spec.run.stdin_file
-    return doc
 
 
 def load_manifest(root: Path | str) -> list[BenchmarkSpec]:

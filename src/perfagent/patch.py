@@ -83,14 +83,12 @@ class FunctionSpan:
 
     Offsets index the UTF-8 encoding of the source text: ``byte_start`` is
     the first byte of the declaration prefix (storage class or return
-    type), ``byte_end`` is one past the closing brace. ``signature_text``
-    is the declaration up to the opening brace with whitespace collapsed.
+    type), ``byte_end`` is one past the closing brace.
     """
 
     name: str
     byte_start: int
     byte_end: int
-    signature_text: str
 
 
 _WS = frozenset(b" \t\r\n\v\f")
@@ -195,7 +193,7 @@ def _preceded_by_member_op(code: bytes, i: int) -> bool:
     return j >= 1 and code[j - 1 : j + 1] in (b"->", b"::")
 
 
-def _try_definition(data: bytes, code: bytes, name_start: int, name_end: int, name: str):
+def _try_definition(code: bytes, name_start: int, name_end: int, name: str):
     """Return (span, resume_index); span is None when this is not one."""
     n = len(code)
     if name in _NOT_NAMES:
@@ -238,9 +236,7 @@ def _try_definition(data: bytes, code: bytes, name_start: int, name_end: int, na
     start += 1
     while start < name_start and code[start] in _WS:
         start += 1
-
-    sig = " ".join(data[start:k].decode("utf-8", "replace").split())
-    return FunctionSpan(name, start, byte_end, sig), byte_end
+    return FunctionSpan(name, start, byte_end), byte_end
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,7 @@ class _Scan:
     derived: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _find_definitions(data: bytes, code: bytes) -> list[FunctionSpan]:
+def _find_definitions(code: bytes) -> list[FunctionSpan]:
     """Walk ``code`` at file scope. Outside every brace and parenthesis
     the walk stops at each delimiter and identifier and skips a group
     whole, carrying over the depth of the other delimiter kind inside it;
@@ -308,7 +304,7 @@ def _find_definitions(data: bytes, code: bytes) -> list[FunctionSpan]:
             parens = -1
             pos = i + 1
         else:
-            span, pos = _try_definition(data, code, i, m.end(), m.group().decode("ascii"))
+            span, pos = _try_definition(code, i, m.end(), m.group().decode("ascii"))
             if span is not None:
                 spans.append(span)
     return spans
@@ -320,7 +316,7 @@ def _scan(source: str) -> _Scan:
     literal = _zero_inert(data.replace(b"\x00", b"\x01"))
     code = _zero_directives(literal)
     try:
-        return _Scan(data, literal, code, tuple(_find_definitions(data, code)), None)
+        return _Scan(data, literal, code, tuple(_find_definitions(code)), None)
     except UnbalancedBraces as exc:
         return _Scan(data, literal, code, (), exc.name)
 

@@ -185,23 +185,6 @@ _INF = math.inf
 _NO_CHILDREN: list = []  # read only
 
 
-def _float_metrics(doc, link: tuple, catalog: dict[str, MetricInfo]) -> dict[str, float]:
-    """``doc`` as a node's metrics with integer values made floats, or the
-    error its first invalid entry raises."""
-    metrics: dict[str, float] = {}
-    if isinstance(doc, dict):
-        for metric_id, value in doc.items():
-            if metric_id in catalog and type(value) in (float, int):
-                value = float(value)
-                if 0.0 <= value < _INF:
-                    metrics[metric_id] = value
-                    continue
-            break
-        else:
-            return metrics
-    return _parse_metrics(doc, _node_path(link) + ".metrics", catalog)
-
-
 def _parse_node(
     doc,
     link: tuple,
@@ -251,10 +234,10 @@ def _parse_node(
     if type(metrics) is dict:
         for metric_id, value in metrics.items():
             if type(value) is not float or not 0.0 <= value < _INF or metric_id not in catalog:
-                metrics = _float_metrics(metrics, link, catalog)
+                metrics = _parse_metrics(metrics, _node_path(link) + ".metrics", catalog)
                 break
     else:
-        metrics = _float_metrics(metrics, link, catalog)
+        metrics = _parse_metrics(metrics, _node_path(link) + ".metrics", catalog)
 
     for excl_id, incl_id in pairs:
         if excl_id in metrics and incl_id in metrics:
@@ -354,17 +337,7 @@ def import_profile(document: bytes | str) -> ProfileTree:
 
     total_doc = doc.get("total", {})
     _require(isinstance(total_doc, dict), "total", "object required")
-    total: dict[str, float] = {}
-    for metric_id, value in total_doc.items():
-        path = f"total.{metric_id}"
-        _require(metric_id in catalog, path, "metric id not declared in catalog")
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 path, "numeric value required")
-        value = float(value)
-        _require(math.isfinite(value), path, "value must be finite")
-        if value < 0:
-            raise NegativeMetric(path, value)
-        total[metric_id] = value
+    total = _parse_metrics(total_doc, "total", catalog)
 
     for metric_id, info in catalog.items():
         if info.kind is MetricKind.EXCLUSIVE:

@@ -104,14 +104,21 @@ def hang_build(pids, path_part):
 
 
 def slow_original_gcc(tmp_path, toolchain_config, builds):
-    """A wrapped gcc that slows the original's build (its arguments hold
-    "/base/") by 0.3 s, so a candidate build that starts only once the
-    original is built cannot overlap it, and appends each build's start
-    and end times and arguments to ``builds``."""
+    """A wrapped gcc whose build of the original (its arguments hold
+    "/base/") waits until another build has started, polling for at most
+    10 s. Every other build marks its start before it compiles. A
+    driver that builds a candidate only once the original is built
+    cannot overlap the two, and waits out the bound. Each build appends
+    its start and end times and arguments to ``builds``."""
+    started = tmp_path / "candidate.started"
     return wrapped_gcc(
         tmp_path, toolchain_config,
         'start=$(date +%s.%N)\n'
-        'case "$*" in */base/*) sleep 0.3 ;; esac\n'
+        'case "$*" in\n'
+        f'  */base/*) i=0; while [ ! -e "{started}" ] && [ $i -lt 1000 ]; do'
+        ' sleep 0.01; i=$((i + 1)); done ;;\n'
+        f'  *) : > "{started}" ;;\n'
+        'esac\n'
         f'"{toolchain_config.compilers["gcc"].c_path}" "$@" || exit $?\n'
         f'echo "$start $(date +%s.%N) $*" >> "{builds}"\n'
         "exit 0",

@@ -212,9 +212,7 @@ def try_definition(data, mask, name_start, name_end, name):
     start += 1
     while start < name_start and data[start] in _WS:
         start += 1
-
-    sig = " ".join(data[start:k].decode("utf-8", "replace").split())
-    return FunctionSpan(name, start, byte_end, sig), byte_end
+    return FunctionSpan(name, start, byte_end), byte_end
 
 
 def find_definitions(data: bytes, mask: bytes) -> list[FunctionSpan]:

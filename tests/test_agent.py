@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfagent import agent as ag
+from perfagent import experiments as ex
 from perfagent import llm_gateway as gw
 from perfagent import profile as pr
 from perfagent import toolchain as tc
@@ -150,16 +151,17 @@ class TestStops:
     def test_baseline_build_failure(self, tmp_path, toolchain_config, source):
         write_bench(tmp_path / "b", "broken", {"main.c": SYNTAX_ERROR})
         spec = load_single(tmp_path / "b", "broken")
-        with pytest.raises(ag.BaselineBuildFailed):
+        with pytest.raises(ex.BaselineFailed) as failure:
             run(spec, replay([]), toolchain_config, tmp_path / "w",
                 profile_source=PROFILE_SOURCES[source])
+        assert not isinstance(failure.value, ex.BaselineRunFailed)
         assert not tc._unjoined
 
     @pytest.mark.parametrize("source", ["none", "ignores_binary", "reads_binary"])
     def test_baseline_run_failure(self, tmp_path, toolchain_config, source):
         write_bench(tmp_path / "b", "crashy", {"main.c": CRASH_MAIN})
         spec = load_single(tmp_path / "b", "crashy")
-        with pytest.raises(ag.BaselineRunFailed):
+        with pytest.raises(ex.BaselineRunFailed):
             run(spec, replay([]), toolchain_config, tmp_path / "w",
                 profile_source=PROFILE_SOURCES[source])
         assert not tc._unjoined

@@ -190,6 +190,61 @@ class TestReportCommand:
                (out_dir / "report.md").read_bytes()
 
 
+def _unbalanced_hotspot(tmp_path):
+    source = "void kernel(void) {\nint main(void) { return 0; }\n"
+    write_bench(tmp_path / "suite", "open", {"main.c": source}, entry_hotspot="kernel")
+    return ["bench", "list", "--root", str(tmp_path / "suite")], "bench.json"
+
+
+def _escaping_manifest_id(tmp_path):
+    bench = write_bench(tmp_path / "suite", "alpha", {"main.c": sleeper(10)})
+    doc = json.loads((bench / "bench.json").read_text())
+    doc["id"] = "../../escape"
+    (bench / "bench.json").write_text(json.dumps(doc))
+    return ["bench", "list", "--root", str(tmp_path / "suite")], "bench.json"
+
+
+def _escaping_tool_id(tmp_path):
+    suite(tmp_path / "suite")
+    tree = tmp_path / "ext" / "alpha"
+    tree.mkdir(parents=True)
+    (tree / "main.c").write_text(sleeper(10))
+    return [
+        "import-tool", "--root", str(tmp_path / "suite"), "--dir", str(tmp_path / "ext"),
+        "--tool-id", "../../../escape", "--out", str(tmp_path / "out"),
+    ], "escape"
+
+
+def _report(doc):
+    def write(tmp_path):
+        (tmp_path / "report.json").write_text(json.dumps(doc))
+        return [
+            "report", "--in", str(tmp_path / "report.json"), "--format", "csv",
+            "--out", str(tmp_path / "out"),
+        ], "report.json"
+    return write
+
+
+@pytest.mark.parametrize("bad_input", [
+    _unbalanced_hotspot,
+    _escaping_manifest_id,
+    _escaping_tool_id,
+    _report({"provenance": {}}),
+    _report({"rows": [{"benchmark_id": "alpha"}], "provenance": {}}),
+], ids=["unbalanced_hotspot_source", "manifest_id", "tool_id", "report_without_rows",
+        "report_row_missing_key"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, bad_input):
+    """Each bad input is refused with one line naming it, before anything
+    is built or written."""
+    argv, named = bad_input(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 class TestAgentCommand:
     def test_agent_runs_and_writes_trace(self, tmp_path, capsys):
         root = tmp_path / "suite"

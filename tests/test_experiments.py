@@ -375,7 +375,7 @@ class TestEx2:
             history = []
             for turn, (reply, answered, _) in enumerate(plans[spec.id], start=1):
                 experiment = Experiment.EX1 if turn == 1 else Experiment.EX2
-                prompt = gw.render_prompt(experiment, spec, original, env)
+                prompt = gw.render_prompt(experiment, original, env)
                 messages = gw.build_messages(prompt, history)
                 expected_requests.append(messages)
                 # A wrong digest makes the replay raise TranscriptMismatch,
@@ -707,7 +707,7 @@ class TestBaselineBesideCandidate:
         entries, expected_requests = [], []
         for spec, (_, reply, answered, _) in zip(specs, plans):
             original = (spec.root / "main.c").read_text()
-            prompt = gw.render_prompt(experiment, spec, original, env)
+            prompt = gw.render_prompt(experiment, original, env)
             messages = gw.build_messages(prompt, [])
             expected_requests.append(messages)
             # A wrong digest makes the replay raise TranscriptMismatch,

@@ -30,7 +30,7 @@ def make_response(text, provider_id="test", latency=0.01):
 
 class TestPromptRendering:
     def test_system_text_substitutes_environment(self):
-        bundle = gw.render_prompt(gw.Experiment.EX1, None, CODE, ENV)
+        bundle = gw.render_prompt(gw.Experiment.EX1, CODE, ENV)
         assert "Rocky Linux 8.5 Green Obsidian" in bundle.system_text
         assert "AMD EPYC 7543 32-Core CPU" in bundle.system_text
         assert "GCC/G++ v14.2.0 and CLANG/CLANG++ v19.1.5" in bundle.system_text
@@ -39,23 +39,22 @@ class TestPromptRendering:
         )
 
     def test_ex1_instruction_then_code(self):
-        bundle = gw.render_prompt(gw.Experiment.EX1, None, CODE, ENV)
+        bundle = gw.render_prompt(gw.Experiment.EX1, CODE, ENV)
         assert bundle.user_text.startswith(
             "Provide the C/C++ code with a single serial optimization"
         )
         assert bundle.user_text.endswith(CODE)
         assert bundle.user_text.count(CODE) == 1
-        assert bundle.experiment is gw.Experiment.EX1
-        assert bundle.attached_code == CODE
+        assert bundle.user_text == gw.EX1_INSTRUCTION + "\n\n" + CODE
 
     def test_ex2_instruction_wording(self):
-        bundle = gw.render_prompt(gw.Experiment.EX2, None, CODE, ENV)
+        bundle = gw.render_prompt(gw.Experiment.EX2, CODE, ENV)
         assert bundle.user_text.startswith(
             "Propose an additional serial optimization that can be applied"
         )
 
     def test_ex3_instruction_wording(self):
-        bundle = gw.render_prompt(gw.Experiment.EX3, None, CODE, ENV)
+        bundle = gw.render_prompt(gw.Experiment.EX3, CODE, ENV)
         assert bundle.user_text.startswith(
             "Based on the original code, provide optimized parallel C/C++ code"
         )
@@ -72,11 +71,11 @@ class TestPromptRendering:
 
     def test_agent_experiment_has_no_fixed_template(self):
         with pytest.raises(gw.UnknownExperiment):
-            gw.render_prompt(gw.Experiment.AGENT, None, CODE, ENV)
+            gw.render_prompt(gw.Experiment.AGENT, CODE, ENV)
 
     def test_empty_code_rejected(self):
         with pytest.raises(ValueError):
-            gw.render_prompt(gw.Experiment.EX1, None, "", ENV)
+            gw.render_prompt(gw.Experiment.EX1, "", ENV)
 
     def test_agent_prompt_sections(self):
         bundle = gw.render_agent_prompt(
@@ -85,7 +84,7 @@ class TestPromptRendering:
             memory_digest="iter 1: Correct, 1.20x",
             env=ENV,
         )
-        assert bundle.experiment is gw.Experiment.AGENT
+        assert bundle.user_text.startswith(gw.AGENT_INSTRUCTION)
         assert "NO FURTHER OPTIMIZATIONS" in bundle.user_text
         assert "kernel at main.c:10 (88.0%)" in bundle.user_text
         assert "iter 1: Correct, 1.20x" in bundle.user_text
@@ -99,14 +98,14 @@ class TestPromptRendering:
 
 class TestMessageBuilding:
     def test_single_turn_is_system_plus_user(self):
-        bundle = gw.render_prompt(gw.Experiment.EX1, None, CODE, ENV)
+        bundle = gw.render_prompt(gw.Experiment.EX1, CODE, ENV)
         messages = gw.build_messages(bundle)
         assert [m["role"] for m in messages] == ["system", "user"]
         assert messages[0]["content"] == bundle.system_text
         assert messages[1]["content"] == bundle.user_text
 
     def test_third_turn_carries_both_exchanges(self):
-        bundle = gw.render_prompt(gw.Experiment.EX2, None, CODE, ENV)
+        bundle = gw.render_prompt(gw.Experiment.EX2, CODE, ENV)
         history = [("ask one", "reply one"), ("ask two", "reply two")]
         messages = gw.build_messages(bundle, history)
         assert [m["role"] for m in messages] == [
@@ -340,7 +339,7 @@ class TestProviderConfig:
     def test_request_routes_history(self, tmp_path):
         write_transcript(tmp_path / "t.json", ["r1"])
         provider = gw.ReplayProvider(tmp_path / "t.json")
-        bundle = gw.render_prompt(gw.Experiment.EX2, None, CODE, ENV)
+        bundle = gw.render_prompt(gw.Experiment.EX2, CODE, ENV)
         gw.request(provider, bundle, history=[("u1", "a1")])
         roles = [m["role"] for m in provider.received[0]]
         assert roles == ["system", "user", "assistant", "user"]

@@ -19,11 +19,10 @@ from perfagent.manifest import (
     MissingSource,
     Motif,
     PreprocessFailure,
+    ValidationMode,
     load_manifest,
     prepare_sources,
     select,
-    spec_from_dict,
-    spec_to_dict,
 )
 
 import kernels
@@ -216,6 +215,7 @@ def test_preprocessor_timeout_kills_its_process_group(tmp_path):
 
 
 def test_spec_roundtrip(tmp_path):
+    """What the manifest states reaches the loaded spec."""
     write_bench(
         tmp_path,
         "round",
@@ -226,9 +226,13 @@ def test_spec_roundtrip(tmp_path):
                     "ignore_patterns": ["^Time"]},
     )
     spec = load_manifest(tmp_path)[0]
-    doc = spec_to_dict(spec)
-    again = spec_from_dict(doc, spec.root)
-    assert again == spec
+    assert spec.entry_hotspot == "work"
+    assert spec.run.repetitions == 7
+    assert spec.run.env == (("SEED", "1"),)
+    assert spec.run.env_dict() == {"SEED": "1"}
+    assert spec.validation.mode is ValidationMode.NUMERIC_TOKENS
+    assert (spec.validation.abs_tol, spec.validation.rel_tol) == (1e-6, 1e-9)
+    assert spec.validation.ignore_patterns == ("^Time",)
 
 
 def test_repetitions_default_is_ten(tmp_path):

@@ -45,12 +45,6 @@ def test_lists_definitions_in_order():
     assert spans == ["helper", "main"]
 
 
-def test_signature_text_collapses_whitespace():
-    spans = {s.name: s for s in list_functions(SIMPLE)}
-    assert spans["helper"].signature_text == "static int helper(int a)"
-    assert spans["main"].signature_text == "int main(void)"
-
-
 def test_span_covers_prefix_through_closing_brace():
     span = locate_function(SIMPLE, "helper")
     data = SIMPLE.encode()
