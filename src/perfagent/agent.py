@@ -94,7 +94,7 @@ class AgentTrace:
 
 @dataclass(frozen=True)
 class ProfileRequest:
-    """One variant to profile, run under ``run``, the run recipe.
+    """One variant to profile, run as ``spec.run`` says.
 
     For the original ("agent/base"), reading ``binary_path`` joins and
     times its build, so a source that opens the binary gets an executable
@@ -104,7 +104,6 @@ class ProfileRequest:
     spec: BenchmarkSpec
     variant_tag: str
     binary: Callable[[], Path]
-    run: object
     metric_ids: tuple[str, ...] = ()
 
     @property
@@ -208,20 +207,23 @@ def _profile_or_fallback(
     profile_source: ProfileSource | None,
     request: ProfileRequest,
     spec: BenchmarkSpec,
-    hotspot_name: str,
+    hotspot_name: str | None,
     mean_s: Callable[[], float],
 ) -> tuple[profile.ProfileTree, str]:
-    """The source's tree for ``request``, or a fallback carrying ``mean_s()``."""
-    if profile_source is None:
-        return _fallback_tree(spec, hotspot_name, mean_s()), ""
-    try:
-        return profile_source(request), ""
-    except Exception as exc:  # profiler trouble must not kill the run
-        log.warning("profile source failed for %s: %s", request.variant_tag, exc)
-        return (
-            _fallback_tree(spec, hotspot_name, mean_s()),
-            f"profile source failed: {exc}",
-        )
+    """The source's tree for ``request``, or else a fallback tree for
+    ``hotspot_name`` carrying ``mean_s()`` and a note on why the source
+    failed; AgentError when there is no ``hotspot_name`` to fall back on.
+    """
+    note = ""
+    if profile_source is not None:
+        try:
+            return profile_source(request), ""
+        except Exception as exc:  # profiler trouble must not kill the run
+            note = f"profile source failed: {exc}"
+            log.warning("%s: %s", request.variant_tag, note)
+    if hotspot_name is None:
+        raise AgentError(f"no entry_hotspot in manifest and {note or 'no profile source'}")
+    return _fallback_tree(spec, hotspot_name, mean_s()), note
 
 
 def _resolve_hotspot(
@@ -236,16 +238,10 @@ def _resolve_hotspot(
     The manifest's entry_hotspot wins; without one the baseline profile's
     hotspot is used, which then requires a working profile source.
     """
-    request = ProfileRequest(spec, "agent/base", original.binary_path, spec.run)
-    if spec.entry_hotspot:
-        tree, note = _profile_or_fallback(
-            profile_source, request, spec, spec.entry_hotspot,
-            lambda: original.sample().mean_s,
-        )
-    elif profile_source is None:
-        raise AgentError("no entry_hotspot in manifest and no profile source")
-    else:
-        tree, note = profile_source(request), ""
+    tree, note = _profile_or_fallback(
+        profile_source, ProfileRequest(spec, "agent/base", original.binary_path),
+        spec, spec.entry_hotspot, lambda: original.sample().mean_s,
+    )
     metric_id = cfg.metric_id or profile.default_exclusive_metric(tree)
     name = spec.entry_hotspot or profile.hotspot(tree, metric_id).node.frame.fn
     return tree, note, name, metric_id
@@ -260,13 +256,10 @@ def _patch_hotspot(
     """
     unfollowed = CorrectnessCategory.FAILED_TO_FOLLOW_INSTRUCTIONS
     try:
-        named = [span for span in patch.list_functions(extraction.code) if span.name == hotspot]
+        new_function = patch.extract_function(extraction.code, hotspot)
     except patch.PatchError:
-        named = []
-    if len(named) != 1:
         return None, unfollowed, f"no definition of {hotspot!r} in reply"
     try:
-        new_function = patch.extract_function(extraction.code, hotspot)
         new_source = patch.replace_function(base_source, hotspot, new_function)
     except patch.PatchError as exc:
         return None, unfollowed, f"patch failed: {exc}"
@@ -399,7 +392,7 @@ def _iterate(
         if category is CorrectnessCategory.CORRECT:
             next_tree, fail_note = _profile_or_fallback(
                 profile_source,
-                ProfileRequest(spec, tag, lambda: build.binary_path, spec.run, requested),
+                ProfileRequest(spec, tag, lambda: build.binary_path, requested),
                 spec, hotspot_name, lambda: run.mean_s,
             )
             note = _join_notes(note, fail_note)

@@ -25,7 +25,7 @@ from . import llm_gateway as gw
 from . import manifest, patch
 from . import toolchain as tc
 from .llm_gateway import Experiment, OptimizationLabel, OptimizationLabelKind
-from .manifest import BenchmarkSpec, Motif
+from .manifest import BenchmarkSpec, Motif, want
 from .verify import CorrectnessCategory, classify_attempt, compare_outputs, pass_at_1
 
 log = logging.getLogger("perfagent.experiments")
@@ -653,35 +653,47 @@ def record_to_dict(row: AttemptRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> AttemptRecord:
-    threads = doc.get("thread_results")
+    """The row ``doc`` describes; InvalidRecord names a key at fault."""
+    fail = InvalidRecord
+    threads = want(doc, "thread_results", dict, fail, None)
     return AttemptRecord(
-        benchmark_id=doc["benchmark_id"],
-        motif=Motif(doc["motif"]),
-        level=doc["level"],
-        experiment=Experiment(doc["experiment"]),
-        tool_id=doc["tool_id"],
-        variant_tag=doc["variant_tag"],
-        category=CorrectnessCategory(doc["category"]),
-        speedup=doc["speedup"],
-        na_flag=doc["na_flag"],
+        benchmark_id=want(doc, "benchmark_id", str, fail),
+        motif=want(doc, "motif", Motif, fail),
+        level=want(doc, "level", int, fail),
+        experiment=want(doc, "experiment", Experiment, fail),
+        tool_id=want(doc, "tool_id", str, fail),
+        variant_tag=want(doc, "variant_tag", str, fail),
+        category=want(doc, "category", CorrectnessCategory, fail),
+        speedup=want(doc, "speedup", float, fail),
+        na_flag=want(doc, "na_flag", bool, fail),
         labels=tuple(
-            OptimizationLabel(OptimizationLabelKind(l["label"]), l["evidence"])
-            for l in doc.get("labels", [])
+            OptimizationLabel(
+                want(label, f"labels[{i}].label", OptimizationLabelKind, fail),
+                want(label, f"labels[{i}].evidence", str, fail),
+            )
+            for i, label in enumerate(want(doc, "labels", list, fail, []))
         ),
-        thread_results=(
-            None if threads is None
-            else tuple(sorted((int(k), v) for k, v in threads.items()))
-        ),
+        thread_results=None if threads is None else tuple(sorted(
+            (int(count), want(threads, f"thread_results.{count}", float, fail, None))
+            for count in threads
+        )),
     )
 
 
 def load_table(path: Path | str) -> ResultsTable:
+    """A saved ``report.json``; InvalidRecord names its file, row and key."""
+
+    def fail(reason: str) -> InvalidRecord:
+        return InvalidRecord(f"{path}: {reason}")
+
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        rows = tuple(record_from_dict(d) for d in doc["rows"])
-        return ResultsTable(rows, doc.get("provenance", {}))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InvalidRecord(f"{path}: not a results table ({type(exc).__name__}: {exc})") from None
+    rows = []
+    for i, row in enumerate(want(doc, "rows", list, fail)):
+        try:
+            rows.append(record_from_dict(row))
+        except (InvalidRecord, ValueError) as exc:  # ValueError: a thread count not an int
+            raise fail(f"rows[{i}]: {exc}") from None
+    return ResultsTable(tuple(rows), want(doc, "provenance", dict, fail, {}))
 
 
 def _csv_text(table: ResultsTable) -> str:

@@ -20,6 +20,7 @@ from enum import Enum
 from pathlib import Path
 
 from . import patch
+from .manifest import want
 
 SYSTEM_TEMPLATE = (
     "You are a code generation/optimization assistant. "
@@ -377,19 +378,22 @@ class HttpChatProvider(Provider):
 
 
 def load_provider_config(path: Path | str) -> ProviderConfig:
+    """Provider config from JSON; a missing or mistyped key is a
+    GatewayError naming the file and key."""
+
+    def fail(reason: str) -> GatewayError:
+        return GatewayError(f"{path}: {reason}")
+
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("provider_id", "kind"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise GatewayError(f"{path}: provider config has no {key!r}")
     return ProviderConfig(
-        provider_id=doc["provider_id"],
-        kind=doc["kind"],
-        base_url=doc.get("base_url", ""),
-        model=doc.get("model", ""),
-        api_key_env=doc.get("api_key_env", ""),
-        max_output_tokens=doc.get("max_output_tokens"),
-        temperature=doc.get("temperature"),
-        transcript_path=doc.get("transcript_path"),
+        provider_id=want(doc, "provider_id", str, fail),
+        kind=want(doc, "kind", str, fail),
+        base_url=want(doc, "base_url", str, fail, ""),
+        model=want(doc, "model", str, fail, ""),
+        api_key_env=want(doc, "api_key_env", str, fail, ""),
+        max_output_tokens=want(doc, "max_output_tokens", int, fail, None),
+        temperature=want(doc, "temperature", float, fail, None),
+        transcript_path=want(doc, "transcript_path", str, fail, None),
     )
 
 

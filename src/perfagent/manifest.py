@@ -13,11 +13,13 @@ import math
 import re
 import shutil
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 from pathlib import Path
+from types import GenericAlias
 
 from . import patch
 
@@ -139,37 +141,50 @@ _LANGUAGE_SPELLINGS = {
 }
 
 
-def _want(doc: dict, key: str, kind, path: Path, default=None, section: str = ""):
-    """``doc[key]`` if it is a ``kind``, else MalformedManifest; ``default``
-    when the key is absent and a default is given. A float is a finite
-    JSON number, an integer one included. Errors name the key as
-    ``section.key`` when ``doc`` is a section of the manifest."""
-    name = f"{section}.{key}" if section else key
-    if key not in doc:
-        if default is not None:
-            return default
-        raise MalformedManifest(path, f"missing key {name!r}")
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+_REQUIRED = object()  # ``want``'s default for a key that must be present
+
+_KIND_NAMES = {
+    str: "a string", int: "an integer", bool: "true or false",
+    float: "a finite number", dict: "an object", list: "a list",
+}
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, GenericAlias):  # list[str], dict[str, list[str]], ...
+        items = value.values() if isinstance(value, dict) else value
+        return isinstance(value, kind.__origin__) and all(_fits(v, kind.__args__[-1]) for v in items)
+    if kind is float:
+        return isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def want(doc, name: str, kind, fail, default=_REQUIRED):
+    """``doc[key]`` for ``name`` = ``"section.key"`` (or ``"key"``) if it is
+    a ``kind``, else raise ``fail(reason)`` with a reason naming ``name``.
+
+    Kinds: str, int, bool, dict, list; float, a finite number (an integer
+    is converted); ``list[str]`` and ``dict[str, T]``, items checked as
+    kinds; an Enum, by value. An absent key, or a null one whose
+    ``default`` is None, gives ``default``; with none given it fails.
+    """
+    section, _, key = name.rpartition(".")
+    if not isinstance(doc, dict):
+        raise fail(f"{section or 'top level'} must be an object")
+    value = doc.get(key)
+    if key not in doc or value is None and default is None:
+        if default is _REQUIRED:
+            raise fail(f"missing key {name!r}")
+        return default
+    if isinstance(kind, EnumMeta):
         try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise MalformedManifest(path, f"key {name!r} must be {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise MalformedManifest(path, f"key {name!r} must be finite")
-    return value
-
-
-def _str_list(doc: dict, key: str, path: Path, default=None) -> list[str]:
-    if key not in doc:
-        if default is not None:
-            return list(default)
-        raise MalformedManifest(path, f"missing key {key!r}")
-    value = doc[key]
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise MalformedManifest(path, f"key {key!r} must be a list of strings")
+            return kind(value)
+        except ValueError:
+            names = ", ".join(member.value for member in kind)
+            raise fail(f"key {name!r} must be one of {names}, not {value!r}") from None
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not _fits(value, kind):
+        raise fail(f"key {name!r} must be {_KIND_NAMES.get(kind, kind)}")
     return value
 
 
@@ -182,41 +197,35 @@ def is_plain_name(name: str) -> bool:
 def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> BenchmarkSpec:
     """Validate a parsed manifest document into a BenchmarkSpec."""
     path = manifest_path or root / MANIFEST_NAME
-    if not isinstance(doc, dict):
-        raise MalformedManifest(path, "top level must be an object")
 
-    bench_id = _want(doc, "id", str, path)
+    def fail(reason: str) -> MalformedManifest:
+        return MalformedManifest(path, reason)
+
+    bench_id = want(doc, "id", str, fail)
     if not is_plain_name(bench_id):
-        raise MalformedManifest(path, f"id {bench_id!r} must be one plain path component")
+        raise fail(f"id {bench_id!r} must be one plain path component")
+    motif = want(doc, "motif", Motif, fail)
 
-    motif_name = _want(doc, "motif", str, path)
-    try:
-        motif = Motif(motif_name)
-    except ValueError:
-        raise MalformedManifest(path, f"unknown motif {motif_name!r}") from None
-
-    level = _want(doc, "level", int, path)
+    level = want(doc, "level", int, fail)
     if level not in (1, 2, 3):
-        raise MalformedManifest(path, f"level must be 1, 2, or 3, got {level}")
+        raise fail(f"level must be 1, 2, or 3, got {level}")
 
-    lang_name = _want(doc, "language", str, path)
+    lang_name = want(doc, "language", str, fail)
     language = _LANGUAGE_SPELLINGS.get(lang_name)
     if language is None:
-        raise MalformedManifest(path, f"unknown language {lang_name!r}")
+        raise fail(f"unknown language {lang_name!r}")
 
-    sources = _str_list(doc, "sources", path)
+    sources = want(doc, "sources", list[str], fail)
     if not sources:
-        raise MalformedManifest(path, "sources must be non-empty")
+        raise fail("sources must be non-empty")
     for rel in sources:
         p = Path(rel)
         if p.is_absolute() or ".." in p.parts:
-            raise MalformedManifest(path, f"source path escapes root: {rel}")
+            raise fail(f"source path escapes root: {rel}")
         if not (root / rel).is_file():
             raise MissingSource(root / rel)
 
-    entry_hotspot = doc.get("entry_hotspot")
-    if entry_hotspot is not None and not isinstance(entry_hotspot, str):
-        raise MalformedManifest(path, "entry_hotspot must be a string")
+    entry_hotspot = want(doc, "entry_hotspot", str, fail, None)
     if entry_hotspot:
         defs = 0
         for rel in sources:
@@ -224,76 +233,61 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
             try:
                 spans = patch.list_functions(text)
             except patch.UnbalancedBraces as exc:
-                raise MalformedManifest(path, f"{rel}: {exc}") from None
+                raise fail(f"{rel}: {exc}") from None
             defs += sum(1 for s in spans if s.name == entry_hotspot)
         if defs != 1:
-            raise MalformedManifest(
-                path,
-                f"entry_hotspot {entry_hotspot!r} defined {defs} times across sources, need exactly 1",
+            raise fail(
+                f"entry_hotspot {entry_hotspot!r} defined {defs} times across sources, need exactly 1"
             )
 
-    bdoc = _want(doc, "build", dict, path)
-    compiler_id = _want(bdoc, "compiler_id", str, path, section="build")
-    build_timeout = _want(bdoc, "timeout_s", float, path, 120.0, "build")
+    bdoc = want(doc, "build", dict, fail)
+    compiler_id = want(bdoc, "build.compiler_id", str, fail)
+    build_timeout = want(bdoc, "build.timeout_s", float, fail, 120.0)
     if build_timeout <= 0:
-        raise MalformedManifest(path, "build.timeout_s must be > 0")
+        raise fail("build.timeout_s must be > 0")
     build = BuildRecipe(
         compiler_id=compiler_id,
-        flags=tuple(_str_list(bdoc, "flags", path, default=[])),
-        extra_objects=tuple(_str_list(bdoc, "extra_objects", path, default=[])),
+        flags=tuple(want(bdoc, "build.flags", list[str], fail, [])),
+        extra_objects=tuple(want(bdoc, "build.extra_objects", list[str], fail, [])),
         timeout_s=build_timeout,
     )
 
-    rdoc = _want(doc, "run", dict, path)
-    repetitions = rdoc.get("repetitions", 10)
-    if not isinstance(repetitions, int) or isinstance(repetitions, bool) or repetitions < 1:
-        raise MalformedManifest(path, "run.repetitions must be an integer >= 1")
-    run_timeout = _want(rdoc, "timeout_s", float, path, 60.0, "run")
+    rdoc = want(doc, "run", dict, fail)
+    repetitions = want(rdoc, "run.repetitions", int, fail, 10)
+    if repetitions < 1:
+        raise fail("run.repetitions must be >= 1")
+    run_timeout = want(rdoc, "run.timeout_s", float, fail, 60.0)
     if run_timeout <= 0:
-        raise MalformedManifest(path, "run.timeout_s must be > 0")
-    stdin_file = rdoc.get("stdin_file")
-    if stdin_file is not None:
-        if not isinstance(stdin_file, str):
-            raise MalformedManifest(path, "run.stdin_file must be a string")
-        if not (root / stdin_file).is_file():
-            raise MissingSource(root / stdin_file)
-    env_doc = rdoc.get("env", {})
-    if not isinstance(env_doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in env_doc.items()
-    ):
-        raise MalformedManifest(path, "run.env must map strings to strings")
+        raise fail("run.timeout_s must be > 0")
+    stdin_file = want(rdoc, "run.stdin_file", str, fail, None)
+    if stdin_file is not None and not (root / stdin_file).is_file():
+        raise MissingSource(root / stdin_file)
     run = RunRecipe(
-        args=tuple(_str_list(rdoc, "args", path, default=[])),
+        args=tuple(want(rdoc, "run.args", list[str], fail, [])),
         stdin_file=stdin_file,
         repetitions=repetitions,
         timeout_s=run_timeout,
-        env=tuple(sorted(env_doc.items())),
+        env=tuple(sorted(want(rdoc, "run.env", dict[str, str], fail, {}).items())),
     )
 
-    vdoc = _want(doc, "validation", dict, path)
-    mode_name = _want(vdoc, "mode", str, path, section="validation")
-    try:
-        mode = ValidationMode(mode_name)
-    except ValueError:
-        raise MalformedManifest(path, f"unknown validation mode {mode_name!r}") from None
-    abs_tol = _want(vdoc, "abs_tol", float, path, 0.0, "validation")
-    rel_tol = _want(vdoc, "rel_tol", float, path, 0.0, "validation")
+    vdoc = want(doc, "validation", dict, fail)
+    mode = want(vdoc, "validation.mode", ValidationMode, fail)
+    abs_tol = want(vdoc, "validation.abs_tol", float, fail, 0.0)
+    rel_tol = want(vdoc, "validation.rel_tol", float, fail, 0.0)
     if abs_tol < 0 or rel_tol < 0:
-        raise MalformedManifest(path, "validation tolerances must be >= 0")
-    patterns = tuple(_str_list(vdoc, "ignore_patterns", path, default=[]))
+        raise fail("validation tolerances must be >= 0")
+    patterns = tuple(want(vdoc, "validation.ignore_patterns", list[str], fail, []))
     for pat in patterns:
         try:
             re.compile(pat)
         except re.error as exc:
-            raise MalformedManifest(path, f"bad ignore pattern {pat!r}: {exc}") from None
+            raise fail(f"bad ignore pattern {pat!r}: {exc}") from None
     validation = ValidationPolicy(mode=mode, abs_tol=abs_tol, rel_tol=rel_tol, ignore_patterns=patterns)
 
-    pdoc = doc.get("prep", {})
-    if not isinstance(pdoc, dict):
-        raise MalformedManifest(path, "prep must be an object")
+    pdoc = want(doc, "prep", dict, fail, {})
     prep = PrepOptions(
-        strip_omp_pragmas=_want(pdoc, "strip_omp_pragmas", bool, path, False, "prep"),
-        expand_macros=_want(pdoc, "expand_macros", bool, path, False, "prep"),
+        strip_omp_pragmas=want(pdoc, "prep.strip_omp_pragmas", bool, fail, False),
+        expand_macros=want(pdoc, "prep.expand_macros", bool, fail, False),
     )
 
     return BenchmarkSpec(

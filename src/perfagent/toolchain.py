@@ -46,7 +46,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO
 
-from .manifest import BenchmarkSpec, Language, RunRecipe
+from .manifest import BenchmarkSpec, Language, RunRecipe, want
 
 OMP_THREADS_VAR = "OMP_NUM_THREADS"
 
@@ -293,30 +293,25 @@ def detect() -> ToolchainConfig:
 
 def load(path: Path | str) -> ToolchainConfig:
     """Toolchain config from JSON: compiler paths and default flags. A
-    document of another shape is a ToolchainError."""
+    document of another shape is a ToolchainError naming the file and key."""
+
+    def fail(reason: str) -> ToolchainError:
+        return ToolchainError(f"{path}: {reason}")
+
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ToolchainError(f"{path}: toolchain config must be an object")
-    compilers_doc = doc.get("compilers", {})
-    flags_doc = doc.get("default_flags", {})
-    if not isinstance(compilers_doc, dict) or not isinstance(flags_doc, dict):
-        raise ToolchainError(f"{path}: 'compilers' and 'default_flags' must be objects")
     compilers = {}
-    for cid, entry in compilers_doc.items():
-        if not isinstance(entry, dict) or not isinstance(entry.get("c_path"), str):
-            raise ToolchainError(f"{path}: compiler {cid!r} has no 'c_path'")
-        c_path = entry["c_path"]
+    for cid, entry in want(doc, "compilers", dict, fail, {}).items():
+        c_path = want(entry, f"compilers.{cid}.c_path", str, fail)
         compilers[cid] = CompilerInfo(
             c_path=c_path,
-            cxx_path=entry.get("cxx_path", c_path),
-            version_string=entry.get("version_string") or _probe_version(c_path),
+            cxx_path=want(entry, f"compilers.{cid}.cxx_path", str, fail, c_path),
+            version_string=(
+                want(entry, f"compilers.{cid}.version_string", str, fail, None)
+                or _probe_version(c_path)
+            ),
         )
-    default_flags = {}
-    for cid, flags in flags_doc.items():
-        if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
-            raise ToolchainError(f"{path}: default_flags {cid!r} must be a list of strings")
-        default_flags[cid] = tuple(flags)
-    return ToolchainConfig(compilers=compilers, default_flags=default_flags)
+    flags = want(doc, "default_flags", dict[str, list[str]], fail, {})
+    return ToolchainConfig(compilers, {cid: tuple(f) for cid, f in flags.items()})
 
 
 def variant_dir(work_dir: Path | str, bench_id: str, variant_tag: str) -> Path:
@@ -585,8 +580,8 @@ def run_timed(
     """Execute ``run.repetitions`` sequential timed repetitions.
 
     The child runs in the variant's src/ directory when present (data
-    files resolve relatively) with OMP_NUM_THREADS set from
-    ``thread_count``. Crash and timeout are recorded in the sample, not
+    files resolve relatively; the binary by its absolute path) with
+    OMP_NUM_THREADS set from ``thread_count``. Crash and timeout are recorded in the sample, not
     raised, so classification can see them.
 
     Each repetition writes its stdout and stderr into anonymous
@@ -609,7 +604,7 @@ def run_timed(
     """
     if _unjoined:
         raise ToolchainError("a build started by start_compile is not joined yet")
-    binary = Path(binary)
+    binary = Path(binary).absolute()
     extra = run.env_dict()
     if thread_count is not None:
         extra[OMP_THREADS_VAR] = str(thread_count)

@@ -500,6 +500,26 @@ class TestProfileWiring:
         assert doc["stop_reason"] == "FatalError"
         assert [it["category"] for it in doc["iterations"]] == ["Correct"]
 
+    def test_failing_original_profile_without_entry_hotspot_is_fatal(
+        self, tmp_path, toolchain_config, caplog,
+    ):
+        def source(request):
+            raise FileNotFoundError(f"no profile for {request.variant_tag}")
+
+        write_bench(tmp_path / "b", "loopy", {"main.c": hotspot_program(30)},
+                    build={"flags": ["-O0"]}, run={"repetitions": 2})
+        spec = load_single(tmp_path / "b", "loopy")
+        with caplog.at_level(logging.ERROR, logger="perfagent.agent"):
+            trace = run(spec, replay([]), toolchain_config, tmp_path / "w",
+                        profile_source=source)
+
+        assert trace.stop_reason is ag.StopReason.FATAL_ERROR
+        assert trace.iterations == ()
+        doc = json.loads((tmp_path / "w" / "loopy" / "agent" / "trace.json").read_text())
+        assert doc["stop_reason"] == "FatalError"
+        assert any("profile source failed: no profile for agent/base" in r.getMessage()
+                   for r in caplog.records)
+
     def test_failing_profile_source_falls_back(self, tmp_path, toolchain_config):
         def source(request):
             raise OSError("profiler exploded")

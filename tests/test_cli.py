@@ -82,6 +82,15 @@ class TestExperimentCommands:
         lines = (out_dir / "results.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_ex1_with_relative_paths(self, tmp_path, capsys, monkeypatch):
+        suite(tmp_path / "suite")
+        replay_config(tmp_path, [fenced(sleeper(50)), fenced(sleeper(50))])
+        monkeypatch.chdir(tmp_path)
+        code = main(["ex1", "--root", "suite", "--provider", "provider.json", "--out", "out"])
+        assert code == 0
+        assert "alpha: Correct" in capsys.readouterr().out
+        assert (tmp_path / "out" / "report.json").exists()
+
     def test_ex3_counts_flag(self, tmp_path, capsys):
         root = tmp_path / "suite"
         write_bench(root, "solo", {"main.c": sleeper(60)},
@@ -140,6 +149,10 @@ class TestExperimentCommands:
         ([], "object"),
         ({"compilers": []}, "compilers"),
         ({"default_flags": {"gcc": 5}}, "default_flags"),
+        ({"compilers": {"gcc": {"c_path": "gcc", "version_string": 5}}},
+         "toolchain.json: key 'compilers.gcc.version_string'"),
+        ({"compilers": {"gcc": {"c_path": "gcc", "cxx_path": 5}}},
+         "toolchain.json: key 'compilers.gcc.cxx_path'"),
     ])
     def test_malformed_toolchain_config_fails_cleanly(self, tmp_path, capsys, doc, named):
         suite(tmp_path / "suite")
@@ -151,8 +164,22 @@ class TestExperimentCommands:
             "--toolchain", str(toolchain), "--out", str(tmp_path / "out"),
         ])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and named in err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+
+    @pytest.mark.parametrize("key, value", [("transcript_path", 5), ("temperature", "hot")])
+    def test_mistyped_provider_config_fails_cleanly(self, tmp_path, capsys, key, value):
+        suite(tmp_path / "suite")
+        config = replay_config(tmp_path, ["x"])
+        config.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+        code = main([
+            "ex1", "--root", str(tmp_path / "suite"),
+            "--provider", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"provider.json: key '{key}'" in lines[0]
 
     def test_import_tool(self, tmp_path, capsys):
         suite(tmp_path / "suite")
@@ -215,14 +242,25 @@ def _escaping_tool_id(tmp_path):
     ], "escape"
 
 
-def _report(doc):
+def _report(doc, named="report.json"):
     def write(tmp_path):
         (tmp_path / "report.json").write_text(json.dumps(doc))
         return [
             "report", "--in", str(tmp_path / "report.json"), "--format", "csv",
             "--out", str(tmp_path / "out"),
-        ], "report.json"
+        ], named
     return write
+
+
+def _report_row(**changes):
+    row = {
+        "benchmark_id": "alpha", "motif": "Stencils", "level": 1, "experiment": "EX1",
+        "tool_id": "t", "variant_tag": "ex1", "category": "Correct", "speedup": 2.0,
+        "na_flag": False, "labels": [], "thread_results": None,
+    }
+    key = next(iter(changes))
+    return _report({"rows": [{**row, **changes}], "provenance": {}},
+                   f"report.json: rows[0]: key '{key}'")
 
 
 @pytest.mark.parametrize("bad_input", [
@@ -231,8 +269,10 @@ def _report(doc):
     _escaping_tool_id,
     _report({"provenance": {}}),
     _report({"rows": [{"benchmark_id": "alpha"}], "provenance": {}}),
+    _report_row(speedup="2.0"),
+    _report_row(motif="Bogus"),
 ], ids=["unbalanced_hotspot_source", "manifest_id", "tool_id", "report_without_rows",
-        "report_row_missing_key"])
+        "report_row_missing_key", "report_row_speedup_string", "report_row_unknown_motif"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, bad_input):
     """Each bad input is refused with one line naming it, before anything
     is built or written."""
@@ -263,6 +303,20 @@ class TestAgentCommand:
         assert "iter 1: Correct" in stdout
         assert "stop: ThresholdReached" in stdout
         assert (work / "loopy" / "agent" / "trace.json").exists()
+
+    def test_agent_default_work_dir(self, tmp_path, capsys, monkeypatch):
+        write_bench(tmp_path / "suite", "loopy", {"main.c": hotspot_program(100)},
+                    entry_hotspot="kernel",
+                    build={"flags": ["-O0"]}, run={"repetitions": 2})
+        replay_config(tmp_path, [fenced(kernel_replacement(40))])
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "agent", "--root", "suite", "--bench", "loopy",
+            "--provider", "provider.json", "--max-iters", "1",
+        ])
+        assert code == 0
+        assert "iter 1: Correct" in capsys.readouterr().out
+        assert (tmp_path / "perfagent-work" / "loopy" / "agent" / "trace.json").exists()
 
     def test_unknown_benchmark(self, tmp_path, capsys):
         suite(tmp_path / "suite")

@@ -244,6 +244,14 @@ def test_repetitions_default_is_ten(tmp_path):
     assert spec.run.repetitions == 10
 
 
+def test_null_optional_fields_are_absent(tmp_path):
+    write_bench(tmp_path, "nulls", {"main.c": TRIVIAL_MAIN},
+                entry_hotspot=None, run={"stdin_file": None})
+    spec = load_manifest(tmp_path)[0]
+    assert spec.entry_hotspot is None
+    assert spec.run.stdin_file is None
+
+
 @pytest.mark.parametrize("section, values", [
     ("build", {"timeout_s": [5]}),
     ("build", {"timeout_s": float("nan")}),
@@ -254,6 +262,12 @@ def test_repetitions_default_is_ten(tmp_path):
     ("validation", {"rel_tol": [1e-9]}),
     ("prep", {"strip_omp_pragmas": "false"}),
     ("prep", {"expand_macros": 1}),
+    ("build", {"flags": "-O2"}),
+    ("build", {"extra_objects": [1]}),
+    ("run", {"args": 5}),
+    ("run", {"repetitions": "3"}),
+    ("run", {"env": {"A": 1}}),
+    ("validation", {"ignore_patterns": "x"}),
 ])
 def test_numbers_must_be_finite_and_flags_boolean(tmp_path, section, values):
     write_bench(tmp_path, "odd", {"main.c": TRIVIAL_MAIN}, **{section: values})
