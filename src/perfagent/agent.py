@@ -286,8 +286,10 @@ def run_agent(
     The original is prepared as its ``prep`` options say and its build
     started first. It is joined and timed when first needed: by the
     fallback tree, by a profile source reading its ``binary_path``, by
-    the first candidate's timed run (the two are then timed back to
-    back) or at the end of the loop. ``experiments.BaselineFailed``
+    the first candidate's timed run or at the end of the loop. Each
+    candidate that builds is timed in rounds with the original
+    (``_Baseline.time_with``), and its speedup is the ratio of the two
+    samples from those rounds. ``experiments.BaselineFailed``
     propagates then (``BaselineRunFailed`` when the original built but
     did not run cleanly), so with a profile source that does not read
     the binary a broken original is reported after the first request.
@@ -382,7 +384,10 @@ def _iterate(
                 spec, original.src_dir, work_dir, tag, code=(hotspot_rel, new_source)
             )
             build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-            evaluation = ex._score(spec, build, extraction, set(), original.sample())
+            paired, samples = original.time_with(ex._arms(build, set(), None))
+            evaluation = ex._score(
+                spec, build, extraction, set(), original.sample().stdout, paired, samples
+            )
             category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
             if run is not None and run.stdout is not original.sample().stdout:
                 # The trace keeps the output's size and digest, not its file.

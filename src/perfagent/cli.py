@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -40,9 +39,16 @@ def _selection(args) -> list[manifest.BenchmarkSpec]:
 
 
 def _prompt_env(path: str | None) -> dict[str, str] | None:
+    """The ``--prompt-env`` file: one JSON object of string fields. Any
+    other file is a ValueError naming it."""
     if path is None:
         return None
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+    def fail(reason: str) -> ValueError:
+        return ValueError(f"{path}: {reason}")
+
+    doc = manifest.read_json(path, fail)
+    return manifest.want({"--prompt-env": doc}, "--prompt-env", dict[str, str], fail)
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ import shutil
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 from . import llm_gateway as gw
 from . import manifest, patch
@@ -141,8 +142,10 @@ class BaselineRunFailed(BaselineFailed):
 
 class _Baseline:
     """One row's untouched original. Construction prepares its sources
-    (``src_dir``) and starts its build; ``sample`` joins the build and
-    times it once, on first need. Every failure is a BaselineFailed."""
+    (``src_dir``) and starts its build; ``time_with`` joins the build and
+    times the original in rounds with a row's candidates, and ``sample``
+    is its first timed run, the reference every candidate's output is
+    checked against. Every failure is a BaselineFailed."""
 
     def __init__(
         self,
@@ -154,6 +157,7 @@ class _Baseline:
     ) -> None:
         self._spec = spec
         self._thread_count = thread_count
+        self._binary: Path | None = None
         self._outcome: tc.RunSample | BaselineFailed | None = None
         try:
             # Prepared straight into the variant's src/, which the build
@@ -167,36 +171,59 @@ class _Baseline:
             raise BaselineFailed(str(exc)) from exc
 
     def sample(self) -> tc.RunSample:
-        """The original's timed run. A failure is cached and raised again
-        on every later call, so no caller can swallow it."""
-        if self._outcome is None:
-            try:
-                self._outcome = self._join_and_time()
-            except BaselineFailed as exc:
-                self._outcome = exc
+        """The original's first timed run, timed alone if no ``time_with``
+        has timed it yet. A failure is cached and raised again on every
+        later call, so no caller can swallow it."""
+        return self.time_with(())[0]
+
+    def time_with(
+        self, arms: Sequence[tuple[Path, int | None]]
+    ) -> tuple[tc.RunSample, list[tc.RunSample]]:
+        """The original and ``arms``, (binary, thread count) pairs, timed
+        together in ``tc.run_rounds``: the original's sample from these
+        rounds and one sample per arm. The first rounds' original becomes
+        ``sample``; with no arms, an original already timed is not timed
+        again. BaselineRunFailed when the original does not run cleanly.
+        """
         if isinstance(self._outcome, BaselineFailed):
             raise self._outcome
-        return self._outcome
+        if not arms and self._outcome is not None:
+            return self._outcome, []
+        try:
+            original, *samples = tc.run_rounds(
+                [(self._join(), self._thread_count), *arms], self._spec.run
+            )
+            if not original.ok:
+                raise BaselineRunFailed(
+                    f"{self._spec.id}: baseline run failed ({original.exit_status})"
+                )
+        except BaselineFailed as exc:
+            if self._outcome is None:
+                self._outcome = exc
+            raise
+        if self._outcome is None:
+            self._outcome = original
+        return original, samples
 
     def binary_path(self) -> Path:
         self.sample()
-        return self._build.binary_path
+        return self._binary
 
     def kill(self) -> None:
         self._build.kill()
 
-    def _join_and_time(self) -> tc.RunSample:
-        spec = self._spec
-        try:
-            outcome = self._build.wait()
-        except tc.ToolchainError as exc:
-            raise BaselineFailed(str(exc)) from exc
-        if not outcome.ok:
-            raise BaselineFailed(f"{spec.id}: baseline build failed\n{outcome.stderr[-2000:]}")
-        run = tc.run_timed(outcome.binary_path, spec.run, thread_count=self._thread_count)
-        if not run.ok:
-            raise BaselineRunFailed(f"{spec.id}: baseline run failed ({run.exit_status})")
-        return run
+    def _join(self) -> Path:
+        if self._binary is None:
+            try:
+                outcome = self._build.wait()
+            except tc.ToolchainError as exc:
+                raise BaselineFailed(str(exc)) from exc
+            if not outcome.ok:
+                raise BaselineFailed(
+                    f"{self._spec.id}: baseline build failed\n{outcome.stderr[-2000:]}"
+                )
+            self._binary = outcome.binary_path
+        return self._binary
 
 
 def _defining_file(spec: BenchmarkSpec, src_dir: Path, name: str) -> tuple[str, str] | None:
@@ -274,85 +301,94 @@ def _stage_candidate(
     return vsrc
 
 
+# The flag of a reply whose code does not parse, which is not built.
+_UNPARSEABLE = "Unparseable"
+
+
 def _check_candidate(
     original_text: str,
     extraction: gw.ExtractionResult,
     experiment: Experiment,
-) -> tuple[_Evaluation | None, set[str]]:
-    """The verdict on a reply with nothing to build (no code, or code
-    that does not parse), or else None and the constraint flags."""
+) -> set[str]:
+    """The reply's constraint flags, ``_UNPARSEABLE`` alone for code that
+    does not parse; none for a reply without code."""
     if extraction.code is None:
-        category = classify_attempt(None, extraction, None, None, set())
-        return _Evaluation(category, None, None, ()), set()
+        return set()
     try:
-        return None, gw.check_constraints(original_text, extraction.code, experiment)
+        return gw.check_constraints(original_text, extraction.code, experiment)
     except gw.UnparseableCandidate:
-        category = classify_attempt(None, extraction, None, None, {"Unparseable"})
-        return _Evaluation(category, None, None, _labels_for(extraction)), set()
+        return {_UNPARSEABLE}
+
+
+def _arms(
+    build: tc.BuildOutcome | None, flags: set[str], counts: Sequence[int] | None
+) -> list[tuple[Path, int | None]]:
+    """What to time of an attempt: its binary once, or once per thread
+    count, if it built and broke no constraint; else nothing."""
+    if build is None or not build.ok or flags:
+        return []
+    return [(build.binary_path, count) for count in counts or (None,)]
 
 
 def _score(
     spec: BenchmarkSpec,
-    build: tc.BuildOutcome,
+    build: tc.BuildOutcome | None,
     extraction: gw.ExtractionResult | None,
     flags: set[str],
-    baseline: tc.RunSample,
-    counts: tuple[int, ...] | None = None,
+    reference: tc.Output,
+    original: tc.RunSample,
+    samples: Sequence[tc.RunSample],
 ) -> _Evaluation:
-    """Classify a built candidate; time, validate and speed it up if it
-    built and broke no constraint. ``counts`` thread-sweeps it instead,
-    against a 1-thread ``baseline``.
+    """Classify one attempt from what was built and timed; runs nothing.
 
-    Every sample, the one run or one per count, is compared with the
-    original's output. The category rests on the first sample whose
-    output matches, else on the first sample; the speedup is that of the
-    fastest matching sample. ``extraction`` is None for code that came
-    from outside a model reply (external tool trees). A timed run whose
-    stdout equals the original's holds the original's ``Output`` and
-    closes its own file, so a row keeps one file for each distinct
-    output however many attempts reproduce it.
+    An attempt with no build (a reply without code, or whose code does
+    not parse), a failed build or a constraint flag is classified as it
+    stands. Otherwise ``samples`` are its timed runs, each taken in
+    rounds with ``original``: one, or one per thread count in ascending
+    order. Every sample's output is compared with ``reference``, the
+    original's; the category rests on the first sample whose output
+    matches, else on the first sample. Each matching sample's speedup is
+    ``measure_speedup(original, sample)``, and the attempt's is that of
+    its fastest matching sample. ``extraction`` is None for code that
+    came from outside a model reply (external tool trees). A sample
+    whose stdout equals ``reference`` holds that ``Output`` and closes
+    its own file, so a row keeps one file for each distinct output
+    however many attempts reproduce it.
     """
-    labels = _labels_for(extraction) if extraction is not None else ()
-    if not build.ok or flags:
+    labels = () if extraction is None or extraction.code is None else _labels_for(extraction)
+    if build is None or not build.ok or flags:
         category = classify_attempt(build, extraction, None, None, flags)
         return _Evaluation(category, None, None, labels)
 
-    if counts is None:
-        sweep = {None: tc.run_timed(build.binary_path, spec.run)}
-    else:
-        sweep = tc.thread_sweep(build.binary_path, spec.run, list(counts))
-    checked = []  # (sample, match) per count, ascending
-    matching = []  # the matching ones among them
-    per_count: list[tuple[int, float | None]] = []
-    for count, sample in sweep.items():
-        sample = _share_stdout(sample, baseline)
-        match = None
-        if sample.ok:
-            match = compare_outputs(baseline.stdout, sample.stdout, spec.validation)
-        checked.append((sample, match))
-        if sample.ok and match.matched:
-            matching.append((sample, match))
-            per_count.append((count, baseline.mean_s / sample.mean_s))
-        else:
-            per_count.append((count, None))
+    checked = []  # (sample, match, SpeedupStat if it matched) per sample
+    for sample in samples:
+        sample = _share_stdout(sample, reference)
+        match = compare_outputs(reference, sample.stdout, spec.validation) if sample.ok else None
+        gain = tc.measure_speedup(original, sample) if match is not None and match.matched else None
+        checked.append((sample, match, gain))
+    matching = [entry for entry in checked if entry[2] is not None]
 
-    run, match = (matching or checked)[0]
+    run, match, _ = (matching or checked)[0]
     category = classify_attempt(build, extraction, run, match, set())
     stat = None
     if category is CorrectnessCategory.CORRECT:
-        fastest = min((sample for sample, _ in matching), key=lambda sample: sample.mean_s)
-        stat = tc.measure_speedup(baseline, fastest)
-    thread_results = None if counts is None else tuple(per_count)
+        stat = max((gain for *_, gain in matching), key=lambda gain: gain.speedup)
+    thread_results = None
+    if run.thread_count is not None:
+        thread_results = tuple(
+            (sample.thread_count, None if gain is None else gain.speedup)
+            for sample, _, gain in checked
+        )
     return _Evaluation(category, stat, thread_results, labels, run)
 
 
-def _share_stdout(sample: tc.RunSample, baseline: tc.RunSample) -> tc.RunSample:
-    """``sample`` holding ``baseline.stdout`` itself when the two are
+def _share_stdout(sample: tc.RunSample, reference: tc.Output) -> tc.RunSample:
+    """``sample`` holding ``reference`` itself when the two outputs are
     equal, its own output closed."""
-    if sample.stdout is baseline.stdout or sample.stdout != baseline.stdout:
+    if sample.stdout is reference or sample.stdout != reference:
         return sample
     sample.stdout.close()
-    return replace(sample, stdout=baseline.stdout)
+    return replace(sample, stdout=reference)
 
 
 def _row_from_evaluation(
@@ -394,14 +430,10 @@ EX2_TURNS = 5
 
 
 def _join_turn(
-    spec: BenchmarkSpec,
-    building: tuple[str, gw.ExtractionResult, set[str], tc.PendingBuild],
-    base: _Baseline,
-    counts: tuple[int, ...] | None,
-) -> tuple[str, _Evaluation]:
-    """Join a turn's build, then the original's, and score the turn."""
-    tag, extraction, flags, build = building
-    return tag, _score(spec, build.wait(), extraction, flags, base.sample(), counts)
+    tag: str, extraction: gw.ExtractionResult, flags: set[str], build: tc.PendingBuild
+) -> tuple[str, gw.ExtractionResult, set[str], tc.BuildOutcome]:
+    """A turn's attempt with its build joined."""
+    return tag, extraction, flags, build.wait()
 
 
 def _converse(
@@ -419,19 +451,20 @@ def _converse(
     last turn with the speedup reverted to exactly 1.0.
 
     Each request carries the earlier answered exchanges. Each turn's
-    code is built and scored as its own variant against the original,
-    thread-swept over ``counts`` against a 1-thread original if given.
-    The original's build starts before the first request; turn t's build
-    starts, turn t+1's request is sent, and only then is turn t's build
-    joined and scored. A turn's build is joined before the original's,
-    and no timed run overlaps a build. When more turns follow, the
-    original is timed right after the first reply; a single turn's
-    candidate builds beside the original and the two are timed back to
-    back. Requests, rows and categories are those of timing the original
-    before the first request and building each turn before the next. A
-    benchmark whose original fails to prepare, build or run is skipped
-    with an error logged, after its first request. If an exception
-    escapes a row, every build in flight is killed and reaped.
+    code is built as its own variant. The original's build starts before
+    the first request; turn t's build starts, turn t+1's request is
+    sent, and only then is turn t's build joined. When more turns
+    follow, the original is checked right after the first reply: joined
+    and timed alone, which gives the reference output. After the last
+    turn, the original and every turn that built and broke no constraint
+    are timed together in one ``_Baseline.time_with`` (ascending
+    ``counts`` per turn against a 1-thread original, if given), and then
+    every turn is scored in turn order (``_score``), so requests, rows
+    and categories are those of scoring each turn before the next
+    request. No timed run overlaps a build. A benchmark whose original
+    fails to prepare, build or run is skipped with an error logged, after
+    its first request. If an exception escapes a row, every build in
+    flight is killed and reaped.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
@@ -442,31 +475,31 @@ def _converse(
 
     rows = []
     for spec in selection:
-        evaluated: list[tuple[str, _Evaluation]] = []
+        # (tag, extraction, flags, build or None) per turn
+        attempts: list[tuple[str, gw.ExtractionResult, set[str], tc.BuildOutcome | None]] = []
         try:
             with contextlib.ExitStack() as in_flight:
                 base = _Baseline(spec, toolchain, work_dir, ex_tag, baseline_threads)
                 in_flight.callback(base.kill)
                 rel, original_text = _attachment(spec, base.src_dir)
                 history: list[tuple[str, str]] = []
-                # (tag, extraction, flags, build) of the turn whose build is running
-                building = None
+                building = None  # the attempt whose build is running
                 for turn, (template, tag) in enumerate(turns, start=1):
                     prompt = gw.render_prompt(template, original_text, env)
                     response = _request_or_none(provider, prompt, history)
                     if turn < len(turns):
                         base.sample()
                     if building is not None:
-                        evaluated.append(_join_turn(spec, building, base, counts))
+                        attempts.append(_join_turn(*building))
                         building = None
                     if response is None:
                         extraction = _no_code_extraction()
                     else:
                         history.append((prompt.user_text, response.raw_text))
                         extraction = gw.extract_code(response)
-                    verdict, flags = _check_candidate(original_text, extraction, experiment)
-                    if verdict is not None:
-                        evaluated.append((tag, verdict))
+                    flags = _check_candidate(original_text, extraction, experiment)
+                    if extraction.code is None or _UNPARSEABLE in flags:
+                        attempts.append((tag, extraction, flags, None))
                         continue
                     vsrc = _stage_candidate(
                         spec, base.src_dir, work_dir, tag, code=(rel, extraction.code)
@@ -475,12 +508,20 @@ def _converse(
                     in_flight.callback(build.kill)
                     building = (tag, extraction, flags, build)
                 if building is not None:
-                    evaluated.append(_join_turn(spec, building, base, counts))
-                # A row with nothing built is still skipped for a broken original.
-                base.sample()
+                    attempts.append(_join_turn(*building))
+                arms = [_arms(build, flags, counts) for _, _, flags, build in attempts]
+                # With nothing built, a broken original still skips the row.
+                original, samples = base.time_with([arm for turn in arms for arm in turn])
+                reference = base.sample().stdout
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
+        timed = iter(samples)
+        evaluated = [
+            (tag, _score(spec, build, extraction, flags, reference, original,
+                         [next(timed) for _ in turn_arms]))
+            for (tag, extraction, flags, build), turn_arms in zip(attempts, arms)
+        ]
         correct = [(tag, e) for tag, e in evaluated if e.category is CorrectnessCategory.CORRECT]
         # The first of equally fast correct turns wins.
         best_tag, best = (
@@ -533,8 +574,8 @@ def run_ex3(
     """One parallel-optimization request per benchmark, thread-swept over
     ``counts``: a one-turn ``_converse``. Raises ValueError before any
     request when ``counts`` is empty or holds a count below 1."""
-    counts = tuple(counts)
-    if not counts or min(counts) < 1:
+    counts = tuple(sorted(set(counts)))
+    if not counts or counts[0] < 1:
         raise ValueError("counts must be non-empty positive integers")
     return _converse(
         selection, provider, toolchain, work_dir, Experiment.EX3,
@@ -554,8 +595,9 @@ def import_external_tool_results(
     ``dir`` holds one subdirectory per benchmark id; its files overlay the
     prepared original, so a tree may ship only the sources it changed.
     No model is involved, so constraint checks and labels do not apply.
-    The original builds beside the tree; a benchmark whose original
-    fails to prepare, build or run is skipped with an error logged.
+    The original builds beside the tree, and the two are timed together
+    in rounds (``_Baseline.time_with``); a benchmark whose original fails
+    to prepare, build or run is skipped with an error logged.
     """
     if not manifest.is_plain_name(tool_id):
         raise ValueError(f"tool id {tool_id!r} must be one plain path component")
@@ -577,11 +619,12 @@ def import_external_tool_results(
                 in_flight.callback(base.kill)
                 vsrc = _stage_candidate(spec, base.src_dir, work_dir, tag, overlay=dir / bench_id)
                 build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-                baseline = base.sample()
+                original, samples = base.time_with(_arms(build, set(), None))
+                reference = base.sample().stdout
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-        evaluation = _score(spec, build, None, set(), baseline)
+        evaluation = _score(spec, build, None, set(), reference, original, samples)
         rows.append(_row_from_evaluation(spec, Experiment.EX1, tool_id, tag, evaluation))
     return ResultsTable(tuple(rows), _provenance(toolchain, tool_id))
 
@@ -681,12 +724,13 @@ def record_from_dict(doc: dict) -> AttemptRecord:
 
 
 def load_table(path: Path | str) -> ResultsTable:
-    """A saved ``report.json``; InvalidRecord names its file, row and key."""
+    """A saved ``report.json``; InvalidRecord names its file, and the row
+    and key at fault in a document that is JSON."""
 
     def fail(reason: str) -> InvalidRecord:
         return InvalidRecord(f"{path}: {reason}")
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = manifest.read_json(path, fail)
     rows = []
     for i, row in enumerate(want(doc, "rows", list, fail)):
         try:

@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 
 from . import patch
-from .manifest import want
+from .manifest import read_json, want
 
 SYSTEM_TEMPLATE = (
     "You are a code generation/optimization assistant. "
@@ -248,13 +248,32 @@ class ReplayProvider(Provider):
 
     Entries with a non-empty request_digest are checked against the
     incoming request; empty digests skip the check so tests can hand-write
-    transcripts.
+    transcripts. Every entry is checked when the transcript is loaded: a
+    file that is not JSON, or an entry whose ``request_digest`` or
+    ``response_text`` is not a string or whose ``latency_s`` is not a
+    finite number, is a GatewayError naming the transcript and the entry.
     """
 
     def __init__(self, transcript: list[dict] | Path | str, provider_id: str = "replay"):
+        name = "transcript"
+
+        def fail(reason: str) -> GatewayError:
+            return GatewayError(f"{name}: {reason}")
+
         if isinstance(transcript, (Path, str)):
-            transcript = json.loads(Path(transcript).read_text(encoding="utf-8"))
-        self._entries = list(transcript)
+            name = str(transcript)
+            transcript = read_json(transcript, fail)
+        if not isinstance(transcript, list):
+            raise fail("top level must be a list of entries")
+        # (request digest, response text, latency) per entry
+        self._entries = [
+            (
+                want(entry, f"entries[{i}].request_digest", str, fail, ""),
+                want(entry, f"entries[{i}].response_text", str, fail, ""),
+                want(entry, f"entries[{i}].latency_s", float, fail, 0.0),
+            )
+            for i, entry in enumerate(transcript)
+        ]
         self._cursor = 0
         self._lock = threading.Lock()
         self.provider_id = provider_id
@@ -266,21 +285,16 @@ class ReplayProvider(Provider):
                 raise TranscriptExhausted(
                     f"transcript has only {len(self._entries)} entries"
                 )
-            entry = self._entries[self._cursor]
+            expected, text, latency_s = self._entries[self._cursor]
             self._cursor += 1
             self.received.append([dict(m) for m in messages])
-        expected = entry.get("request_digest", "")
         if expected:
             actual = canonical_digest(messages)
             if actual != expected:
                 raise TranscriptMismatch(
                     f"request digest {actual[:12]} != recorded {expected[:12]}"
                 )
-        return ModelResponse(
-            raw_text=entry.get("response_text", ""),
-            provider_id=self.provider_id,
-            latency_s=float(entry.get("latency_s", 0.0)),
-        )
+        return ModelResponse(raw_text=text, provider_id=self.provider_id, latency_s=latency_s)
 
 
 class RecordProvider(Provider):
@@ -378,13 +392,13 @@ class HttpChatProvider(Provider):
 
 
 def load_provider_config(path: Path | str) -> ProviderConfig:
-    """Provider config from JSON; a missing or mistyped key is a
-    GatewayError naming the file and key."""
+    """Provider config from JSON; a file that is not JSON, or a missing or
+    mistyped key, is a GatewayError naming the file (and the key)."""
 
     def fail(reason: str) -> GatewayError:
         return GatewayError(f"{path}: {reason}")
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, fail)
     return ProviderConfig(
         provider_id=want(doc, "provider_id", str, fail),
         kind=want(doc, "kind", str, fail),

@@ -188,6 +188,15 @@ def want(doc, name: str, kind, fail, default=_REQUIRED):
     return value
 
 
+def read_json(path: Path | str, fail):
+    """The JSON document in the file at ``path``; text that is not JSON
+    raises ``fail(reason)`` with the decoder's reason."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise fail(f"not valid JSON: {exc}") from None
+
+
 def is_plain_name(name: str) -> bool:
     """True when ``name`` is one path component that stays where it is
     joined: not empty, not "." or "..", without "/" or NUL."""

@@ -1,15 +1,20 @@
 """Compiler detection, variant builds, and serialized timed runs.
 
-Timed runs take a process-wide lock so measurements never overlap; the
-speedup protocol assumes an otherwise unloaded machine. Builds may run
-while the harness waits on the model and beside one another
-(``start_compile`` returns before the compiler ends, so the experiment
-drivers build a row's original while the model answers and the
-candidate compiles), but never during a timed repetition: ``run_timed``
-refuses to start while any build is not joined. Build and run failures
-that describe the candidate (bad code, crash, timeout) are encoded in
-the returned records; failures that describe the harness itself
-(missing compiler, build timeout) raise.
+Every timed run goes through ``run_rounds``, which times several
+binaries together: a row's original and each of its candidates run in
+interleaved rounds, A B, B A, A B, so that a slow phase of the host
+falls on both sides of a speedup instead of on one (Kalibera & Jones,
+"Rigorous Benchmarking in Reasonable Time", ISMM 2013). ``run_timed`` is
+one binary's rounds. Timed runs take a process-wide lock so measurements
+never overlap; the speedup protocol assumes an otherwise unloaded
+machine. Builds may run while the harness waits on the model and beside
+one another (``start_compile`` returns before the compiler ends, so the
+experiment drivers build a row's original while the model answers and
+the candidate compiles), but never during a timed repetition:
+``run_rounds`` refuses to start while any build is not joined. Build and
+run failures that describe the candidate (bad code, crash, timeout) are
+encoded in the returned records; failures that describe the harness
+itself (missing compiler, build timeout) raise.
 
 Compilers, timed repetitions and the macro-expanding preprocessor of
 ``manifest.prepare_sources`` are started the same way. Each child
@@ -19,11 +24,11 @@ thread kills a child's whole process group at its deadline; a child
 that ends on its own is left unreaped until its group has been killed
 too, so neither a candidate's forked children nor a compiler's cc1, as
 and ld outlive the child that started them. A build's stderr and the
-preprocessor's output are read back whole, and the last repetition's
-stderr only as its last ``STDERR_TAIL`` bytes. Repetition 1's stdout is
-never read back here: ``RunSample.stdout`` is an ``Output``, a handle on
-the file it was written into, which callers compare, hash or read a
-slice at a time.
+preprocessor's output are read back whole, and an arm's last
+repetition's stderr only as its last ``STDERR_TAIL`` bytes. An arm's
+first stdout is never read back here: ``RunSample.stdout`` is an
+``Output``, a handle on the file it was written into, which callers
+compare, hash or read a slice at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import json
 import math
 import os
 import shutil
@@ -44,9 +48,9 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
-from .manifest import BenchmarkSpec, Language, RunRecipe, want
+from .manifest import BenchmarkSpec, Language, RunRecipe, read_json, want
 
 OMP_THREADS_VAR = "OMP_NUM_THREADS"
 
@@ -130,7 +134,7 @@ def _closed_read(n: int, offset: int) -> bytes:
 class Output:
     """A program's output, read on demand and never changed.
 
-    ``run_timed`` hands out a handle on the anonymous file a repetition
+    ``run_rounds`` hands out a handle on the anonymous file a repetition
     wrote into (``from_fd``); ``Output(data)`` wraps bytes made in
     memory, so both are read the same way. ``len()`` is the size in
     bytes, ``read(start, stop)`` one bounded slice, ``==`` (against bytes
@@ -225,7 +229,7 @@ class RunSample:
     reaped; execution stops at the first repetition that crashes or times
     out, leaving its status in ``exit_status`` (an integer, negative for
     a signal, or the TIMEOUT sentinel). ``stdout`` is the first
-    repetition's output, the one validation uses: from ``run_timed``, a
+    repetition's output, the one validation uses: from ``run_rounds``, a
     handle on the file it wrote into, empty when that repetition timed
     out. Bytes given here are wrapped in an ``Output`` too. ``stderr`` is
     the last ``STDERR_TAIL`` bytes of the last repetition's stderr, the
@@ -293,12 +297,13 @@ def detect() -> ToolchainConfig:
 
 def load(path: Path | str) -> ToolchainConfig:
     """Toolchain config from JSON: compiler paths and default flags. A
-    document of another shape is a ToolchainError naming the file and key."""
+    file that is not JSON, or a document of another shape, is a
+    ToolchainError naming the file (and the key)."""
 
     def fail(reason: str) -> ToolchainError:
         return ToolchainError(f"{path}: {reason}")
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, fail)
     compilers = {}
     for cid, entry in want(doc, "compilers", dict, fail, {}).items():
         c_path = want(entry, f"compilers.{cid}.c_path", str, fail)
@@ -322,7 +327,7 @@ class PendingBuild:
     """A compiler started by ``start_compile`` and not yet joined.
 
     ``wait`` joins it and ``kill`` abandons it. Until one of them has
-    run, ``run_timed`` raises, so a build never shares the CPU with a
+    run, ``run_rounds`` raises, so a build never shares the CPU with a
     timed repetition. ``binary_path`` is where the executable appears
     once a successful build is joined.
     """
@@ -572,102 +577,139 @@ def _read_tail(fd: int) -> bytes:
     return os.pread(fd, min(size, STDERR_TAIL), max(0, size - STDERR_TAIL))
 
 
-def run_timed(
-    binary: Path | str,
+class _Arm:
+    """One binary's files and results across the rounds of ``run_rounds``."""
+
+    def __init__(
+        self,
+        binary: Path | str,
+        thread_count: int | None,
+        run: RunRecipe,
+        files: contextlib.ExitStack,
+    ) -> None:
+        binary = Path(binary).absolute()
+        extra = run.env_dict()
+        if thread_count is not None:
+            extra[OMP_THREADS_VAR] = str(thread_count)
+        # Without additions every repetition inherits the environment as it
+        # is, instead of re-encoding all of it inside the timed window.
+        self.env = {**os.environ, **extra} if extra else None
+        cwd = binary.parent.parent / "src"
+        self.cwd = cwd if cwd.is_dir() else binary.parent
+        self.argv = [str(binary), *run.args]
+        stdin_path = _resolve_stdin(binary, run)
+        self.stdin = files.enter_context(stdin_path.open("rb")) if stdin_path else None
+        self.kept, self.err = (_temp_fd(files) for _ in range(2))
+        self.thread_count = thread_count
+        self.wall_times: list[float] = []
+        self.stdout = Output()
+        self.exit_status: int | str = 0
+
+    def repeat(self, out: int, timeout_s: float, first: bool) -> None:
+        """One timed repetition with stdout into ``out``; a crash or a
+        timeout ends the arm."""
+        start = time.perf_counter()
+        proc = _spawn(
+            self.argv, start + timeout_s,
+            stdin=self.stdin or subprocess.DEVNULL, stdout=out, stderr=self.err,
+            env=self.env, cwd=self.cwd,
+        )
+        try:
+            _wait_exit(proc)
+            elapsed = time.perf_counter() - start
+        finally:
+            timed_out = _reap(proc)
+
+        if timed_out:
+            self.exit_status = TIMEOUT
+            return
+        if first:
+            self.stdout = Output.from_fd(self.kept)
+        if proc.returncode != 0:
+            self.exit_status = proc.returncode
+            return
+        self.wall_times.append(elapsed)
+
+    def sample(self) -> RunSample:
+        return RunSample(
+            wall_times_s=tuple(self.wall_times),
+            stdout=self.stdout,
+            stderr=_read_tail(self.err),
+            exit_status=self.exit_status,
+            thread_count=self.thread_count,
+        )
+
+
+def _temp_fd(files: contextlib.ExitStack) -> int:
+    return files.enter_context(tempfile.TemporaryFile(buffering=0)).fileno()
+
+
+def _empty(fd: int) -> None:
+    os.ftruncate(fd, 0)
+    os.lseek(fd, 0, os.SEEK_SET)
+
+
+def run_rounds(
+    arms: Sequence[tuple[Path | str, int | None]],
     run: RunRecipe,
-    thread_count: int | None = None,
-) -> RunSample:
-    """Execute ``run.repetitions`` sequential timed repetitions.
+) -> list[RunSample]:
+    """Time ``arms``, (binary, thread count) pairs, in ``run.repetitions``
+    interleaved rounds; one RunSample per arm, in arm order.
 
-    The child runs in the variant's src/ directory when present (data
-    files resolve relatively; the binary by its absolute path) with
-    OMP_NUM_THREADS set from ``thread_count``. Crash and timeout are recorded in the sample, not
-    raised, so classification can see them.
+    Each round runs every live arm once, in arm order on even rounds and
+    in reverse on odd ones, so two arms run A B, B A, A B: a slow phase of
+    the host falls on both alike. An arm that crashes or times out is
+    dropped from later rounds with its status recorded, not raised, so
+    classification can see it; the other arms go on.
 
-    Each repetition writes its stdout and stderr into anonymous
-    temporary files instead of pipes, so no output passes through Python
-    while the clock runs: repetition 1's stdout into a file of its own,
-    which the sample keeps as an ``Output`` and nothing reads here, and
-    the later repetitions' into a scratch file emptied before each; every
-    repetition's stderr into one file emptied likewise. The clock runs
-    from just before the spawn to the exit of the child, seen by a
-    blocking wait that leaves it unreaped; at ``run.timeout_s`` the
-    watchdog kills the repetition's process group (each repetition leads
-    a new session), which ends the wait. After the clock stops, the
-    group is killed, so nothing the repetition forked runs on into the
-    next one or writes into a kept output, and then the child is
-    reaped. The tail of the last repetition's stderr is read after the
-    loop.
+    A child runs in its variant's src/ directory when present (data files
+    resolve relatively; the binary by its absolute path) with
+    OMP_NUM_THREADS set from its thread count. Each repetition writes its
+    stdout and stderr into anonymous temporary files instead of pipes, so
+    no output passes through Python while the clock runs: an arm's first
+    repetition's stdout into a file of its own, which its sample keeps as
+    an ``Output`` and nothing reads here, and later repetitions' into one
+    scratch file emptied before each; an arm's stderr into a file of its
+    own, emptied likewise. The clock runs from just before the spawn to
+    the exit of the child, seen by a blocking wait that leaves it
+    unreaped; at ``run.timeout_s`` the watchdog kills the repetition's
+    process group (each repetition leads a new session), which ends the
+    wait. After the clock stops, the group is killed, so nothing the
+    repetition forked runs on into the next one or writes into a kept
+    output, and then the child is reaped. The tail of each arm's last
+    repetition's stderr is read after the rounds.
 
     Raises ToolchainError while a build from ``start_compile`` is not
     joined: a compiler must not share the CPU with a timed repetition.
     """
     if _unjoined:
         raise ToolchainError("a build started by start_compile is not joined yet")
-    binary = Path(binary).absolute()
-    extra = run.env_dict()
-    if thread_count is not None:
-        extra[OMP_THREADS_VAR] = str(thread_count)
-    # Without additions every repetition inherits the environment as it
-    # is, instead of re-encoding all of it inside the timed window.
-    env = {**os.environ, **extra} if extra else None
-
-    cwd = binary.parent.parent / "src"
-    if not cwd.is_dir():
-        cwd = binary.parent
-
-    stdin_path = _resolve_stdin(binary, run)
-    argv = [str(binary), *run.args]
-
-    wall_times: list[float] = []
-    stdout = Output()
-    exit_status: int | str = 0
-
     with contextlib.ExitStack() as files, _timed_run_lock:
-        kept, err = (
-            files.enter_context(tempfile.TemporaryFile(buffering=0)).fileno()
-            for _ in range(2)
-        )
-        out = kept
-        stdin = files.enter_context(stdin_path.open("rb")) if stdin_path else subprocess.DEVNULL
-        for rep in range(run.repetitions):
-            if rep:
-                if out == kept:
-                    out = files.enter_context(tempfile.TemporaryFile(buffering=0)).fileno()
-                for fd in (out, err):
-                    os.ftruncate(fd, 0)
-                    os.lseek(fd, 0, os.SEEK_SET)
-                if stdin_path:
-                    stdin.seek(0)
-            start = time.perf_counter()
-            proc = _spawn(
-                argv, start + run.timeout_s,
-                stdin=stdin, stdout=out, stderr=err, env=env, cwd=cwd,
-            )
-            try:
-                _wait_exit(proc)
-                elapsed = time.perf_counter() - start
-            finally:
-                timed_out = _reap(proc)
+        every = [_Arm(binary, count, run, files) for binary, count in arms]
+        live = every
+        scratch = None
+        for round_ in range(run.repetitions):
+            for arm in live if round_ % 2 == 0 else reversed(live):
+                if round_:
+                    if scratch is None:
+                        scratch = _temp_fd(files)
+                    _empty(scratch)
+                    _empty(arm.err)
+                    if arm.stdin:
+                        arm.stdin.seek(0)
+                arm.repeat(scratch if round_ else arm.kept, run.timeout_s, first=not round_)
+            live = [arm for arm in live if arm.exit_status == 0]
+        return [arm.sample() for arm in every]
 
-            if timed_out:
-                exit_status = TIMEOUT
-                break
-            if rep == 0:
-                stdout = Output.from_fd(kept)
-            if proc.returncode != 0:
-                exit_status = proc.returncode
-                break
-            wall_times.append(elapsed)
-        last_stderr = _read_tail(err)
 
-    return RunSample(
-        wall_times_s=tuple(wall_times),
-        stdout=stdout,
-        stderr=last_stderr,
-        exit_status=exit_status,
-        thread_count=thread_count,
-    )
+def run_timed(
+    binary: Path | str,
+    run: RunRecipe,
+    thread_count: int | None = None,
+) -> RunSample:
+    """``run.repetitions`` timed repetitions of one binary: a one-arm
+    ``run_rounds``, whose protocol it follows."""
+    return run_rounds([(binary, thread_count)], run)[0]
 
 
 def measure_speedup(baseline: RunSample, candidate: RunSample) -> SpeedupStat:
@@ -684,10 +726,9 @@ def thread_sweep(
     run: RunRecipe,
     counts: list[int],
 ) -> dict[int, RunSample]:
-    """One timed sample per thread count, ascending; failures recorded."""
+    """One timed sample per thread count, ascending, the counts timed
+    together in ``run_rounds``; failures recorded."""
     if not counts or any(c < 1 for c in counts):
         raise ValueError("counts must be non-empty positive integers")
-    results: dict[int, RunSample] = {}
-    for count in sorted(counts):
-        results[count] = run_timed(binary, run, thread_count=count)
-    return results
+    counts = sorted(set(counts))
+    return dict(zip(counts, run_rounds([(binary, count) for count in counts], run)))

@@ -153,12 +153,14 @@ class TestExperimentCommands:
          "toolchain.json: key 'compilers.gcc.version_string'"),
         ({"compilers": {"gcc": {"c_path": "gcc", "cxx_path": 5}}},
          "toolchain.json: key 'compilers.gcc.cxx_path'"),
+        ('{"compilers": ', "toolchain.json: not valid JSON"),
     ])
     def test_malformed_toolchain_config_fails_cleanly(self, tmp_path, capsys, doc, named):
+        """``doc`` is written as JSON, or as it is when it is text."""
         suite(tmp_path / "suite")
         config = replay_config(tmp_path, ["x"])
         toolchain = tmp_path / "toolchain.json"
-        toolchain.write_text(json.dumps(doc))
+        toolchain.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main([
             "ex1", "--root", str(tmp_path / "suite"), "--provider", str(config),
             "--toolchain", str(toolchain), "--out", str(tmp_path / "out"),
@@ -242,9 +244,28 @@ def _escaping_tool_id(tmp_path):
     ], "escape"
 
 
-def _report(doc, named="report.json"):
+def _ex1_with(name, text, named):
+    """An ex1 run whose provider config, transcript or --prompt-env file
+    ``name`` holds ``text``."""
     def write(tmp_path):
-        (tmp_path / "report.json").write_text(json.dumps(doc))
+        suite(tmp_path / "suite")
+        config = replay_config(tmp_path, [fenced(sleeper(50))])
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"os": "TestOS", "cpu": "TestCPU", "compilers": "gcc"}))
+        (tmp_path / name).write_text(text)
+        return [
+            "ex1", "--root", str(tmp_path / "suite"), "--provider", str(config),
+            "--prompt-env", str(env), "--out", str(tmp_path / "out"),
+        ], named
+    return write
+
+
+def _report(doc, named="report.json"):
+    """A report command on ``doc``, written as JSON, or as it is when it
+    is text."""
+    def write(tmp_path):
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (tmp_path / "report.json").write_text(text)
         return [
             "report", "--in", str(tmp_path / "report.json"), "--format", "csv",
             "--out", str(tmp_path / "out"),
@@ -271,8 +292,19 @@ def _report_row(**changes):
     _report({"rows": [{"benchmark_id": "alpha"}], "provenance": {}}),
     _report_row(speedup="2.0"),
     _report_row(motif="Bogus"),
+    _report('{"rows": [', "report.json: not valid JSON"),
+    _ex1_with("provider.json", '{"kind": ', "provider.json: not valid JSON"),
+    _ex1_with("transcript.json", '[{"response_text": ', "transcript.json: not valid JSON"),
+    _ex1_with("transcript.json", '[{"response_text": "r", "latency_s": "slow"}]',
+              "transcript.json: key 'entries[0].latency_s'"),
+    _ex1_with("env.json", '{"os": ', "env.json: not valid JSON"),
+    _ex1_with("env.json", "[1, 2]", "env.json: key '--prompt-env'"),
+    _ex1_with("env.json", '{"os": 5}', "env.json: key '--prompt-env'"),
 ], ids=["unbalanced_hotspot_source", "manifest_id", "tool_id", "report_without_rows",
-        "report_row_missing_key", "report_row_speedup_string", "report_row_unknown_motif"])
+        "report_row_missing_key", "report_row_speedup_string", "report_row_unknown_motif",
+        "report_truncated", "provider_config_truncated", "transcript_truncated",
+        "transcript_latency_string", "prompt_env_truncated", "prompt_env_list",
+        "prompt_env_value_number"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, bad_input):
     """Each bad input is refused with one line naming it, before anything
     is built or written."""

@@ -5,6 +5,7 @@ import json
 import logging
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -516,20 +517,21 @@ class TestScoreSharesOutput:
         [("result 42", Cat.CORRECT), ("result 99", Cat.OUTPUT_MISMATCH)],
     )
     def test_equal_output_is_the_original_object(
-        self, tmp_path, toolchain_config, monkeypatch, message, category, counts
+        self, tmp_path, toolchain_config, message, category, counts
     ):
         spec = sleep_bench(tmp_path / "b", ms=5)
         original = tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "w")
-        baseline = tc.run_timed(original.binary_path, spec.run)
         cand_dir = tmp_path / "cand"
         cand_dir.mkdir()
         (cand_dir / "main.c").write_text(sleeper(1, message=message))
         build = tc.compile(spec, cand_dir, toolchain_config, "cand", tmp_path / "w")
 
-        own = []  # the samples as timed, before scoring shares an output
-        run_timed = tc.run_timed
-        monkeypatch.setattr(tc, "run_timed", lambda *a, **kw: own.append(run_timed(*a, **kw)) or own[-1])
-        evaluation = ex._score(spec, build, None, set(), baseline, counts)
+        # own: the samples as timed, before scoring shares an output
+        baseline, *own = tc.run_rounds(
+            [(original.binary_path, None if counts is None else 1), *ex._arms(build, set(), counts)],
+            spec.run,
+        )
+        evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, own)
         assert evaluation.category is category
         assert evaluation.run.stdout == f"{message}\n".encode()
         assert (evaluation.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
@@ -561,8 +563,6 @@ class TestScoreMemory:
                     run={"repetitions": 1}, validation={"mode": mode})
         spec = load_single(tmp_path / "b", "big")
         original = tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "w")
-        baseline = tc.run_timed(original.binary_path, spec.run)
-        assert len(baseline.stdout) >= 8_000_000
         cand_dir = tmp_path / "cand"
         cand_dir.mkdir()
         (cand_dir / "main.c").write_text(_BIG_OUTPUT % last)
@@ -570,10 +570,14 @@ class TestScoreMemory:
 
         tracemalloc.start()
         try:
-            evaluation = ex._score(spec, build, None, set(), baseline)
+            baseline, sample = tc.run_rounds(
+                [(original.binary_path, None), (build.binary_path, None)], spec.run
+            )
+            evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, [sample])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(baseline.stdout) >= 8_000_000
         assert evaluation.category is category
         assert peak < 1_000_000
 
@@ -585,20 +589,21 @@ class TestScoreSweep:
 
     BASELINE = tc.RunSample((0.3, 0.4), b"42\n", b"", 0)
 
-    def score(self, tmp_path, monkeypatch, samples):
+    def score(self, tmp_path, samples):
         spec = sleep_bench(tmp_path / "b", ms=5)
-        monkeypatch.setattr(tc, "thread_sweep", lambda binary, run, counts: dict(samples))
         build = tc.BuildOutcome(tc.BuildStatus.OK, tmp_path / "bin", "")
-        return ex._score(spec, build, None, set(), self.BASELINE, tuple(samples))
+        return ex._score(
+            spec, build, None, set(), self.BASELINE.stdout, self.BASELINE, list(samples.values())
+        )
 
-    def test_fastest_matching_count_sets_the_speedup(self, tmp_path, monkeypatch):
+    def test_fastest_matching_count_sets_the_speedup(self, tmp_path):
         samples = {
             1: tc.RunSample((0.7,), b"41\n", b"", 0, 1),
             2: tc.RunSample((0.3, 0.1), b"42\n", b"", 0, 2),
             4: tc.RunSample((), b"", b"", -11, 4),
             8: tc.RunSample((0.1,), b"42\n", b"", 0, 8),
         }
-        evaluation = self.score(tmp_path, monkeypatch, samples)
+        evaluation = self.score(tmp_path, samples)
 
         b = self.BASELINE.mean_s
         assert evaluation.category is Cat.CORRECT
@@ -609,12 +614,12 @@ class TestScoreSweep:
         assert evaluation.stat == tc.SpeedupStat(b, samples[8].mean_s, b / samples[8].mean_s)
         assert evaluation.stat.speedup == max(v for _, v in evaluation.thread_results if v)
 
-    def test_no_matching_count_rests_on_the_first(self, tmp_path, monkeypatch):
+    def test_no_matching_count_rests_on_the_first(self, tmp_path):
         samples = {
             1: tc.RunSample((0.7,), b"41\n", b"", 0, 1),
             2: tc.RunSample((), b"", b"", -11, 2),
         }
-        evaluation = self.score(tmp_path, monkeypatch, samples)
+        evaluation = self.score(tmp_path, samples)
 
         assert evaluation.category is Cat.OUTPUT_MISMATCH
         assert evaluation.run.thread_count == 1
@@ -781,6 +786,96 @@ class TestBaselineBesideCandidate:
         assert len(carrying_broken) == (0 if driver == "import" else 1)
         assert not tc._unjoined
         assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
+
+
+def _counting_original(crash_on_run):
+    """An original that counts its runs in ./runs and exits 3 on run
+    ``crash_on_run``."""
+    return (
+        "#include <stdio.h>\n"
+        "int main(void) {\n"
+        "    int n = 0;\n"
+        "    FILE *f = fopen(\"runs\", \"r\");\n"
+        "    if (f) { if (fscanf(f, \"%d\", &n) != 1) n = 0; fclose(f); }\n"
+        "    f = fopen(\"runs\", \"w\");\n"
+        "    fprintf(f, \"%d\\n\", ++n);\n"
+        "    fclose(f);\n"
+        f"    if (n == {crash_on_run}) return 3;\n"
+        "    printf(\"result 42\\n\");\n"
+        "    return 0;\n"
+        "}\n"
+    )
+
+
+class TestRoundsPerRow:
+    """A row times its original and every timed turn, at every count,
+    together in one ``run_rounds`` call."""
+
+    @staticmethod
+    def record_rounds(monkeypatch):
+        calls = []  # per call: (variant, thread count) of each arm
+        run_rounds = tc.run_rounds
+
+        def recording(arms, run):
+            calls.append([(Path(binary).parent.parent.name, count) for binary, count in arms])
+            return run_rounds(arms, run)
+
+        monkeypatch.setattr(tc, "run_rounds", recording)
+        return calls
+
+    def test_ex2_times_every_built_turn_with_the_original(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        calls = self.record_rounds(monkeypatch)
+        spec = sleep_bench(tmp_path / "b", ms=60)
+        provider = replay([
+            fenced(sleeper(30)),
+            fenced(SYNTAX_ERROR),
+            "no code",
+            fenced(sleeper(20, message="result 99")),
+            fenced(sleeper(40)),
+        ])
+        table = ex.run_ex2([spec], provider, toolchain_config, tmp_path / "w")
+        assert (table.rows[0].variant_tag, table.rows[0].category) == ("ex2/turn1", Cat.CORRECT)
+        # The original's check after the first reply, then one call for the row.
+        assert calls == [
+            [("base", None)],
+            [("base", None), ("turn1", None), ("turn4", None), ("turn5", None)],
+        ]
+
+    def test_ex3_times_every_count_with_the_original(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        calls = self.record_rounds(monkeypatch)
+        spec = sleep_bench(tmp_path / "b", ms=60)
+        table = ex.run_ex3(
+            [spec], replay([fenced(parallel(sleeper(30)))]), toolchain_config, tmp_path / "w",
+            counts=(2, 1, 2),
+        )
+        assert table.rows[0].category is Cat.CORRECT
+        assert set(table.rows[0].thread_map) == {1, 2}
+        assert calls == [[("base", 1), ("cand", 1), ("cand", 2)]]
+
+    @pytest.mark.parametrize("driver, crash_on_run", [("ex1", 2), ("ex2", 3)])
+    def test_original_failing_in_the_rounds_skips_the_row(
+        self, tmp_path, toolchain_config, caplog, monkeypatch, driver, crash_on_run
+    ):
+        """An original that fails only beside the candidates, after ex2's
+        check of it passed, still skips its row."""
+        write_bench(tmp_path / "bb", "flaky", {"main.c": _counting_original(crash_on_run)},
+                    run={"repetitions": 2})
+        flaky = load_single(tmp_path / "bb", "flaky")
+        good = sleep_bench(tmp_path / "bg", "good", ms=20)
+        # Candidates that never fail: timed beside the original.
+        provider = replay([fenced(_counting_original(0))] * 5 + [fenced(sleeper(10))] * 5)
+        calls = self.record_rounds(monkeypatch)
+        with caplog.at_level(logging.ERROR, logger="perfagent.experiments"):
+            table = drive(driver, [flaky, good], provider, toolchain_config, tmp_path / "w")
+        assert len(calls[driver == "ex2"]) > 1
+        assert [r.benchmark_id for r in table.rows] == ["good"]
+        assert any("flaky" in r.message and "baseline run failed" in r.message
+                   for r in caplog.records)
+        assert not tc._unjoined
 
 
 class TestAggregate:

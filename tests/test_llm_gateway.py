@@ -170,6 +170,36 @@ class TestReplayProvider:
         assert provider.complete([{"role": "user", "content": "any"}]).raw_text == "r"
 
 
+    @pytest.mark.parametrize("entry, named", [
+        ({"response_text": "r", "latency_s": "slow"}, "entries[1].latency_s"),
+        ({"response_text": "r", "latency_s": float("nan")}, "entries[1].latency_s"),
+        ({"response_text": 5}, "entries[1].response_text"),
+        ({"request_digest": None, "response_text": "r"}, "entries[1].request_digest"),
+        ("r", "entries[1] must be an object"),
+    ])
+    def test_entries_checked_on_load(self, tmp_path, entry, named):
+        """A malformed entry is refused when the transcript is loaded,
+        naming the transcript and the entry, before any request."""
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps([{"response_text": "fine"}, entry]))
+        with pytest.raises(gw.GatewayError) as caught:
+            gw.ReplayProvider(path)
+        assert not isinstance(caught.value, gw.ProviderError)
+        assert str(caught.value).startswith(f"{path}: ") and named in str(caught.value)
+        with pytest.raises(gw.GatewayError, match=r"^transcript: .*entries\[1\]"):
+            gw.ReplayProvider([{"response_text": "fine"}, entry])
+
+    @pytest.mark.parametrize("text, named", [
+        ('[{"response_text": ', "not valid JSON"),
+        ('{"response_text": "r"}', "top level must be a list"),
+    ])
+    def test_transcript_of_another_shape_is_refused(self, tmp_path, text, named):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with pytest.raises(gw.GatewayError, match=f"^{path}: {named}"):
+            gw.ReplayProvider(path)
+
+
 class _ScriptedProvider(gw.Provider):
     provider_id = "scripted"
 

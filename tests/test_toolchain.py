@@ -382,6 +382,99 @@ def test_run_timed_keeps_the_tail_of_stderr(tmp_path, toolchain_config):
     assert sample.stderr.endswith(b"%011d\n" % (kernels.STDERR_FLOOD_LINES - 1))
 
 
+_TAGGED = """\
+#include <stdio.h>
+#include <unistd.h>
+
+/* Appends its tag to the log, then runs the body, then prints the tag. */
+int main(void) {{
+    FILE *log = fopen("{log}", "a");
+    fprintf(log, "{tag}\\n");
+    fclose(log);
+{body}
+    printf("{tag}\\n");
+    return 0;
+}}
+"""
+
+_CRASH = "    return 7;"
+_HANG = "    sleep(5);"
+# The child appends "late" to the log 0.3 s after its parent exited.
+_FORK = """\
+    pid_t pid = fork();
+    if (pid == 0) {{
+        usleep(300000);
+        FILE *late = fopen("{log}", "a");
+        fprintf(late, "late\\n");
+        fclose(late);
+        return 0;
+    }}
+    printf("child %d\\n", (int)pid);"""
+
+
+class TestRounds:
+    """run_rounds times its arms interleaved, in arm order on even rounds
+    and reversed on odd ones; a failing arm leaves the others running."""
+
+    @staticmethod
+    def arms(tmp_path, toolchain_config, bodies):
+        """One (binary, None) arm per tag in ``bodies``, and the log file."""
+        log = tmp_path / "rounds.log"
+        arms = []
+        for tag, body in bodies.items():
+            source = _TAGGED.format(log=log, tag=tag, body=body.format(log=log))
+            arms.append((_build(tmp_path, toolchain_config, source, bench_id=tag.lower())[1], None))
+        return arms, log
+
+    def test_order_alternates_between_rounds(self, tmp_path, toolchain_config):
+        arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": "", "C": ""})
+        samples = tc.run_rounds(arms, RunRecipe(repetitions=3, timeout_s=10))
+        assert log.read_text().split() == ["A", "B", "C", "C", "B", "A", "A", "B", "C"]
+        assert [bytes(s.stdout) for s in samples] == [b"A\n", b"B\n", b"C\n"]
+        assert all(s.ok and len(s.wall_times_s) == 3 for s in samples)
+
+        log.unlink()
+        tc.run_rounds(arms[:2], RunRecipe(repetitions=3, timeout_s=10))
+        assert log.read_text().split() == ["A", "B", "B", "A", "A", "B"]
+
+    def test_crash_drops_only_that_arm(self, tmp_path, toolchain_config):
+        arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": _CRASH, "C": ""})
+        a, b, c = tc.run_rounds(arms, RunRecipe(repetitions=3, timeout_s=10))
+        assert log.read_text().split() == ["A", "B", "C", "C", "A", "A", "C"]
+        assert b.crashed and b.exit_status == 7 and b.wall_times_s == ()
+        assert b.stdout == b""
+        assert a.ok and c.ok and len(a.wall_times_s) == len(c.wall_times_s) == 3
+
+    def test_timeout_drops_only_that_arm(self, tmp_path, toolchain_config):
+        arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": _HANG})
+        start = time.perf_counter()
+        a, b = tc.run_rounds(arms, RunRecipe(repetitions=3, timeout_s=0.3))
+        assert time.perf_counter() - start < 0.3 + 1.0
+        assert log.read_text().split() == ["A", "B", "A", "A"]
+        assert b.timed_out and b.wall_times_s == () and b.stdout == b""
+        assert a.ok and len(a.wall_times_s) == 3
+
+    def test_forked_child_dies_with_its_group(self, tmp_path, toolchain_config):
+        arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": _FORK})
+        start = time.monotonic()
+        a, b = tc.run_rounds(arms, RunRecipe(repetitions=2, timeout_s=10))
+        assert a.ok and b.ok
+        pid = int(bytes(b.stdout).split()[1])
+        try:
+            deadline = time.monotonic() + 1.0
+            while process_running(pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not process_running(pid), f"child {pid} outlived its repetition"
+        finally:
+            if process_running(pid):
+                os.kill(pid, signal.SIGKILL)
+        time.sleep(max(0.0, start + 0.6 - time.monotonic()))
+        assert log.read_text().split() == ["A", "B", "B", "A"]
+
+    def test_no_arms_time_nothing(self):
+        assert tc.run_rounds([], RunRecipe(repetitions=3)) == []
+
+
 class TestOutput:
     DATA = b"".join(b"%06d\n" % i for i in range(30000))  # 210 kB, several reads
 
