@@ -2,8 +2,9 @@
 
 Builds a matmul benchmark in a scratch directory, replays a stored
 "optimization" (loop interchange), and writes the three report formats.
-No network, no API key, no external benchmark suite required.
-Exits 1 unless the row is Correct.
+Then scores the same interchanged source as an external tool's tree
+(``import-tool``). No network, no API key, no external benchmark suite
+required. Exits 1 unless both rows are Correct.
 
     python3 scripts/replay_demo.py [--out DIR] [--n 512] [--reps 3]
 """
@@ -117,8 +118,22 @@ def main() -> int:
     paths = exp.emit_report(table, exp.aggregate(table), out / "reports")
     for fmt in sorted(paths):
         print(f"wrote {paths[fmt]}")
-    if [row.category for row in table.rows] != [CorrectnessCategory.CORRECT]:
+
+    tree = out / "tool" / "matmul"
+    tree.mkdir(parents=True)
+    (tree / "main.c").write_text(candidate)
+    imported = exp.import_external_tool_results(
+        out / "tool", "interchange", specs, toolchain, out / "work"
+    )
+    for row in imported.rows:
+        print(f"{row.benchmark_id} ({row.tool_id}): {row.category.value} {row.speedup:.2f}x")
+
+    ok = [CorrectnessCategory.CORRECT]
+    if [row.category for row in table.rows] != ok:
         print("error: the interchanged matmul was not Correct", file=sys.stderr)
+        return 1
+    if [row.category for row in imported.rows] != ok:
+        print("error: the imported interchanged matmul was not Correct", file=sys.stderr)
         return 1
     return 0
 

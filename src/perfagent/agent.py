@@ -19,7 +19,6 @@ can shell out to a real profiler and converter.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import re
@@ -286,9 +285,9 @@ def run_agent(
     The original is prepared as its ``prep`` options say and its build
     started first. It is joined and timed when first needed: by the
     fallback tree, by a profile source reading its ``binary_path``, by
-    the first candidate's timed run or at the end of the loop. Each
-    candidate that builds is timed in rounds with the original
-    (``_Baseline.time_with``), and its speedup is the ratio of the two
+    the first candidate's scoring or at the end of the loop. Each
+    candidate is scored by ``_Baseline.score``: one that builds is timed
+    in rounds with the original, and its speedup is the ratio of the two
     samples from those rounds. ``experiments.BaselineFailed``
     propagates then (``BaselineRunFailed`` when the original built but
     did not run cleanly), so with a profile source that does not read
@@ -298,9 +297,7 @@ def run_agent(
     work_dir = Path(work_dir)
     agent_dir = work_dir / spec.id / "agent"
     agent_dir.mkdir(parents=True, exist_ok=True)
-    with contextlib.ExitStack() as in_flight:
-        original = ex._Baseline(spec, toolchain, work_dir, "agent")
-        in_flight.callback(original.kill)
+    with ex._Baseline(spec, toolchain, work_dir, "agent") as original:
         iterations, stop_reason, best_iteration = _iterate(
             spec, original, profile_source, provider, cfg, toolchain, work_dir
         )
@@ -364,7 +361,7 @@ def _iterate(
             extraction = gw.extract_code(response)
         except gw.ProviderError as exc:
             response = gw.ModelResponse("", provider.provider_id, 0.0)
-            extraction = ex._no_code_extraction()
+            extraction = gw.NO_CODE
             note = _join_notes(note, f"provider error: {exc}")
         declined = _is_decline(response.raw_text, extraction)
 
@@ -380,14 +377,9 @@ def _iterate(
 
         if new_source is not None:
             tag = f"agent/iter{index}"
-            vsrc = ex._stage_candidate(
-                spec, original.src_dir, work_dir, tag, code=(hotspot_rel, new_source)
-            )
+            vsrc = original.stage(tag, code=(hotspot_rel, new_source))
             build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-            paired, samples = original.time_with(ex._arms(build, set(), None))
-            evaluation = ex._score(
-                spec, build, extraction, set(), original.sample().stdout, paired, samples
-            )
+            (evaluation,) = original.score([(build, extraction, set())])
             category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
             if run is not None and run.stdout is not original.sample().stdout:
                 # The trace keeps the output's size and digest, not its file.

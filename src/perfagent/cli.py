@@ -67,18 +67,27 @@ def _add_selection_args(parser):
                         help="keep only this motif (repeatable)")
 
 
-def _add_experiment_args(parser):
+def _add_table_args(parser):
+    """The flags ex1, ex2, ex3 and import-tool share."""
     _add_selection_args(parser)
-    parser.add_argument("--provider", required=True,
-                        help="provider config JSON (kind: http, replay, record)")
     parser.add_argument("--toolchain", default="detect",
                         help="toolchain config JSON, or 'detect'")
     parser.add_argument("--out", required=True, help="report output directory")
     parser.add_argument("--work", help="scratch dir (default: <out>/work)")
-    parser.add_argument("--prompt-env",
-                        help="JSON file with os/cpu/compilers prompt fields")
     parser.add_argument("--mean", choices=("arithmetic", "geometric"),
                         default="arithmetic", help="summary mean kind")
+
+
+def _add_experiment_args(parser):
+    _add_table_args(parser)
+    parser.add_argument("--provider", required=True,
+                        help="provider config JSON (kind: http, replay, record)")
+    parser.add_argument("--prompt-env",
+                        help="JSON file with os/cpu/compilers prompt fields")
+
+
+def _work_dir(args) -> Path:
+    return Path(args.work) if args.work else Path(args.out) / "work"
 
 
 def _finish_table(table: exp.ResultsTable, args) -> int:
@@ -115,9 +124,8 @@ def _run_experiment(args, runner, **extra) -> int:
     selection = _selection(args)
     provider = _build_provider(args.provider)
     toolchain = _load_toolchain(args.toolchain)
-    work = Path(args.work) if args.work else Path(args.out) / "work"
     table = runner(
-        selection, provider, toolchain, work,
+        selection, provider, toolchain, _work_dir(args),
         env=_prompt_env(args.prompt_env), **extra,
     )
     return _finish_table(table, args)
@@ -139,9 +147,8 @@ def cmd_ex3(args) -> int:
 def cmd_import_tool(args) -> int:
     selection = _selection(args)
     toolchain = _load_toolchain(args.toolchain)
-    work = Path(args.work) if args.work else Path(args.out) / "work"
     table = exp.import_external_tool_results(
-        args.dir, args.tool_id, selection, toolchain, work
+        args.dir, args.tool_id, selection, toolchain, _work_dir(args)
     )
     return _finish_table(table, args)
 
@@ -232,14 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     ex3.set_defaults(func=cmd_ex3)
 
     imp = sub.add_parser("import-tool", help="score pre-optimized source trees")
-    _add_selection_args(imp)
+    _add_table_args(imp)
     imp.add_argument("--dir", required=True, help="directory of per-benchmark trees")
     imp.add_argument("--tool-id", required=True)
-    imp.add_argument("--toolchain", default="detect")
-    imp.add_argument("--out", required=True)
-    imp.add_argument("--work")
-    imp.add_argument("--mean", choices=("arithmetic", "geometric"),
-                     default="arithmetic")
     imp.set_defaults(func=cmd_import_tool)
 
     agent = sub.add_parser("agent", help="iterative profile-guided optimization")

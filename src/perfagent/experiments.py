@@ -26,7 +26,7 @@ from . import llm_gateway as gw
 from . import manifest, patch
 from . import toolchain as tc
 from .llm_gateway import Experiment, OptimizationLabel, OptimizationLabelKind
-from .manifest import BenchmarkSpec, Motif, want
+from .manifest import BenchmarkSpec, Motif, RunRecipe, want
 from .verify import CorrectnessCategory, classify_attempt, compare_outputs, pass_at_1
 
 log = logging.getLogger("perfagent.experiments")
@@ -141,11 +141,11 @@ class BaselineRunFailed(BaselineFailed):
 
 
 class _Baseline:
-    """One row's untouched original. Construction prepares its sources
-    (``src_dir``) and starts its build; ``time_with`` joins the build and
-    times the original in rounds with a row's candidates, and ``sample``
-    is its first timed run, the reference every candidate's output is
-    checked against. Every failure is a BaselineFailed."""
+    """One row's untouched original, the path each attempt of the row
+    takes. Construction prepares its sources (``src_dir``) and starts its
+    build; leaving its ``with`` block kills that build if not joined.
+    ``sample`` is the original's first run, the reference every output
+    is checked against. Every failure of the original is a BaselineFailed."""
 
     def __init__(
         self,
@@ -156,6 +156,7 @@ class _Baseline:
         thread_count: int | None = None,
     ) -> None:
         self._spec = spec
+        self._work_dir = work_dir
         self._thread_count = thread_count
         self._binary: Path | None = None
         self._outcome: tc.RunSample | BaselineFailed | None = None
@@ -170,28 +171,87 @@ class _Baseline:
         except (tc.ToolchainError, manifest.ManifestError) as exc:
             raise BaselineFailed(str(exc)) from exc
 
-    def sample(self) -> tc.RunSample:
-        """The original's first timed run, timed alone if no ``time_with``
-        has timed it yet. A failure is cached and raised again on every
-        later call, so no caller can swallow it."""
-        return self.time_with(())[0]
+    def __enter__(self) -> _Baseline:
+        return self
 
-    def time_with(
-        self, arms: Sequence[tuple[Path, int | None]]
+    def __exit__(self, *exc_info) -> None:
+        self._build.kill()
+
+    def stage(
+        self, tag: str, code: tuple[str, str] | None = None, overlay: Path | None = None
+    ) -> Path:
+        """The variant ``tag``'s src/: a copy of the prepared tree with
+        ``code``, a (relative path, text) pair, written over one file, and
+        every file under the ``overlay`` directory laid over it."""
+        vsrc = tc.variant_dir(self._work_dir, self._spec.id, tag) / "src"
+        if vsrc.exists():
+            shutil.rmtree(vsrc)
+        shutil.copytree(self.src_dir, vsrc)
+        if code is not None:
+            rel, text = code
+            (vsrc / rel).write_text(text, encoding="utf-8")
+        if overlay is not None:
+            for path in sorted(overlay.rglob("*")):
+                if path.is_file():
+                    target = vsrc / path.relative_to(overlay)
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copy2(path, target)
+        return vsrc
+
+    def check(self) -> tc.RunSample:
+        """The original run once, unless it has run already: the
+        reference output, and a BaselineFailed as early as possible."""
+        return self._rounds((), replace(self._spec.run, repetitions=1))[0]
+
+    def sample(self) -> tc.RunSample:
+        """The original's first run, timed alone with every repetition if
+        nothing has run it yet. A failure is cached and raised again on
+        every later call, so no caller can swallow it."""
+        return self._rounds((), self._spec.run)[0]
+
+    def score(
+        self,
+        attempts: Sequence[tuple[tc.BuildOutcome | None, gw.ExtractionResult | None, set[str]]],
+        counts: Sequence[int] | None = None,
+    ) -> list[_Evaluation]:
+        """Each (build or None, extraction, flags) attempt classified by
+        ``_score``, after one ``tc.run_rounds`` of the original and every
+        attempt that built and broke no constraint, once or at each of
+        ``counts``. With nothing to time, this runs only ``sample``."""
+        arms = [
+            [(build.binary_path, count) for count in counts or (None,)]
+            if _timed(build, flags) else []
+            for build, _, flags in attempts
+        ]
+        original, samples = self._rounds(
+            [arm for attempt in arms for arm in attempt], self._spec.run
+        )
+        reference = self.sample().stdout
+        timed = iter(samples)
+        return [
+            _score(self._spec, build, extraction, flags, reference, original,
+                   [next(timed) for _ in attempt_arms])
+            for (build, extraction, flags), attempt_arms in zip(attempts, arms)
+        ]
+
+    def binary_path(self) -> Path:
+        self.sample()
+        return self._binary
+
+    def _rounds(
+        self, arms: Sequence[tuple[Path, int | None]], run: RunRecipe
     ) -> tuple[tc.RunSample, list[tc.RunSample]]:
-        """The original and ``arms``, (binary, thread count) pairs, timed
-        together in ``tc.run_rounds``: the original's sample from these
-        rounds and one sample per arm. The first rounds' original becomes
-        ``sample``; with no arms, an original already timed is not timed
-        again. BaselineRunFailed when the original does not run cleanly.
-        """
+        """The original's sample and one per arm, a (binary, thread count)
+        pair, timed together as ``run`` says. The original's first run
+        becomes ``sample``; with no arms, an original that has run is not
+        run again. BaselineRunFailed when the original does not run cleanly."""
         if isinstance(self._outcome, BaselineFailed):
             raise self._outcome
         if not arms and self._outcome is not None:
             return self._outcome, []
         try:
             original, *samples = tc.run_rounds(
-                [(self._join(), self._thread_count), *arms], self._spec.run
+                [(self._join(), self._thread_count), *arms], run
             )
             if not original.ok:
                 raise BaselineRunFailed(
@@ -204,13 +264,6 @@ class _Baseline:
         if self._outcome is None:
             self._outcome = original
         return original, samples
-
-    def binary_path(self) -> Path:
-        self.sample()
-        return self._binary
-
-    def kill(self) -> None:
-        self._build.kill()
 
     def _join(self) -> Path:
         if self._binary is None:
@@ -253,10 +306,6 @@ def _attachment(spec: BenchmarkSpec, src_dir: Path) -> tuple[str, str]:
     return rels[0], (src_dir / rels[0]).read_text(encoding="utf-8", errors="replace")
 
 
-def _no_code_extraction() -> gw.ExtractionResult:
-    return gw.ExtractionResult(None, None, gw.ExtractionRule.NONE)
-
-
 def _labels_for(extraction: gw.ExtractionResult) -> tuple[OptimizationLabel, ...]:
     # No prose, no claim to classify.
     if not extraction.explanation:
@@ -272,33 +321,6 @@ class _Evaluation:
     labels: tuple[OptimizationLabel, ...]
     # The timed run the category rests on; None when nothing ran.
     run: tc.RunSample | None = None
-
-
-def _stage_candidate(
-    spec: BenchmarkSpec,
-    src_dir: Path,
-    work_dir: Path,
-    tag: str,
-    code: tuple[str, str] | None = None,
-    overlay: Path | None = None,
-) -> Path:
-    """The variant's src/: a copy of the prepared tree with ``code``, a
-    (relative path, text) pair, written over one file, and every file
-    under the ``overlay`` directory laid over it."""
-    vsrc = tc.variant_dir(work_dir, spec.id, tag) / "src"
-    if vsrc.exists():
-        shutil.rmtree(vsrc)
-    shutil.copytree(src_dir, vsrc)
-    if code is not None:
-        rel, text = code
-        (vsrc / rel).write_text(text, encoding="utf-8")
-    if overlay is not None:
-        for path in sorted(overlay.rglob("*")):
-            if path.is_file():
-                target = vsrc / path.relative_to(overlay)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(path, target)
-    return vsrc
 
 
 # The flag of a reply whose code does not parse, which is not built.
@@ -320,14 +342,9 @@ def _check_candidate(
         return {_UNPARSEABLE}
 
 
-def _arms(
-    build: tc.BuildOutcome | None, flags: set[str], counts: Sequence[int] | None
-) -> list[tuple[Path, int | None]]:
-    """What to time of an attempt: its binary once, or once per thread
-    count, if it built and broke no constraint; else nothing."""
-    if build is None or not build.ok or flags:
-        return []
-    return [(build.binary_path, count) for count in counts or (None,)]
+def _timed(build: tc.BuildOutcome | None, flags: set[str]) -> bool:
+    """Whether an attempt is timed: it built and broke no constraint."""
+    return build is not None and build.ok and not flags
 
 
 def _score(
@@ -356,7 +373,7 @@ def _score(
     however many attempts reproduce it.
     """
     labels = () if extraction is None or extraction.code is None else _labels_for(extraction)
-    if build is None or not build.ok or flags:
+    if not _timed(build, flags):
         category = classify_attempt(build, extraction, None, None, flags)
         return _Evaluation(category, None, None, labels)
 
@@ -429,13 +446,6 @@ def _request_or_none(
 EX2_TURNS = 5
 
 
-def _join_turn(
-    tag: str, extraction: gw.ExtractionResult, flags: set[str], build: tc.PendingBuild
-) -> tuple[str, gw.ExtractionResult, set[str], tc.BuildOutcome]:
-    """A turn's attempt with its build joined."""
-    return tag, extraction, flags, build.wait()
-
-
 def _converse(
     selection: list[BenchmarkSpec],
     provider: gw.Provider,
@@ -454,17 +464,17 @@ def _converse(
     code is built as its own variant. The original's build starts before
     the first request; turn t's build starts, turn t+1's request is
     sent, and only then is turn t's build joined. When more turns
-    follow, the original is checked right after the first reply: joined
-    and timed alone, which gives the reference output. After the last
-    turn, the original and every turn that built and broke no constraint
-    are timed together in one ``_Baseline.time_with`` (ascending
-    ``counts`` per turn against a 1-thread original, if given), and then
-    every turn is scored in turn order (``_score``), so requests, rows
-    and categories are those of scoring each turn before the next
-    request. No timed run overlaps a build. A benchmark whose original
-    fails to prepare, build or run is skipped with an error logged, after
-    its first request. If an exception escapes a row, every build in
-    flight is killed and reaped.
+    follow, the original is checked (``_Baseline.check``: joined and run
+    once, for the reference output) right after the first reply. After
+    the last turn, ``_Baseline.score`` times the original and every turn
+    that built and broke no constraint in one set of rounds (ascending
+    ``counts`` per turn against a 1-thread original, if given) and scores
+    every turn in turn order, so requests, rows and categories are those
+    of scoring each turn before the next request; a row with nothing to
+    time only checks its original. No timed run overlaps a build. A
+    benchmark whose original fails to prepare, build or run is skipped
+    with an error logged, after its first request. If an exception
+    escapes a row, every build in flight is killed and reaped.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
@@ -475,53 +485,46 @@ def _converse(
 
     rows = []
     for spec in selection:
-        # (tag, extraction, flags, build or None) per turn
-        attempts: list[tuple[str, gw.ExtractionResult, set[str], tc.BuildOutcome | None]] = []
+        attempts: list[tuple[tc.BuildOutcome | None, gw.ExtractionResult, set[str]]] = []
         try:
-            with contextlib.ExitStack() as in_flight:
-                base = _Baseline(spec, toolchain, work_dir, ex_tag, baseline_threads)
-                in_flight.callback(base.kill)
+            with (
+                _Baseline(spec, toolchain, work_dir, ex_tag, baseline_threads) as base,
+                contextlib.ExitStack() as in_flight,
+            ):
                 rel, original_text = _attachment(spec, base.src_dir)
                 history: list[tuple[str, str]] = []
-                building = None  # the attempt whose build is running
+                building = None  # the last turn's attempt while its build runs
                 for turn, (template, tag) in enumerate(turns, start=1):
                     prompt = gw.render_prompt(template, original_text, env)
                     response = _request_or_none(provider, prompt, history)
                     if turn < len(turns):
-                        base.sample()
+                        base.check()
                     if building is not None:
-                        attempts.append(_join_turn(*building))
+                        attempts.append((building[0].wait(), *building[1:]))
                         building = None
                     if response is None:
-                        extraction = _no_code_extraction()
+                        extraction = gw.NO_CODE
                     else:
                         history.append((prompt.user_text, response.raw_text))
                         extraction = gw.extract_code(response)
                     flags = _check_candidate(original_text, extraction, experiment)
                     if extraction.code is None or _UNPARSEABLE in flags:
-                        attempts.append((tag, extraction, flags, None))
+                        attempts.append((None, extraction, flags))
                         continue
-                    vsrc = _stage_candidate(
-                        spec, base.src_dir, work_dir, tag, code=(rel, extraction.code)
-                    )
+                    vsrc = base.stage(tag, code=(rel, extraction.code))
                     build = tc.start_compile(spec, vsrc, toolchain, tag, work_dir)
                     in_flight.callback(build.kill)
-                    building = (tag, extraction, flags, build)
+                    building = (build, extraction, flags)
                 if building is not None:
-                    attempts.append(_join_turn(*building))
-                arms = [_arms(build, flags, counts) for _, _, flags, build in attempts]
+                    attempts.append((building[0].wait(), *building[1:]))
                 # With nothing built, a broken original still skips the row.
-                original, samples = base.time_with([arm for turn in arms for arm in turn])
-                reference = base.sample().stdout
+                if not any(_timed(build, flags) for build, _, flags in attempts):
+                    base.check()
+                evaluations = base.score(attempts, counts)
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-        timed = iter(samples)
-        evaluated = [
-            (tag, _score(spec, build, extraction, flags, reference, original,
-                         [next(timed) for _ in turn_arms]))
-            for (tag, extraction, flags, build), turn_arms in zip(attempts, arms)
-        ]
+        evaluated = [(tag, e) for (_, tag), e in zip(turns, evaluations)]
         correct = [(tag, e) for tag, e in evaluated if e.category is CorrectnessCategory.CORRECT]
         # The first of equally fast correct turns wins.
         best_tag, best = (
@@ -595,9 +598,10 @@ def import_external_tool_results(
     ``dir`` holds one subdirectory per benchmark id; its files overlay the
     prepared original, so a tree may ship only the sources it changed.
     No model is involved, so constraint checks and labels do not apply.
-    The original builds beside the tree, and the two are timed together
-    in rounds (``_Baseline.time_with``); a benchmark whose original fails
-    to prepare, build or run is skipped with an error logged.
+    The original builds beside the tree, and ``_Baseline.score`` times
+    the two together in rounds; a tree that fails to build only checks
+    its original. A benchmark whose original fails to prepare, build or
+    run is skipped with an error logged.
     """
     if not manifest.is_plain_name(tool_id):
         raise ValueError(f"tool id {tool_id!r} must be one plain path component")
@@ -614,17 +618,15 @@ def import_external_tool_results(
             continue
         tag = f"import/{tool_id}"
         try:
-            with contextlib.ExitStack() as in_flight:
-                base = _Baseline(spec, toolchain, work_dir, "import")
-                in_flight.callback(base.kill)
-                vsrc = _stage_candidate(spec, base.src_dir, work_dir, tag, overlay=dir / bench_id)
+            with _Baseline(spec, toolchain, work_dir, "import") as base:
+                vsrc = base.stage(tag, overlay=dir / bench_id)
                 build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-                original, samples = base.time_with(_arms(build, set(), None))
-                reference = base.sample().stdout
+                if not build.ok:
+                    base.check()
+                (evaluation,) = base.score([(build, None, set())])
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-        evaluation = _score(spec, build, None, set(), reference, original, samples)
         rows.append(_row_from_evaluation(spec, Experiment.EX1, tool_id, tag, evaluation))
     return ResultsTable(tuple(rows), _provenance(toolchain, tool_id))
 

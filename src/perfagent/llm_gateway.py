@@ -134,6 +134,9 @@ class ExtractionResult:
     extraction_rule_fired: ExtractionRule
 
 
+NO_CODE = ExtractionResult(None, None, ExtractionRule.NONE)  # frozen, so shared
+
+
 class ConstraintFlag(Enum):
     REMOVED_FUNCTION = "RemovedFunction"
     REMOVED_HEADER = "RemovedHeader"
@@ -465,14 +468,14 @@ def extract_code(response: ModelResponse) -> ExtractionResult:
 
     fence_lines = _FENCE_LINE.findall(text)
     if len(fence_lines) % 2 == 1:
-        return ExtractionResult(None, None, ExtractionRule.NONE)
+        return NO_CODE
 
     blocks = list(_FENCED_BLOCK.finditer(text))
     if blocks:
         best = max(blocks, key=lambda m: len(m.group(1)))
         code = best.group(1)
         if not code.strip():
-            return ExtractionResult(None, None, ExtractionRule.NONE)
+            return NO_CODE
         outside = (text[: best.start()] + text[best.end() :]).strip()
         return ExtractionResult(
             code=code,
@@ -496,7 +499,7 @@ def extract_code(response: ModelResponse) -> ExtractionResult:
                 explanation=None,
                 extraction_rule_fired=ExtractionRule.WHOLE_MESSAGE,
             )
-    return ExtractionResult(None, None, ExtractionRule.NONE)
+    return NO_CODE
 
 
 # An include directive from its "#"; it counts when only blanks precede

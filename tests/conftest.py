@@ -109,32 +109,41 @@ def slow_original_gcc(tmp_path, toolchain_config, builds):
     10 s. Every other build marks its start before it compiles. A
     driver that builds a candidate only once the original is built
     cannot overlap the two, and waits out the bound. Each build appends
-    its start and end times and arguments to ``builds``."""
+    its start and end times, whether the original's poll found the mark
+    ("found" or "timeout"; "-" for other builds) and its arguments to
+    ``builds``."""
     started = tmp_path / "candidate.started"
     return wrapped_gcc(
         tmp_path, toolchain_config,
         'start=$(date +%s.%N)\n'
+        'poll=-\n'
         'case "$*" in\n'
         f'  */base/*) i=0; while [ ! -e "{started}" ] && [ $i -lt 1000 ]; do'
-        ' sleep 0.01; i=$((i + 1)); done ;;\n'
+        ' sleep 0.01; i=$((i + 1)); done\n'
+        f'    if [ -e "{started}" ]; then poll=found; else poll=timeout; fi ;;\n'
         f'  *) : > "{started}" ;;\n'
         'esac\n'
         f'"{toolchain_config.compilers["gcc"].c_path}" "$@" || exit $?\n'
-        f'echo "$start $(date +%s.%N) $*" >> "{builds}"\n'
+        f'echo "$start $(date +%s.%N) $poll $*" >> "{builds}"\n'
         "exit 0",
     )
 
 
 def assert_candidate_built_beside_original(builds):
     """``builds``, as logged by ``slow_original_gcc``, holds the original's
-    build and one candidate build, which started while the original's ran."""
+    build and one candidate build, which started while the original's ran:
+    the original's poll found the candidate's mark, and the candidate
+    started before the original's build ended. The two start times are
+    not compared: each is taken when its shell first runs, which says
+    more about the scheduler than about the driver."""
     spans = {}
     for line in builds.read_text().splitlines():
-        start, end, args = line.split(" ", 2)
-        spans["base" if "/base/" in args else "cand"] = (float(start), float(end))
+        start, end, poll, args = line.split(" ", 3)
+        spans["base" if "/base/" in args else "cand"] = (float(start), float(end), poll)
     assert set(spans) == {"base", "cand"}
-    (base_start, base_end), (cand_start, _) = spans["base"], spans["cand"]
-    assert base_start < cand_start < base_end
+    (_, base_end, poll), (cand_start, _, _) = spans["base"], spans["cand"]
+    assert poll == "found"
+    assert cand_start < base_end
 
 
 def wait_for_pids(pids, count=2, timeout_s=5.0):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfagent import agent as ag
 from perfagent import experiments as ex
 from perfagent import llm_gateway as gw
 from perfagent import toolchain as tc
@@ -34,6 +35,8 @@ from kernels import (
     EXIT_NONZERO,
     SYNTAX_ERROR,
     fenced,
+    hotspot_program,
+    kernel_replacement,
     matmul_ijk,
     matmul_ikj,
     matmul_omp_ikj,
@@ -528,7 +531,8 @@ class TestScoreSharesOutput:
 
         # own: the samples as timed, before scoring shares an output
         baseline, *own = tc.run_rounds(
-            [(original.binary_path, None if counts is None else 1), *ex._arms(build, set(), counts)],
+            [(original.binary_path, None if counts is None else 1),
+             *((build.binary_path, count) for count in counts or (None,))],
             spec.run,
         )
         evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, own)
@@ -808,16 +812,20 @@ def _counting_original(crash_on_run):
 
 
 class TestRoundsPerRow:
-    """A row times its original and every timed turn, at every count,
-    together in one ``run_rounds`` call."""
+    """A row times its original and every timed attempt, at every count,
+    together in one ``run_rounds`` call; a multi-turn row checks its
+    original with one run first."""
 
     @staticmethod
     def record_rounds(monkeypatch):
-        calls = []  # per call: (variant, thread count) of each arm
+        calls = []  # per call: ((variant, thread count) of each arm, repetitions)
         run_rounds = tc.run_rounds
 
         def recording(arms, run):
-            calls.append([(Path(binary).parent.parent.name, count) for binary, count in arms])
+            calls.append((
+                [(Path(binary).parent.parent.name, count) for binary, count in arms],
+                run.repetitions,
+            ))
             return run_rounds(arms, run)
 
         monkeypatch.setattr(tc, "run_rounds", recording)
@@ -837,10 +845,10 @@ class TestRoundsPerRow:
         ])
         table = ex.run_ex2([spec], provider, toolchain_config, tmp_path / "w")
         assert (table.rows[0].variant_tag, table.rows[0].category) == ("ex2/turn1", Cat.CORRECT)
-        # The original's check after the first reply, then one call for the row.
+        # The original's one-run check after the first reply, then one call for the row.
         assert calls == [
-            [("base", None)],
-            [("base", None), ("turn1", None), ("turn4", None), ("turn5", None)],
+            ([("base", None)], 1),
+            ([("base", None), ("turn1", None), ("turn4", None), ("turn5", None)], 2),
         ]
 
     def test_ex3_times_every_count_with_the_original(
@@ -854,7 +862,72 @@ class TestRoundsPerRow:
         )
         assert table.rows[0].category is Cat.CORRECT
         assert set(table.rows[0].thread_map) == {1, 2}
-        assert calls == [[("base", 1), ("cand", 1), ("cand", 2)]]
+        assert calls == [([("base", 1), ("cand", 1), ("cand", 2)], 2)]
+
+    def test_import_times_each_tree_with_its_original(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        calls = self.record_rounds(monkeypatch)
+        specs = [sleep_bench(tmp_path / "b" / name, name, ms=20) for name in ("one", "two")]
+        table = drive("import", specs, None, toolchain_config, tmp_path / "w")
+        assert [r.category for r in table.rows] == [Cat.CORRECT, Cat.CORRECT]
+        assert calls == [([("base", None), ("srcfix", None)], 2)] * 2
+
+    def test_agent_times_each_built_iteration_with_the_original(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        """The profile source never reads the original's binary, so the
+        first iteration, which does not build, is the first to need the
+        original: it times it alone, with every repetition, as the
+        trace's baseline keeps it."""
+        calls = self.record_rounds(monkeypatch)
+        write_bench(tmp_path / "b", "loopy", {"main.c": hotspot_program(40)},
+                    entry_hotspot="kernel", build={"flags": ["-O0"]}, run={"repetitions": 2})
+        spec = load_single(tmp_path / "b", "loopy")
+        provider = replay([
+            fenced("void kernel(void) { this is not c code }"),
+            fenced(kernel_replacement(20)),
+            fenced(kernel_replacement(10)),
+        ])
+        trace = ag.run_agent(
+            spec, lambda request: ag._fallback_tree(spec, "kernel", 0.1), provider,
+            ag.AgentConfig(max_iterations=3), toolchain_config, tmp_path / "w",
+        )
+        assert [r.category for r in trace.iterations] == [
+            Cat.COMPILATION_ERROR, Cat.CORRECT, Cat.CORRECT,
+        ]
+        assert calls == [
+            ([("base", None)], 2),
+            ([("base", None), ("iter2", None)], 2),
+            ([("base", None), ("iter3", None)], 2),
+        ]
+        assert len(trace.baseline.wall_times_s) == 2
+
+    @pytest.mark.parametrize("timed", [True, False], ids=["timed", "nothing_timed"])
+    @pytest.mark.parametrize("driver", ["ex1", "ex2", "ex3", "import"])
+    def test_original_runs_per_row(self, tmp_path, toolchain_config, driver, timed):
+        """A multi-turn row runs its original once for the check and then
+        in every round; a one-turn row only in the rounds; a row that
+        times nothing, once."""
+        write_bench(tmp_path / "b", "counted", {"main.c": _counting_original(0)},
+                    run={"repetitions": 3})
+        spec = load_single(tmp_path / "b", "counted")
+        shape = parallel if driver == "ex3" else (lambda code: code)
+        code = shape(_counting_original(0) if timed else SYNTAX_ERROR)
+        if driver == "import":
+            tree = tmp_path / "ext" / "counted"
+            tree.mkdir(parents=True)
+            (tree / "main.c").write_text(code)
+            table = ex.import_external_tool_results(
+                tmp_path / "ext", "srcfix", [spec], toolchain_config, tmp_path / "w"
+            )
+        else:
+            table = drive(driver, [spec], replay([fenced(code)] * 5), toolchain_config,
+                          tmp_path / "w")
+        assert table.rows[0].category is (Cat.CORRECT if timed else Cat.COMPILATION_ERROR)
+        runs = tmp_path / "w" / "counted" / driver / "base" / "src" / "runs"
+        expected = 1 if not timed else 3 + (driver == "ex2")
+        assert int(runs.read_text()) == expected
 
     @pytest.mark.parametrize("driver, crash_on_run", [("ex1", 2), ("ex2", 3)])
     def test_original_failing_in_the_rounds_skips_the_row(
@@ -871,7 +944,7 @@ class TestRoundsPerRow:
         calls = self.record_rounds(monkeypatch)
         with caplog.at_level(logging.ERROR, logger="perfagent.experiments"):
             table = drive(driver, [flaky, good], provider, toolchain_config, tmp_path / "w")
-        assert len(calls[driver == "ex2"]) > 1
+        assert len(calls[driver == "ex2"][0]) > 1
         assert [r.benchmark_id for r in table.rows] == ["good"]
         assert any("flaky" in r.message and "baseline run failed" in r.message
                    for r in caplog.records)
