@@ -3,7 +3,9 @@
 Runs the profile-guided agent against a two-phase program (cheap setup,
 tunable kernel) using three stored kernel rewrites. Shows the memory
 digest growing across turns and the trace landing on the best iteration.
-Exits 1 unless every iteration that got a stored rewrite is Correct.
+Exits 1 unless every iteration that got a stored rewrite is Correct,
+and 2 before building anything when ``--out`` names something other
+than an empty directory.
 
     python3 scripts/agent_demo.py [--out DIR] [--iters 3]
 """
@@ -76,6 +78,11 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--iters", type=int, default=3)
     args = parser.parse_args()
+    if args.out is not None and args.out.exists() and (
+        not args.out.is_dir() or any(args.out.iterdir())
+    ):
+        print(f"error: --out {args.out} is not an empty directory", file=sys.stderr)
+        return 2
 
     out = args.out or Path(tempfile.mkdtemp(prefix="agent-demo-"))
     write_bench(out / "suite")

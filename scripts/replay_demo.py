@@ -4,7 +4,8 @@ Builds a matmul benchmark in a scratch directory, replays a stored
 "optimization" (loop interchange), and writes the three report formats.
 Then scores the same interchanged source as an external tool's tree
 (``import-tool``). No network, no API key, no external benchmark suite
-required. Exits 1 unless both rows are Correct.
+required. Exits 1 unless both rows are Correct, and 2 before building
+anything when ``--out`` names something other than an empty directory.
 
     python3 scripts/replay_demo.py [--out DIR] [--n 512] [--reps 3]
 """
@@ -98,6 +99,11 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=512)
     parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args()
+    if args.out is not None and args.out.exists() and (
+        not args.out.is_dir() or any(args.out.iterdir())
+    ):
+        print(f"error: --out {args.out} is not an empty directory", file=sys.stderr)
+        return 2
 
     out = args.out or Path(tempfile.mkdtemp(prefix="replay-demo-"))
     write_bench(out / "suite", args.n, args.reps)

@@ -8,9 +8,11 @@ cap, when the model declines with the decline sentinel, or on a fatal
 harness failure. Incorrect iterations burn a slot but never become the
 base for later ones.
 
-The original and each candidate are prepared, staged, built and scored
-on the experiment drivers' path; the original builds beside the first
-request (see ``run_agent``). Traces keep a digest of each run's stdout.
+The original and each candidate take the experiment drivers' path,
+``experiments._Baseline``: it prepares and builds the original beside
+the first request, builds each candidate and times it in rounds with
+the original (see ``run_agent``). Traces keep a digest of each run's
+stdout.
 
 Profile acquisition is a callback so tests stay hermetic: they serve
 synthetic cct-v1 fixtures keyed by variant tag, while production wiring
@@ -285,21 +287,23 @@ def run_agent(
     The original is prepared as its ``prep`` options say and its build
     started first. It is joined and timed when first needed: by the
     fallback tree, by a profile source reading its ``binary_path``, by
-    the first candidate's scoring or at the end of the loop. Each
-    candidate is scored by ``_Baseline.score``: one that builds is timed
-    in rounds with the original, and its speedup is the ratio of the two
-    samples from those rounds. ``experiments.BaselineFailed``
-    propagates then (``BaselineRunFailed`` when the original built but
-    did not run cleanly), so with a profile source that does not read
-    the binary a broken original is reported after the first request.
-    An escaping exception kills the original's build.
+    the first candidate that builds, or at the end of the loop for the
+    trace's baseline. Each candidate is built by ``_Baseline.build`` and
+    scored by ``_Baseline.score``: one that builds is timed in rounds
+    with the original, and its speedup is the ratio of the two samples
+    from those rounds; one that does not build runs nothing.
+    ``experiments.BaselineFailed`` propagates then (``BaselineRunFailed``
+    when the original built but did not run cleanly), so with a profile
+    source that does not read the binary a broken original is reported
+    at the first candidate that builds, or else after the last
+    iteration. An escaping exception kills every build not yet joined.
     """
     work_dir = Path(work_dir)
     agent_dir = work_dir / spec.id / "agent"
     agent_dir.mkdir(parents=True, exist_ok=True)
     with ex._Baseline(spec, toolchain, work_dir, "agent") as original:
         iterations, stop_reason, best_iteration = _iterate(
-            spec, original, profile_source, provider, cfg, toolchain, work_dir
+            spec, original, profile_source, provider, cfg
         )
         trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
     save_trace(trace, agent_dir / TRACE_FILE)
@@ -312,8 +316,6 @@ def _iterate(
     profile_source: ProfileSource | None,
     provider: gw.Provider,
     cfg: AgentConfig,
-    toolchain: tc.ToolchainConfig,
-    work_dir: Path,
 ) -> tuple[tuple[IterationRecord, ...], StopReason, int | None]:
     """The loop's iterations, why it stopped, and the best iteration."""
     try:
@@ -377,8 +379,7 @@ def _iterate(
 
         if new_source is not None:
             tag = f"agent/iter{index}"
-            vsrc = original.stage(tag, code=(hotspot_rel, new_source))
-            build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
+            build = original.build(tag, code=(hotspot_rel, new_source))
             (evaluation,) = original.score([(build, extraction, set())])
             category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
             if run is not None and run.stdout is not original.sample().stdout:

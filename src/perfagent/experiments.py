@@ -9,7 +9,6 @@ JSON file that round-trips through load_table.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -143,7 +142,9 @@ class BaselineRunFailed(BaselineFailed):
 class _Baseline:
     """One row's untouched original, the path each attempt of the row
     takes. Construction prepares its sources (``src_dir``) and starts its
-    build; leaving its ``with`` block kills that build if not joined.
+    build; ``build`` starts each candidate's, and leaving the ``with``
+    block kills every build it started that nobody joined. ``score``
+    joins the candidates' builds and times them with the original.
     ``sample`` is the original's first run, the reference every output
     is checked against. Every failure of the original is a BaselineFailed."""
 
@@ -156,8 +157,10 @@ class _Baseline:
         thread_count: int | None = None,
     ) -> None:
         self._spec = spec
+        self._toolchain = toolchain
         self._work_dir = work_dir
         self._thread_count = thread_count
+        self._builds: list[tc.PendingBuild] = []
         self._binary: Path | None = None
         self._outcome: tc.RunSample | BaselineFailed | None = None
         try:
@@ -165,9 +168,7 @@ class _Baseline:
             # then compiles in place instead of copying.
             base_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/base")
             self.src_dir = manifest.prepare_sources(spec, base_dir / "src")
-            self._build = tc.start_compile(
-                spec, self.src_dir, toolchain, f"{ex_tag}/base", work_dir
-            )
+            self._build = self.build(f"{ex_tag}/base")
         except (tc.ToolchainError, manifest.ManifestError) as exc:
             raise BaselineFailed(str(exc)) from exc
 
@@ -175,18 +176,21 @@ class _Baseline:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._build.kill()
+        for build in self._builds:
+            build.kill()
 
-    def stage(
+    def build(
         self, tag: str, code: tuple[str, str] | None = None, overlay: Path | None = None
-    ) -> Path:
-        """The variant ``tag``'s src/: a copy of the prepared tree with
-        ``code``, a (relative path, text) pair, written over one file, and
-        every file under the ``overlay`` directory laid over it."""
+    ) -> tc.PendingBuild:
+        """Start building the variant ``tag``, whose src/ is a copy of the
+        prepared tree with ``code``, a (relative path, text) pair, written
+        over one file, and every file under the ``overlay`` directory laid
+        over it."""
         vsrc = tc.variant_dir(self._work_dir, self._spec.id, tag) / "src"
-        if vsrc.exists():
-            shutil.rmtree(vsrc)
-        shutil.copytree(self.src_dir, vsrc)
+        if vsrc != self.src_dir:  # the original builds its tree in place
+            if vsrc.exists():
+                shutil.rmtree(vsrc)
+            shutil.copytree(self.src_dir, vsrc)
         if code is not None:
             rel, text = code
             (vsrc / rel).write_text(text, encoding="utf-8")
@@ -196,7 +200,9 @@ class _Baseline:
                     target = vsrc / path.relative_to(overlay)
                     target.parent.mkdir(parents=True, exist_ok=True)
                     shutil.copy2(path, target)
-        return vsrc
+        build = tc.start_compile(self._spec, vsrc, self._toolchain, tag, self._work_dir)
+        self._builds.append(build)
+        return build
 
     def check(self) -> tc.RunSample:
         """The original run once, unless it has run already: the
@@ -211,27 +217,28 @@ class _Baseline:
 
     def score(
         self,
-        attempts: Sequence[tuple[tc.BuildOutcome | None, gw.ExtractionResult | None, set[str]]],
+        attempts: Sequence[tuple[tc.PendingBuild | None, gw.ExtractionResult | None, set[str]]],
         counts: Sequence[int] | None = None,
     ) -> list[_Evaluation]:
-        """Each (build or None, extraction, flags) attempt classified by
-        ``_score``, after one ``tc.run_rounds`` of the original and every
+        """Each (build from ``build`` or None, extraction, flags) attempt
+        classified by ``_score``. Every build is joined first, in attempt
+        order; then one ``tc.run_rounds`` times the original and every
         attempt that built and broke no constraint, once or at each of
-        ``counts``. With nothing to time, this runs only ``sample``."""
+        ``counts``. With nothing to time, nothing runs."""
+        joined = [(None if build is None else build.wait(), *rest) for build, *rest in attempts]
         arms = [
             [(build.binary_path, count) for count in counts or (None,)]
             if _timed(build, flags) else []
-            for build, _, flags in attempts
+            for build, _, flags in joined
         ]
-        original, samples = self._rounds(
-            [arm for attempt in arms for arm in attempt], self._spec.run
-        )
-        reference = self.sample().stdout
+        timed_arms = [arm for attempt in arms for arm in attempt]
+        original, samples = self._rounds(timed_arms, self._spec.run) if timed_arms else (None, [])
+        reference = None if original is None else self.sample().stdout
         timed = iter(samples)
         return [
             _score(self._spec, build, extraction, flags, reference, original,
                    [next(timed) for _ in attempt_arms])
-            for (build, extraction, flags), attempt_arms in zip(attempts, arms)
+            for (build, extraction, flags), attempt_arms in zip(joined, arms)
         ]
 
     def binary_path(self) -> Path:
@@ -352,19 +359,20 @@ def _score(
     build: tc.BuildOutcome | None,
     extraction: gw.ExtractionResult | None,
     flags: set[str],
-    reference: tc.Output,
-    original: tc.RunSample,
+    reference: tc.Output | None,
+    original: tc.RunSample | None,
     samples: Sequence[tc.RunSample],
 ) -> _Evaluation:
     """Classify one attempt from what was built and timed; runs nothing.
 
     An attempt with no build (a reply without code, or whose code does
     not parse), a failed build or a constraint flag is classified as it
-    stands. Otherwise ``samples`` are its timed runs, each taken in
-    rounds with ``original``: one, or one per thread count in ascending
-    order. Every sample's output is compared with ``reference``, the
-    original's; the category rests on the first sample whose output
-    matches, else on the first sample. Each matching sample's speedup is
+    stands, and ``reference`` and ``original`` may be None. Otherwise
+    ``samples`` are its timed runs, each taken in rounds with
+    ``original``: one, or one per thread count in ascending order. Every
+    sample's output is compared with ``reference``, the original's; the
+    category rests on the first sample whose output matches, else on the
+    first sample. Each matching sample's speedup is
     ``measure_speedup(original, sample)``, and the attempt's is that of
     its fastest matching sample. ``extraction`` is None for code that
     came from outside a model reply (external tool trees). A sample
@@ -460,21 +468,22 @@ def _converse(
     pairs, per benchmark; the row is its fastest correct turn, else its
     last turn with the speedup reverted to exactly 1.0.
 
-    Each request carries the earlier answered exchanges. Each turn's
-    code is built as its own variant. The original's build starts before
-    the first request; turn t's build starts, turn t+1's request is
-    sent, and only then is turn t's build joined. When more turns
-    follow, the original is checked (``_Baseline.check``: joined and run
-    once, for the reference output) right after the first reply. After
-    the last turn, ``_Baseline.score`` times the original and every turn
-    that built and broke no constraint in one set of rounds (ascending
-    ``counts`` per turn against a 1-thread original, if given) and scores
-    every turn in turn order, so requests, rows and categories are those
-    of scoring each turn before the next request; a row with nothing to
-    time only checks its original. No timed run overlaps a build. A
-    benchmark whose original fails to prepare, build or run is skipped
-    with an error logged, after its first request. If an exception
-    escapes a row, every build in flight is killed and reaped.
+    Each request carries the earlier answered exchanges. The original's
+    build (``_Baseline``) starts before the first request, and each
+    turn's code starts building as its own variant (``_Baseline.build``)
+    as soon as its reply is in, so builds run while later requests wait.
+    When more turns follow, the original is checked (``_Baseline.check``:
+    joined and run once, for the reference output) right after the first
+    reply. After the last turn, ``_Baseline.score`` joins every turn's
+    build, times the original and every turn that built and broke no
+    constraint in one set of rounds (ascending ``counts`` per turn
+    against a 1-thread original, if given) and scores every turn in turn
+    order, so requests, rows and categories are those of scoring each
+    turn before the next request; a row with nothing to time only checks
+    its original. No timed run overlaps a build. A benchmark whose
+    original fails to prepare, build or run is skipped with an error
+    logged, after its first request. If an exception escapes a row,
+    every build in flight is killed and reaped.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
@@ -485,42 +494,29 @@ def _converse(
 
     rows = []
     for spec in selection:
-        attempts: list[tuple[tc.BuildOutcome | None, gw.ExtractionResult, set[str]]] = []
+        attempts: list[tuple[tc.PendingBuild | None, gw.ExtractionResult, set[str]]] = []
         try:
-            with (
-                _Baseline(spec, toolchain, work_dir, ex_tag, baseline_threads) as base,
-                contextlib.ExitStack() as in_flight,
-            ):
+            with _Baseline(spec, toolchain, work_dir, ex_tag, baseline_threads) as base:
                 rel, original_text = _attachment(spec, base.src_dir)
                 history: list[tuple[str, str]] = []
-                building = None  # the last turn's attempt while its build runs
                 for turn, (template, tag) in enumerate(turns, start=1):
                     prompt = gw.render_prompt(template, original_text, env)
                     response = _request_or_none(provider, prompt, history)
                     if turn < len(turns):
                         base.check()
-                    if building is not None:
-                        attempts.append((building[0].wait(), *building[1:]))
-                        building = None
                     if response is None:
                         extraction = gw.NO_CODE
                     else:
                         history.append((prompt.user_text, response.raw_text))
                         extraction = gw.extract_code(response)
                     flags = _check_candidate(original_text, extraction, experiment)
-                    if extraction.code is None or _UNPARSEABLE in flags:
-                        attempts.append((None, extraction, flags))
-                        continue
-                    vsrc = base.stage(tag, code=(rel, extraction.code))
-                    build = tc.start_compile(spec, vsrc, toolchain, tag, work_dir)
-                    in_flight.callback(build.kill)
-                    building = (build, extraction, flags)
-                if building is not None:
-                    attempts.append((building[0].wait(), *building[1:]))
-                # With nothing built, a broken original still skips the row.
-                if not any(_timed(build, flags) for build, _, flags in attempts):
-                    base.check()
+                    build = None
+                    if extraction.code is not None and _UNPARSEABLE not in flags:
+                        build = base.build(tag, code=(rel, extraction.code))
+                    attempts.append((build, extraction, flags))
                 evaluations = base.score(attempts, counts)
+                # With nothing timed, a broken original still skips the row.
+                base.check()
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
@@ -598,10 +594,11 @@ def import_external_tool_results(
     ``dir`` holds one subdirectory per benchmark id; its files overlay the
     prepared original, so a tree may ship only the sources it changed.
     No model is involved, so constraint checks and labels do not apply.
-    The original builds beside the tree, and ``_Baseline.score`` times
-    the two together in rounds; a tree that fails to build only checks
-    its original. A benchmark whose original fails to prepare, build or
-    run is skipped with an error logged.
+    The original and the tree build side by side (``_Baseline.build``),
+    and ``_Baseline.score`` joins both and times them together in rounds;
+    a tree that fails to build only checks its original. A benchmark
+    whose original fails to prepare, build or run is skipped with an
+    error logged.
     """
     if not manifest.is_plain_name(tool_id):
         raise ValueError(f"tool id {tool_id!r} must be one plain path component")
@@ -619,11 +616,9 @@ def import_external_tool_results(
         tag = f"import/{tool_id}"
         try:
             with _Baseline(spec, toolchain, work_dir, "import") as base:
-                vsrc = base.stage(tag, overlay=dir / bench_id)
-                build = tc.compile(spec, vsrc, toolchain, tag, work_dir)
-                if not build.ok:
-                    base.check()
+                build = base.build(tag, overlay=dir / bench_id)
                 (evaluation,) = base.score([(build, None, set())])
+                base.check()
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue

@@ -376,16 +376,17 @@ class HttpChatProvider(Provider):
         try:
             doc = resp.json()
             text = doc["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            if text is not None and not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not text")
+            usage = doc.get("usage") or {}
+            token_counts = None
+            if "prompt_tokens" in usage or "completion_tokens" in usage:
+                token_counts = {
+                    "input": int(usage.get("prompt_tokens", 0)),
+                    "output": int(usage.get("completion_tokens", 0)),
+                }
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProviderUnreachable(f"malformed completion payload: {exc}") from None
-
-        usage = doc.get("usage") or {}
-        token_counts = None
-        if "prompt_tokens" in usage or "completion_tokens" in usage:
-            token_counts = {
-                "input": int(usage.get("prompt_tokens", 0)),
-                "output": int(usage.get("completion_tokens", 0)),
-            }
         return ModelResponse(
             raw_text=text or "",
             provider_id=self.provider_id,

@@ -322,8 +322,8 @@ def load_manifest(root: Path | str) -> list[BenchmarkSpec]:
     for manifest_path in sorted(root.glob(f"*/{MANIFEST_NAME}")):
         bench_root = manifest_path.parent
         try:
-            doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = read_json(manifest_path, lambda reason: MalformedManifest(manifest_path, reason))
+        except OSError as exc:
             raise MalformedManifest(manifest_path, str(exc)) from None
         spec = spec_from_dict(doc, bench_root, manifest_path)
         if spec.id in seen:

@@ -1,6 +1,10 @@
 """End-to-end command-line runs against fixture benchmarks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,12 @@ def _escaping_tool_id(tmp_path):
     ], "escape"
 
 
+def _truncated_manifest(tmp_path):
+    bench = write_bench(tmp_path / "suite", "alpha", {"main.c": sleeper(10)})
+    (bench / "bench.json").write_text('{"id": ')
+    return ["bench", "list", "--root", str(tmp_path / "suite")], "bench.json: not valid JSON"
+
+
 def _ex1_with(name, text, named):
     """An ex1 run whose provider config, transcript or --prompt-env file
     ``name`` holds ``text``."""
@@ -287,6 +297,7 @@ def _report_row(**changes):
 @pytest.mark.parametrize("bad_input", [
     _unbalanced_hotspot,
     _escaping_manifest_id,
+    _truncated_manifest,
     _escaping_tool_id,
     _report({"provenance": {}}),
     _report({"rows": [{"benchmark_id": "alpha"}], "provenance": {}}),
@@ -300,11 +311,11 @@ def _report_row(**changes):
     _ex1_with("env.json", '{"os": ', "env.json: not valid JSON"),
     _ex1_with("env.json", "[1, 2]", "env.json: key '--prompt-env'"),
     _ex1_with("env.json", '{"os": 5}', "env.json: key '--prompt-env'"),
-], ids=["unbalanced_hotspot_source", "manifest_id", "tool_id", "report_without_rows",
-        "report_row_missing_key", "report_row_speedup_string", "report_row_unknown_motif",
-        "report_truncated", "provider_config_truncated", "transcript_truncated",
-        "transcript_latency_string", "prompt_env_truncated", "prompt_env_list",
-        "prompt_env_value_number"])
+], ids=["unbalanced_hotspot_source", "manifest_id", "manifest_truncated", "tool_id",
+        "report_without_rows", "report_row_missing_key", "report_row_speedup_string",
+        "report_row_unknown_motif", "report_truncated", "provider_config_truncated",
+        "transcript_truncated", "transcript_latency_string", "prompt_env_truncated",
+        "prompt_env_list", "prompt_env_value_number"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, bad_input):
     """Each bad input is refused with one line naming it, before anything
     is built or written."""
@@ -359,3 +370,24 @@ class TestAgentCommand:
         ])
         assert code == 1
         assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", ["replay_demo.py", "agent_demo.py"])
+def test_demo_refuses_a_non_empty_out(tmp_path, script):
+    """A demo run into a directory that holds something exits 2 with one
+    error line, before it writes anything there."""
+    repo = Path(__file__).resolve().parent.parent
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("earlier run\n")
+    done = subprocess.run(
+        [sys.executable, str(repo / "scripts" / script), "--out", str(out)],
+        cwd=repo, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "earlier run\n"

@@ -437,6 +437,37 @@ class TestEx2:
         assert time.perf_counter() - start < 10.0
         assert_reaped(pids)
 
+    def test_escaping_error_kills_every_turn_build(self, tmp_path, toolchain_config):
+        """No turn's build is joined before the row is scored, so two hung
+        builds hold up no later request and die with the row."""
+        pids = [tmp_path / "turn1.pid", tmp_path / "turn2.pid"]
+        wrapped = wrapped_gcc(tmp_path, toolchain_config, "\n".join(
+            hang_build(path, f"/ex2/turn{turn}/") for turn, path in enumerate(pids, start=1)
+        ))
+
+        class FailsAtTurn3(gw.Provider):
+            provider_id = "flaky"
+
+            def __init__(self):
+                self.calls = 0
+
+            def complete(self, messages):
+                self.calls += 1
+                if self.calls == 3:
+                    # Fail only once both turns' compilers and their children run.
+                    for path in pids:
+                        wait_for_pids(path)
+                    raise RuntimeError("provider bug")
+                return gw.ModelResponse(fenced(sleeper(60)), self.provider_id, 0.0)
+
+        spec = sleep_bench(tmp_path / "b")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="provider bug"):
+            ex.run_ex2([spec], FailsAtTurn3(), wrapped, tmp_path / "w")
+        assert time.perf_counter() - start < 10.0
+        for path in pids:
+            assert_reaped(path)
+
 
 class TestEx3:
     def test_parallel_sweep_records_counts(self, tmp_path, toolchain_config):
@@ -876,10 +907,10 @@ class TestRoundsPerRow:
     def test_agent_times_each_built_iteration_with_the_original(
         self, tmp_path, toolchain_config, monkeypatch
     ):
-        """The profile source never reads the original's binary, so the
-        first iteration, which does not build, is the first to need the
-        original: it times it alone, with every repetition, as the
-        trace's baseline keeps it."""
+        """The profile source never reads the original's binary, and the
+        first iteration does not build, so it runs nothing: the second
+        iteration's rounds are the first to run the original, and the
+        trace's baseline is its sample from them, with every repetition."""
         calls = self.record_rounds(monkeypatch)
         write_bench(tmp_path / "b", "loopy", {"main.c": hotspot_program(40)},
                     entry_hotspot="kernel", build={"flags": ["-O0"]}, run={"repetitions": 2})
@@ -897,7 +928,6 @@ class TestRoundsPerRow:
             Cat.COMPILATION_ERROR, Cat.CORRECT, Cat.CORRECT,
         ]
         assert calls == [
-            ([("base", None)], 2),
             ([("base", None), ("iter2", None)], 2),
             ([("base", None), ("iter3", None)], 2),
         ]

@@ -327,10 +327,16 @@ class TestHttpChatProvider:
         with pytest.raises(gw.ProviderUnreachable):
             provider.complete([{"role": "user", "content": "q"}])
 
-    def test_malformed_payload_maps_to_unreachable(self, stub_server):
-        stub_server.script = [(200, {"nope": True})]
+    @pytest.mark.parametrize("payload", [
+        {"nope": True},
+        {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": None}},
+        {"choices": [{"message": {"content": "x"}}], "usage": "prompt_tokens"},
+        {"choices": [{"message": {"content": 5}}]},
+    ], ids=["no_choices", "null_token_count", "usage_not_an_object", "content_not_text"])
+    def test_malformed_payload_maps_to_unreachable(self, stub_server, payload):
+        stub_server.script = [(200, payload)]
         provider = gw.HttpChatProvider(_http_config(stub_server))
-        with pytest.raises(gw.ProviderUnreachable):
+        with pytest.raises(gw.ProviderUnreachable, match="malformed completion payload"):
             provider.complete([{"role": "user", "content": "q"}])
 
     def test_connection_refused_maps_to_unreachable(self):
