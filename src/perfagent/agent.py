@@ -291,7 +291,10 @@ def run_agent(
     trace's baseline. Each candidate is built by ``_Baseline.build`` and
     scored by ``_Baseline.score``: one that builds is timed in rounds
     with the original, and its speedup is the ratio of the two samples
-    from those rounds; one that does not build runs nothing.
+    from those rounds; one that does not build runs nothing. A candidate
+    whose source repeats an earlier one's, or the original's, is not
+    compiled again: it runs that build's binary, in rounds of its own,
+    and gets no ``agent/iter<i>`` directory.
     ``experiments.BaselineFailed`` propagates then (``BaselineRunFailed``
     when the original built but did not run cleanly), so with a profile
     source that does not read the binary a broken original is reported

@@ -146,7 +146,12 @@ class _Baseline:
     block kills every build it started that nobody joined. ``score``
     joins the candidates' builds and times them with the original.
     ``sample`` is the original's first run, the reference every output
-    is checked against. Every failure of the original is a BaselineFailed."""
+    is checked against. Every failure of the original is a BaselineFailed.
+
+    Within the row, identical code is built and timed once: ``build``
+    hands an attempt whose rewritten file repeats an earlier attempt's,
+    or the original's, that attempt's build, and ``score`` times each
+    distinct build once. Nothing is shared across rows."""
 
     def __init__(
         self,
@@ -161,6 +166,8 @@ class _Baseline:
         self._work_dir = work_dir
         self._thread_count = thread_count
         self._builds: list[tc.PendingBuild] = []
+        # The build of each (relative path, text) rewrite seen in the row.
+        self._by_code: dict[tuple[str, str], tc.PendingBuild] = {}
         self._binary: Path | None = None
         self._outcome: tc.RunSample | BaselineFailed | None = None
         try:
@@ -185,7 +192,19 @@ class _Baseline:
         """Start building the variant ``tag``, whose src/ is a copy of the
         prepared tree with ``code``, a (relative path, text) pair, written
         over one file, and every file under the ``overlay`` directory laid
-        over it."""
+        over it.
+
+        ``code`` alone that the row has built already, or that leaves the
+        prepared file byte-identical, copies and compiles nothing: it gets
+        that earlier build, or the original's, whose directory and build
+        log then stand for ``tag``, which gets no variant directory. An
+        ``overlay`` build is never shared."""
+        shareable = code is not None and overlay is None
+        if shareable:
+            if code not in self._by_code and self._unchanged(*code):
+                self._by_code[code] = self._build
+            if code in self._by_code:
+                return self._by_code[code]
         vsrc = tc.variant_dir(self._work_dir, self._spec.id, tag) / "src"
         if vsrc != self.src_dir:  # the original builds its tree in place
             if vsrc.exists():
@@ -202,7 +221,14 @@ class _Baseline:
                     shutil.copy2(path, target)
         build = tc.start_compile(self._spec, vsrc, self._toolchain, tag, self._work_dir)
         self._builds.append(build)
+        if shareable:
+            self._by_code[code] = build
         return build
+
+    def _unchanged(self, rel: str, text: str) -> bool:
+        """Whether ``text`` is byte for byte the prepared file ``rel``."""
+        path = self.src_dir / rel
+        return path.is_file() and path.read_bytes() == text.encode("utf-8")
 
     def check(self) -> tc.RunSample:
         """The original run once, unless it has run already: the
@@ -222,23 +248,32 @@ class _Baseline:
     ) -> list[_Evaluation]:
         """Each (build from ``build`` or None, extraction, flags) attempt
         classified by ``_score``. Every build is joined first, in attempt
-        order; then one ``tc.run_rounds`` times the original and every
-        attempt that built and broke no constraint, once or at each of
-        ``counts``. With nothing to time, nothing runs."""
-        joined = [(None if build is None else build.wait(), *rest) for build, *rest in attempts]
-        arms = [
-            [(build.binary_path, count) for count in counts or (None,)]
-            if _timed(build, flags) else []
-            for build, _, flags in joined
-        ]
-        timed_arms = [arm for attempt in arms for arm in attempt]
-        original, samples = self._rounds(timed_arms, self._spec.run) if timed_arms else (None, [])
+        order; then one ``tc.run_rounds`` times the original and each
+        distinct build that an attempt which built and broke no constraint
+        holds, once or at each of ``counts``. Attempts that share a build
+        share its samples. An attempt holding the original's own build is
+        still timed as an arm of its own beside the original, so a null
+        rewrite is measured, not assumed. A sample whose output equals the
+        original's is made to hold the original's ``Output``, its own file
+        closed, before any attempt is scored, so a row keeps one file per
+        distinct output and no attempt reads an output another closed.
+        With nothing to time, nothing runs."""
+        outcomes = [None if build is None else self._wait(build) for build, *_ in attempts]
+        timed_builds = list(dict.fromkeys(
+            build for (build, _, flags), outcome in zip(attempts, outcomes)
+            if _timed(outcome, flags)
+        ))
+        per_build = counts or (None,)
+        arms = [(build.binary_path, count) for build in timed_builds for count in per_build]
+        original, samples = self._rounds(arms, self._spec.run) if arms else (None, [])
         reference = None if original is None else self.sample().stdout
-        timed = iter(samples)
+        samples = [_share_stdout(sample, reference) for sample in samples]
+        n = len(per_build)
+        by_build = {build: samples[i * n:(i + 1) * n] for i, build in enumerate(timed_builds)}
         return [
-            _score(self._spec, build, extraction, flags, reference, original,
-                   [next(timed) for _ in attempt_arms])
-            for (build, extraction, flags), attempt_arms in zip(joined, arms)
+            _score(self._spec, outcome, extraction, flags, reference, original,
+                   by_build.get(build, []))
+            for (build, extraction, flags), outcome in zip(attempts, outcomes)
         ]
 
     def binary_path(self) -> Path:
@@ -271,6 +306,12 @@ class _Baseline:
         if self._outcome is None:
             self._outcome = original
         return original, samples
+
+    def _wait(self, build: tc.PendingBuild) -> tc.BuildOutcome:
+        """``build`` joined; the original's own failure a BaselineFailed."""
+        if build is self._build:
+            self._join()
+        return build.wait()
 
     def _join(self) -> Path:
         if self._binary is None:
@@ -375,10 +416,9 @@ def _score(
     first sample. Each matching sample's speedup is
     ``measure_speedup(original, sample)``, and the attempt's is that of
     its fastest matching sample. ``extraction`` is None for code that
-    came from outside a model reply (external tool trees). A sample
-    whose stdout equals ``reference`` holds that ``Output`` and closes
-    its own file, so a row keeps one file for each distinct output
-    however many attempts reproduce it.
+    came from outside a model reply (external tool trees). ``samples``
+    come from ``_Baseline.score``, which has already made each one whose
+    output equals ``reference`` hold it.
     """
     labels = () if extraction is None or extraction.code is None else _labels_for(extraction)
     if not _timed(build, flags):
@@ -387,7 +427,6 @@ def _score(
 
     checked = []  # (sample, match, SpeedupStat if it matched) per sample
     for sample in samples:
-        sample = _share_stdout(sample, reference)
         match = compare_outputs(reference, sample.stdout, spec.validation) if sample.ok else None
         gain = tc.measure_speedup(original, sample) if match is not None and match.matched else None
         checked.append((sample, match, gain))
@@ -480,7 +519,11 @@ def _converse(
     against a 1-thread original, if given) and scores every turn in turn
     order, so requests, rows and categories are those of scoring each
     turn before the next request; a row with nothing to time only checks
-    its original. No timed run overlaps a build. A benchmark whose
+    its original. A turn whose code repeats an earlier turn's shares that
+    turn's build, arm and samples, and so ties with it; one whose code is
+    the original's shares the original's build but is timed in an arm of
+    its own (both get no variant directory). No timed run overlaps a
+    build. A benchmark whose
     original fails to prepare, build or run is skipped with an error
     logged, after its first request. If an exception escapes a row,
     every build in flight is killed and reaped.

@@ -301,7 +301,11 @@ class ReplayProvider(Provider):
 
 
 class RecordProvider(Provider):
-    """Wraps a provider and writes a replayable transcript as it goes."""
+    """Wraps a provider and writes a replayable transcript as it goes.
+
+    Each call writes the whole transcript into a sibling temporary file
+    and renames it over the transcript, so a write cut short leaves the
+    earlier entries in place."""
 
     def __init__(self, inner: Provider, transcript_path: Path | str):
         self._inner = inner
@@ -321,7 +325,9 @@ class RecordProvider(Provider):
                 }
             )
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._path.write_text(json.dumps(self._entries, indent=2))
+            partial = self._path.with_name(self._path.name + ".partial")
+            partial.write_text(json.dumps(self._entries, indent=2))
+            os.replace(partial, self._path)
         return response
 
 

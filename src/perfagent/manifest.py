@@ -189,10 +189,13 @@ def want(doc, name: str, kind, fail, default=_REQUIRED):
 
 
 def read_json(path: Path | str, fail):
-    """The JSON document in the file at ``path``; text that is not JSON
-    raises ``fail(reason)`` with the decoder's reason."""
+    """The JSON document in the file at ``path``; a file that is not
+    UTF-8, or text that is not JSON, raises ``fail(reason)`` with the
+    decoder's reason."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise fail(f"not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise fail(f"not valid JSON: {exc}") from None
 

@@ -329,7 +329,8 @@ class PendingBuild:
     ``wait`` joins it and ``kill`` abandons it. Until one of them has
     run, ``run_rounds`` raises, so a build never shares the CPU with a
     timed repetition. ``binary_path`` is where the executable appears
-    once a successful build is joined.
+    once a successful build is joined. A build may be joined more than
+    once: every later ``wait`` gives the first one's outcome.
     """
 
     def __init__(
@@ -347,14 +348,26 @@ class PendingBuild:
         self.binary_path = binary
         self._log_path = log_path
         self._timeout_s = timeout_s
+        self._outcome: BuildOutcome | BuildTimeout | None = None
 
     def wait(self) -> BuildOutcome:
-        """Join the compiler in one blocking wait and classify the build.
+        """Join the compiler in one blocking wait and classify the build;
+        a later call returns the same outcome, or raises again.
 
         Raises BuildTimeout when the watchdog killed the compiler's
         process group at ``build.timeout_s`` from spawn. A compiler that
         ended in time is never a timeout, however late it is joined.
         """
+        if self._outcome is None:
+            try:
+                self._outcome = self._join()
+            except BuildTimeout as exc:
+                self._outcome = exc
+        if isinstance(self._outcome, BuildTimeout):
+            raise self._outcome
+        return self._outcome
+
+    def _join(self) -> BuildOutcome:
         with self._stderr:
             try:
                 _wait_exit(self._proc)

@@ -254,6 +254,12 @@ def _truncated_manifest(tmp_path):
     return ["bench", "list", "--root", str(tmp_path / "suite")], "bench.json: not valid JSON"
 
 
+def _manifest_not_utf8(tmp_path):
+    bench = write_bench(tmp_path / "suite", "alpha", {"main.c": sleeper(10)})
+    (bench / "bench.json").write_bytes(b'{"id": "\xff"}')
+    return ["bench", "list", "--root", str(tmp_path / "suite")], "bench.json: not UTF-8"
+
+
 def _ex1_with(name, text, named):
     """An ex1 run whose provider config, transcript or --prompt-env file
     ``name`` holds ``text``."""
@@ -298,6 +304,7 @@ def _report_row(**changes):
     _unbalanced_hotspot,
     _escaping_manifest_id,
     _truncated_manifest,
+    _manifest_not_utf8,
     _escaping_tool_id,
     _report({"provenance": {}}),
     _report({"rows": [{"benchmark_id": "alpha"}], "provenance": {}}),
@@ -311,7 +318,7 @@ def _report_row(**changes):
     _ex1_with("env.json", '{"os": ', "env.json: not valid JSON"),
     _ex1_with("env.json", "[1, 2]", "env.json: key '--prompt-env'"),
     _ex1_with("env.json", '{"os": 5}', "env.json: key '--prompt-env'"),
-], ids=["unbalanced_hotspot_source", "manifest_id", "manifest_truncated", "tool_id",
+], ids=["unbalanced_hotspot_source", "manifest_id", "manifest_truncated", "manifest_not_utf8", "tool_id",
         "report_without_rows", "report_row_missing_key", "report_row_speedup_string",
         "report_row_unknown_motif", "report_truncated", "provider_config_truncated",
         "transcript_truncated", "transcript_latency_string", "prompt_env_truncated",

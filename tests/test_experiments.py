@@ -428,7 +428,9 @@ class TestEx2:
                     # Fail only once turn 2's compiler and its child run.
                     wait_for_pids(pids)
                     raise RuntimeError("provider bug")
-                return gw.ModelResponse(fenced(sleeper(60)), self.provider_id, 0.0)
+                # A distinct reply per turn: a repeated one would share a build.
+                reply = fenced(sleeper(60) + f"/* turn {self.calls} */\n")
+                return gw.ModelResponse(reply, self.provider_id, 0.0)
 
         spec = sleep_bench(tmp_path / "b")
         start = time.perf_counter()
@@ -458,7 +460,9 @@ class TestEx2:
                     for path in pids:
                         wait_for_pids(path)
                     raise RuntimeError("provider bug")
-                return gw.ModelResponse(fenced(sleeper(60)), self.provider_id, 0.0)
+                # A distinct reply per turn: a repeated one would share a build.
+                reply = fenced(sleeper(60) + f"/* turn {self.calls} */\n")
+                return gw.ModelResponse(reply, self.provider_id, 0.0)
 
         spec = sleep_bench(tmp_path / "b")
         start = time.perf_counter()
@@ -541,9 +545,9 @@ class TestEx3:
 
 
 class TestScoreSharesOutput:
-    """A timed run that prints the original's output holds the original's
-    Output and closes its own; one that prints something else keeps its
-    own."""
+    """A timed run that prints the original's output, shared as
+    ``_Baseline.score`` shares it, holds the original's Output and closes
+    its own; one that prints something else keeps its own."""
 
     @pytest.mark.parametrize("counts", [None, (1, 2)])
     @pytest.mark.parametrize(
@@ -566,7 +570,8 @@ class TestScoreSharesOutput:
              *((build.binary_path, count) for count in counts or (None,))],
             spec.run,
         )
-        evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, own)
+        shared = [ex._share_stdout(sample, baseline.stdout) for sample in own]
+        evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, shared)
         assert evaluation.category is category
         assert evaluation.run.stdout == f"{message}\n".encode()
         assert (evaluation.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
@@ -608,6 +613,7 @@ class TestScoreMemory:
             baseline, sample = tc.run_rounds(
                 [(original.binary_path, None), (build.binary_path, None)], spec.run
             )
+            sample = ex._share_stdout(sample, baseline.stdout)
             evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, [sample])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -979,6 +985,130 @@ class TestRoundsPerRow:
         assert any("flaky" in r.message and "baseline run failed" in r.message
                    for r in caplog.records)
         assert not tc._unjoined
+
+
+class TestSharedBuilds:
+    """Within a row, code that repeats an earlier attempt's or the
+    original's is built once and timed once; a null rewrite still gets an
+    arm of its own beside the original."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """(compiled variant tags, ``run_rounds`` calls, evaluations)."""
+        compiles, evaluations = [], []
+        start_compile, score = tc.start_compile, ex._score
+
+        def recording_compile(spec, src_dir, toolchain, variant_tag, work_dir):
+            compiles.append(variant_tag)
+            return start_compile(spec, src_dir, toolchain, variant_tag, work_dir)
+
+        def recording_score(*args):
+            evaluations.append(score(*args))
+            return evaluations[-1]
+
+        monkeypatch.setattr(tc, "start_compile", recording_compile)
+        monkeypatch.setattr(ex, "_score", recording_score)
+        return compiles, TestRoundsPerRow.record_rounds(monkeypatch), evaluations
+
+    @staticmethod
+    def unchanged(spec):
+        """A reply whose code is byte for byte the original's main.c."""
+        original = (spec.root / "main.c").read_text()
+        reply = fenced(original[:-1])  # the fence's own newline ends the code
+        assert gw.extract_code(gw.ModelResponse(reply, "x", 0.0)).code == original
+        return reply
+
+    def test_identical_turns_build_and_time_once(self, tmp_path, toolchain_config, monkeypatch):
+        compiles, calls, evaluations = self.record(monkeypatch)
+        spec = sleep_bench(tmp_path / "b", ms=60)
+        table = ex.run_ex2([spec], replay([fenced(sleeper(30))] * 5), toolchain_config,
+                           tmp_path / "w")
+        assert compiles == ["ex2/base", "ex2/turn1"]
+        assert calls == [
+            ([("base", None)], 1),
+            ([("base", None), ("turn1", None)], 2),
+        ]
+        assert [e.category for e in evaluations] == [Cat.CORRECT] * 5
+        assert len({e.stat.speedup for e in evaluations}) == 1
+        assert len({id(e.run) for e in evaluations}) == 1
+        assert (table.rows[0].variant_tag, table.rows[0].category) == ("ex2/turn1", Cat.CORRECT)
+        assert not (tmp_path / "w" / "sleepy" / "ex2" / "turn2").exists()
+
+    def test_null_rewrite_is_timed_beside_the_original(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        compiles, calls, evaluations = self.record(monkeypatch)
+        spec = sleep_bench(tmp_path / "b", ms=30)
+        table = ex.run_ex2([spec], replay([self.unchanged(spec)] * 5), toolchain_config,
+                           tmp_path / "w")
+        assert compiles == ["ex2/base"]
+        # Two arms, both the original's binary: the null rewrite is measured.
+        assert calls == [
+            ([("base", None)], 1),
+            ([("base", None), ("base", None)], 2),
+        ]
+        assert [e.category for e in evaluations] == [Cat.CORRECT] * 5
+        assert evaluations[0].stat is not None
+        assert table.rows[0].variant_tag == "ex2/turn1"
+
+    def test_alternating_turns_time_each_distinct_program_once(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        compiles, calls, evaluations = self.record(monkeypatch)
+        spec = sleep_bench(tmp_path / "b", ms=60)
+        a, b = fenced(sleeper(30)), fenced(sleeper(10))
+        table = ex.run_ex2([spec], replay([a, b, a, b, a]), toolchain_config, tmp_path / "w")
+        assert compiles == ["ex2/base", "ex2/turn1", "ex2/turn2"]
+        assert calls == [
+            ([("base", None)], 1),
+            ([("base", None), ("turn1", None), ("turn2", None)], 2),
+        ]
+        runs = [e.run for e in evaluations]
+        assert runs[0] is runs[2] is runs[4] and runs[1] is runs[3] and runs[0] is not runs[1]
+        assert table.rows[0].variant_tag == "ex2/turn2"
+
+    def test_identical_broken_turns_build_once(self, tmp_path, toolchain_config, monkeypatch):
+        compiles, calls, evaluations = self.record(monkeypatch)
+        spec = sleep_bench(tmp_path / "b")
+        provider = replay([fenced(SYNTAX_ERROR)] * 2 + ["no code"] * 3)
+        table = ex.run_ex2([spec], provider, toolchain_config, tmp_path / "w")
+        assert compiles == ["ex2/base", "ex2/turn1"]
+        assert calls == [([("base", None)], 1)]
+        assert [e.category for e in evaluations[:2]] == [Cat.COMPILATION_ERROR] * 2
+        assert table.rows[0].variant_tag == "ex2/turn5"
+
+    def test_ex3_null_rewrite_gets_an_arm_per_count(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        compiles, calls, _ = self.record(monkeypatch)
+        write_bench(tmp_path / "b", "omp", {"main.c": parallel(sleeper(20))},
+                    build={"flags": ["-O0"]}, run={"repetitions": 2})
+        spec = load_single(tmp_path / "b", "omp")
+        table = ex.run_ex3([spec], replay([self.unchanged(spec)]), toolchain_config,
+                           tmp_path / "w", counts=(1, 2))
+        assert compiles == ["ex3/base"]
+        assert calls == [([("base", 1), ("base", 1), ("base", 2)], 2)]
+        assert table.rows[0].category is Cat.CORRECT
+        assert set(table.rows[0].thread_map) == {1, 2}
+
+    def test_agent_unchanged_hotspot_builds_nothing_and_is_timed(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        compiles, calls, _ = self.record(monkeypatch)
+        write_bench(tmp_path / "b", "loopy", {"main.c": hotspot_program(20)},
+                    entry_hotspot="kernel", build={"flags": ["-O0"]}, run={"repetitions": 2})
+        spec = load_single(tmp_path / "b", "loopy")
+        kernel = ag.patch.extract_function(hotspot_program(20), "kernel")
+        trace = ag.run_agent(
+            spec, lambda request: ag._fallback_tree(spec, "kernel", 0.1),
+            replay([fenced(kernel)]), ag.AgentConfig(max_iterations=1), toolchain_config,
+            tmp_path / "w",
+        )
+        assert compiles == ["agent/base"]
+        assert calls == [([("base", None), ("base", None)], 2)]
+        (iteration,) = trace.iterations
+        assert iteration.category is Cat.CORRECT
+        assert iteration.run is not None and iteration.speedup_vs_original is not None
 
 
 class TestAggregate:

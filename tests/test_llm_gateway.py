@@ -3,6 +3,7 @@
 import http.server
 import json
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -229,6 +230,25 @@ class TestRecordProvider:
         replay = gw.ReplayProvider(path)
         assert replay.complete(m1).raw_text == "alpha"
         assert replay.complete(m2).raw_text == "beta"
+
+    def test_a_write_cut_short_keeps_the_earlier_entries(self, tmp_path, monkeypatch):
+        path = tmp_path / "rec.json"
+        recorder = gw.RecordProvider(_ScriptedProvider(["alpha", "beta"]), path)
+        m1 = [{"role": "user", "content": "one"}]
+        recorder.complete(m1)
+
+        def cut_short(self, data, *args, **kwargs):
+            with open(self, "w") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError):
+            recorder.complete([{"role": "user", "content": "two"}])
+        monkeypatch.undo()
+
+        replay = gw.ReplayProvider(path)
+        assert replay.complete(m1).raw_text == "alpha"
 
     def test_replay_of_recording_rejects_other_request(self, tmp_path):
         path = tmp_path / "rec.json"

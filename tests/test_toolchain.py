@@ -624,3 +624,25 @@ def test_kill_after_a_timed_out_join_does_nothing(tmp_path):
         build.wait()
     build.kill()
     assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
+
+
+@pytest.mark.parametrize("main", [kernels.sleeper(0), kernels.SYNTAX_ERROR], ids=["ok", "error"])
+def test_joining_twice_gives_one_outcome(tmp_path, toolchain_config, main):
+    spec = _spec(tmp_path, "twice", {"main.c": main})
+    build = tc.start_compile(spec, spec.root, toolchain_config, "base", tmp_path / "work")
+    first = build.wait()
+    assert build.wait() is first
+    build.kill()
+    assert build.wait() is first
+
+
+def test_joining_a_timed_out_build_twice_raises_twice(tmp_path):
+    fake = _fake_compiler(tmp_path, "exec sleep 5\n")
+    spec = _spec(tmp_path, "hang", {"main.c": kernels.sleeper(0)}, build={"timeout_s": 0.3})
+    build = tc.start_compile(spec, spec.root, fake, "base", tmp_path / "work")
+    with pytest.raises(tc.BuildTimeout):
+        build.wait()
+    start = time.perf_counter()
+    with pytest.raises(tc.BuildTimeout):
+        build.wait()
+    assert time.perf_counter() - start < 0.1
