@@ -292,6 +292,10 @@ def run_agent(
     scored by ``_Baseline.score``: one that builds is timed in rounds
     with the original, and its speedup is the ratio of the two samples
     from those rounds; one that does not build runs nothing. A candidate
+    whose first output does not match the original's runs once, and so
+    does the original in those rounds: the iteration's ``run`` then holds
+    one wall time, and so does the trace's ``baseline`` when it comes
+    from those rounds, the first to run the original. A candidate
     whose source repeats an earlier one's, or the original's, is not
     compiled again: it runs that build's binary, in rounds of its own,
     and gets no ``agent/iter<i>`` directory.

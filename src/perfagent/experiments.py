@@ -14,19 +14,22 @@ import io
 import json
 import logging
 import math
+import os
 import platform
 import shutil
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import llm_gateway as gw
 from . import manifest, patch
 from . import toolchain as tc
 from .llm_gateway import Experiment, OptimizationLabel, OptimizationLabelKind
 from .manifest import BenchmarkSpec, Motif, RunRecipe, want
-from .verify import CorrectnessCategory, classify_attempt, compare_outputs, pass_at_1
+from .verify import (
+    CorrectnessCategory, MatchReport, classify_attempt, compare_outputs, pass_at_1,
+)
 
 log = logging.getLogger("perfagent.experiments")
 
@@ -120,6 +123,13 @@ def host_env(toolchain: tc.ToolchainConfig) -> dict[str, str]:
     }
 
 
+def _host_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _provenance(toolchain: tc.ToolchainConfig, tool_id: str) -> dict:
     return {
         "toolchain": {
@@ -127,6 +137,7 @@ def _provenance(toolchain: tc.ToolchainConfig, tool_id: str) -> dict:
             for cid, info in sorted(toolchain.compilers.items())
         },
         "tool_id": tool_id,
+        "cpus": _host_cpus(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
@@ -253,11 +264,20 @@ class _Baseline:
         holds, once or at each of ``counts``. Attempts that share a build
         share its samples. An attempt holding the original's own build is
         still timed as an arm of its own beside the original, so a null
-        rewrite is measured, not assumed. A sample whose output equals the
-        original's is made to hold the original's ``Output``, its own file
-        closed, before any attempt is scored, so a row keeps one file per
-        distinct output and no attempt reads an output another closed.
-        With nothing to time, nothing runs."""
+        rewrite is measured, not assumed. With nothing to time, nothing
+        runs.
+
+        After the first round each candidate arm's output is compared
+        with the reference, the original's first output (the one ``check``
+        took, if it ran), once per arm however many attempts share it.
+        Only the arms that matched run the later rounds, and the original
+        only while one of them does: an arm that crashed or printed the
+        wrong output can earn no speedup, so it keeps its one repetition.
+        An output equal to the reference is compared as the reference
+        itself, and its sample is made to hold the reference's ``Output``,
+        its own file closed, before any attempt is scored, so a row keeps
+        one file per distinct output and no attempt reads an output
+        another closed."""
         outcomes = [None if build is None else self._wait(build) for build, *_ in attempts]
         timed_builds = list(dict.fromkeys(
             build for (build, _, flags), outcome in zip(attempts, outcomes)
@@ -265,14 +285,34 @@ class _Baseline:
         ))
         per_build = counts or (None,)
         arms = [(build.binary_path, count) for build in timed_builds for count in per_build]
-        original, samples = self._rounds(arms, self._spec.run) if arms else (None, [])
+        reports: list[MatchReport | None] = []
+        equal: list[bool] = []
+
+        def keep(outputs: list[tc.Output | None]) -> list[bool]:
+            first, *candidates = outputs
+            if first is None:  # the row is skipped: nothing runs on
+                return [False] * len(outputs)
+            reference = first if self._outcome is None else self._outcome.stdout
+            for out in candidates:
+                equal.append(out is not None and out == reference)
+                # An equal output is compared as the reference itself, which
+                # is not read again.
+                reports.append(None if out is None else compare_outputs(
+                    reference, reference if equal[-1] else out, self._spec.validation
+                ))
+            matched = [report is not None and report.matched for report in reports]
+            return [any(matched), *matched]
+
+        original, samples = self._rounds(arms, self._spec.run, keep) if arms else (None, [])
         reference = None if original is None else self.sample().stdout
-        samples = [_share_stdout(sample, reference) for sample in samples]
+        checked = [
+            (_share_stdout(sample, reference) if same else sample, report)
+            for sample, same, report in zip(samples, equal, reports)
+        ]
         n = len(per_build)
-        by_build = {build: samples[i * n:(i + 1) * n] for i, build in enumerate(timed_builds)}
+        by_build = {build: checked[i * n:(i + 1) * n] for i, build in enumerate(timed_builds)}
         return [
-            _score(self._spec, outcome, extraction, flags, reference, original,
-                   by_build.get(build, []))
+            _score(outcome, extraction, flags, original, by_build.get(build, []))
             for (build, extraction, flags), outcome in zip(attempts, outcomes)
         ]
 
@@ -281,10 +321,14 @@ class _Baseline:
         return self._binary
 
     def _rounds(
-        self, arms: Sequence[tuple[Path, int | None]], run: RunRecipe
+        self,
+        arms: Sequence[tuple[Path, int | None]],
+        run: RunRecipe,
+        keep: Callable[[list[tc.Output | None]], Sequence[bool]] | None = None,
     ) -> tuple[tc.RunSample, list[tc.RunSample]]:
         """The original's sample and one per arm, a (binary, thread count)
-        pair, timed together as ``run`` says. The original's first run
+        pair, timed together as ``run`` says, the original first, and
+        ``keep`` passed to ``tc.run_rounds``. The original's first run
         becomes ``sample``; with no arms, an original that has run is not
         run again. BaselineRunFailed when the original does not run cleanly."""
         if isinstance(self._outcome, BaselineFailed):
@@ -293,7 +337,7 @@ class _Baseline:
             return self._outcome, []
         try:
             original, *samples = tc.run_rounds(
-                [(self._join(), self._thread_count), *arms], run
+                [(self._join(), self._thread_count), *arms], run, keep
             )
             if not original.ok:
                 raise BaselineRunFailed(
@@ -308,10 +352,15 @@ class _Baseline:
         return original, samples
 
     def _wait(self, build: tc.PendingBuild) -> tc.BuildOutcome:
-        """``build`` joined; the original's own failure a BaselineFailed."""
+        """``build`` joined; the original's own failure a BaselineFailed,
+        and a candidate's build that timed out a compile error whose log
+        says so."""
         if build is self._build:
             self._join()
-        return build.wait()
+        try:
+            return build.wait()
+        except tc.BuildTimeout as exc:
+            return tc.BuildOutcome(tc.BuildStatus.COMPILE_ERROR, None, str(exc))
 
     def _join(self) -> Path:
         if self._binary is None:
@@ -396,43 +445,44 @@ def _timed(build: tc.BuildOutcome | None, flags: set[str]) -> bool:
 
 
 def _score(
-    spec: BenchmarkSpec,
     build: tc.BuildOutcome | None,
     extraction: gw.ExtractionResult | None,
     flags: set[str],
-    reference: tc.Output | None,
     original: tc.RunSample | None,
-    samples: Sequence[tc.RunSample],
+    checked: Sequence[tuple[tc.RunSample, MatchReport | None]],
 ) -> _Evaluation:
-    """Classify one attempt from what was built and timed; runs nothing.
+    """Classify one attempt from what was built, timed and compared; runs
+    and compares nothing.
 
     An attempt with no build (a reply without code, or whose code does
     not parse), a failed build or a constraint flag is classified as it
-    stands, and ``reference`` and ``original`` may be None. Otherwise
-    ``samples`` are its timed runs, each taken in rounds with
-    ``original``: one, or one per thread count in ascending order. Every
-    sample's output is compared with ``reference``, the original's; the
-    category rests on the first sample whose output matches, else on the
-    first sample. Each matching sample's speedup is
-    ``measure_speedup(original, sample)``, and the attempt's is that of
-    its fastest matching sample. ``extraction`` is None for code that
-    came from outside a model reply (external tool trees). ``samples``
-    come from ``_Baseline.score``, which has already made each one whose
-    output equals ``reference`` hold it.
+    stands, and ``original`` may be None. Otherwise ``checked`` holds its
+    timed runs, each taken in rounds with ``original`` (one, or one per
+    thread count in ascending order), with the report of comparing its
+    output with the original's, None when its first run failed. A sample
+    that did not run cleanly counts as unmatched. The category rests on
+    the first sample whose output matches, else on the first sample.
+    Each matching sample's speedup is ``measure_speedup(original,
+    sample)``, and the attempt's is that of its fastest matching sample.
+    ``extraction`` is None for code that came from outside a model reply
+    (external tool trees). ``checked`` comes from ``_Baseline.score``,
+    which compares each distinct sample once, stops one that did not
+    match after its first run, and has already made each sample whose
+    output equals the original's hold it.
     """
     labels = () if extraction is None or extraction.code is None else _labels_for(extraction)
     if not _timed(build, flags):
         category = classify_attempt(build, extraction, None, None, flags)
         return _Evaluation(category, None, None, labels)
 
-    checked = []  # (sample, match, SpeedupStat if it matched) per sample
-    for sample in samples:
-        match = compare_outputs(reference, sample.stdout, spec.validation) if sample.ok else None
+    rated = []  # (sample, match, SpeedupStat if it matched) per sample
+    for sample, match in checked:
+        match = match if sample.ok else None
         gain = tc.measure_speedup(original, sample) if match is not None and match.matched else None
-        checked.append((sample, match, gain))
-    matching = [entry for entry in checked if entry[2] is not None]
+        rated.append((sample, match, gain))
+    matching = [entry for entry in rated if entry[2] is not None]
 
-    run, match, _ = (matching or checked)[0]
+    run, match, _ = (matching or rated)[0]
     category = classify_attempt(build, extraction, run, match, set())
     stat = None
     if category is CorrectnessCategory.CORRECT:
@@ -441,16 +491,14 @@ def _score(
     if run.thread_count is not None:
         thread_results = tuple(
             (sample.thread_count, None if gain is None else gain.speedup)
-            for sample, _, gain in checked
+            for sample, _, gain in rated
         )
     return _Evaluation(category, stat, thread_results, labels, run)
 
 
 def _share_stdout(sample: tc.RunSample, reference: tc.Output) -> tc.RunSample:
-    """``sample`` holding ``reference`` itself when the two outputs are
-    equal, its own output closed."""
-    if sample.stdout is reference or sample.stdout != reference:
-        return sample
+    """``sample``, whose output equals ``reference``, holding ``reference``
+    itself, its own output closed."""
     sample.stdout.close()
     return replace(sample, stdout=reference)
 
@@ -519,11 +567,14 @@ def _converse(
     against a 1-thread original, if given) and scores every turn in turn
     order, so requests, rows and categories are those of scoring each
     turn before the next request; a row with nothing to time only checks
-    its original. A turn whose code repeats an earlier turn's shares that
-    turn's build, arm and samples, and so ties with it; one whose code is
-    the original's shares the original's build but is timed in an arm of
-    its own (both get no variant directory). No timed run overlaps a
-    build. A benchmark whose
+    its original. A turn whose first output does not match the
+    original's leaves the rounds after the first, and the original
+    leaves them when no turn is left. A turn whose build outlives
+    ``build.timeout_s`` is a compilation error. A turn whose code
+    repeats an earlier turn's shares that turn's build, arm and samples,
+    and so ties with it; one whose code is the original's shares the
+    original's build but is timed in an arm of its own (both get no
+    variant directory). No timed run overlaps a build. A benchmark whose
     original fails to prepare, build or run is skipped with an error
     logged, after its first request. If an exception escapes a row,
     every build in flight is killed and reaped.
@@ -829,6 +880,18 @@ def _markdown_text(table: ResultsTable, summaries: list[dict]) -> str:
         bits.append(f"collected {stamp}")
     if bits:
         lines += ["Provenance: " + ", ".join(bits) + ".", ""]
+    cpus = table.provenance.get("cpus")
+    over = cpus is not None and sorted({
+        count
+        for r in table.rows if r.experiment is Experiment.EX3
+        for count in r.thread_map if count > cpus
+    })
+    if over:
+        lines += [
+            f"EX3 thread counts {', '.join(map(str, over))} exceed the host's {cpus} CPUs, "
+            "so they measure oversubscription.",
+            "",
+        ]
 
     lines += ["## Correctness", ""]
     columns = sorted({(r.tool_id, r.experiment.value) for r in table.rows})

@@ -48,7 +48,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .manifest import BenchmarkSpec, Language, RunRecipe, read_json, want
 
@@ -228,7 +228,13 @@ class RunSample:
     just before the spawn to the exit of the child, seen before it is
     reaped; execution stops at the first repetition that crashes or times
     out, leaving its status in ``exit_status`` (an integer, negative for
-    a signal, or the TIMEOUT sentinel). ``stdout`` is the first
+    a signal, or the TIMEOUT sentinel), and after the first repetition
+    when ``run_rounds``' ``keep`` drops the arm, with status 0. The
+    experiment drivers drop a candidate whose first output fails
+    validation, and the original once no candidate runs on, so such a
+    sample holds one time: a mismatching agent iteration's ``run``, and
+    an agent trace's ``baseline`` when none of the candidates timed in
+    its first rounds matched. ``stdout`` is the first
     repetition's output, the one validation uses: from ``run_rounds``, a
     handle on the file it wrote into, empty when that repetition timed
     out. Bytes given here are wrapped in an ``Output`` too. ``stderr`` is
@@ -665,6 +671,7 @@ def _empty(fd: int) -> None:
 def run_rounds(
     arms: Sequence[tuple[Path | str, int | None]],
     run: RunRecipe,
+    keep: Callable[[list[Output | None]], Sequence[bool]] | None = None,
 ) -> list[RunSample]:
     """Time ``arms``, (binary, thread count) pairs, in ``run.repetitions``
     interleaved rounds; one RunSample per arm, in arm order.
@@ -673,7 +680,12 @@ def run_rounds(
     in reverse on odd ones, so two arms run A B, B A, A B: a slow phase of
     the host falls on both alike. An arm that crashes or times out is
     dropped from later rounds with its status recorded, not raised, so
-    classification can see it; the other arms go on.
+    classification can see it; the other arms go on. After the first
+    round, outside every timed window, ``keep`` (if given) is called once
+    with each arm's first output, None for an arm that crashed or timed
+    out, and says for each arm whether it runs on: an arm it drops keeps
+    its one repetition and exit status 0, and the arms it keeps run every
+    later round in the same alternating order.
 
     A child runs in its variant's src/ directory when present (data files
     resolve relatively; the binary by its absolute path) with
@@ -712,6 +724,9 @@ def run_rounds(
                         arm.stdin.seek(0)
                 arm.repeat(scratch if round_ else arm.kept, run.timeout_s, first=not round_)
             live = [arm for arm in live if arm.exit_status == 0]
+            if keep is not None and not round_:
+                kept = keep([arm.stdout if arm.exit_status == 0 else None for arm in every])
+                live = [arm for arm, go_on in zip(every, kept) if go_on and arm.exit_status == 0]
         return [arm.sample() for arm in every]
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -18,7 +19,7 @@ from perfagent import toolchain as tc
 from perfagent.llm_gateway import Experiment
 from perfagent.manifest import Motif, RunRecipe
 from perfagent.verify import CorrectnessCategory as Cat
-from perfagent.verify import classify_attempt
+from perfagent.verify import classify_attempt, compare_outputs
 
 from conftest import (
     assert_candidate_built_beside_original,
@@ -544,6 +545,21 @@ class TestEx3:
         assert provider.received == []
 
 
+def checked(spec, reference, samples):
+    """``samples`` as ``_Baseline.score`` hands them to ``_score``: each
+    with the report of comparing its output with ``reference`` (None for
+    one that did not run cleanly), one whose output equals ``reference``
+    holding it."""
+    result = []
+    for sample in samples:
+        equal = sample.ok and sample.stdout == reference
+        report = compare_outputs(
+            reference, reference if equal else sample.stdout, spec.validation
+        ) if sample.ok else None
+        result.append((ex._share_stdout(sample, reference) if equal else sample, report))
+    return result
+
+
 class TestScoreSharesOutput:
     """A timed run that prints the original's output, shared as
     ``_Baseline.score`` shares it, holds the original's Output and closes
@@ -570,8 +586,8 @@ class TestScoreSharesOutput:
              *((build.binary_path, count) for count in counts or (None,))],
             spec.run,
         )
-        shared = [ex._share_stdout(sample, baseline.stdout) for sample in own]
-        evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, shared)
+        shared = checked(spec, baseline.stdout, own)
+        evaluation = ex._score(build, None, set(), baseline, shared)
         assert evaluation.category is category
         assert evaluation.run.stdout == f"{message}\n".encode()
         assert (evaluation.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
@@ -613,8 +629,8 @@ class TestScoreMemory:
             baseline, sample = tc.run_rounds(
                 [(original.binary_path, None), (build.binary_path, None)], spec.run
             )
-            sample = ex._share_stdout(sample, baseline.stdout)
-            evaluation = ex._score(spec, build, None, set(), baseline.stdout, baseline, [sample])
+            shared = checked(spec, baseline.stdout, [sample])
+            evaluation = ex._score(build, None, set(), baseline, shared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -634,7 +650,7 @@ class TestScoreSweep:
         spec = sleep_bench(tmp_path / "b", ms=5)
         build = tc.BuildOutcome(tc.BuildStatus.OK, tmp_path / "bin", "")
         return ex._score(
-            spec, build, None, set(), self.BASELINE.stdout, self.BASELINE, list(samples.values())
+            build, None, set(), self.BASELINE, checked(spec, self.BASELINE.stdout, samples.values())
         )
 
     def test_fastest_matching_count_sets_the_speedup(self, tmp_path):
@@ -829,20 +845,116 @@ class TestBaselineBesideCandidate:
         assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
 
 
-def _counting_original(crash_on_run):
-    """An original that counts its runs in ./runs and exits 3 on run
-    ``crash_on_run``."""
+class TestBuildTimeout:
+    """A candidate whose build outlives ``build.timeout_s`` is a
+    CompilationError whose build log says so, and the run goes on with
+    the compiler's processes reaped; an original's own timeout still
+    skips only its row."""
+
+    @staticmethod
+    def benches(tmp_path, names):
+        for name in names:
+            write_bench(tmp_path / "b", name, {"main.c": sleeper(5)},
+                        build={"flags": ["-O0"], "timeout_s": 1.0}, run={"repetitions": 2})
+        return [load_single(tmp_path / "b", name) for name in names]
+
+    @staticmethod
+    def hanging(tmp_path, toolchain_config, path_parts):
+        """A wrapped gcc whose build of each of ``path_parts`` hangs, and
+        the pid file of each."""
+        pids = [tmp_path / f"hang{i}.pid" for i in range(len(path_parts))]
+        wrapped = wrapped_gcc(tmp_path, toolchain_config, "\n".join(
+            hang_build(path, part) for path, part in zip(pids, path_parts)
+        ))
+        return wrapped, pids
+
+    @staticmethod
+    def record_builds(monkeypatch):
+        builds, score = [], ex._score
+
+        def recording(build, *rest):
+            builds.append(build)
+            return score(build, *rest)
+
+        monkeypatch.setattr(ex, "_score", recording)
+        return builds
+
+    def test_ex1_rows_survive_a_slow_candidate_compile(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        specs = self.benches(tmp_path, ["alpha", "beta"])
+        wrapped, pids = self.hanging(
+            tmp_path, toolchain_config, ["/alpha/ex1/cand/", "/beta/ex1/cand/"]
+        )
+        builds = self.record_builds(monkeypatch)
+        table = ex.run_ex1(specs, replay([fenced(sleeper(1))] * 2), wrapped, tmp_path / "w")
+        assert [(r.benchmark_id, r.category) for r in table.rows] == [
+            ("alpha", Cat.COMPILATION_ERROR), ("beta", Cat.COMPILATION_ERROR),
+        ]
+        for build, name in zip(builds, ["alpha", "beta"]):
+            assert build.stderr.startswith("build exceeded 1.0s: ")
+            assert f"/{name}/ex1/cand/src/main.c" in build.stderr
+        for path in pids:
+            assert_reaped(path)
+
+    def test_ex2_turns_sharing_a_slow_build_are_compilation_errors(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        (spec,) = self.benches(tmp_path, ["sleepy"])
+        wrapped, pids = self.hanging(tmp_path, toolchain_config, ["/ex2/turn2/"])
+        builds = self.record_builds(monkeypatch)
+        # Turn 4 repeats turn 2's code, so it shares the build that timed out.
+        a, b, c, d = (fenced(sleeper(1) + f"/* reply {t} */\n") for t in "abcd")
+        table = ex.run_ex2([spec], replay([a, b, c, b, d]), wrapped, tmp_path / "w")
+        assert [build.ok for build in builds] == [True, False, True, False, True]
+        assert builds[1] == builds[3]
+        assert table.rows[0].category is Cat.CORRECT
+        assert_reaped(pids[0])
+
+    def test_agent_iteration_with_a_slow_build_is_a_compilation_error(
+        self, tmp_path, toolchain_config
+    ):
+        write_bench(tmp_path / "b", "loopy", {"main.c": hotspot_program(5)},
+                    entry_hotspot="kernel",
+                    build={"flags": ["-O0"], "timeout_s": 1.0}, run={"repetitions": 2})
+        spec = load_single(tmp_path / "b", "loopy")
+        wrapped, pids = self.hanging(tmp_path, toolchain_config, ["/agent/iter1/"])
+        trace = ag.run_agent(
+            spec, lambda request: ag._fallback_tree(spec, "kernel", 0.1),
+            replay([fenced(kernel_replacement(2)), fenced(kernel_replacement(1))]),
+            ag.AgentConfig(max_iterations=2), wrapped, tmp_path / "w",
+        )
+        assert [r.category for r in trace.iterations] == [Cat.COMPILATION_ERROR, Cat.CORRECT]
+        assert_reaped(pids[0])
+
+    def test_original_with_a_slow_build_skips_only_its_row(
+        self, tmp_path, toolchain_config, caplog
+    ):
+        specs = self.benches(tmp_path, ["broken", "good"])
+        wrapped, pids = self.hanging(tmp_path, toolchain_config, ["/broken/ex1/base/"])
+        with caplog.at_level(logging.ERROR, logger="perfagent.experiments"):
+            table = ex.run_ex1(specs, replay([fenced(sleeper(1))] * 2), wrapped, tmp_path / "w")
+        assert [(r.benchmark_id, r.category) for r in table.rows] == [("good", Cat.CORRECT)]
+        assert any("broken" in r.message and "build exceeded" in r.message
+                   for r in caplog.records)
+        assert_reaped(pids[0])
+
+
+def _counting_original(crash_on_run, message="result 42", runs="runs"):
+    """An original that counts its runs in the file ``runs`` in its
+    working directory, exits 3 on run ``crash_on_run`` and otherwise
+    prints ``message``."""
     return (
         "#include <stdio.h>\n"
         "int main(void) {\n"
         "    int n = 0;\n"
-        "    FILE *f = fopen(\"runs\", \"r\");\n"
+        f"    FILE *f = fopen(\"{runs}\", \"r\");\n"
         "    if (f) { if (fscanf(f, \"%d\", &n) != 1) n = 0; fclose(f); }\n"
-        "    f = fopen(\"runs\", \"w\");\n"
+        f"    f = fopen(\"{runs}\", \"w\");\n"
         "    fprintf(f, \"%d\\n\", ++n);\n"
         "    fclose(f);\n"
         f"    if (n == {crash_on_run}) return 3;\n"
-        "    printf(\"result 42\\n\");\n"
+        f"    printf(\"{message}\\n\");\n"
         "    return 0;\n"
         "}\n"
     )
@@ -858,12 +970,12 @@ class TestRoundsPerRow:
         calls = []  # per call: ((variant, thread count) of each arm, repetitions)
         run_rounds = tc.run_rounds
 
-        def recording(arms, run):
+        def recording(arms, run, keep=None):
             calls.append((
                 [(Path(binary).parent.parent.name, count) for binary, count in arms],
                 run.repetitions,
             ))
-            return run_rounds(arms, run)
+            return run_rounds(arms, run, keep)
 
         monkeypatch.setattr(tc, "run_rounds", recording)
         return calls
@@ -1111,6 +1223,122 @@ class TestSharedBuilds:
         assert iteration.run is not None and iteration.speedup_vs_original is not None
 
 
+# Counts its runs per thread count in ./runs_<OMP_NUM_THREADS>, and
+# prints the wrong line at 2 threads.
+_COUNTED_PER_COUNT = """\
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+int main(void) {
+    const char *v = getenv("OMP_NUM_THREADS");
+    char name[64];
+    snprintf(name, sizeof name, "runs_%s", v ? v : "none");
+    int n = 0;
+    FILE *f = fopen(name, "r");
+    if (f) { if (fscanf(f, "%d", &n) != 1) n = 0; fclose(f); }
+    f = fopen(name, "w");
+    fprintf(f, "%d\\n", ++n);
+    fclose(f);
+    printf(v && strcmp(v, "2") == 0 ? "result 99\\n" : "result 42\\n");
+    return 0;
+}
+"""
+
+
+class TestOnlyMatchingArmsRunOn:
+    """After the first round only the candidate arms whose output matched
+    run on, and the original only while one of them does: a program that
+    crashed or printed the wrong output runs once. Runs are counted in
+    each variant's src/ the way ``_counting_original`` counts them."""
+
+    REPS = 3
+
+    def bench(self, tmp_path):
+        write_bench(tmp_path / "b", "counted", {"main.c": _counting_original(0)},
+                    run={"repetitions": self.REPS})
+        return load_single(tmp_path / "b", "counted")
+
+    @staticmethod
+    def runs(tmp_path, variant, name="runs"):
+        return int((tmp_path / "w" / "counted" / variant / "src" / name).read_text())
+
+    @pytest.mark.parametrize("candidate", [
+        _counting_original(0, message="result 99"), _counting_original(1),
+    ], ids=["mismatch", "crash"])
+    def test_ex1_candidate_that_cannot_win_runs_once(self, tmp_path, toolchain_config,
+                                                     candidate):
+        """With the crash, the original no longer runs on alone."""
+        spec = self.bench(tmp_path)
+        table = ex.run_ex1([spec], replay([fenced(candidate)]), toolchain_config, tmp_path / "w")
+        assert table.rows[0].category is Cat.OUTPUT_MISMATCH
+        assert self.runs(tmp_path, "ex1/cand") == 1
+        assert self.runs(tmp_path, "ex1/base") == 1
+
+    def test_ex2_correct_turn_runs_every_round_and_a_wrong_one_once(
+        self, tmp_path, toolchain_config
+    ):
+        spec = self.bench(tmp_path)
+        # Each turn's src/ is copied after the check ran the original in
+        # the prepared tree, so the turns count in a file of their own.
+        correct = _counting_original(0, runs="turn_runs")
+        wrong = _counting_original(0, message="result 99", runs="turn_runs")
+        provider = replay([fenced(correct), fenced(wrong)] + ["no code"] * 3)
+        table = ex.run_ex2([spec], provider, toolchain_config, tmp_path / "w")
+        assert (table.rows[0].variant_tag, table.rows[0].category) == ("ex2/turn1", Cat.CORRECT)
+        assert self.runs(tmp_path, "ex2/turn1", "turn_runs") == self.REPS
+        assert self.runs(tmp_path, "ex2/turn2", "turn_runs") == 1
+        # The one-run check after the first reply, then every round.
+        assert self.runs(tmp_path, "ex2/base") == 1 + self.REPS
+
+    def test_ex3_count_that_mismatches_runs_once(self, tmp_path, toolchain_config):
+        spec = self.bench(tmp_path)
+        table = ex.run_ex3([spec], replay([fenced(parallel(_COUNTED_PER_COUNT))]),
+                           toolchain_config, tmp_path / "w", counts=(1, 2))
+        row = table.rows[0]
+        assert row.category is Cat.CORRECT
+        assert row.thread_map[1] is not None and row.thread_map[2] is None
+        assert self.runs(tmp_path, "ex3/cand", "runs_1") == self.REPS
+        assert self.runs(tmp_path, "ex3/cand", "runs_2") == 1
+        assert self.runs(tmp_path, "ex3/base") == self.REPS
+
+    def test_agent_mismatching_iteration_records_one_time(self, tmp_path, toolchain_config):
+        """The profile source never reads the original's binary, so the
+        first iteration's rounds are the first to run the original, and
+        the trace's baseline is its one run from them."""
+        write_bench(tmp_path / "b", "loopy", {"main.c": hotspot_program(20)},
+                    entry_hotspot="kernel", build={"flags": ["-O0"]},
+                    run={"repetitions": self.REPS})
+        spec = load_single(tmp_path / "b", "loopy")
+        wrong = 'void kernel(void) {\n    printf("noise\\n");\n}'
+        trace = ag.run_agent(
+            spec, lambda request: ag._fallback_tree(spec, "kernel", 0.1),
+            replay([fenced(wrong), fenced(kernel_replacement(10))]),
+            ag.AgentConfig(max_iterations=2), toolchain_config, tmp_path / "w",
+        )
+        first, second = trace.iterations
+        assert first.category is Cat.OUTPUT_MISMATCH
+        assert len(first.run.wall_times_s) == 1
+        assert second.category is Cat.CORRECT
+        assert len(second.run.wall_times_s) == self.REPS
+        assert len(trace.baseline.wall_times_s) == 1
+
+    def test_identical_mismatching_replies_are_compared_once(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        compared = []
+
+        def counting(*args):
+            compared.append(args)
+            return compare_outputs(*args)
+
+        monkeypatch.setattr(ex, "compare_outputs", counting)
+        spec = sleep_bench(tmp_path / "b", ms=5)
+        provider = replay([fenced(sleeper(1, message="result 99"))] * 5)
+        table = ex.run_ex2([spec], provider, toolchain_config, tmp_path / "w")
+        assert table.rows[0].category is Cat.OUTPUT_MISMATCH
+        assert len(compared) == 1
+
+
 class TestAggregate:
     def test_na_counts_as_one(self):
         table = ex.ResultsTable((
@@ -1284,6 +1512,29 @@ class TestReports:
         b = ex.emit_report(table, summaries, tmp_path / "b")
         for fmt in ("csv", "markdown", "json"):
             assert a[fmt].read_bytes() == b[fmt].read_bytes()
+
+    @pytest.mark.parametrize("ex3", [True, False], ids=["ex3", "no_ex3"])
+    def test_counts_above_the_host_cpus_are_named(self, tmp_path, ex3):
+        rows = [make_record("alpha")]
+        if ex3:
+            rows.append(make_record(
+                "gamma", experiment=Experiment.EX3, variant="ex3/cand", speedup=1.5,
+                threads=((1, 1.0), (2, 1.5), (4, 1.2), (8, None), (16, 0.9), (32, 0.8)),
+            ))
+        table = ex.ResultsTable(tuple(rows), {**small_table().provenance, "cpus": 2})
+        written = ex.emit_report(table, [], tmp_path)
+        named = [line for line in written["markdown"].read_text().splitlines()
+                 if "oversubscription" in line]
+        assert named == (
+            ["EX3 thread counts 4, 8, 16, 32 exceed the host's 2 CPUs, "
+             "so they measure oversubscription."] if ex3 else []
+        )
+        assert ex.load_table(written["json"]).provenance == table.provenance
+        assert written["csv"].read_text().splitlines()[0].split(",") == list(ex.CSV_COLUMNS)
+
+    def test_provenance_records_the_host_cpus(self, toolchain_config):
+        cpus = ex._provenance(toolchain_config, "t")["cpus"]
+        assert isinstance(cpus, int) and 1 <= cpus <= (os.cpu_count() or cpus)
 
     def test_empty_summaries_render_headers(self, tmp_path):
         written = ex.emit_report(small_table(), [], tmp_path, formats=("markdown",))

@@ -474,6 +474,46 @@ class TestRounds:
     def test_no_arms_time_nothing(self):
         assert tc.run_rounds([], RunRecipe(repetitions=3)) == []
 
+    def test_keep_stops_the_arms_it_drops_after_the_first_round(self, tmp_path, toolchain_config):
+        arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": "", "C": "", "D": ""})
+        seen = []
+
+        def keep(outputs):
+            seen.append(outputs)
+            return [True, False, True, True]
+
+        a, b, c, d = tc.run_rounds(arms, RunRecipe(repetitions=4, timeout_s=10), keep)
+        # The kept arms alternate as if the dropped one had never been there.
+        assert log.read_text().split() == [
+            "A", "B", "C", "D", "D", "C", "A", "A", "C", "D", "D", "C", "A",
+        ]
+        assert len(seen) == 1 and [bytes(out) for out in seen[0]] == [b"A\n", b"B\n", b"C\n", b"D\n"]
+        assert b.ok and b.exit_status == 0 and len(b.wall_times_s) == 1
+        assert b.stdout is seen[0][1] and b.stdout == b"B\n"
+        assert all(s.ok and len(s.wall_times_s) == 4 for s in (a, c, d))
+
+        log.unlink()
+        a, b = tc.run_rounds(arms[:2], RunRecipe(repetitions=3, timeout_s=10),
+                             lambda outputs: [False, False])
+        assert log.read_text().split() == ["A", "B"]
+        assert all(s.ok and len(s.wall_times_s) == 1 for s in (a, b))
+
+    def test_keep_sees_none_for_an_arm_that_failed_its_first_run(self, tmp_path, toolchain_config):
+        arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": _CRASH, "C": _HANG})
+        seen = []
+
+        def keep(outputs):
+            seen.append(outputs)
+            return [True, True, True]  # keeping a failed arm does not revive it
+
+        a, b, c = tc.run_rounds(arms, RunRecipe(repetitions=3, timeout_s=0.3), keep)
+        assert len(seen) == 1
+        first, crashed, hung = seen[0]
+        assert first is a.stdout and crashed is None and hung is None
+        assert log.read_text().split() == ["A", "B", "C", "A", "A"]
+        assert b.crashed and c.timed_out
+        assert a.ok and len(a.wall_times_s) == 3
+
 
 class TestOutput:
     DATA = b"".join(b"%06d\n" % i for i in range(30000))  # 210 kB, several reads
