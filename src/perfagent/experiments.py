@@ -152,12 +152,15 @@ class BaselineRunFailed(BaselineFailed):
 
 class _Baseline:
     """One row's untouched original, the path each attempt of the row
-    takes. Construction prepares its sources (``src_dir``) and starts its
-    build; ``build`` starts each candidate's, and leaving the ``with``
-    block kills every build it started that nobody joined. ``score``
-    joins the candidates' builds and times them with the original.
-    ``sample`` is the original's first run, the reference every output
-    is checked against. Every failure of the original is a BaselineFailed.
+    takes. Construction prepares its sources into ``<ex>/prepared/``
+    (``src_dir``; a tree an earlier run left is replaced), in which
+    nothing runs, and starts the original's build as ``<ex>/base`` just
+    as ``build`` starts each candidate's, from a fresh copy of that tree.
+    Leaving the ``with`` block kills every build it started that nobody
+    joined. ``score`` joins the candidates' builds and times them with
+    the original. ``sample`` is the original's first run, the reference
+    every output is checked against. Every failure of the original is a
+    BaselineFailed.
 
     Within the row, identical code is built and timed once: ``build``
     hands an attempt whose rewritten file repeats an earlier attempt's,
@@ -182,10 +185,10 @@ class _Baseline:
         self._binary: Path | None = None
         self._outcome: tc.RunSample | BaselineFailed | None = None
         try:
-            # Prepared straight into the variant's src/, which the build
-            # then compiles in place instead of copying.
-            base_dir = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/base")
-            self.src_dir = manifest.prepare_sources(spec, base_dir / "src")
+            prepared = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/prepared")
+            if prepared.exists():
+                shutil.rmtree(prepared)
+            self.src_dir = manifest.prepare_sources(spec, prepared)
             self._build = self.build(f"{ex_tag}/base")
         except (tc.ToolchainError, manifest.ManifestError) as exc:
             raise BaselineFailed(str(exc)) from exc
@@ -200,15 +203,15 @@ class _Baseline:
     def build(
         self, tag: str, code: tuple[str, str] | None = None, overlay: Path | None = None
     ) -> tc.PendingBuild:
-        """Start building the variant ``tag``, whose src/ is a copy of the
-        prepared tree with ``code``, a (relative path, text) pair, written
-        over one file, and every file under the ``overlay`` directory laid
-        over it.
+        """Start building the variant ``tag`` from the prepared tree with
+        ``code``, a (relative path, text) pair, written over one file and
+        the ``overlay`` directory laid over it, as ``tc.start_compile``
+        lays them out.
 
         ``code`` alone that the row has built already, or that leaves the
-        prepared file byte-identical, copies and compiles nothing: it gets
-        that earlier build, or the original's, whose directory and build
-        log then stand for ``tag``, which gets no variant directory. An
+        prepared file byte-identical, compiles nothing: it gets that
+        earlier build, or the original's, whose directory and build log
+        then stand for ``tag``, which gets no variant directory. An
         ``overlay`` build is never shared."""
         shareable = code is not None and overlay is None
         if shareable:
@@ -216,21 +219,9 @@ class _Baseline:
                 self._by_code[code] = self._build
             if code in self._by_code:
                 return self._by_code[code]
-        vsrc = tc.variant_dir(self._work_dir, self._spec.id, tag) / "src"
-        if vsrc != self.src_dir:  # the original builds its tree in place
-            if vsrc.exists():
-                shutil.rmtree(vsrc)
-            shutil.copytree(self.src_dir, vsrc)
-        if code is not None:
-            rel, text = code
-            (vsrc / rel).write_text(text, encoding="utf-8")
-        if overlay is not None:
-            for path in sorted(overlay.rglob("*")):
-                if path.is_file():
-                    target = vsrc / path.relative_to(overlay)
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    shutil.copy2(path, target)
-        build = tc.start_compile(self._spec, vsrc, self._toolchain, tag, self._work_dir)
+        build = tc.start_compile(
+            self._spec, self.src_dir, self._toolchain, tag, self._work_dir, code, overlay
+        )
         self._builds.append(build)
         if shareable:
             self._by_code[code] = build

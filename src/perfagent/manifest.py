@@ -227,15 +227,19 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
     if language is None:
         raise fail(f"unknown language {lang_name!r}")
 
+    def under_root(name: str, rel: str) -> str:
+        """``rel``, the key ``name``'s path, if it names a file under the root."""
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise fail(f"key {name!r}: path escapes root: {rel}")
+        if not (root / rel).is_file():
+            raise MissingSource(root / rel)
+        return rel
+
     sources = want(doc, "sources", list[str], fail)
     if not sources:
         raise fail("sources must be non-empty")
     for rel in sources:
-        p = Path(rel)
-        if p.is_absolute() or ".." in p.parts:
-            raise fail(f"source path escapes root: {rel}")
-        if not (root / rel).is_file():
-            raise MissingSource(root / rel)
+        under_root("sources", rel)
 
     entry_hotspot = want(doc, "entry_hotspot", str, fail, None)
     if entry_hotspot:
@@ -257,10 +261,11 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
     build_timeout = want(bdoc, "build.timeout_s", float, fail, 120.0)
     if build_timeout <= 0:
         raise fail("build.timeout_s must be > 0")
+    objects = want(bdoc, "build.extra_objects", list[str], fail, [])
     build = BuildRecipe(
         compiler_id=compiler_id,
         flags=tuple(want(bdoc, "build.flags", list[str], fail, [])),
-        extra_objects=tuple(want(bdoc, "build.extra_objects", list[str], fail, [])),
+        extra_objects=tuple(under_root("build.extra_objects", rel) for rel in objects),
         timeout_s=build_timeout,
     )
 
@@ -272,8 +277,8 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
     if run_timeout <= 0:
         raise fail("run.timeout_s must be > 0")
     stdin_file = want(rdoc, "run.stdin_file", str, fail, None)
-    if stdin_file is not None and not (root / stdin_file).is_file():
-        raise MissingSource(root / stdin_file)
+    if stdin_file is not None:
+        under_root("run.stdin_file", stdin_file)
     run = RunRecipe(
         args=tuple(want(rdoc, "run.args", list[str], fail, [])),
         stdin_file=stdin_file,

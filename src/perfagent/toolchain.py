@@ -413,28 +413,36 @@ def start_compile(
     toolchain: ToolchainConfig,
     variant_tag: str,
     work_dir: Path | str,
+    code: tuple[str, str] | None = None,
+    overlay: Path | str | None = None,
 ) -> PendingBuild:
     """Start building one variant into ``<work>/<bench_id>/<variant_tag>/``.
 
-    The variant directory gets src/ (a copy of ``src_dir``), bin/, and
-    logs/. The compiler leads a new session with stdout discarded and
-    stderr in an anonymous file, and the watchdog kills its process group
-    at ``build.timeout_s`` from now. The caller may do other work, such
-    as waiting on the model, before it joins the build with
-    ``PendingBuild.wait``; the full compiler command line is then the
-    first line of the outcome's stderr and of logs/build.log.
+    The variant directory gets bin/, logs/ and src/: a fresh copy of
+    ``src_dir``, replacing any earlier one, with ``code``, a (relative
+    path, text) pair, written over one file and the ``overlay`` directory
+    laid over it. ``src_dir`` itself is never written. The compiler leads
+    a new session with stdout discarded and stderr in an anonymous file,
+    and the watchdog kills its process group at ``build.timeout_s`` from
+    now. The caller may do other work, such as waiting on the model,
+    before it joins the build with ``PendingBuild.wait``; the full
+    compiler command line is then the first line of the outcome's stderr
+    and of logs/build.log.
     """
-    src_dir = Path(src_dir)
     vdir = variant_dir(work_dir, spec.id, variant_tag)
     vsrc = vdir / "src"
     vbin = vdir / "bin"
     vlogs = vdir / "logs"
     for d in (vbin, vlogs):
         d.mkdir(parents=True, exist_ok=True)
-    if vsrc.resolve() != src_dir.resolve():
-        if vsrc.exists():
-            shutil.rmtree(vsrc)
-        shutil.copytree(src_dir, vsrc)
+    if vsrc.exists():
+        shutil.rmtree(vsrc)
+    shutil.copytree(src_dir, vsrc)
+    if code is not None:
+        rel, text = code
+        (vsrc / rel).write_text(text, encoding="utf-8")
+    if overlay is not None:
+        shutil.copytree(overlay, vsrc, dirs_exist_ok=True)
 
     compiler = toolchain.resolve(spec.build.compiler_id, spec.language)
     binary = vbin / spec.id
@@ -471,18 +479,6 @@ def compile(
 ) -> BuildOutcome:
     """Build one variant and wait for it: ``start_compile(...).wait()``."""
     return start_compile(spec, src_dir, toolchain, variant_tag, work_dir).wait()
-
-
-def _resolve_stdin(binary: Path, run: RunRecipe) -> Path | None:
-    if run.stdin_file is None:
-        return None
-    candidate = Path(run.stdin_file)
-    if candidate.is_absolute():
-        return candidate
-    src_dir = binary.parent.parent / "src"
-    if (src_dir / candidate).exists():
-        return src_dir / candidate
-    return candidate
 
 
 def _kill_group(pid: int) -> None:
@@ -597,7 +593,8 @@ def _read_tail(fd: int) -> bytes:
 
 
 class _Arm:
-    """One binary's files and results across the rounds of ``run_rounds``."""
+    """One binary's files and results across the rounds of ``run_rounds``;
+    it runs in its variant's src/, where a relative ``run.stdin_file`` opens."""
 
     def __init__(
         self,
@@ -616,8 +613,10 @@ class _Arm:
         cwd = binary.parent.parent / "src"
         self.cwd = cwd if cwd.is_dir() else binary.parent
         self.argv = [str(binary), *run.args]
-        stdin_path = _resolve_stdin(binary, run)
-        self.stdin = files.enter_context(stdin_path.open("rb")) if stdin_path else None
+        self.stdin = (
+            None if run.stdin_file is None
+            else files.enter_context((self.cwd / run.stdin_file).open("rb"))
+        )
         self.kept, self.err = (_temp_fd(files) for _ in range(2))
         self.thread_count = thread_count
         self.wall_times: list[float] = []

@@ -237,6 +237,15 @@ def _escaping_manifest_id(tmp_path):
     return ["bench", "list", "--root", str(tmp_path / "suite")], "bench.json"
 
 
+def _escaping_stdin_file(tmp_path):
+    write_bench(tmp_path / "suite", "alpha", {"main.c": sleeper(10)},
+                run={"stdin_file": "../outside.txt"})
+    (tmp_path / "suite" / "outside.txt").write_text("1 2\n")
+    return [
+        "bench", "prepare", "--root", str(tmp_path / "suite"), "--out", str(tmp_path / "out"),
+    ], "'run.stdin_file'"
+
+
 def _escaping_tool_id(tmp_path):
     suite(tmp_path / "suite")
     tree = tmp_path / "ext" / "alpha"
@@ -318,11 +327,12 @@ def _report_row(**changes):
     _ex1_with("env.json", '{"os": ', "env.json: not valid JSON"),
     _ex1_with("env.json", "[1, 2]", "env.json: key '--prompt-env'"),
     _ex1_with("env.json", '{"os": 5}', "env.json: key '--prompt-env'"),
+    _escaping_stdin_file,
 ], ids=["unbalanced_hotspot_source", "manifest_id", "manifest_truncated", "manifest_not_utf8", "tool_id",
         "report_without_rows", "report_row_missing_key", "report_row_speedup_string",
         "report_row_unknown_motif", "report_truncated", "provider_config_truncated",
         "transcript_truncated", "transcript_latency_string", "prompt_env_truncated",
-        "prompt_env_list", "prompt_env_value_number"])
+        "prompt_env_list", "prompt_env_value_number", "manifest_stdin_file"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, bad_input):
     """Each bad input is refused with one line naming it, before anything
     is built or written."""

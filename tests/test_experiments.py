@@ -1110,9 +1110,9 @@ class TestSharedBuilds:
         compiles, evaluations = [], []
         start_compile, score = tc.start_compile, ex._score
 
-        def recording_compile(spec, src_dir, toolchain, variant_tag, work_dir):
+        def recording_compile(spec, src_dir, toolchain, variant_tag, work_dir, *layout):
             compiles.append(variant_tag)
-            return start_compile(spec, src_dir, toolchain, variant_tag, work_dir)
+            return start_compile(spec, src_dir, toolchain, variant_tag, work_dir, *layout)
 
         def recording_score(*args):
             evaluations.append(score(*args))
@@ -1278,8 +1278,8 @@ class TestOnlyMatchingArmsRunOn:
         self, tmp_path, toolchain_config
     ):
         spec = self.bench(tmp_path)
-        # Each turn's src/ is copied after the check ran the original in
-        # the prepared tree, so the turns count in a file of their own.
+        # Each turn's src/ is a fresh copy of the prepared tree, in which
+        # nothing runs, so a turn's count holds only its own runs.
         correct = _counting_original(0, runs="turn_runs")
         wrong = _counting_original(0, message="result 99", runs="turn_runs")
         provider = replay([fenced(correct), fenced(wrong)] + ["no code"] * 3)
@@ -1337,6 +1337,160 @@ class TestOnlyMatchingArmsRunOn:
         table = ex.run_ex2([spec], provider, toolchain_config, tmp_path / "w")
         assert table.rows[0].category is Cat.OUTPUT_MISMATCH
         assert len(compared) == 1
+
+
+# Counts its runs in ./runs like _counting_original, around a ``kernel``
+# hotspot the agent can rewrite.
+_COUNTED_HOTSPOT = """\
+#include <stdio.h>
+#include <time.h>
+
+void kernel(void) {
+    struct timespec ts;
+    ts.tv_sec = 0;
+    ts.tv_nsec = 5L * 1000000L;
+    nanosleep(&ts, 0);
+}
+
+int main(void) {
+    int n = 0;
+    FILE *f = fopen("runs", "r");
+    if (f) { if (fscanf(f, "%d", &n) != 1) n = 0; fclose(f); }
+    f = fopen("runs", "w");
+    fprintf(f, "%d\\n", ++n);
+    fclose(f);
+    kernel();
+    printf("energy 7.5000e+00\\n");
+    return 0;
+}
+"""
+
+
+class TestFreshTrees:
+    """Every variant of a row, the original included, builds and runs in a
+    fresh copy of the row's prepared tree, in which nothing runs: no
+    variant starts from files another one wrote, in this run or an
+    earlier one into the same work dir."""
+
+    REPS = 3
+    runs = staticmethod(TestOnlyMatchingArmsRunOn.runs)
+
+    def bench(self, tmp_path, files=None, run=None, **overrides):
+        write_bench(tmp_path / "b", "counted", files or {"main.c": _counting_original(0)},
+                    run={"repetitions": self.REPS, **(run or {})}, **overrides)
+        return load_single(tmp_path / "b", "counted")
+
+    def test_ex2_turn_counts_only_its_own_runs(self, tmp_path, toolchain_config):
+        """The check runs the original right after the first reply, before
+        the turn's tree is laid out."""
+        spec = self.bench(tmp_path)
+        turn = "/* turn */\n" + _counting_original(0)
+        provider = replay([fenced(turn)] + ["no code"] * 4)
+        table = ex.run_ex2([spec], provider, toolchain_config, tmp_path / "w")
+        assert (table.rows[0].variant_tag, table.rows[0].category) == ("ex2/turn1", Cat.CORRECT)
+        assert self.runs(tmp_path, "ex2/turn1") == self.REPS
+        assert self.runs(tmp_path, "ex2/base") == 1 + self.REPS
+        assert not (tmp_path / "w" / "counted" / "ex2" / "prepared" / "runs").exists()
+
+    def test_rerun_into_the_same_work_dir_replaces_the_trees(self, tmp_path, toolchain_config):
+        """Between the runs the benchmark drops a file, which no tree of
+        the second run holds."""
+        spec = self.bench(tmp_path, {"main.c": _counting_original(0), "dropped.txt": "x\n"})
+        cand = "/* cand */\n" + _counting_original(0)
+        for _ in range(2):
+            table = ex.run_ex1([spec], replay([fenced(cand)]), toolchain_config, tmp_path / "w")
+            assert table.rows[0].category is Cat.CORRECT
+            assert self.runs(tmp_path, "ex1/base") == self.REPS
+            assert self.runs(tmp_path, "ex1/cand") == self.REPS
+            (spec.root / "dropped.txt").unlink(missing_ok=True)
+        ex_dir = tmp_path / "w" / "counted" / "ex1"
+        assert not any(ex_dir.glob("*/dropped.txt")) and not any(ex_dir.glob("*/src/dropped.txt"))
+
+    def test_agent_iteration_built_after_the_original_ran(self, tmp_path, toolchain_config):
+        """A profile source that opens the original's binary runs it before
+        the first iteration is built."""
+        write_bench(tmp_path / "b", "counted", {"main.c": _COUNTED_HOTSPOT},
+                    entry_hotspot="kernel", build={"flags": ["-O0"]},
+                    run={"repetitions": self.REPS})
+        spec = load_single(tmp_path / "b", "counted")
+        ran_before_build = []
+
+        def source(request):
+            with open(request.binary_path, "rb"):
+                if request.variant_tag == "agent/base":
+                    ran_before_build.append(self.runs(tmp_path, "agent/base"))
+                return ag._fallback_tree(spec, "kernel", 0.1)
+
+        trace = ag.run_agent(
+            spec, source, replay([fenced(kernel_replacement(1))]),
+            ag.AgentConfig(max_iterations=1), toolchain_config, tmp_path / "w",
+        )
+        assert trace.iterations[0].category is Cat.CORRECT
+        assert ran_before_build == [self.REPS]
+        assert self.runs(tmp_path, "agent/iter1") == self.REPS
+
+    def test_import_tree_lays_its_files_over_the_prepared_tree(
+        self, tmp_path, toolchain_config
+    ):
+        """The tree ships a header that reads the result from a data file of
+        its own, and no main.c: the build takes the prepared main.c, whose
+        pragma line prep stripped, and prints the original's result only
+        with both of the tree's files in place."""
+        main = (
+            "#include <stdio.h>\n"
+            '#include "include/helper.h"\n'
+            "#pragma omp parallel\n"
+            "int main(void) {\n"
+            '    printf("result %d\\n", value());\n'
+            "    return 0;\n"
+            "}\n"
+        )
+        spec = self.bench(
+            tmp_path, {"main.c": main, "include/helper.h": "static int value(void) { return 42; }\n"},
+            prep={"strip_omp_pragmas": True},
+        )
+        tree = tmp_path / "ext" / "counted"
+        (tree / "include").mkdir(parents=True)
+        (tree / "include" / "helper.h").write_text(
+            "static int value(void) {\n"
+            "    int v = 0;\n"
+            '    FILE *f = fopen("data/value.txt", "r");\n'
+            '    if (f) { if (fscanf(f, "%d", &v) != 1) v = 0; fclose(f); }\n'
+            "    return v;\n"
+            "}\n"
+        )
+        (tree / "data").mkdir()
+        (tree / "data" / "value.txt").write_text("42\n")
+        table = ex.import_external_tool_results(
+            tmp_path / "ext", "hdr", [spec], toolchain_config, tmp_path / "w"
+        )
+        assert table.rows[0].category is Cat.CORRECT
+        ex_dir = tmp_path / "w" / "counted" / "import"
+        built = (ex_dir / "hdr" / "src" / "main.c").read_bytes()
+        assert built == (ex_dir / "prepared" / "main.c").read_bytes()
+        assert b"#pragma omp" not in built
+
+    def test_ex1_feeds_the_manifest_stdin_file_to_every_repetition(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        """A program that finds stdin empty exits 5, so a repetition that
+        did not read the file fails the original or the candidate."""
+        reader = (
+            "#include <stdio.h>\n"
+            "int main(void) {\n"
+            "    int a, b;\n"
+            '    if (scanf("%d %d", &a, &b) != 2) return 5;\n'
+            '    printf("sum %d\\n", a + b);\n'
+            "    return 0;\n"
+            "}\n"
+        )
+        spec = self.bench(tmp_path, {"main.c": reader, "data/in.txt": "40 2\n"},
+                          run={"stdin_file": "data/in.txt"})
+        cand = "/* cand */\n" + reader
+        calls = TestRoundsPerRow.record_rounds(monkeypatch)
+        table = ex.run_ex1([spec], replay([fenced(cand)]), toolchain_config, tmp_path / "w")
+        assert table.rows[0].category is Cat.CORRECT
+        assert calls == [([("base", None), ("cand", None)], self.REPS)]
 
 
 class TestAggregate:

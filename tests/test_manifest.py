@@ -268,12 +268,41 @@ def test_null_optional_fields_are_absent(tmp_path):
     ("run", {"repetitions": "3"}),
     ("run", {"env": {"A": 1}}),
     ("validation", {"ignore_patterns": "x"}),
+    ("run", {"stdin_file": "/etc/hostname"}),
+    ("run", {"stdin_file": "../../outside.txt"}),
+    ("build", {"extra_objects": ["../../outside.txt"]}),
+    ("build", {"extra_objects": ["/etc/hostname"]}),
 ])
 def test_numbers_must_be_finite_and_flags_boolean(tmp_path, section, values):
     write_bench(tmp_path, "odd", {"main.c": TRIVIAL_MAIN}, **{section: values})
     key = f"'{section}.{next(iter(values))}'"
     with pytest.raises(MalformedManifest, match=key):
         load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "stdin_file", lambda rel: rel),
+    ("build", "extra_objects", lambda rel: [rel]),
+])
+def test_paths_follow_the_sources_rule(tmp_path, section, key, value):
+    """Like a source, the path must name a file under the root: one outside
+    it is refused even when it exists, and a missing one is a
+    MissingSource."""
+    root = tmp_path / "suite"
+    outside = tmp_path / "outside.txt"
+    outside.write_text("x\n")
+    for rel in ("../../outside.txt", str(outside)):
+        write_bench(root, "odd", {"main.c": TRIVIAL_MAIN}, **{section: {key: value(rel)}})
+        with pytest.raises(MalformedManifest, match=f"'{section}.{key}'"):
+            load_manifest(root)
+    write_bench(root, "odd", {"main.c": TRIVIAL_MAIN}, **{section: {key: value("missing.o")}})
+    with pytest.raises(MissingSource):
+        load_manifest(root)
+    (root / "odd" / "missing.o").write_text("")
+    spec = load_manifest(root)[0]
+    assert getattr(getattr(spec, section), key) == (
+        "missing.o" if key == "stdin_file" else ("missing.o",)
+    )
 
 
 @pytest.fixture(scope="module")

@@ -41,6 +41,40 @@ def test_compile_ok_and_layout(tmp_path, toolchain_config):
     assert (vdir / "logs" / "build.log").read_text().startswith("$ ")
 
 
+def test_start_compile_lays_code_and_overlay_over_a_fresh_copy(tmp_path, toolchain_config):
+    """src/ is the given tree with ``code`` written over one file and the
+    overlay laid over that; a file an earlier build left there is gone,
+    and the given tree is not touched."""
+    main = (
+        '#include "lib/value.h"\n#include <stdio.h>\n'
+        'int main(void) { printf("%d\\n", VALUE); return 0; }\n'
+    )
+    spec = _spec(tmp_path, "lay", {
+        "main.c": "#error not this one\n", "lib/value.h": "#define VALUE 1\n",
+        "data/keep.txt": "keep\n",
+    })
+    overlay = tmp_path / "overlay"
+    (overlay / "lib").mkdir(parents=True)
+    (overlay / "lib" / "value.h").write_text("#define VALUE 7\n")
+    (overlay / "data" / "new").mkdir(parents=True)
+    (overlay / "data" / "new" / "added.txt").write_text("added\n")
+    vsrc = tmp_path / "work" / "lay" / "cand" / "src"
+    vsrc.mkdir(parents=True)
+    (vsrc / "stale.txt").write_text("from an earlier build\n")
+    before = {p: p.read_bytes() for p in spec.root.rglob("*") if p.is_file()}
+
+    out = tc.start_compile(spec, spec.root, toolchain_config, "cand", tmp_path / "work",
+                           code=("main.c", main), overlay=overlay).wait()
+    assert out.status is tc.BuildStatus.OK, out.stderr
+    assert sorted(str(p.relative_to(vsrc)) for p in vsrc.rglob("*") if p.is_file()) == [
+        "bench.json", "data/keep.txt", "data/new/added.txt", "lib/value.h", "main.c",
+    ]
+    assert (vsrc / "main.c").read_text() == main
+    assert (vsrc / "lib" / "value.h").read_text() == "#define VALUE 7\n"
+    assert tc.run_timed(out.binary_path, RunRecipe(repetitions=1)).stdout == b"7\n"
+    assert {p: p.read_bytes() for p in spec.root.rglob("*") if p.is_file()} == before
+
+
 def test_compile_error_captures_diagnostics(tmp_path, toolchain_config):
     spec = _spec(tmp_path, "bad", {"main.c": kernels.SYNTAX_ERROR})
     out = tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "work")
