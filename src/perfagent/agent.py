@@ -34,7 +34,7 @@ from . import llm_gateway as gw
 from . import patch, profile
 from . import toolchain as tc
 from .manifest import BenchmarkSpec
-from .verify import CorrectnessCategory, classify_attempt
+from .verify import CorrectnessCategory
 
 log = logging.getLogger(__name__)
 
@@ -248,30 +248,31 @@ def _resolve_hotspot(
     return tree, note, name, metric_id
 
 
+# The flag of a reply whose code cannot be patched in, which is not built.
+_UNPATCHABLE = "Unpatchable"
+
+
 def _patch_hotspot(
     base_source: str, hotspot: str, extraction: gw.ExtractionResult,
-) -> tuple[str | None, CorrectnessCategory | None, str]:
-    """``base_source`` with the reply's one definition of ``hotspot``
-    patched in, or None, the reply's category and why it does not follow
-    the instructions (a single differently-named definition is a rename).
-    """
-    unfollowed = CorrectnessCategory.FAILED_TO_FOLLOW_INSTRUCTIONS
+) -> tuple[str | None, set, str]:
+    """``base_source`` with the reply's one definition of ``hotspot`` patched
+    in, else None; the reply's flags, ``_UNPATCHABLE`` when it does not
+    patch in (one other name is a rename); and why it breaks the rules."""
     try:
         new_function = patch.extract_function(extraction.code, hotspot)
     except patch.PatchError:
-        return None, unfollowed, f"no definition of {hotspot!r} in reply"
+        return None, {_UNPATCHABLE}, f"no definition of {hotspot!r} in reply"
     try:
         new_source = patch.replace_function(base_source, hotspot, new_function)
     except patch.PatchError as exc:
-        return None, unfollowed, f"patch failed: {exc}"
+        return None, {_UNPATCHABLE}, f"patch failed: {exc}"
     try:
         flags = gw.check_constraints(base_source, new_source, gw.Experiment.AGENT)
     except gw.UnparseableCandidate:
         flags = {gw.ConstraintFlag.ADDED_FUNCTION}
     if flags:
-        category = classify_attempt(None, extraction, None, None, flags)
-        return None, category, "violated: " + ", ".join(sorted(f.value for f in flags))
-    return new_source, None, ""
+        return None, flags, "violated: " + ", ".join(sorted(f.value for f in flags))
+    return new_source, flags, ""
 
 
 def run_agent(
@@ -288,10 +289,11 @@ def run_agent(
     started first. It is joined and timed when first needed: by the
     fallback tree, by a profile source reading its ``binary_path``, by
     the first candidate that builds, or at the end of the loop for the
-    trace's baseline. Each candidate is built by ``_Baseline.build`` and
-    scored by ``_Baseline.score``: one that builds is timed in rounds
-    with the original, and its speedup is the ratio of the two samples
-    from those rounds; one that does not build runs nothing. A candidate
+    trace's baseline. Each reply with code is one ``_Baseline.score``
+    attempt, as an ex2 turn is: one ``_patch_hotspot`` flags is not built;
+    one that builds is timed in rounds with the original, its speedup the
+    ratio of the two samples from those rounds, and the best iteration is
+    the first fastest correct one by it (``ex._fastest``). A candidate
     whose first output does not match the original's runs once, and so
     does the original in those rounds: the iteration's ``run`` then holds
     one wall time, and so does the trace's ``baseline`` when it comes
@@ -338,8 +340,6 @@ def _iterate(
     hotspot_rel, base_source = found
 
     iterations: list[IterationRecord] = []
-    # (mean_s, index) of correct versions, in iteration order
-    correct_versions: list[tuple[float, int]] = []
     stop_reason = StopReason.THRESHOLD_REACHED
 
     for index in range(1, cfg.max_iterations + 1):
@@ -363,7 +363,7 @@ def _iterate(
 
         note, profile_note = profile_note, ""
         requested: tuple[str, ...] = ()
-        new_source = run = speedup = delta = None
+        run = speedup = delta = None
         category = CorrectnessCategory.NO_GENERATED_CODE
         try:
             response = gw.request(provider, bundle)
@@ -378,16 +378,13 @@ def _iterate(
             note = _join_notes(note, "model declined further optimization")
             stop_reason = StopReason.MODEL_DECLINED
         elif extraction.code is not None:
-            requested = tuple(
-                parse_metric_requests(response.raw_text, current_tree.metric_catalog)
-            )
-            new_source, category, why = _patch_hotspot(base_source, hotspot_name, extraction)
+            catalog = current_tree.metric_catalog
+            requested = tuple(parse_metric_requests(response.raw_text, catalog))
+            new_source, flags, why = _patch_hotspot(base_source, hotspot_name, extraction)
             note = _join_notes(note, why)
-
-        if new_source is not None:
             tag = f"agent/iter{index}"
-            build = original.build(tag, code=(hotspot_rel, new_source))
-            (evaluation,) = original.score([(build, extraction, set())])
+            build = None if flags else original.build(tag, code=(hotspot_rel, new_source))
+            (evaluation,) = original.score([(build, extraction, flags)])
             category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
             if run is not None and run.stdout is not original.sample().stdout:
                 # The trace keeps the output's size and digest, not its file.
@@ -407,7 +404,6 @@ def _iterate(
                     delta = profile.diff_metrics(current_tree, next_tree, hotspot_fn_path)
             except profile.NodeNotFound as exc:
                 note = _join_notes(note, f"profile diff unavailable: {exc}")
-            correct_versions.append((run.mean_s, index))
             base_source = new_source
             current_tree = next_tree
 
@@ -420,8 +416,8 @@ def _iterate(
         if declined:
             break
 
-    best_iteration = min(correct_versions)[1] if correct_versions else None
-    return tuple(iterations), stop_reason, best_iteration
+    best = ex._fastest([record.speedup_vs_original for record in iterations])
+    return tuple(iterations), stop_reason, None if best is None else iterations[best].index
 
 
 def _join_notes(*notes: str) -> str:

@@ -487,6 +487,13 @@ def _score(
     return _Evaluation(category, stat, thread_results, labels, run)
 
 
+def _fastest(stats: Sequence[tc.SpeedupStat | None]) -> int | None:
+    """The position of the first of the fastest correct attempts by paired
+    speedup, ``stats`` being None for each other attempt; else None."""
+    correct = [i for i, stat in enumerate(stats) if stat is not None]
+    return max(correct, key=lambda i: stats[i].speedup, default=None)
+
+
 def _share_stdout(sample: tc.RunSample, reference: tc.Output) -> tc.RunSample:
     """``sample``, whose output equals ``reference``, holding ``reference``
     itself, its own output closed."""
@@ -543,8 +550,8 @@ def _converse(
     counts: tuple[int, ...] | None = None,
 ) -> ResultsTable:
     """One conversation of ``turns``, (prompt template, variant tag)
-    pairs, per benchmark; the row is its fastest correct turn, else its
-    last turn with the speedup reverted to exactly 1.0.
+    pairs, per benchmark; the row is its ``_fastest`` correct turn, else
+    its last turn with the speedup reverted to exactly 1.0.
 
     Each request carries the earlier answered exchanges. The original's
     build (``_Baseline``) starts before the first request, and each
@@ -605,13 +612,11 @@ def _converse(
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-        evaluated = [(tag, e) for (_, tag), e in zip(turns, evaluations)]
-        correct = [(tag, e) for tag, e in evaluated if e.category is CorrectnessCategory.CORRECT]
-        # The first of equally fast correct turns wins.
-        best_tag, best = (
-            max(correct, key=lambda pair: pair[1].stat.speedup) if correct else evaluated[-1]
-        )
-        rows.append(_row_from_evaluation(spec, experiment, provider.provider_id, best_tag, best))
+        best = _fastest([e.stat for e in evaluations])
+        best = -1 if best is None else best
+        rows.append(_row_from_evaluation(
+            spec, experiment, provider.provider_id, turns[best][1], evaluations[best]
+        ))
     return ResultsTable(tuple(rows), _provenance(toolchain, provider.provider_id))
 
 
@@ -685,8 +690,9 @@ def import_external_tool_results(
     whose original fails to prepare, build or run is skipped with an
     error logged.
     """
-    if not manifest.is_plain_name(tool_id):
-        raise ValueError(f"tool id {tool_id!r} must be one plain path component")
+    if not manifest.is_plain_name(tool_id) or tool_id in ("base", "prepared"):
+        raise ValueError(f"tool id {tool_id!r} must be one plain path component, "
+                         "not base or prepared, the names of a row's own trees")
     dir = Path(dir)
     work_dir = Path(work_dir)
     by_id = {spec.id: spec for spec in selection}
@@ -904,14 +910,12 @@ def _markdown_text(table: ResultsTable, summaries: list[dict]) -> str:
     body.append(total)
     lines += _md_table(headers, body) + [""]
 
+    kinds = sorted({s.get("mean_kind", "arithmetic") for s in summaries}) or ["arithmetic"]
     lines += ["## Mean speedup by motif", ""]
-    by_motif: dict[tuple[str, str, str], list[float]] = {}
-    for r in table.rows:
-        key = (r.motif.value, r.tool_id, r.experiment.value)
-        by_motif.setdefault(key, []).append(r.speedup)
+    by_motif = aggregate(table, ("motif", "tool", "experiment"), kinds[0]) if table.rows else []
     body = [
-        [m, t, e, f"{sum(vals) / len(vals):.2f}", str(len(vals))]
-        for (m, t, e), vals in sorted(by_motif.items())
+        [s["motif"], s["tool_id"], s["experiment"], f"{s['mean_speedup']:.2f}", str(s["n"])]
+        for s in by_motif
     ]
     lines += _md_table(["Motif", "Tool", "Experiment", "Mean speedup", "n"], body)
     lines.append("")
@@ -933,7 +937,6 @@ def _markdown_text(table: ResultsTable, summaries: list[dict]) -> str:
         body = []
     lines += _md_table(headers, body) + [""]
 
-    kinds = sorted({s.get("mean_kind", "arithmetic") for s in summaries}) or ["arithmetic"]
     lines.append(
         f"Speedup means are {' and '.join(kinds)}; "
         "failed attempts enter as 1.00 (reverted to the original code)."

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import resource
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -78,6 +79,36 @@ class TestHappyPath:
             assert record.speedup_vs_original is not None
             assert record.run is not None
         assert trace.iterations[0].speedup_vs_original.speedup > 1.5
+
+    def test_best_iteration_follows_the_paired_speedup(self, tmp_path, toolchain_config,
+                                                       monkeypatch):
+        """A slow host phase during iteration 1's rounds slows both of its
+        arms alike: its mean wall time is then the slowest of the three, but
+        its speedup, from samples of the same rounds, is still the highest,
+        and the best iteration follows the speedup."""
+        real_run_rounds = tc.run_rounds
+
+        def slow_phase_in_iter1(arms, run, keep=None):
+            samples = real_run_rounds(arms, run, keep)
+            if any("iter1" in Path(binary).parts for binary, _ in arms):
+                samples = [
+                    replace(s, wall_times_s=tuple(4 * t for t in s.wall_times_s))
+                    for s in samples
+                ]
+            return samples
+
+        monkeypatch.setattr(tc, "run_rounds", slow_phase_in_iter1)
+        spec = hotspot_bench(tmp_path / "b")
+        provider = replay([fenced(kernel_replacement(ms)) for ms in (30, 60, 45)])
+        trace = run(spec, provider, toolchain_config, tmp_path / "w", max_iterations=3)
+
+        assert [r.category for r in trace.iterations] == [Cat.CORRECT] * 3
+        means = [r.run.mean_s for r in trace.iterations]
+        speedups = [r.speedup_vs_original.speedup for r in trace.iterations]
+        # The unpaired means and the paired speedups rank differently.
+        assert min(means) < means[0]
+        assert speedups[0] == max(speedups)
+        assert trace.best_iteration == 1
 
     def test_last_correct_base_chain(self, tmp_path, toolchain_config):
         spec = hotspot_bench(tmp_path / "b")

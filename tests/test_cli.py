@@ -257,6 +257,15 @@ def _escaping_tool_id(tmp_path):
     ], "escape"
 
 
+def _own_tree_tool_id(tool_id):
+    """An import whose tool id names the row's own original or prepared tree."""
+    def write(tmp_path):
+        argv, _ = _escaping_tool_id(tmp_path)
+        argv[argv.index("--tool-id") + 1] = tool_id
+        return argv, f"'{tool_id}'"
+    return write
+
+
 def _truncated_manifest(tmp_path):
     bench = write_bench(tmp_path / "suite", "alpha", {"main.c": sleeper(10)})
     (bench / "bench.json").write_text('{"id": ')
@@ -315,6 +324,8 @@ def _report_row(**changes):
     _truncated_manifest,
     _manifest_not_utf8,
     _escaping_tool_id,
+    _own_tree_tool_id("base"),
+    _own_tree_tool_id("prepared"),
     _report({"provenance": {}}),
     _report({"rows": [{"benchmark_id": "alpha"}], "provenance": {}}),
     _report_row(speedup="2.0"),
@@ -329,6 +340,7 @@ def _report_row(**changes):
     _ex1_with("env.json", '{"os": 5}', "env.json: key '--prompt-env'"),
     _escaping_stdin_file,
 ], ids=["unbalanced_hotspot_source", "manifest_id", "manifest_truncated", "manifest_not_utf8", "tool_id",
+        "tool_id_base", "tool_id_prepared",
         "report_without_rows", "report_row_missing_key", "report_row_speedup_string",
         "report_row_unknown_motif", "report_truncated", "provider_config_truncated",
         "transcript_truncated", "transcript_latency_string", "prompt_env_truncated",

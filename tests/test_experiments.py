@@ -719,6 +719,22 @@ class TestImport:
         )
         assert table.rows[0].category is Cat.COMPILATION_ERROR
 
+    @pytest.mark.parametrize("tool_id", ["base", "prepared"])
+    def test_a_row_s_own_tree_name_is_refused_before_anything_is_built(
+            self, tmp_path, toolchain_config, tool_id):
+        """``import/base`` and ``import/prepared`` would be the row's own
+        original and prepared tree."""
+        spec = sleep_bench(tmp_path / "b")
+        tree = tmp_path / "ext" / "sleepy"
+        tree.mkdir(parents=True)
+        (tree / "main.c").write_text(sleeper(10))
+        with pytest.raises(ValueError, match=f"'{tool_id}'"):
+            ex.import_external_tool_results(
+                tmp_path / "ext", tool_id, [spec], toolchain_config, tmp_path / "w"
+            )
+        assert not tc._unjoined
+        assert not (tmp_path / "w" / "sleepy" / "import").exists()
+
     def test_unknown_tree_skipped_with_warning(self, tmp_path, toolchain_config, caplog):
         spec = sleep_bench(tmp_path / "b")
         tree = tmp_path / "ext" / "stranger"
@@ -1636,6 +1652,14 @@ class TestReports:
         assert "## Mean speedup by motif" in text
         assert "Stencils" in text
         assert "arithmetic" in text
+
+    def test_markdown_motif_means_follow_the_mean_kind(self, tmp_path):
+        table = ex.ResultsTable((make_record("b1", speedup=1.0), make_record("b2", speedup=4.0)))
+        summaries = ex.aggregate(table, mean="geometric")
+        written = ex.emit_report(table, summaries, tmp_path, formats=("markdown",))
+        lines = written["markdown"].read_text().splitlines()
+        assert "| Stencils | t | EX1 | 2.00 | 2 |" in lines
+        assert "| t | 2.00 | 1.00 | 2 |" in lines
 
     def test_markdown_counts_sum_to_total(self, tmp_path):
         table = small_table()
