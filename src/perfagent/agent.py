@@ -254,25 +254,18 @@ _UNPATCHABLE = "Unpatchable"
 
 def _patch_hotspot(
     base_source: str, hotspot: str, extraction: gw.ExtractionResult,
-) -> tuple[str | None, set, str]:
-    """``base_source`` with the reply's one definition of ``hotspot`` patched
-    in, else None; the reply's flags, ``_UNPATCHABLE`` when it does not
-    patch in (one other name is a rename); and why it breaks the rules."""
+) -> tuple[str | None, str]:
+    """``base_source`` with the reply's one definition of ``hotspot``
+    patched in, else None and why (one other name is a rename). It only
+    patches: ``_Baseline.attempt`` checks the result against the rules."""
     try:
         new_function = patch.extract_function(extraction.code, hotspot)
     except patch.PatchError:
-        return None, {_UNPATCHABLE}, f"no definition of {hotspot!r} in reply"
+        return None, f"no definition of {hotspot!r} in reply"
     try:
-        new_source = patch.replace_function(base_source, hotspot, new_function)
+        return patch.replace_function(base_source, hotspot, new_function), ""
     except patch.PatchError as exc:
-        return None, {_UNPATCHABLE}, f"patch failed: {exc}"
-    try:
-        flags = gw.check_constraints(base_source, new_source, gw.Experiment.AGENT)
-    except gw.UnparseableCandidate:
-        flags = {gw.ConstraintFlag.ADDED_FUNCTION}
-    if flags:
-        return None, flags, "violated: " + ", ".join(sorted(f.value for f in flags))
-    return new_source, flags, ""
+        return None, f"patch failed: {exc}"
 
 
 def run_agent(
@@ -288,24 +281,26 @@ def run_agent(
     The original is prepared as its ``prep`` options say and its build
     started first. It is joined and timed when first needed: by the
     fallback tree, by a profile source reading its ``binary_path``, by
-    the first candidate that builds, or at the end of the loop for the
-    trace's baseline. Each reply with code is one ``_Baseline.score``
-    attempt, as an ex2 turn is: one ``_patch_hotspot`` flags is not built;
-    one that builds is timed in rounds with the original, its speedup the
-    ratio of the two samples from those rounds, and the best iteration is
-    the first fastest correct one by it (``ex._fastest``). A candidate
-    whose first output does not match the original's runs once, and so
-    does the original in those rounds: the iteration's ``run`` then holds
-    one wall time, and so does the trace's ``baseline`` when it comes
-    from those rounds, the first to run the original. A candidate
-    whose source repeats an earlier one's, or the original's, is not
-    compiled again: it runs that build's binary, in rounds of its own,
-    and gets no ``agent/iter<i>`` directory.
+    the first candidate timed, or at the end of the loop for the trace's
+    baseline. Each reply with code is one ``_Baseline.score`` attempt: one
+    ``_patch_hotspot`` cannot patch in is flagged ``_UNPATCHABLE``, and
+    any other's patched source is checked and built by ``_Baseline.attempt``
+    as an ex2 turn is, so a compile error outranks a broken rule. One
+    that builds and breaks no rule is timed in rounds with the original,
+    its speedup the ratio of the two samples from those rounds, and the
+    best iteration is the first fastest correct one by it
+    (``ex._fastest``). A candidate whose first output does not match the
+    original's runs once, and so does the original in those rounds: the
+    iteration's ``run`` then holds one wall time, and so does the trace's
+    ``baseline`` when it comes from those rounds, the first to run the
+    original. A candidate whose source repeats an earlier one's, or the
+    original's, is not compiled again: it runs that build's binary, in
+    rounds of its own, and gets no ``agent/iter<i>`` directory.
     ``experiments.BaselineFailed`` propagates then (``BaselineRunFailed``
     when the original built but did not run cleanly), so with a profile
     source that does not read the binary a broken original is reported
-    at the first candidate that builds, or else after the last
-    iteration. An escaping exception kills every build not yet joined.
+    at the first candidate timed, or else after the last iteration. An
+    escaping exception kills every build not yet joined.
     """
     work_dir = Path(work_dir)
     agent_dir = work_dir / spec.id / "agent"
@@ -380,10 +375,16 @@ def _iterate(
         elif extraction.code is not None:
             catalog = current_tree.metric_catalog
             requested = tuple(parse_metric_requests(response.raw_text, catalog))
-            new_source, flags, why = _patch_hotspot(base_source, hotspot_name, extraction)
-            note = _join_notes(note, why)
             tag = f"agent/iter{index}"
-            build = None if flags else original.build(tag, code=(hotspot_rel, new_source))
+            new_source, why = _patch_hotspot(base_source, hotspot_name, extraction)
+            build, flags = None, {_UNPATCHABLE}
+            if new_source is not None:
+                build, _, flags = original.attempt(
+                    tag, hotspot_rel, base_source, new_source, extraction, gw.Experiment.AGENT
+                )
+                if flags:  # a ConstraintFlag each, or the str ex._UNPARSEABLE
+                    why = "violated: " + ", ".join(sorted(getattr(f, "value", f) for f in flags))
+            note = _join_notes(note, why)
             (evaluation,) = original.score([(build, extraction, flags)])
             category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
             if run is not None and run.stdout is not original.sample().stdout:

@@ -17,6 +17,7 @@ import math
 import os
 import platform
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -150,6 +151,10 @@ class BaselineRunFailed(BaselineFailed):
     """The original built but did not run cleanly."""
 
 
+# The flag of a reply whose code does not parse, which is not built.
+_UNPARSEABLE = "Unparseable"
+
+
 class _Baseline:
     """One row's untouched original, the path each attempt of the row
     takes. Construction prepares its sources into ``<ex>/prepared/``
@@ -226,6 +231,24 @@ class _Baseline:
         if shareable:
             self._by_code[code] = build
         return build
+
+    def attempt(
+        self, tag: str, rel: str, original_text: str, code: str | None,
+        extraction: gw.ExtractionResult, experiment: Experiment,
+    ) -> tuple[tc.PendingBuild | None, gw.ExtractionResult, set]:
+        """The ``score`` attempt of ``code`` (None: a reply without code)
+        written over the file ``rel``, whose text is ``original_text``: its
+        constraint flags against that text and its build as ``tag``. Code
+        that parses is built, flagged or not, so ``classify_attempt`` alone
+        ranks a compile error over a broken rule; code that does not is
+        flagged ``_UNPARSEABLE`` alone and not built."""
+        if code is None:
+            return None, extraction, set()
+        try:
+            flags = gw.check_constraints(original_text, code, experiment)
+        except gw.UnparseableCandidate:
+            return None, extraction, {_UNPARSEABLE}
+        return self.build(tag, code=(rel, code)), extraction, flags
 
     def _unchanged(self, rel: str, text: str) -> bool:
         """Whether ``text`` is byte for byte the prepared file ``rel``."""
@@ -394,13 +417,6 @@ def _attachment(spec: BenchmarkSpec, src_dir: Path) -> tuple[str, str]:
     return rels[0], (src_dir / rels[0]).read_text(encoding="utf-8", errors="replace")
 
 
-def _labels_for(extraction: gw.ExtractionResult) -> tuple[OptimizationLabel, ...]:
-    # No prose, no claim to classify.
-    if not extraction.explanation:
-        return ()
-    return tuple(gw.classify_explanation(extraction.explanation))
-
-
 @dataclass(frozen=True)
 class _Evaluation:
     category: CorrectnessCategory
@@ -409,25 +425,6 @@ class _Evaluation:
     labels: tuple[OptimizationLabel, ...]
     # The timed run the category rests on; None when nothing ran.
     run: tc.RunSample | None = None
-
-
-# The flag of a reply whose code does not parse, which is not built.
-_UNPARSEABLE = "Unparseable"
-
-
-def _check_candidate(
-    original_text: str,
-    extraction: gw.ExtractionResult,
-    experiment: Experiment,
-) -> set[str]:
-    """The reply's constraint flags, ``_UNPARSEABLE`` alone for code that
-    does not parse; none for a reply without code."""
-    if extraction.code is None:
-        return set()
-    try:
-        return gw.check_constraints(original_text, extraction.code, experiment)
-    except gw.UnparseableCandidate:
-        return {_UNPARSEABLE}
 
 
 def _timed(build: tc.BuildOutcome | None, flags: set[str]) -> bool:
@@ -461,7 +458,9 @@ def _score(
     match after its first run, and has already made each sample whose
     output equals the original's hold it.
     """
-    labels = () if extraction is None or extraction.code is None else _labels_for(extraction)
+    labels = ()  # none without code, and none without prose that claims one
+    if extraction is not None and extraction.code is not None and extraction.explanation:
+        labels = tuple(gw.classify_explanation(extraction.explanation))
     if not _timed(build, flags):
         category = classify_attempt(build, extraction, None, None, flags)
         return _Evaluation(category, None, None, labels)
@@ -554,28 +553,26 @@ def _converse(
     its last turn with the speedup reverted to exactly 1.0.
 
     Each request carries the earlier answered exchanges. The original's
-    build (``_Baseline``) starts before the first request, and each
-    turn's code starts building as its own variant (``_Baseline.build``)
-    as soon as its reply is in, so builds run while later requests wait.
-    When more turns follow, the original is checked (``_Baseline.check``:
-    joined and run once, for the reference output) right after the first
-    reply. After the last turn, ``_Baseline.score`` joins every turn's
-    build, times the original and every turn that built and broke no
-    constraint in one set of rounds (ascending ``counts`` per turn
-    against a 1-thread original, if given) and scores every turn in turn
-    order, so requests, rows and categories are those of scoring each
-    turn before the next request; a row with nothing to time only checks
-    its original. A turn whose first output does not match the
-    original's leaves the rounds after the first, and the original
-    leaves them when no turn is left. A turn whose build outlives
-    ``build.timeout_s`` is a compilation error. A turn whose code
-    repeats an earlier turn's shares that turn's build, arm and samples,
-    and so ties with it; one whose code is the original's shares the
-    original's build but is timed in an arm of its own (both get no
-    variant directory). No timed run overlaps a build. A benchmark whose
-    original fails to prepare, build or run is skipped with an error
-    logged, after its first request. If an exception escapes a row,
-    every build in flight is killed and reaped.
+    build (``_Baseline``) starts before the first request. Each reply
+    goes through ``_Baseline.attempt``, the agent's rule too: it is
+    checked against the rules, and its code, unless it does not parse,
+    starts building as its own variant at once, whatever rule it breaks,
+    so builds run while later requests wait and a compile error outranks
+    a broken rule. When more turns follow, the original is checked
+    (``_Baseline.check``: joined and run once, for the reference output)
+    right after the first reply. After the last turn, ``_Baseline.score``
+    joins every turn's build, times the original and every turn that
+    built and broke no rule in one set of rounds (ascending ``counts``
+    per turn against a 1-thread original, if given) and scores every
+    turn in turn order, so requests, rows and categories are those of
+    scoring each turn before the next request; a row with nothing to
+    time only checks its original. ``score`` says which turns run past
+    the first round, and ``build`` which share a build. A turn whose
+    build outlives ``build.timeout_s`` is a compilation error. No timed
+    run overlaps a build. A benchmark whose original fails to prepare,
+    build or run is skipped with an error logged, after its first
+    request. If an exception escapes a row, every build in flight is
+    killed and reaped.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
@@ -601,11 +598,9 @@ def _converse(
                     else:
                         history.append((prompt.user_text, response.raw_text))
                         extraction = gw.extract_code(response)
-                    flags = _check_candidate(original_text, extraction, experiment)
-                    build = None
-                    if extraction.code is not None and _UNPARSEABLE not in flags:
-                        build = base.build(tag, code=(rel, extraction.code))
-                    attempts.append((build, extraction, flags))
+                    attempts.append(base.attempt(
+                        tag, rel, original_text, extraction.code, extraction, experiment
+                    ))
                 evaluations = base.score(attempts, counts)
                 # With nothing timed, a broken original still skips the row.
                 base.check()
@@ -893,21 +888,14 @@ def _markdown_text(table: ResultsTable, summaries: list[dict]) -> str:
     lines += ["## Correctness", ""]
     columns = sorted({(r.tool_id, r.experiment.value) for r in table.rows})
     headers = ["Category"] + [f"{t} {e}" for t, e in columns]
-    body = []
-    for category in CorrectnessCategory:
-        cells = [category.value]
-        for t, e in columns:
-            n = sum(
-                1 for r in table.rows
-                if r.tool_id == t and r.experiment.value == e and r.category is category
-            )
-            cells.append(str(n))
-        body.append(cells)
-    total = ["Total"] + [
-        str(sum(1 for r in table.rows if r.tool_id == t and r.experiment.value == e))
-        for t, e in columns
+    counts = Counter((r.tool_id, r.experiment.value, r.category) for r in table.rows)
+    body = [
+        [category.value] + [str(counts[t, e, category]) for t, e in columns]
+        for category in CorrectnessCategory
     ]
-    body.append(total)
+    body.append(["Total"] + [
+        str(sum(counts[t, e, category] for category in CorrectnessCategory)) for t, e in columns
+    ])
     lines += _md_table(headers, body) + [""]
 
     kinds = sorted({s.get("mean_kind", "arithmetic") for s in summaries}) or ["arithmetic"]
@@ -954,10 +942,11 @@ def _json_text(table: ResultsTable, summaries: list[dict]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_REPORT_NAMES = {
-    "csv": "results.csv",
-    "markdown": "report.md",
-    "json": "report.json",
+# Each report format's file name and renderer of (table, summaries).
+_REPORTS = {
+    "csv": ("results.csv", lambda table, _: _csv_text(table)),
+    "markdown": ("report.md", _markdown_text),
+    "json": ("report.json", _json_text),
 }
 
 
@@ -968,12 +957,7 @@ def emit_report(
     formats: tuple[str, ...] = ("csv", "markdown", "json"),
 ) -> dict[str, Path]:
     """Write the table in each requested format; reruns are byte-identical."""
-    renderers = {
-        "csv": lambda: _csv_text(table),
-        "markdown": lambda: _markdown_text(table, summaries),
-        "json": lambda: _json_text(table, summaries),
-    }
-    unknown = [f for f in formats if f not in renderers]
+    unknown = [f for f in formats if f not in _REPORTS]
     if unknown:
         raise ValueError(f"unknown report formats: {unknown}")
     out_dir = Path(out_dir)
@@ -984,9 +968,10 @@ def emit_report(
 
     written: dict[str, Path] = {}
     for fmt in formats:
-        path = out_dir / _REPORT_NAMES[fmt]
+        name, render = _REPORTS[fmt]
+        path = out_dir / name
         try:
-            path.write_text(renderers[fmt](), encoding="utf-8")
+            path.write_text(render(table, summaries), encoding="utf-8")
         except OSError as exc:
             raise UnwritablePath(str(path)) from exc
         written[fmt] = path

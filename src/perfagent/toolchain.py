@@ -677,14 +677,18 @@ def run_rounds(
 
     Each round runs every live arm once, in arm order on even rounds and
     in reverse on odd ones, so two arms run A B, B A, A B: a slow phase of
-    the host falls on both alike. An arm that crashes or times out is
-    dropped from later rounds with its status recorded, not raised, so
-    classification can see it; the other arms go on. After the first
-    round, outside every timed window, ``keep`` (if given) is called once
-    with each arm's first output, None for an arm that crashed or timed
-    out, and says for each arm whether it runs on: an arm it drops keeps
-    its one repetition and exit status 0, and the arms it keeps run every
-    later round in the same alternating order.
+    the host falls on both alike. Just before the first round, one
+    untimed spawn of the do-nothing program ``true`` pays the cold-spawn
+    cost that would otherwise fall on the first repetition alone, always
+    arm 0's (a row's original), and read as a false speedup on short
+    programs. An arm that crashes or times out is dropped from later
+    rounds with its status recorded, not raised, so classification can
+    see it; the other arms go on. After the first round, outside every
+    timed window, ``keep`` (if given) is called once with each arm's
+    first output, None for an arm that crashed or timed out, and says
+    for each arm whether it runs on: an arm it drops keeps its one
+    repetition and exit status 0, and the arms it keeps run every later
+    round in the same alternating order.
 
     A child runs in its variant's src/ directory when present (data files
     resolve relatively; the binary by its absolute path) with
@@ -710,6 +714,12 @@ def run_rounds(
         raise ToolchainError("a build started by start_compile is not joined yet")
     with contextlib.ExitStack() as files, _timed_run_lock:
         every = [_Arm(binary, count, run, files) for binary, count in arms]
+        if every:  # the untimed warm-up spawn
+            proc = _spawn(["true"], time.perf_counter() + run.timeout_s)
+            try:
+                _wait_exit(proc)
+            finally:
+                _reap(proc)
         live = every
         scratch = None
         for round_ in range(run.repetitions):

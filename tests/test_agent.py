@@ -1,5 +1,6 @@
 """Iteration loop behavior: stops, bases, categories, trace persistence."""
 
+import gc
 import hashlib
 import json
 import logging
@@ -257,6 +258,27 @@ class TestFailedIterations:
         record = trace.iterations[0]
         assert record.category is Cat.FAILED_TO_FOLLOW_INSTRUCTIONS
         assert "kernel" in record.note
+
+    @pytest.mark.parametrize("driver", ["ex1", "agent"])
+    def test_rule_breaking_code_that_does_not_compile_is_a_compile_error(
+        self, tmp_path, toolchain_config, driver
+    ):
+        """Every driver builds each candidate that parses, so a compile
+        error outranks the print it adds, whichever driver got the reply."""
+        spec = hotspot_bench(tmp_path / "b")
+        kernel = 'void kernel(void) { puts("fast!"); undeclared_x++; }'
+        if driver == "ex1":
+            program = hotspot_program(100).replace(kernel_replacement(100), kernel)
+            assert kernel in program
+            table = ex.run_ex1([spec], replay([fenced(program)]), toolchain_config,
+                               tmp_path / "w")
+            assert table.rows[0].category is Cat.COMPILATION_ERROR
+        else:
+            trace = run(spec, replay([fenced(kernel)]), toolchain_config, tmp_path / "w",
+                        max_iterations=1)
+            record = trace.iterations[0]
+            assert record.category is Cat.COMPILATION_ERROR
+            assert "violated: AddedPrintStatement" in record.note
 
     def test_provider_error_records_iteration(self, tmp_path, toolchain_config):
         class FlakyProvider(gw.Provider):
@@ -624,6 +646,9 @@ class TestTracePersistence:
         prints_more = 'void kernel(void) {\n    printf("extra 1\\n");\n}'
         provider = replay([fenced(kernel_replacement(30)), fenced(prints_more),
                            fenced(kernel_replacement(20))])
+        # An earlier test's Output files close when collected; collect them
+        # now, so that no collection during the row moves the count.
+        gc.collect()
         before = open_fds()
         trace = run(spec, provider, toolchain_config, tmp_path / "w", max_iterations=3)
         assert [r.category for r in trace.iterations] == [Cat.CORRECT, Cat.OUTPUT_MISMATCH,

@@ -1,6 +1,7 @@
 """Experiment drivers, aggregation, and report files."""
 
 import csv
+import gc
 import json
 import logging
 import os
@@ -333,6 +334,9 @@ class TestEx2:
         spec = sleep_bench(tmp_path / "b", ms=5)
         texts = [fenced(sleeper(1)), fenced(sleeper(2, message="result 7")), "no code",
                  fenced(SYNTAX_ERROR), fenced(sleeper(3))]
+        # An earlier test's Output files close when collected; collect them
+        # now, so that no collection during the row moves the count.
+        gc.collect()
         before = open_fds()
         table = ex.run_ex2([spec], replay(texts), toolchain_config, tmp_path / "w")
         assert table.rows[0].category is Cat.CORRECT

@@ -508,6 +508,29 @@ class TestRounds:
     def test_no_arms_time_nothing(self):
         assert tc.run_rounds([], RunRecipe(repetitions=3)) == []
 
+    def test_an_untimed_do_nothing_spawn_comes_first(self, tmp_path, toolchain_config,
+                                                     monkeypatch):
+        """The cold-spawn cost falls on a spawn of ``true`` before round 1,
+        not on the first repetition, which is always arm 0's."""
+        arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": ""})
+        spawned = []
+        real_spawn = tc._spawn
+
+        def spawn(argv, deadline, **kwargs):
+            spawned.append(argv)
+            if argv == ["true"]:
+                time.sleep(0.3)  # would show in any sample that timed it
+            return real_spawn(argv, deadline, **kwargs)
+
+        monkeypatch.setattr(tc, "_spawn", spawn)
+        a, b = tc.run_rounds(arms, RunRecipe(repetitions=3, timeout_s=10))
+        binaries = [str(Path(binary).absolute()) for binary, _ in arms]
+        assert spawned[0] == ["true"]
+        assert [argv[0] for argv in spawned[1:]] == [*binaries, *binaries[::-1], *binaries]
+        assert log.read_text().split() == ["A", "B", "B", "A", "A", "B"]
+        assert all(s.ok and len(s.wall_times_s) == 3 for s in (a, b))
+        assert max(a.wall_times_s + b.wall_times_s) < 0.3
+
     def test_keep_stops_the_arms_it_drops_after_the_first_round(self, tmp_path, toolchain_config):
         arms, log = self.arms(tmp_path, toolchain_config, {"A": "", "B": "", "C": "", "D": ""})
         seen = []
