@@ -3,15 +3,17 @@
 Runs the profile-guided agent against a two-phase program (cheap setup,
 tunable kernel) using three stored kernel rewrites. Shows the memory
 digest growing across turns and the trace landing on the best iteration.
-Exits 1 unless every iteration that got a stored rewrite is Correct,
-and 2 before building anything when ``--out`` names something other
-than an empty directory.
+Exits 1 unless every iteration that got a stored rewrite is Correct
+and the first request's system prompt describes this host (it names
+the operating system and says "unknown" nowhere), and 2 before building
+anything when ``--out`` names something other than an empty directory.
 
     python3 scripts/agent_demo.py [--out DIR] [--iters 3]
 """
 
 import argparse
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -113,6 +115,11 @@ def main() -> int:
         r.category is not CorrectnessCategory.CORRECT for r in served
     ):
         print("error: a stored rewrite was not Correct", file=sys.stderr)
+        return 1
+    system = provider.received[0][0]["content"]
+    if platform.system() not in system or "unknown" in system:
+        print(f"error: the system prompt does not describe this host: {system}",
+              file=sys.stderr)
         return 1
     return 0
 

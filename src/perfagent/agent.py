@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -57,8 +57,9 @@ class StopReason(Enum):
 @dataclass(frozen=True)
 class AgentConfig:
     """``env_context`` goes into the profile summary, ``prompt_env`` into
-    the system prompt. ``metric_id`` ranks hotspots; without it the
-    profile's default exclusive metric does."""
+    the system prompt (empty: the host's, ``experiments.host_env``, as ex
+    prompts have). ``metric_id`` ranks hotspots; without it the profile's
+    default exclusive metric does."""
 
     max_iterations: int = 3
     env_context: dict = field(default_factory=dict)
@@ -282,7 +283,10 @@ def run_agent(
     started first. It is joined and timed when first needed: by the
     fallback tree, by a profile source reading its ``binary_path``, by
     the first candidate timed, or at the end of the loop for the trace's
-    baseline. Each reply with code is one ``_Baseline.score`` attempt: one
+    baseline. Requests go through ``ex._reply``, as ex turns' do; the
+    trace keeps an empty reply for a provider error. The system prompt
+    describes ``cfg.prompt_env``, else the host (``ex.host_env``). Each
+    reply with code is one ``_Baseline.score`` attempt: one
     ``_patch_hotspot`` cannot patch in is flagged ``_UNPATCHABLE``, and
     any other's patched source is checked and built by ``_Baseline.attempt``
     as an ex2 turn is, so a compile error outranks a broken rule. One
@@ -303,6 +307,7 @@ def run_agent(
     escaping exception kills every build not yet joined.
     """
     work_dir = Path(work_dir)
+    cfg = replace(cfg, prompt_env=cfg.prompt_env or ex.host_env(toolchain))
     agent_dir = work_dir / spec.id / "agent"
     agent_dir.mkdir(parents=True, exist_ok=True)
     with ex._Baseline(spec, toolchain, work_dir, "agent") as original:
@@ -360,13 +365,9 @@ def _iterate(
         requested: tuple[str, ...] = ()
         run = speedup = delta = None
         category = CorrectnessCategory.NO_GENERATED_CODE
-        try:
-            response = gw.request(provider, bundle)
-            extraction = gw.extract_code(response)
-        except gw.ProviderError as exc:
-            response = gw.ModelResponse("", provider.provider_id, 0.0)
-            extraction = gw.NO_CODE
-            note = _join_notes(note, f"provider error: {exc}")
+        response, extraction, error = ex._reply(provider, bundle)
+        response = response or gw.ModelResponse("", provider.provider_id, 0.0)
+        note = _join_notes(note, error)
         declined = _is_decline(response.raw_text, extraction)
 
         if declined:

@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     agent.add_argument("--metric", help="profile metric id for hotspot ranking")
     agent.add_argument("--profile-dir",
                        help="directory of per-variant profile JSON files")
-    agent.add_argument("--prompt-env")
+    agent.add_argument("--prompt-env",
+                       help="JSON file with os/cpu/compilers prompt fields")
     agent.set_defaults(func=cmd_agent)
 
     report = sub.add_parser("report", help="re-render a saved results table")

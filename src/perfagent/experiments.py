@@ -500,39 +500,68 @@ def _share_stdout(sample: tc.RunSample, reference: tc.Output) -> tc.RunSample:
     return replace(sample, stdout=reference)
 
 
-def _row_from_evaluation(
-    spec: BenchmarkSpec,
+def _table(
+    specs: Sequence[BenchmarkSpec],
+    toolchain: tc.ToolchainConfig,
+    work_dir: Path | str,
     experiment: Experiment,
+    ex_tag: str,
     tool_id: str,
-    variant_tag: str,
-    evaluation: _Evaluation,
-) -> AttemptRecord:
-    correct = evaluation.category is CorrectnessCategory.CORRECT
-    return AttemptRecord(
-        benchmark_id=spec.id,
-        motif=spec.motif,
-        level=spec.level,
-        experiment=experiment,
-        tool_id=tool_id,
-        variant_tag=variant_tag,
-        category=evaluation.category,
-        speedup=evaluation.stat.speedup if correct else 1.0,
-        na_flag=not correct,
-        labels=evaluation.labels,
-        thread_results=evaluation.thread_results,
-    )
+    attempts_of: Callable[[BenchmarkSpec, _Baseline], Sequence[tuple[str, tuple]]],
+    counts: tuple[int, ...] | None = None,
+) -> ResultsTable:
+    """One row per spec: the loop of every ex and import-tool row.
+
+    Each row's ``_Baseline`` (1-thread when ``counts`` is given) starts
+    the original's build; ``attempts_of(spec, base)`` gives the row's
+    (variant tag, ``_Baseline.score`` attempt) pairs, and ``score`` times
+    them (at each of ``counts``) with the original, which is then checked
+    even when nothing was timed. The row is the ``_fastest`` correct
+    attempt, else the last with speedup exactly 1.0. A spec whose original
+    fails to prepare, build or run is skipped with an error logged; an
+    exception escaping a row kills every build in flight."""
+    work_dir = Path(work_dir)
+    threads = None if counts is None else 1
+    rows = []
+    for spec in specs:
+        try:
+            with _Baseline(spec, toolchain, work_dir, ex_tag, threads) as base:
+                tagged = attempts_of(spec, base)
+                evaluations = base.score([attempt for _, attempt in tagged], counts)
+                base.check()
+        except BaselineFailed as exc:
+            log.error("%s: skipped, %s", spec.id, exc)
+            continue
+        best = _fastest([e.stat for e in evaluations])
+        best = -1 if best is None else best
+        evaluation = evaluations[best]
+        correct = evaluation.category is CorrectnessCategory.CORRECT
+        rows.append(AttemptRecord(
+            benchmark_id=spec.id, motif=spec.motif, level=spec.level,
+            experiment=experiment, tool_id=tool_id, variant_tag=tagged[best][0],
+            category=evaluation.category,
+            speedup=evaluation.stat.speedup if correct else 1.0, na_flag=not correct,
+            labels=evaluation.labels, thread_results=evaluation.thread_results,
+        ))
+    return ResultsTable(tuple(rows), _provenance(toolchain, tool_id))
 
 
-def _request_or_none(
+def _reply(
     provider: gw.Provider,
     prompt: gw.PromptBundle,
     history: list[tuple[str, str]] | None = None,
-) -> gw.ModelResponse | None:
+) -> tuple[gw.ModelResponse | None, gw.ExtractionResult, str]:
+    """The one request rule of ex turns and agent iterations: the reply to
+    ``prompt`` after ``history``, its extracted code, and a note. A
+    ProviderError is logged as a warning and gives None, ``gw.NO_CODE``
+    (a NoGeneratedCode attempt) and a "provider error: ..." note."""
     try:
-        return gw.request(provider, prompt, history)
+        response = gw.request(provider, prompt, history)
     except gw.ProviderError as exc:
-        log.warning("provider error: %s", exc)
-        return None
+        note = f"provider error: {exc}"
+        log.warning("%s", note)
+        return None, gw.NO_CODE, note
+    return response, gw.extract_code(response), ""
 
 
 EX2_TURNS = 5
@@ -548,71 +577,46 @@ def _converse(
     env: dict[str, str] | None,
     counts: tuple[int, ...] | None = None,
 ) -> ResultsTable:
-    """One conversation of ``turns``, (prompt template, variant tag)
-    pairs, per benchmark; the row is its ``_fastest`` correct turn, else
-    its last turn with the speedup reverted to exactly 1.0.
+    """A ``_table`` of one conversation of ``turns``, (prompt template,
+    variant tag) pairs, per benchmark, rendered with ``env`` or else
+    ``host_env``.
 
-    Each request carries the earlier answered exchanges. The original's
-    build (``_Baseline``) starts before the first request. Each reply
-    goes through ``_Baseline.attempt``, the agent's rule too: it is
-    checked against the rules, and its code, unless it does not parse,
-    starts building as its own variant at once, whatever rule it breaks,
-    so builds run while later requests wait and a compile error outranks
-    a broken rule. When more turns follow, the original is checked
-    (``_Baseline.check``: joined and run once, for the reference output)
-    right after the first reply. After the last turn, ``_Baseline.score``
-    joins every turn's build, times the original and every turn that
-    built and broke no rule in one set of rounds (ascending ``counts``
-    per turn against a 1-thread original, if given) and scores every
-    turn in turn order, so requests, rows and categories are those of
-    scoring each turn before the next request; a row with nothing to
-    time only checks its original. ``score`` says which turns run past
-    the first round, and ``build`` which share a build. A turn whose
-    build outlives ``build.timeout_s`` is a compilation error. No timed
-    run overlaps a build. A benchmark whose original fails to prepare,
-    build or run is skipped with an error logged, after its first
-    request. If an exception escapes a row, every build in flight is
-    killed and reaped.
+    Each request (``_reply``) carries the earlier answered exchanges.
+    Each reply goes through ``_Baseline.attempt``, the agent's rule too:
+    its code, unless it does not parse, starts building at once, whatever
+    rule it breaks, so builds run while later requests wait and a compile
+    error outranks a broken rule. When more turns follow, the original is
+    checked (joined and run once, for the reference output) right after
+    the first reply. Scoring every turn after the last gives the rows and
+    categories of scoring each before the next request; ``score`` says
+    which turns run past the first round, and ``build`` which share a
+    build. A turn whose build outlives ``build.timeout_s`` is a
+    compilation error. No timed run overlaps a build.
     """
     if not selection:
         raise EmptySelection("no benchmarks selected")
-    work_dir = Path(work_dir)
     env = env or host_env(toolchain)
-    ex_tag = experiment.value.lower()
-    baseline_threads = 1 if counts is not None else None
 
-    rows = []
-    for spec in selection:
-        attempts: list[tuple[tc.PendingBuild | None, gw.ExtractionResult, set[str]]] = []
-        try:
-            with _Baseline(spec, toolchain, work_dir, ex_tag, baseline_threads) as base:
-                rel, original_text = _attachment(spec, base.src_dir)
-                history: list[tuple[str, str]] = []
-                for turn, (template, tag) in enumerate(turns, start=1):
-                    prompt = gw.render_prompt(template, original_text, env)
-                    response = _request_or_none(provider, prompt, history)
-                    if turn < len(turns):
-                        base.check()
-                    if response is None:
-                        extraction = gw.NO_CODE
-                    else:
-                        history.append((prompt.user_text, response.raw_text))
-                        extraction = gw.extract_code(response)
-                    attempts.append(base.attempt(
-                        tag, rel, original_text, extraction.code, extraction, experiment
-                    ))
-                evaluations = base.score(attempts, counts)
-                # With nothing timed, a broken original still skips the row.
+    def attempts_of(spec: BenchmarkSpec, base: _Baseline):
+        rel, original_text = _attachment(spec, base.src_dir)
+        history: list[tuple[str, str]] = []
+        attempts = []
+        for template, tag in turns:
+            prompt = gw.render_prompt(template, original_text, env)
+            response, extraction, _ = _reply(provider, prompt, history)
+            if not attempts and len(turns) > 1:
                 base.check()
-        except BaselineFailed as exc:
-            log.error("%s: skipped, %s", spec.id, exc)
-            continue
-        best = _fastest([e.stat for e in evaluations])
-        best = -1 if best is None else best
-        rows.append(_row_from_evaluation(
-            spec, experiment, provider.provider_id, turns[best][1], evaluations[best]
-        ))
-    return ResultsTable(tuple(rows), _provenance(toolchain, provider.provider_id))
+            if response is not None:
+                history.append((prompt.user_text, response.raw_text))
+            attempts.append((tag, base.attempt(
+                tag, rel, original_text, extraction.code, extraction, experiment
+            )))
+        return attempts
+
+    return _table(
+        selection, toolchain, work_dir, experiment, experiment.value.lower(),
+        provider.provider_id, attempts_of, counts,
+    )
 
 
 def run_ex1(
@@ -674,42 +678,34 @@ def import_external_tool_results(
     toolchain: tc.ToolchainConfig,
     work_dir: Path | str,
 ) -> ResultsTable:
-    """Score pre-optimized source trees exactly like model variants.
+    """Score pre-optimized source trees exactly like model variants: one
+    ``_table`` row per tree, as ex rows are made.
 
     ``dir`` holds one subdirectory per benchmark id; its files overlay the
-    prepared original, so a tree may ship only the sources it changed.
+    prepared original, so a tree may ship only the sources it changed, and
+    a subdirectory no selected benchmark owns is skipped with a warning.
     No model is involved, so constraint checks and labels do not apply.
-    The original and the tree build side by side (``_Baseline.build``),
-    and ``_Baseline.score`` joins both and times them together in rounds;
-    a tree that fails to build only checks its original. A benchmark
-    whose original fails to prepare, build or run is skipped with an
-    error logged.
+    The tree builds beside the original (``_Baseline.build``); one that
+    fails to build only checks its original.
     """
     if not manifest.is_plain_name(tool_id) or tool_id in ("base", "prepared"):
         raise ValueError(f"tool id {tool_id!r} must be one plain path component, "
                          "not base or prepared, the names of a row's own trees")
     dir = Path(dir)
-    work_dir = Path(work_dir)
     by_id = {spec.id: spec for spec in selection}
     provided = sorted(p.name for p in dir.iterdir() if p.is_dir()) if dir.exists() else []
 
-    rows = []
+    specs = []
     for bench_id in provided:
-        spec = by_id.get(bench_id)
-        if spec is None:
+        if bench_id in by_id:
+            specs.append(by_id[bench_id])
+        else:
             log.warning("%s: no benchmark with this id in the selection", bench_id)
-            continue
-        tag = f"import/{tool_id}"
-        try:
-            with _Baseline(spec, toolchain, work_dir, "import") as base:
-                build = base.build(tag, overlay=dir / bench_id)
-                (evaluation,) = base.score([(build, None, set())])
-                base.check()
-        except BaselineFailed as exc:
-            log.error("%s: skipped, %s", spec.id, exc)
-            continue
-        rows.append(_row_from_evaluation(spec, Experiment.EX1, tool_id, tag, evaluation))
-    return ResultsTable(tuple(rows), _provenance(toolchain, tool_id))
+    tag = f"import/{tool_id}"
+    return _table(
+        specs, toolchain, work_dir, Experiment.EX1, "import", tool_id,
+        lambda spec, base: [(tag, (base.build(tag, overlay=dir / spec.id), None, set()))],
+    )
 
 
 _GROUP_DIMS = {

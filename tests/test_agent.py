@@ -302,6 +302,53 @@ class TestFailedIterations:
         assert "provider error" in trace.iterations[0].note
         assert trace.iterations[1].category is Cat.CORRECT
 
+    @pytest.mark.parametrize("driver", ["ex1", "ex2", "agent"])
+    def test_every_driver_takes_a_provider_error_alike(
+        self, tmp_path, toolchain_config, driver, caplog, monkeypatch
+    ):
+        """One request rule: a failed request logs a "provider error"
+        warning, its attempt is NoGeneratedCode, and it leaves no exchange
+        in the history later ex2 requests carry."""
+        reply = (fenced(kernel_replacement(40)) if driver == "agent"
+                 else fenced(hotspot_program(40)))
+
+        class FlakyProvider(gw.Provider):
+            provider_id = "flaky"
+
+            def __init__(self):
+                self.received = []
+
+            def complete(self, messages):
+                self.received.append(messages)
+                if len(self.received) == 1:
+                    raise gw.QuotaExceeded("try later")
+                return gw.ModelResponse(reply, self.provider_id, 0.0)
+
+        categories, real_score = [], ex._Baseline.score
+
+        def recording_score(base, attempts, counts=None):
+            evaluations = real_score(base, attempts, counts)
+            categories.extend(e.category for e in evaluations)
+            return evaluations
+
+        monkeypatch.setattr(ex._Baseline, "score", recording_score)
+        spec = hotspot_bench(tmp_path / "b")
+        provider = FlakyProvider()
+        with caplog.at_level(logging.WARNING, logger="perfagent"):
+            if driver == "agent":
+                trace = run(spec, provider, toolchain_config, tmp_path / "w",
+                            max_iterations=2)
+                # An iteration without code is not scored.
+                categories = [r.category for r in trace.iterations]
+            else:
+                getattr(ex, f"run_{driver}")([spec], provider, toolchain_config, tmp_path / "w")
+        assert categories[0] is Cat.NO_GENERATED_CODE
+        assert any(r.levelno == logging.WARNING and "provider error" in r.getMessage()
+                   for r in caplog.records)
+        if driver == "ex2":
+            assert [m["role"] for m in provider.received[1]] == ["system", "user"]
+            assert categories[1] is Cat.CORRECT
+
     def test_exhausted_transcript_burns_remaining_slots(self, tmp_path, toolchain_config):
         spec = hotspot_bench(tmp_path / "b")
         provider = replay([fenced(kernel_replacement(40))])
@@ -703,6 +750,18 @@ class TestConfigValidation:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             ag.AgentConfig(max_iterations=0)
+
+    def test_an_empty_prompt_env_describes_the_host(self, tmp_path, toolchain_config):
+        """Without a prompt_env the system prompt names the host, as ex
+        prompts do, not "unknown"."""
+        spec = hotspot_bench(tmp_path / "b")
+        provider = replay([fenced(kernel_replacement(40))])
+        ag.run_agent(spec, None, provider, ag.AgentConfig(max_iterations=1),
+                     toolchain_config, tmp_path / "w")
+        system = provider.received[0][0]
+        assert system["role"] == "system"
+        assert ex.host_env(toolchain_config)["compilers"] in system["content"]
+        assert "unknown" not in system["content"]
 
 
 CATALOG = {"l1_dcache_miss": None, "fp_inst": None, "time_excl": None,
