@@ -170,7 +170,11 @@ class _Baseline:
     Within the row, identical code is built and timed once: ``build``
     hands an attempt whose rewritten file repeats an earlier attempt's,
     or the original's, that attempt's build, and ``score`` times each
-    distinct build once. Nothing is shared across rows."""
+    distinct build once. Across rows only the compiler's work is kept:
+    ``tc.start_compile`` reuses a variant's binary when a rerun into the
+    same work directory lays out the same tree under the same tag with the
+    same compiler, flags and build environment (headers outside the tree
+    are not checked). Every row still runs and times its builds itself."""
 
     def __init__(
         self,

@@ -375,9 +375,9 @@ def _default_preprocessor(language: Language) -> list[str]:
     raise PreprocessFailure(f"no preprocessor found among {names}")
 
 
-def _preprocess(argv: list[str], timeout_s: float) -> bytes:
-    """The preprocessor's stdout. It runs like a compiler: in its own
-    session, into anonymous files, its process group killed at
+def _preprocess(argv: list[str], cwd: Path, timeout_s: float) -> bytes:
+    """The preprocessor's stdout. It runs like a compiler: in ``cwd``, in
+    its own session, into anonymous files, its process group killed at
     ``timeout_s``."""
     # toolchain imports this module, so its child helpers load late.
     from .toolchain import _read_all, _reap, _spawn, _wait_exit
@@ -386,7 +386,7 @@ def _preprocess(argv: list[str], timeout_s: float) -> bytes:
         try:
             proc = _spawn(
                 argv, time.perf_counter() + timeout_s,
-                stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+                stdin=subprocess.DEVNULL, stdout=out, stderr=err, cwd=cwd,
             )
         except OSError as exc:
             raise PreprocessFailure(str(exc)) from None
@@ -411,7 +411,9 @@ def prepare_sources(
     With all options off the copy is byte-identical. Pragma stripping
     drops whole lines that begin (after whitespace) with ``#pragma omp``.
     Macro expansion runs each listed source through the preprocessor
-    (``-E -P``) and runs after stripping so removed pragmas stay removed.
+    (``-E -P``) in the root of the prepared tree, so a relative flag such
+    as ``-Iinc`` names a directory of the tree, and runs after stripping
+    so removed pragmas stay removed.
     A preprocessor still running at ``build.timeout_s`` is killed with
     its whole process group and raises PreprocessFailure.
     """
@@ -431,9 +433,10 @@ def prepare_sources(
 
     if spec.prep.expand_macros:
         command = preprocessor or _default_preprocessor(spec.language)
+        root = work_dir.absolute()
         for rel in spec.source_files:
-            src = work_dir / rel
+            src = root / rel
             argv = [*command, "-E", "-P", *spec.build.flags, f"-I{src.parent}", str(src)]
-            src.write_bytes(_preprocess(argv, spec.build.timeout_s))
+            src.write_bytes(_preprocess(argv, root, spec.build.timeout_s))
 
     return work_dir

@@ -29,6 +29,19 @@ repetition's stderr only as its last ``STDERR_TAIL`` bytes. An arm's
 first stdout is never read back here: ``RunSample.stdout`` is an
 ``Output``, a handle on the file it was written into, which callers
 compare, hash or read a slice at a time.
+
+A variant is rebuilt only when an input of its build changed, the
+verifying-trace rule of Mokhov, Mitchell & Peyton Jones, "Build Systems
+à la Carte" (ICFP 2018). ``start_compile`` keys each build on the
+compiler's version string, the full command line, the values of
+``BUILD_ENV_VARS`` and the relative path and bytes of every file in the
+variant's freshly laid-out src/. A successful join writes the key and
+the binary's SHA-256 into logs/build.key; a later ``start_compile`` of
+the same variant that finds that key and that binary spawns nothing and
+hands back the logged outcome. Compile errors, build timeouts and killed
+builds leave no stamp. Headers and libraries outside the variant's tree
+are not in the key: after a toolchain upgrade that keeps the compiler's
+version string, build into a fresh work directory.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import json
 import math
 import os
 import shutil
@@ -63,6 +77,14 @@ STDERR_TAIL = 4000
 # Size of the reads that compare, hash, count and split outputs, here
 # and in verify.
 READ_SIZE = 1 << 14
+
+# Environment variables that change what gcc builds from one command
+# line (GCC manual, "Environment Variables Affecting GCC"); their values
+# are part of every build's key.
+BUILD_ENV_VARS = (
+    "CPATH", "C_INCLUDE_PATH", "CPLUS_INCLUDE_PATH", "LIBRARY_PATH",
+    "COMPILER_PATH", "GCC_EXEC_PREFIX", "SOURCE_DATE_EPOCH",
+)
 
 _timed_run_lock = threading.Lock()
 
@@ -336,7 +358,8 @@ class PendingBuild:
     run, ``run_rounds`` raises, so a build never shares the CPU with a
     timed repetition. ``binary_path`` is where the executable appears
     once a successful build is joined. A build may be joined more than
-    once: every later ``wait`` gives the first one's outcome.
+    once: every later ``wait`` gives the first one's outcome. A build
+    that ``start_compile`` reused is joined from the start.
     """
 
     def __init__(
@@ -345,16 +368,26 @@ class PendingBuild:
         argv: list[str],
         stderr: IO[bytes],
         binary: Path,
-        log_path: Path,
+        logs: Path,
         timeout_s: float,
+        key: str,
     ) -> None:
         self._proc = proc
         self._argv = argv
         self._stderr = stderr
         self.binary_path = binary
-        self._log_path = log_path
+        self._logs = logs
         self._timeout_s = timeout_s
+        self._key = key
         self._outcome: BuildOutcome | BuildTimeout | None = None
+
+    @classmethod
+    def joined(cls, outcome: BuildOutcome) -> PendingBuild:
+        """A build that spawned nothing: ``wait`` gives ``outcome``."""
+        build = cls.__new__(cls)
+        build.binary_path = outcome.binary_path
+        build._outcome = outcome
+        return build
 
     def wait(self) -> BuildOutcome:
         """Join the compiler in one blocking wait and classify the build;
@@ -384,10 +417,12 @@ class PendingBuild:
             returncode = self._proc.returncode
             diagnostics = _read_all(self._stderr.fileno())
         log_text = "$ " + " ".join(self._argv) + "\n" + diagnostics.decode(errors="replace")
-        self._log_path.write_text(log_text)
+        (self._logs / BUILD_LOG).write_text(log_text)
         if returncode != 0 or not self.binary_path.exists():
             return BuildOutcome(BuildStatus.COMPILE_ERROR, None, log_text)
         self.binary_path.chmod(0o755)
+        binary_sha256 = _hash_file(hashlib.sha256(), self.binary_path).hexdigest()
+        (self._logs / BUILD_STAMP).write_text(f"{self._key} {binary_sha256}\n")
         return BuildOutcome(BuildStatus.OK, self.binary_path, log_text)
 
     def kill(self) -> None:
@@ -395,8 +430,9 @@ class PendingBuild:
 
         Does nothing to a build that is already joined.
         """
-        self._release()
-        self._stderr.close()
+        if self._outcome is None:
+            self._release()
+            self._stderr.close()
 
     def _release(self) -> bool:
         _unjoined.discard(self)
@@ -405,6 +441,45 @@ class PendingBuild:
 
 # Builds started by start_compile and not yet joined or killed.
 _unjoined: set[PendingBuild] = set()
+
+# A variant's build log, and the stamp of its last successful build,
+# both under its logs/.
+BUILD_LOG = "build.log"
+BUILD_STAMP = "build.key"
+
+
+def _hash_file(digest, path: Path):
+    """``digest`` fed ``path``'s bytes, ``READ_SIZE`` bytes at a time."""
+    with path.open("rb") as f:
+        for chunk in iter(functools.partial(f.read, READ_SIZE), b""):
+            digest.update(chunk)
+    return digest
+
+
+def _build_key(version: str, argv: list[str], src: Path) -> str:
+    """Hex SHA-256 of a build's inputs: the compiler's version string,
+    its command line, the values of ``BUILD_ENV_VARS``, and the relative
+    path, size and bytes of every file under ``src``, in path order."""
+    digest = hashlib.sha256()
+    env = {name: os.environ.get(name) for name in BUILD_ENV_VARS}
+    digest.update(json.dumps([version, argv, env]).encode())
+    for path in sorted(p for p in src.rglob("*") if p.is_file()):
+        rel = path.relative_to(src).as_posix()
+        digest.update(f"\0{rel}\0{path.stat().st_size}\0".encode())
+        _hash_file(digest, path)
+    return digest.hexdigest()
+
+
+def _reused(key: str, binary: Path, logs: Path) -> BuildOutcome | None:
+    """The logged outcome of the variant's last successful build, if its
+    stamp holds ``key`` and ``binary`` is the one that build wrote."""
+    try:
+        stamped_key, binary_sha256 = (logs / BUILD_STAMP).read_text().split()
+        if stamped_key != key or _hash_file(hashlib.sha256(), binary).hexdigest() != binary_sha256:
+            return None
+        return BuildOutcome(BuildStatus.OK, binary, (logs / BUILD_LOG).read_text())
+    except (OSError, ValueError):
+        return None
 
 
 def start_compile(
@@ -421,15 +496,21 @@ def start_compile(
     The variant directory gets bin/, logs/ and src/: a fresh copy of
     ``src_dir``, replacing any earlier one, with ``code``, a (relative
     path, text) pair, written over one file and the ``overlay`` directory
-    laid over it. ``src_dir`` itself is never written. The compiler leads
-    a new session with stdout discarded and stderr in an anonymous file,
-    and the watchdog kills its process group at ``build.timeout_s`` from
-    now. The caller may do other work, such as waiting on the model,
-    before it joins the build with ``PendingBuild.wait``; the full
-    compiler command line is then the first line of the outcome's stderr
-    and of logs/build.log.
+    laid over it. ``src_dir`` itself is never written. The compiler runs
+    in src/, so a relative flag such as ``-Iinc`` names a directory of
+    the tree, and leads a new session with stdout discarded and stderr in
+    an anonymous file; the watchdog kills its process group at
+    ``build.timeout_s`` from now. The caller may do other work, such as
+    waiting on the model, before it joins the build with
+    ``PendingBuild.wait``; the full compiler command line is then the
+    first line of the outcome's stderr and of logs/build.log.
+
+    When logs/build.key holds this build's key (see the module
+    docstring) and bin/ still holds the binary it stamped, nothing is
+    spawned: the build returned is joined already, with the logged
+    outcome. Otherwise the stamp is removed before the compiler starts.
     """
-    vdir = variant_dir(work_dir, spec.id, variant_tag)
+    vdir = variant_dir(Path(work_dir).absolute(), spec.id, variant_tag)
     vsrc = vdir / "src"
     vbin = vdir / "bin"
     vlogs = vdir / "logs"
@@ -445,6 +526,8 @@ def start_compile(
         shutil.copytree(overlay, vsrc, dirs_exist_ok=True)
 
     compiler = toolchain.resolve(spec.build.compiler_id, spec.language)
+    if os.sep in compiler:  # a relative path names a file from the launch directory
+        compiler = os.path.abspath(compiler)
     binary = vbin / spec.id
     argv = [
         compiler,
@@ -455,17 +538,23 @@ def start_compile(
         "-o",
         str(binary),
     ]
+    version = toolchain.compilers[spec.build.compiler_id].version_string
+    key = _build_key(version, argv, vsrc)
+    outcome = _reused(key, binary, vlogs)
+    if outcome is not None:
+        return PendingBuild.joined(outcome)
+    (vlogs / BUILD_STAMP).unlink(missing_ok=True)
 
     stderr = tempfile.TemporaryFile(buffering=0)
     try:
         proc = _spawn(
             argv, time.perf_counter() + spec.build.timeout_s,
-            stdout=subprocess.DEVNULL, stderr=stderr,
+            stdout=subprocess.DEVNULL, stderr=stderr, cwd=vsrc,
         )
     except OSError as exc:
         stderr.close()
         raise ToolNotFound(spec.build.compiler_id) from exc
-    build = PendingBuild(proc, argv, stderr, binary, vlogs / "build.log", spec.build.timeout_s)
+    build = PendingBuild(proc, argv, stderr, binary, vlogs, spec.build.timeout_s, key)
     _unjoined.add(build)
     return build
 

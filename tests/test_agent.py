@@ -666,8 +666,14 @@ class TestTracePersistence:
                     build={"flags": ["-O0"]}, run={"repetitions": 1})
         spec = load_single(tmp_path / "b", "chatty")
         hashed = []
-        monkeypatch.setattr(tc, "hashlib", SimpleNamespace(
-            sha256=lambda: hashed.append(1) or hashlib.sha256()))
+
+        def counting_sha256(*args):
+            # Only hashers of program outputs count, not of build keys.
+            if sys._getframe(1).f_code is tc.Output.sha256.__code__:
+                hashed.append(1)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(tc, "hashlib", SimpleNamespace(sha256=counting_sha256))
         trace = run(spec, replay([fenced(printing_kernel)]), toolchain_config,
                     tmp_path / "w", max_iterations=1)
 

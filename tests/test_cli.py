@@ -10,7 +10,7 @@ import pytest
 
 from perfagent.cli import main
 
-from conftest import write_bench, write_transcript
+from conftest import wrapped_gcc, write_bench, write_transcript
 from kernels import fenced, hotspot_program, kernel_replacement, sleeper
 
 pytestmark = pytest.mark.usefixtures("toolchain_config")
@@ -94,6 +94,33 @@ class TestExperimentCommands:
         assert code == 0
         assert "alpha: Correct" in capsys.readouterr().out
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_ex1_rerun_into_one_work_dir_compiles_nothing(
+        self, tmp_path, capsys, toolchain_config
+    ):
+        suite(tmp_path / "suite")
+        config = replay_config(tmp_path, [fenced(sleeper(50)), fenced(sleeper(50))])
+        log = tmp_path / "spawns.log"
+        script = wrapped_gcc(tmp_path, toolchain_config, f'echo "$*" >> "{log}"')
+        toolchain = tmp_path / "toolchain.json"
+        toolchain.write_text(json.dumps({"compilers": {"gcc": {
+            "c_path": script.compilers["gcc"].c_path, "version_string": "wrapped gcc",
+        }}}))
+        spawns, rows = [], []
+        for out in ("out1", "out2"):
+            code = main([
+                "ex1", "--root", str(tmp_path / "suite"), "--provider", str(config),
+                "--toolchain", str(toolchain), "--out", str(tmp_path / out),
+                "--work", str(tmp_path / "work"),
+            ])
+            assert code == 0
+            assert "alpha: Correct" in capsys.readouterr().out
+            spawns.append(len(log.read_text().splitlines()))
+            doc = json.loads((tmp_path / out / "report.json").read_text())
+            rows.append([(r["benchmark_id"], r["category"], r["variant_tag"])
+                         for r in doc["rows"]])
+        assert spawns == [4, 4]
+        assert rows[1] == rows[0]
 
     def test_ex3_counts_flag(self, tmp_path, capsys):
         root = tmp_path / "suite"

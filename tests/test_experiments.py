@@ -1513,6 +1513,45 @@ class TestFreshTrees:
         assert calls == [([("base", None), ("cand", None)], self.REPS)]
 
 
+class TestRerunReusesBuilds:
+    """A rerun into the same work dir compiles nothing whose inputs did not
+    change, and every row comes out as it did the first time."""
+
+    @staticmethod
+    def spawn_logging(tmp_path, toolchain_config):
+        log = tmp_path / "spawns.log"
+        return wrapped_gcc(tmp_path, toolchain_config, f'echo "$*" >> "{log}"'), log
+
+    def test_second_ex1_run_spawns_no_compiler(self, tmp_path, toolchain_config):
+        wrapped, log = self.spawn_logging(tmp_path, toolchain_config)
+        specs = [sleep_bench(tmp_path / "b", name, ms=60) for name in ("alpha", "beta")]
+        replies = [fenced(sleeper(30)), fenced(sleeper(30, "result 43"))]
+        rows = []
+        for _ in range(2):
+            table = ex.run_ex1(specs, replay(replies), wrapped, tmp_path / "w")
+            rows.append([(r.benchmark_id, r.category, r.variant_tag) for r in table.rows])
+            assert not tc._unjoined
+        assert rows[0] == [("alpha", Cat.CORRECT, "ex1/cand"),
+                           ("beta", Cat.OUTPUT_MISMATCH, "ex1/cand")]
+        assert rows[1] == rows[0]
+        assert len(log.read_text().splitlines()) == 4
+
+    def test_second_agent_run_spawns_no_compiler(self, tmp_path, toolchain_config):
+        wrapped, log = self.spawn_logging(tmp_path, toolchain_config)
+        write_bench(tmp_path / "b", "loopy", {"main.c": hotspot_program(60)},
+                    entry_hotspot="kernel", build={"flags": ["-O0"]}, run={"repetitions": 2})
+        spec = load_single(tmp_path / "b", "loopy")
+        replies = [fenced(kernel_replacement(20)), fenced(kernel_replacement(40))]
+        traces = []
+        for _ in range(2):
+            trace = ag.run_agent(spec, None, replay(replies), ag.AgentConfig(max_iterations=2),
+                                 wrapped, tmp_path / "w")
+            traces.append(([it.category for it in trace.iterations], trace.best_iteration))
+        assert traces[0][0] == [Cat.CORRECT, Cat.CORRECT]
+        assert traces[1] == traces[0]
+        assert len(log.read_text().splitlines()) == 3
+
+
 class TestAggregate:
     def test_na_counts_as_one(self):
         table = ex.ResultsTable((

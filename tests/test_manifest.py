@@ -173,6 +173,21 @@ def test_prepare_expands_macros_like_the_preprocessor(tmp_path):
     assert b"int arr[4]" in got.replace(b"  ", b" ")
 
 
+def test_expansion_resolves_relative_flags_in_the_tree(tmp_path, monkeypatch):
+    """``-Iinc`` names the benchmark's inc/, wherever the harness was started."""
+    src = '#include "k.h"\nint main(void) { return K; }\n'
+    write_bench(
+        tmp_path / "suite", "inc", {"main.c": src, "inc/k.h": "#define K 5\n"},
+        build={"flags": ["-Iinc"]}, prep={"expand_macros": True},
+    )
+    spec = load_manifest(tmp_path / "suite")[0]
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    out = prepare_sources(spec, "work")
+    assert b"return 5;" in (out / "main.c").read_bytes()
+
+
 def test_preprocess_failure_reported(tmp_path):
     src = "#include \"nowhere_to_be_found.h\"\nint main(void) { return 0; }\n"
     write_bench(

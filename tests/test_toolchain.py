@@ -10,6 +10,7 @@ import stat
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ from perfagent import toolchain as tc
 from perfagent.manifest import RunRecipe
 
 import kernels
-from conftest import file_output, load_single, open_fds, process_running, write_bench
+from conftest import (
+    file_output, load_single, open_fds, process_running, wrapped_gcc, write_bench,
+)
 
 
 def _spec(tmp_path, bench_id, files, **overrides):
@@ -743,3 +746,137 @@ def test_joining_a_timed_out_build_twice_raises_twice(tmp_path):
     with pytest.raises(tc.BuildTimeout):
         build.wait()
     assert time.perf_counter() - start < 0.1
+
+
+_INCLUDING_MAIN = """\
+#include <stdio.h>
+#include "k.h"
+
+int main(void) {
+    printf("%d\\n", K);
+    return 0;
+}
+"""
+
+
+def test_relative_include_flag_names_the_tree(tmp_path, toolchain_config, monkeypatch):
+    """``-Iinc`` names the benchmark's inc/, not one where the harness runs."""
+    spec = _spec(tmp_path, "inc", {"main.c": _INCLUDING_MAIN, "inc/k.h": "#define K 5\n"},
+                 build={"flags": ["-O2", "-Iinc"]})
+    monkeypatch.chdir(tmp_path)
+    out = tc.compile(spec, spec.root, toolchain_config, "base", "work")
+    assert out.status is tc.BuildStatus.OK, out.stderr
+    assert tc.run_timed(out.binary_path, RunRecipe(repetitions=1)).stdout == b"5\n"
+
+
+class TestBuildReuse:
+    """A variant built again from the same inputs spawns no compiler and
+    gives the logged outcome; any changed input, or a binary that is not
+    the stamped one, builds it again."""
+
+    FILES = {"main.c": _INCLUDING_MAIN, "inc/k.h": "#define K 5\n"}
+
+    def make(self, tmp_path, toolchain_config, prelude=""):
+        """A bench, and a wrapped gcc that logs each spawn into ``self.log``
+        and then runs ``prelude``."""
+        self.log = tmp_path / "spawns.log"
+        self.spec = _spec(tmp_path, "keyed", self.FILES, build={"flags": ["-O2", "-Iinc"]})
+        self.toolchain = wrapped_gcc(tmp_path, toolchain_config,
+                                     f'echo "$*" >> "{self.log}"\n{prelude}')
+        self.work = tmp_path / "work"
+        self.logs = self.work / "keyed" / "base" / "logs"
+
+    def start(self, spec=None, toolchain=None, **kw):
+        return tc.start_compile(spec or self.spec, (spec or self.spec).root,
+                                toolchain or self.toolchain, "base", self.work, **kw)
+
+    def spawns(self) -> int:
+        return len(self.log.read_text().splitlines()) if self.log.exists() else 0
+
+    def test_rerun_spawns_nothing_and_gives_the_logged_outcome(self, tmp_path, toolchain_config):
+        self.make(tmp_path, toolchain_config)
+        first = self.start().wait()
+        assert first.ok, first.stderr
+        assert (self.logs / "build.key").exists()
+        build = self.start()
+        assert self.spawns() == 1
+        assert build not in tc._unjoined
+        again = build.wait()
+        assert again == first
+        build.kill()
+        assert build.wait() == first
+        assert tc.run_timed(again.binary_path, RunRecipe(repetitions=1)).stdout == b"5\n"
+
+    @pytest.mark.parametrize("change", [
+        "source byte", "unlisted header", "flag", "version string", "overlay file",
+        "environment",
+    ])
+    def test_a_changed_input_rebuilds(self, tmp_path, toolchain_config, monkeypatch, change):
+        self.make(tmp_path, toolchain_config)
+        overlay = tmp_path / "overlay"
+        (overlay / "inc").mkdir(parents=True)
+        (overlay / "inc" / "k.h").write_text("#define K 6\n")
+        kw = {"overlay": overlay} if change == "overlay file" else {}
+        assert self.start(**kw).wait().ok
+        assert self.start(**kw).wait().ok
+        assert self.spawns() == 1
+        spec, toolchain = self.spec, self.toolchain
+        if change == "source byte":
+            kw["code"] = ("main.c", _INCLUDING_MAIN.replace("%d", "%i"))
+        elif change == "unlisted header":
+            (spec.root / "inc" / "k.h").write_text("#define K 7\n")
+        elif change == "flag":
+            spec = replace(spec, build=replace(spec.build, flags=("-O1", "-Iinc")))
+        elif change == "version string":
+            info = replace(self.toolchain.compilers["gcc"], version_string="wrapped gcc 2")
+            toolchain = replace(self.toolchain, compilers={"gcc": info})
+        elif change == "overlay file":
+            (overlay / "inc" / "k.h").write_text("#define K 8\n")
+        else:
+            monkeypatch.setenv("SOURCE_DATE_EPOCH", "1")
+        out = self.start(spec, toolchain, **kw).wait()
+        assert out.ok, out.stderr
+        assert self.spawns() == 2
+
+    @pytest.mark.parametrize("binary", ["replaced", "deleted"])
+    def test_a_changed_binary_rebuilds(self, tmp_path, toolchain_config, binary):
+        self.make(tmp_path, toolchain_config)
+        path = self.start().wait().binary_path
+        if binary == "replaced":
+            path.write_bytes(path.read_bytes() + b"\0")
+        else:
+            path.unlink()
+        out = self.start().wait()
+        assert out.ok, out.stderr
+        assert self.spawns() == 2
+        assert tc.run_timed(out.binary_path, RunRecipe(repetitions=1)).stdout == b"5\n"
+
+    @pytest.mark.parametrize("failure", ["compile error", "timeout", "killed"])
+    def test_a_failed_build_leaves_no_stamp(self, tmp_path, toolchain_config, failure):
+        """The variant was built before; a build of other code that fails
+        removes that stamp, and a rerun of the failed code compiles."""
+        hang = tmp_path / "hang"
+        self.make(tmp_path, toolchain_config, f'[ -e "{hang}" ] && exec sleep 5')
+        assert self.start().wait().ok
+        assert (self.logs / "build.key").exists()
+        spec = replace(self.spec, build=replace(self.spec.build, timeout_s=1.0))
+        code = ("main.c", kernels.SYNTAX_ERROR if failure == "compile error"
+                else _INCLUDING_MAIN.replace("%d", "%i"))
+        if failure != "compile error":
+            hang.touch()
+        build = self.start(spec, code=code)
+        if failure == "compile error":
+            assert build.wait().status is tc.BuildStatus.COMPILE_ERROR
+        elif failure == "timeout":
+            with pytest.raises(tc.BuildTimeout):
+                build.wait()
+        else:
+            deadline = time.monotonic() + 5.0
+            while self.spawns() < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            build.kill()
+        assert not (self.logs / "build.key").exists()
+        hang.unlink(missing_ok=True)
+        out = self.start(spec, code=code).wait()
+        assert out.ok is (failure != "compile error")
+        assert self.spawns() == 3
