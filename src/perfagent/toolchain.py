@@ -33,15 +33,18 @@ compare, hash or read a slice at a time.
 A variant is rebuilt only when an input of its build changed, the
 verifying-trace rule of Mokhov, Mitchell & Peyton Jones, "Build Systems
 à la Carte" (ICFP 2018). ``start_compile`` keys each build on the
-compiler's version string, the full command line, the values of
+compiler's version string, the real path, size and modification time
+of the compiler file, the full command line, the values of
 ``BUILD_ENV_VARS`` and the relative path and bytes of every file in the
 variant's freshly laid-out src/. A successful join writes the key and
 the binary's SHA-256 into logs/build.key; a later ``start_compile`` of
 the same variant that finds that key and that binary spawns nothing and
 hands back the logged outcome. Compile errors, build timeouts and killed
-builds leave no stamp. Headers and libraries outside the variant's tree
-are not in the key: after a toolchain upgrade that keeps the compiler's
-version string, build into a fresh work directory.
+builds leave no stamp. Not in the key: headers and libraries outside
+the variant's tree, the compiler's own helpers (cc1, as, ld), whether a
+hand-written ``version_string`` is true, and the host CPU. After a
+toolchain upgrade that keeps the compiler file, or when a work
+directory moves to another host, build into a fresh work directory.
 """
 
 from __future__ import annotations
@@ -456,13 +459,25 @@ def _hash_file(digest, path: Path):
     return digest
 
 
+def _compiler_identity(compiler: str) -> list | None:
+    """Real path, size and modification time of the compiler file that
+    ``compiler`` names, or None when no such file is found."""
+    found = shutil.which(compiler)
+    if found is None:
+        return None
+    path = os.path.realpath(found)
+    st = os.stat(path)
+    return [path, st.st_size, st.st_mtime_ns]
+
+
 def _build_key(version: str, argv: list[str], src: Path) -> str:
-    """Hex SHA-256 of a build's inputs: the compiler's version string,
-    its command line, the values of ``BUILD_ENV_VARS``, and the relative
-    path, size and bytes of every file under ``src``, in path order."""
+    """Hex SHA-256 of a build's inputs: the compiler's version string and
+    file identity, its command line, the values of ``BUILD_ENV_VARS``,
+    and the relative path, size and bytes of every file under ``src``,
+    in path order."""
     digest = hashlib.sha256()
     env = {name: os.environ.get(name) for name in BUILD_ENV_VARS}
-    digest.update(json.dumps([version, argv, env]).encode())
+    digest.update(json.dumps([version, _compiler_identity(argv[0]), argv, env]).encode())
     for path in sorted(p for p in src.rglob("*") if p.is_file()):
         rel = path.relative_to(src).as_posix()
         digest.update(f"\0{rel}\0{path.stat().st_size}\0".encode())

@@ -808,8 +808,8 @@ class TestBuildReuse:
         assert tc.run_timed(again.binary_path, RunRecipe(repetitions=1)).stdout == b"5\n"
 
     @pytest.mark.parametrize("change", [
-        "source byte", "unlisted header", "flag", "version string", "overlay file",
-        "environment",
+        "source byte", "unlisted header", "flag", "version string", "compiler file",
+        "overlay file", "environment",
     ])
     def test_a_changed_input_rebuilds(self, tmp_path, toolchain_config, monkeypatch, change):
         self.make(tmp_path, toolchain_config)
@@ -830,6 +830,10 @@ class TestBuildReuse:
         elif change == "version string":
             info = replace(self.toolchain.compilers["gcc"], version_string="wrapped gcc 2")
             toolchain = replace(self.toolchain, compilers={"gcc": info})
+        elif change == "compiler file":  # reinstalled in place, same size and version string
+            wrapper = Path(self.toolchain.compilers["gcc"].c_path)
+            mtime = wrapper.stat().st_mtime_ns + 10**9
+            os.utime(wrapper, ns=(mtime, mtime))
         elif change == "overlay file":
             (overlay / "inc" / "k.h").write_text("#define K 8\n")
         else:
