@@ -249,10 +249,6 @@ def _resolve_hotspot(
     return tree, note, name, metric_id
 
 
-# The flag of a reply whose code cannot be patched in, which is not built.
-_UNPATCHABLE = "Unpatchable"
-
-
 def _patch_hotspot(
     base_source: str, hotspot: str, extraction: gw.ExtractionResult,
 ) -> tuple[str | None, str]:
@@ -286,37 +282,34 @@ def run_agent(
     baseline. Requests go through ``ex._reply``, as ex turns' do; the
     trace keeps an empty reply for a provider error. The system prompt
     describes ``cfg.prompt_env``, else the host (``ex.host_env``). Each
-    reply with code is one ``_Baseline.score`` attempt: one
-    ``_patch_hotspot`` cannot patch in is flagged ``_UNPATCHABLE``, and
-    any other's patched source is checked and built by ``_Baseline.attempt``
-    as an ex2 turn is, so a compile error outranks a broken rule. One
-    that builds and breaks no rule is timed in rounds with the original,
-    its speedup the ratio of the two samples from those rounds, and the
-    best iteration is the first fastest correct one by it
-    (``ex._fastest``). A candidate whose first output does not match the
-    original's runs once, and so does the original in those rounds: the
-    iteration's ``run`` then holds one wall time, and so does the trace's
-    ``baseline`` when it comes from those rounds, the first to run the
-    original. A candidate whose source repeats an earlier one's, or the
-    original's, is not compiled again: it runs that build's binary, in
-    rounds of its own, and gets no ``agent/iter<i>`` directory.
-    ``experiments.BaselineFailed`` propagates then (``BaselineRunFailed``
+    reply but a decline is one ``_Baseline.attempt``, its patched source
+    (``_patch_hotspot``) in place of its code, scored by ``_Baseline.score``
+    as an ex2 turn is; its speedup is the ratio of two samples from the
+    same rounds, and the best iteration is the first fastest correct one
+    by it (``ex._fastest``). A candidate whose first output does not match
+    the original's runs once, and so does the original in those rounds:
+    the iteration's ``run`` then holds one wall time, and so does the
+    trace's ``baseline`` when it comes from those rounds, the first to run
+    the original. ``ex.BaselineFailed`` propagates (``BaselineRunFailed``
     when the original built but did not run cleanly), so with a profile
-    source that does not read the binary a broken original is reported
-    at the first candidate timed, or else after the last iteration. An
+    source that does not read the binary a broken original is reported at
+    the first candidate timed, or else after the last iteration. An
     escaping exception kills every build not yet joined.
     """
     work_dir = Path(work_dir)
     cfg = replace(cfg, prompt_env=cfg.prompt_env or ex.host_env(toolchain))
-    agent_dir = work_dir / spec.id / "agent"
-    agent_dir.mkdir(parents=True, exist_ok=True)
     with ex._Baseline(spec, toolchain, work_dir, "agent") as original:
         iterations, stop_reason, best_iteration = _iterate(
             spec, original, profile_source, provider, cfg
         )
         trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
-    save_trace(trace, agent_dir / TRACE_FILE)
+    save_trace(trace, trace_path(work_dir, spec.id))
     return trace
+
+
+def trace_path(work_dir: Path | str, bench_id: str) -> Path:
+    """Where ``run_agent`` saves the trace of ``bench_id`` run in ``work_dir``."""
+    return Path(work_dir) / bench_id / "agent" / TRACE_FILE
 
 
 def _iterate(
@@ -363,8 +356,8 @@ def _iterate(
 
         note, profile_note = profile_note, ""
         requested: tuple[str, ...] = ()
-        run = speedup = delta = None
-        category = CorrectnessCategory.NO_GENERATED_CODE
+        delta = None
+        tag = f"agent/iter{index}"
         response, extraction, error = ex._reply(provider, bundle)
         response = response or gw.ModelResponse("", provider.provider_id, 0.0)
         note = _join_notes(note, error)
@@ -373,31 +366,35 @@ def _iterate(
         if declined:
             note = _join_notes(note, "model declined further optimization")
             stop_reason = StopReason.MODEL_DECLINED
-        elif extraction.code is not None:
-            catalog = current_tree.metric_catalog
-            requested = tuple(parse_metric_requests(response.raw_text, catalog))
-            tag = f"agent/iter{index}"
-            new_source, why = _patch_hotspot(base_source, hotspot_name, extraction)
-            build, flags = None, {_UNPATCHABLE}
-            if new_source is not None:
-                build, _, flags = original.attempt(
-                    tag, hotspot_rel, base_source, new_source, extraction, gw.Experiment.AGENT
-                )
-                if flags:  # a ConstraintFlag each, or the str ex._UNPARSEABLE
-                    why = "violated: " + ", ".join(sorted(getattr(f, "value", f) for f in flags))
+            # A decline is not scored: it is NoGeneratedCode, code or not.
+            scored = ex._Attempt(
+                tag, None, extraction, category=CorrectnessCategory.NO_GENERATED_CODE
+            )
+        else:
+            new_source, why = None, ""
+            if extraction.code is not None:
+                catalog = current_tree.metric_catalog
+                requested = tuple(parse_metric_requests(response.raw_text, catalog))
+                new_source, why = _patch_hotspot(base_source, hotspot_name, extraction)
+            attempt = original.attempt(
+                tag, extraction, gw.Experiment.AGENT, (hotspot_rel, base_source), new_source
+            )
+            flags = attempt.flags  # a ConstraintFlag each, or the str ex._UNPARSEABLE
+            if new_source is not None and flags:
+                why = "violated: " + ", ".join(sorted(getattr(f, "value", f) for f in flags))
             note = _join_notes(note, why)
-            (evaluation,) = original.score([(build, extraction, flags)])
-            category, run, speedup = evaluation.category, evaluation.run, evaluation.stat
+            (scored,) = original.score([attempt])
+            run = scored.run
             if run is not None and run.stdout is not original.sample().stdout:
                 # The trace keeps the output's size and digest, not its file.
                 run.stdout.sha256()
                 run.stdout.close()
 
-        if category is CorrectnessCategory.CORRECT:
+        if scored.category is CorrectnessCategory.CORRECT:
             next_tree, fail_note = _profile_or_fallback(
                 profile_source,
-                ProfileRequest(spec, tag, lambda: build.binary_path, requested),
-                spec, hotspot_name, lambda: run.mean_s,
+                ProfileRequest(spec, tag, lambda: scored.build.binary_path, requested),
+                spec, hotspot_name, lambda: scored.run.mean_s,
             )
             note = _join_notes(note, fail_note)
             try:
@@ -411,8 +408,8 @@ def _iterate(
 
         iterations.append(IterationRecord(
             index=index, context_sent=bundle.user_text, response=response,
-            extraction=extraction, category=category, run=run,
-            speedup_vs_original=speedup, requested_metrics=requested,
+            extraction=extraction, category=scored.category, run=scored.run,
+            speedup_vs_original=scored.stat, requested_metrics=requested,
             profile_delta=delta, note=note,
         ))
         if declined:

@@ -189,10 +189,7 @@ def cmd_agent(args) -> int:
         print(f"iter {record.index}: {record.category.value}{mark}")
     best = "none" if trace.best_iteration is None else str(trace.best_iteration)
     print(f"stop: {trace.stop_reason.value}; best iteration: {best}")
-    trace_path = (
-        Path(args.work) / spec.id / "agent" / agent_mod.TRACE_FILE
-    )
-    print(f"trace: {trace_path}")
+    print(f"trace: {agent_mod.trace_path(args.work, spec.id)}")
     return 0
 
 

@@ -151,8 +151,27 @@ class BaselineRunFailed(BaselineFailed):
     """The original built but did not run cleanly."""
 
 
-# The flag of a reply whose code does not parse, which is not built.
+# The flags of a reply whose code does not parse, or that its caller could
+# not apply (the agent's reply it cannot patch in), which is not built.
 _UNPARSEABLE = "Unparseable"
+_UNPATCHABLE = "Unpatchable"
+
+
+@dataclass(frozen=True)
+class _Attempt:
+    """A row's attempt: a model reply, with code or without, or a tool's
+    tree (no extraction). ``_Baseline.attempt`` makes it, and
+    ``_Baseline.score`` returns it completed by ``_score``."""
+
+    tag: str
+    build: tc.PendingBuild | None
+    extraction: gw.ExtractionResult | None
+    flags: frozenset = frozenset()
+    category: CorrectnessCategory | None = None
+    stat: tc.SpeedupStat | None = None
+    run: tc.RunSample | None = None
+    thread_results: tuple[tuple[int, float | None], ...] | None = None
+    labels: tuple[OptimizationLabel, ...] = ()
 
 
 class _Baseline:
@@ -160,14 +179,14 @@ class _Baseline:
     takes. Construction prepares its sources into ``<ex>/prepared/``
     (``src_dir``; a tree an earlier run left is replaced), in which
     nothing runs, and starts the original's build as ``<ex>/base`` just
-    as ``build`` starts each candidate's, from a fresh copy of that tree.
+    as ``attempt`` starts each candidate's, from a fresh copy of that tree.
     Leaving the ``with`` block kills every build it started that nobody
     joined. ``score`` joins the candidates' builds and times them with
     the original. ``sample`` is the original's first run, the reference
     every output is checked against. Every failure of the original is a
     BaselineFailed.
 
-    Within the row, identical code is built and timed once: ``build``
+    Within the row, identical code is built and timed once: ``attempt``
     hands an attempt whose rewritten file repeats an earlier attempt's,
     or the original's, that attempt's build, and ``score`` times each
     distinct build once. Across rows only the compiler's work is kept:
@@ -198,7 +217,7 @@ class _Baseline:
             if prepared.exists():
                 shutil.rmtree(prepared)
             self.src_dir = manifest.prepare_sources(spec, prepared)
-            self._build = self.build(f"{ex_tag}/base")
+            self._build = self._start(f"{ex_tag}/base")
         except (tc.ToolchainError, manifest.ManifestError) as exc:
             raise BaselineFailed(str(exc)) from exc
 
@@ -209,55 +228,51 @@ class _Baseline:
         for build in self._builds:
             build.kill()
 
-    def build(
+    def _start(
         self, tag: str, code: tuple[str, str] | None = None, overlay: Path | None = None
     ) -> tc.PendingBuild:
         """Start building the variant ``tag`` from the prepared tree with
         ``code``, a (relative path, text) pair, written over one file and
         the ``overlay`` directory laid over it, as ``tc.start_compile``
-        lays them out.
-
-        ``code`` alone that the row has built already, or that leaves the
-        prepared file byte-identical, compiles nothing: it gets that
-        earlier build, or the original's, whose directory and build log
-        then stand for ``tag``, which gets no variant directory. An
-        ``overlay`` build is never shared."""
-        shareable = code is not None and overlay is None
-        if shareable:
-            if code not in self._by_code and self._unchanged(*code):
-                self._by_code[code] = self._build
-            if code in self._by_code:
-                return self._by_code[code]
+        lays them out."""
         build = tc.start_compile(
             self._spec, self.src_dir, self._toolchain, tag, self._work_dir, code, overlay
         )
         self._builds.append(build)
-        if shareable:
-            self._by_code[code] = build
         return build
 
     def attempt(
-        self, tag: str, rel: str, original_text: str, code: str | None,
-        extraction: gw.ExtractionResult, experiment: Experiment,
-    ) -> tuple[tc.PendingBuild | None, gw.ExtractionResult, set]:
-        """The ``score`` attempt of ``code`` (None: a reply without code)
-        written over the file ``rel``, whose text is ``original_text``: its
-        constraint flags against that text and its build as ``tag``. Code
-        that parses is built, flagged or not, so ``classify_attempt`` alone
-        ranks a compile error over a broken rule; code that does not is
-        flagged ``_UNPARSEABLE`` alone and not built."""
+        self, tag: str, extraction: gw.ExtractionResult | None = None,
+        experiment: Experiment | None = None, file: tuple[str, str] | None = None,
+        code: str | None = None, overlay: Path | None = None,
+    ) -> _Attempt:
+        """A ``score`` attempt as ``tag``: a tool's ``overlay`` tree, or a
+        reply whose ``code`` is written over ``file``, a (relative path,
+        text) pair, and checked against that text by ``experiment``'s
+        rules. A reply without code builds nothing, nor does its ``code``
+        when None (its caller could not apply it, ``_UNPATCHABLE``) or
+        when it does not parse (``_UNPARSEABLE``). Other code builds,
+        flagged or not, so ``classify_attempt`` alone ranks a compile error
+        over a broken rule. Code the row has built already, or that leaves
+        the prepared file byte-identical, compiles nothing: it gets that
+        build, or the original's, whose directory and build log then stand
+        for ``tag``. An ``overlay`` build is never shared."""
+        if overlay is not None:
+            return _Attempt(tag, self._start(tag, overlay=overlay), None)
+        if extraction.code is None:
+            return _Attempt(tag, None, extraction)
         if code is None:
-            return None, extraction, set()
+            return _Attempt(tag, None, extraction, frozenset({_UNPATCHABLE}))
+        rel, original_text = file
         try:
             flags = gw.check_constraints(original_text, code, experiment)
         except gw.UnparseableCandidate:
-            return None, extraction, {_UNPARSEABLE}
-        return self.build(tag, code=(rel, code)), extraction, flags
-
-    def _unchanged(self, rel: str, text: str) -> bool:
-        """Whether ``text`` is byte for byte the prepared file ``rel``."""
-        path = self.src_dir / rel
-        return path.is_file() and path.read_bytes() == text.encode("utf-8")
+            return _Attempt(tag, None, extraction, frozenset({_UNPARSEABLE}))
+        if (rel, code) not in self._by_code:
+            path = self.src_dir / rel
+            unchanged = path.is_file() and path.read_bytes() == code.encode("utf-8")
+            self._by_code[rel, code] = self._build if unchanged else self._start(tag, (rel, code))
+        return _Attempt(tag, self._by_code[rel, code], extraction, frozenset(flags))
 
     def check(self) -> tc.RunSample:
         """The original run once, unless it has run already: the
@@ -271,15 +286,13 @@ class _Baseline:
         return self._rounds((), self._spec.run)[0]
 
     def score(
-        self,
-        attempts: Sequence[tuple[tc.PendingBuild | None, gw.ExtractionResult | None, set[str]]],
-        counts: Sequence[int] | None = None,
-    ) -> list[_Evaluation]:
-        """Each (build from ``build`` or None, extraction, flags) attempt
-        classified by ``_score``. Every build is joined first, in attempt
-        order; then one ``tc.run_rounds`` times the original and each
-        distinct build that an attempt which built and broke no constraint
-        holds, once or at each of ``counts``. Attempts that share a build
+        self, attempts: Sequence[_Attempt], counts: Sequence[int] | None = None,
+    ) -> list[_Attempt]:
+        """Each attempt from ``attempt`` completed by ``_score``. Every
+        build is joined first, in attempt order; then one ``tc.run_rounds``
+        times the original and each distinct build that an attempt which
+        built and broke no constraint holds, once or at each of
+        ``counts``. Attempts that share a build
         share its samples. An attempt holding the original's own build is
         still timed as an arm of its own beside the original, so a null
         rewrite is measured, not assumed. With nothing to time, nothing
@@ -296,10 +309,9 @@ class _Baseline:
         its own file closed, before any attempt is scored, so a row keeps
         one file per distinct output and no attempt reads an output
         another closed."""
-        outcomes = [None if build is None else self._wait(build) for build, *_ in attempts]
+        outcomes = [None if a.build is None else self._wait(a.build) for a in attempts]
         timed_builds = list(dict.fromkeys(
-            build for (build, _, flags), outcome in zip(attempts, outcomes)
-            if _timed(outcome, flags)
+            a.build for a, outcome in zip(attempts, outcomes) if _timed(outcome, a.flags)
         ))
         per_build = counts or (None,)
         arms = [(build.binary_path, count) for build in timed_builds for count in per_build]
@@ -330,8 +342,8 @@ class _Baseline:
         n = len(per_build)
         by_build = {build: checked[i * n:(i + 1) * n] for i, build in enumerate(timed_builds)}
         return [
-            _score(outcome, extraction, flags, original, by_build.get(build, []))
-            for (build, extraction, flags), outcome in zip(attempts, outcomes)
+            _score(outcome, attempt, original, by_build.get(attempt.build, []))
+            for attempt, outcome in zip(attempts, outcomes)
         ]
 
     def binary_path(self) -> Path:
@@ -421,34 +433,23 @@ def _attachment(spec: BenchmarkSpec, src_dir: Path) -> tuple[str, str]:
     return rels[0], (src_dir / rels[0]).read_text(encoding="utf-8", errors="replace")
 
 
-@dataclass(frozen=True)
-class _Evaluation:
-    category: CorrectnessCategory
-    stat: tc.SpeedupStat | None
-    thread_results: tuple[tuple[int, float | None], ...] | None
-    labels: tuple[OptimizationLabel, ...]
-    # The timed run the category rests on; None when nothing ran.
-    run: tc.RunSample | None = None
-
-
-def _timed(build: tc.BuildOutcome | None, flags: set[str]) -> bool:
+def _timed(build: tc.BuildOutcome | None, flags: frozenset) -> bool:
     """Whether an attempt is timed: it built and broke no constraint."""
     return build is not None and build.ok and not flags
 
 
 def _score(
     build: tc.BuildOutcome | None,
-    extraction: gw.ExtractionResult | None,
-    flags: set[str],
+    attempt: _Attempt,
     original: tc.RunSample | None,
     checked: Sequence[tuple[tc.RunSample, MatchReport | None]],
-) -> _Evaluation:
-    """Classify one attempt from what was built, timed and compared; runs
-    and compares nothing.
+) -> _Attempt:
+    """``attempt`` completed from what was built, as ``build`` (its joined
+    build, or None), timed and compared; runs and compares nothing.
 
-    An attempt with no build (a reply without code, or whose code does
-    not parse), a failed build or a constraint flag is classified as it
-    stands, and ``original`` may be None. Otherwise ``checked`` holds its
+    An attempt with no build (a reply without code, or whose code was not
+    applied or does not parse), a failed build or a constraint flag is
+    classified as it stands, and ``original`` may be None. Otherwise ``checked`` holds its
     timed runs, each taken in rounds with ``original`` (one, or one per
     thread count in ascending order), with the report of comparing its
     output with the original's, None when its first run failed. A sample
@@ -456,18 +457,18 @@ def _score(
     the first sample whose output matches, else on the first sample.
     Each matching sample's speedup is ``measure_speedup(original,
     sample)``, and the attempt's is that of its fastest matching sample.
-    ``extraction`` is None for code that came from outside a model reply
-    (external tool trees). ``checked`` comes from ``_Baseline.score``,
-    which compares each distinct sample once, stops one that did not
-    match after its first run, and has already made each sample whose
-    output equals the original's hold it.
+    ``checked`` comes from ``_Baseline.score``, which compares each
+    distinct sample once, stops one that did not match after its first
+    run, and has already made each sample whose output equals the
+    original's hold it.
     """
-    labels = ()  # none without code, and none without prose that claims one
+    extraction = attempt.extraction
     if extraction is not None and extraction.code is not None and extraction.explanation:
-        labels = tuple(gw.classify_explanation(extraction.explanation))
-    if not _timed(build, flags):
-        category = classify_attempt(build, extraction, None, None, flags)
-        return _Evaluation(category, None, None, labels)
+        # none without code, and none without prose that claims one
+        attempt = replace(attempt, labels=tuple(gw.classify_explanation(extraction.explanation)))
+    if not _timed(build, attempt.flags):
+        category = classify_attempt(build, extraction, None, None, attempt.flags)
+        return replace(attempt, category=category)
 
     rated = []  # (sample, match, SpeedupStat if it matched) per sample
     for sample, match in checked:
@@ -487,7 +488,9 @@ def _score(
             (sample.thread_count, None if gain is None else gain.speedup)
             for sample, _, gain in rated
         )
-    return _Evaluation(category, stat, thread_results, labels, run)
+    return replace(
+        attempt, category=category, stat=stat, run=run, thread_results=thread_results
+    )
 
 
 def _fastest(stats: Sequence[tc.SpeedupStat | None]) -> int | None:
@@ -511,41 +514,39 @@ def _table(
     experiment: Experiment,
     ex_tag: str,
     tool_id: str,
-    attempts_of: Callable[[BenchmarkSpec, _Baseline], Sequence[tuple[str, tuple]]],
+    attempts_of: Callable[[BenchmarkSpec, _Baseline], Sequence[_Attempt]],
     counts: tuple[int, ...] | None = None,
 ) -> ResultsTable:
     """One row per spec: the loop of every ex and import-tool row.
 
     Each row's ``_Baseline`` (1-thread when ``counts`` is given) starts
     the original's build; ``attempts_of(spec, base)`` gives the row's
-    (variant tag, ``_Baseline.score`` attempt) pairs, and ``score`` times
-    them (at each of ``counts``) with the original, which is then checked
-    even when nothing was timed. The row is the ``_fastest`` correct
-    attempt, else the last with speedup exactly 1.0. A spec whose original
-    fails to prepare, build or run is skipped with an error logged; an
-    exception escaping a row kills every build in flight."""
+    ``_Baseline.attempt`` records, and ``score`` times them (at each of
+    ``counts``) with the original, which is then checked even when
+    nothing was timed. The row is the ``_fastest`` correct attempt, else
+    the last with speedup exactly 1.0. A spec whose original fails to
+    prepare, build or run is skipped with an error logged; an exception
+    escaping a row kills every build in flight."""
     work_dir = Path(work_dir)
     threads = None if counts is None else 1
     rows = []
     for spec in specs:
         try:
             with _Baseline(spec, toolchain, work_dir, ex_tag, threads) as base:
-                tagged = attempts_of(spec, base)
-                evaluations = base.score([attempt for _, attempt in tagged], counts)
+                scored = base.score(attempts_of(spec, base), counts)
                 base.check()
         except BaselineFailed as exc:
             log.error("%s: skipped, %s", spec.id, exc)
             continue
-        best = _fastest([e.stat for e in evaluations])
-        best = -1 if best is None else best
-        evaluation = evaluations[best]
-        correct = evaluation.category is CorrectnessCategory.CORRECT
+        best = _fastest([attempt.stat for attempt in scored])
+        attempt = scored[-1 if best is None else best]
+        correct = attempt.category is CorrectnessCategory.CORRECT
         rows.append(AttemptRecord(
             benchmark_id=spec.id, motif=spec.motif, level=spec.level,
-            experiment=experiment, tool_id=tool_id, variant_tag=tagged[best][0],
-            category=evaluation.category,
-            speedup=evaluation.stat.speedup if correct else 1.0, na_flag=not correct,
-            labels=evaluation.labels, thread_results=evaluation.thread_results,
+            experiment=experiment, tool_id=tool_id, variant_tag=attempt.tag,
+            category=attempt.category,
+            speedup=attempt.stat.speedup if correct else 1.0, na_flag=not correct,
+            labels=attempt.labels, thread_results=attempt.thread_results,
         ))
     return ResultsTable(tuple(rows), _provenance(toolchain, tool_id))
 
@@ -586,14 +587,13 @@ def _converse(
     ``host_env``.
 
     Each request (``_reply``) carries the earlier answered exchanges.
-    Each reply goes through ``_Baseline.attempt``, the agent's rule too:
-    its code, unless it does not parse, starts building at once, whatever
-    rule it breaks, so builds run while later requests wait and a compile
-    error outranks a broken rule. When more turns follow, the original is
+    Each reply is a ``_Baseline.attempt``, as an agent iteration is: its
+    build starts at once, so builds run while later requests wait. When
+    more turns follow, the original is
     checked (joined and run once, for the reference output) right after
     the first reply. Scoring every turn after the last gives the rows and
     categories of scoring each before the next request; ``score`` says
-    which turns run past the first round, and ``build`` which share a
+    which turns run past the first round, and ``attempt`` which share a
     build. A turn whose build outlives ``build.timeout_s`` is a
     compilation error. No timed run overlaps a build.
     """
@@ -612,9 +612,9 @@ def _converse(
                 base.check()
             if response is not None:
                 history.append((prompt.user_text, response.raw_text))
-            attempts.append((tag, base.attempt(
-                tag, rel, original_text, extraction.code, extraction, experiment
-            )))
+            attempts.append(base.attempt(
+                tag, extraction, experiment, (rel, original_text), extraction.code
+            ))
         return attempts
 
     return _table(
@@ -689,26 +689,26 @@ def import_external_tool_results(
     prepared original, so a tree may ship only the sources it changed, and
     a subdirectory no selected benchmark owns is skipped with a warning.
     No model is involved, so constraint checks and labels do not apply.
-    The tree builds beside the original (``_Baseline.build``); one that
-    fails to build only checks its original.
+    The tree builds beside the original (``_Baseline.attempt``); one that
+    fails to build only checks its original. A ``dir`` that is not a
+    directory is a ValueError.
     """
     if not manifest.is_plain_name(tool_id) or tool_id in ("base", "prepared"):
         raise ValueError(f"tool id {tool_id!r} must be one plain path component, "
                          "not base or prepared, the names of a row's own trees")
     dir = Path(dir)
+    if not dir.is_dir():
+        raise ValueError(f"{dir}: not a directory of tool trees")
     by_id = {spec.id: spec for spec in selection}
-    provided = sorted(p.name for p in dir.iterdir() if p.is_dir()) if dir.exists() else []
-
-    specs = []
+    provided = sorted(p.name for p in dir.iterdir() if p.is_dir())
     for bench_id in provided:
-        if bench_id in by_id:
-            specs.append(by_id[bench_id])
-        else:
+        if bench_id not in by_id:
             log.warning("%s: no benchmark with this id in the selection", bench_id)
     tag = f"import/{tool_id}"
     return _table(
-        specs, toolchain, work_dir, Experiment.EX1, "import", tool_id,
-        lambda spec, base: [(tag, (base.build(tag, overlay=dir / spec.id), None, set()))],
+        [by_id[b] for b in provided if b in by_id], toolchain, work_dir, Experiment.EX1,
+        "import", tool_id,
+        lambda spec, base: [base.attempt(tag, overlay=dir / spec.id)],
     )
 
 

@@ -323,8 +323,11 @@ def spec_from_dict(doc: dict, root: Path, manifest_path: Path | None = None) -> 
 
 
 def load_manifest(root: Path | str) -> list[BenchmarkSpec]:
-    """All valid benchmark specs under ``root``, ordered by id."""
+    """All valid benchmark specs under ``root``, ordered by id; a ``root``
+    that is not a directory is a ManifestError."""
     root = Path(root)
+    if not root.is_dir():
+        raise ManifestError(f"{root}: not a directory")
     specs: list[BenchmarkSpec] = []
     seen: set[str] = set()
     for manifest_path in sorted(root.glob(f"*/{MANIFEST_NAME}")):

@@ -336,18 +336,61 @@ class TestFailedIterations:
         provider = FlakyProvider()
         with caplog.at_level(logging.WARNING, logger="perfagent"):
             if driver == "agent":
-                trace = run(spec, provider, toolchain_config, tmp_path / "w",
-                            max_iterations=2)
-                # An iteration without code is not scored.
-                categories = [r.category for r in trace.iterations]
+                run(spec, provider, toolchain_config, tmp_path / "w", max_iterations=2)
             else:
                 getattr(ex, f"run_{driver}")([spec], provider, toolchain_config, tmp_path / "w")
         assert categories[0] is Cat.NO_GENERATED_CODE
         assert any(r.levelno == logging.WARNING and "provider error" in r.getMessage()
                    for r in caplog.records)
+        if driver != "ex1":
+            assert categories[1] is Cat.CORRECT
         if driver == "ex2":
             assert [m["role"] for m in provider.received[1]] == ["system", "user"]
-            assert categories[1] is Cat.CORRECT
+
+    @pytest.mark.parametrize("driver", ["ex2", "agent"])
+    def test_each_reply_is_classified_once_in_request_order(
+        self, tmp_path, toolchain_config, driver, monkeypatch
+    ):
+        """A provider error, a reply without code, code that cannot be
+        applied, a compile error and a correct reply: each goes through
+        ``classify_attempt`` exactly once, as its ``_Baseline`` attempt."""
+        if driver == "agent":
+            unbalanced = "void kernel(void) {\n    return;\n"
+            broken = "void kernel(void) {\n    int x = ;\n}"
+            correct = kernel_replacement(40)
+        else:
+            unbalanced = "int main(void) {\n    return 0;\n"
+            broken, correct = SYNTAX_ERROR, hotspot_program(40)
+        replies = ["Buy a faster computer.", fenced(unbalanced), fenced(broken), fenced(correct)]
+
+        class FlakyProvider(gw.Provider):
+            provider_id = "flaky"
+            calls = 0
+
+            def complete(self, messages):
+                self.calls += 1
+                if self.calls == 1:
+                    raise gw.QuotaExceeded("try later")
+                return gw.ModelResponse(replies[self.calls - 2], self.provider_id, 0.0)
+
+        classified, classify = [], ex.classify_attempt
+
+        def recording_classify(*args):
+            classified.append(classify(*args))
+            return classified[-1]
+
+        monkeypatch.setattr(ex, "classify_attempt", recording_classify)
+        spec = hotspot_bench(tmp_path / "b")
+        if driver == "agent":
+            trace = run(spec, FlakyProvider(), toolchain_config, tmp_path / "w",
+                        max_iterations=5)
+            assert [r.category for r in trace.iterations] == classified
+        else:
+            ex.run_ex2([spec], FlakyProvider(), toolchain_config, tmp_path / "w")
+        assert classified == [
+            Cat.NO_GENERATED_CODE, Cat.NO_GENERATED_CODE, Cat.FAILED_TO_FOLLOW_INSTRUCTIONS,
+            Cat.COMPILATION_ERROR, Cat.CORRECT,
+        ]
 
     def test_exhausted_transcript_burns_remaining_slots(self, tmp_path, toolchain_config):
         spec = hotspot_bench(tmp_path / "b")

@@ -284,6 +284,18 @@ def _escaping_tool_id(tmp_path):
     ], "escape"
 
 
+def _missing_tool_dir(tmp_path):
+    suite(tmp_path / "suite")
+    return [
+        "import-tool", "--root", str(tmp_path / "suite"), "--dir", str(tmp_path / "absent"),
+        "--tool-id", "srcfix", "--out", str(tmp_path / "out"),
+    ], "absent: not a directory"
+
+
+def _missing_root(tmp_path):
+    return ["bench", "list", "--root", str(tmp_path / "absent")], "absent: not a directory"
+
+
 def _own_tree_tool_id(tool_id):
     """An import whose tool id names the row's own original or prepared tree."""
     def write(tmp_path):
@@ -351,6 +363,8 @@ def _report_row(**changes):
     _truncated_manifest,
     _manifest_not_utf8,
     _escaping_tool_id,
+    _missing_tool_dir,
+    _missing_root,
     _own_tree_tool_id("base"),
     _own_tree_tool_id("prepared"),
     _report({"provenance": {}}),
@@ -367,7 +381,7 @@ def _report_row(**changes):
     _ex1_with("env.json", '{"os": 5}', "env.json: key '--prompt-env'"),
     _escaping_stdin_file,
 ], ids=["unbalanced_hotspot_source", "manifest_id", "manifest_truncated", "manifest_not_utf8", "tool_id",
-        "tool_id_base", "tool_id_prepared",
+        "tool_dir_missing", "root_missing", "tool_id_base", "tool_id_prepared",
         "report_without_rows", "report_row_missing_key", "report_row_speedup_string",
         "report_row_unknown_motif", "report_truncated", "provider_config_truncated",
         "transcript_truncated", "transcript_latency_string", "prompt_env_truncated",

@@ -416,6 +416,35 @@ class TestEx2:
         assert table.rows[0].speedup > 1.5
         assert table.rows[1].speedup == 1.0 and table.rows[1].na_flag
 
+    def test_score_completes_the_records_attempt_made(
+        self, tmp_path, toolchain_config, monkeypatch
+    ):
+        """``_Baseline.score`` returns the records ``_Baseline.attempt``
+        made, in order, each completed with its category: the same tag,
+        build, extraction and flags."""
+        pairs, score = [], ex._Baseline.score
+
+        def recording_score(base, attempts, counts=None):
+            scored = score(base, attempts, counts)
+            pairs.extend(zip(attempts, scored, strict=True))
+            return scored
+
+        monkeypatch.setattr(ex._Baseline, "score", recording_score)
+        replies = [fenced(sleeper(60)), fenced(SYNTAX_ERROR), "no code",
+                   fenced("int main(void) {\n"), fenced(sleeper(60, message="result 99"))]
+        ex.run_ex2([sleep_bench(tmp_path / "b")], replay(replies), toolchain_config,
+                   tmp_path / "w")
+        assert [done.tag for _, done in pairs] == [f"ex2/turn{t}" for t in range(1, 6)]
+        assert [done.category for _, done in pairs] == [
+            Cat.CORRECT, Cat.COMPILATION_ERROR, Cat.NO_GENERATED_CODE,
+            Cat.FAILED_TO_FOLLOW_INSTRUCTIONS, Cat.OUTPUT_MISMATCH,
+        ]
+        for made, done in pairs:
+            assert made.category is None
+            assert (done.tag, done.build, done.extraction, done.flags) == (
+                made.tag, made.build, made.extraction, made.flags
+            )
+
     def test_escaping_error_kills_the_build_in_flight(self, tmp_path, toolchain_config):
         pids = tmp_path / "turn2.pid"
         # Every build runs gcc, except turn 2's, which hangs until killed.
@@ -549,6 +578,11 @@ class TestEx3:
         assert provider.received == []
 
 
+def tool_attempt(build):
+    """The ``_Baseline.attempt`` record of a tool's tree built as ``build``."""
+    return ex._Attempt("cand", tc.PendingBuild.joined(build), None)
+
+
 def checked(spec, reference, samples):
     """``samples`` as ``_Baseline.score`` hands them to ``_score``: each
     with the report of comparing its output with ``reference`` (None for
@@ -591,10 +625,10 @@ class TestScoreSharesOutput:
             spec.run,
         )
         shared = checked(spec, baseline.stdout, own)
-        evaluation = ex._score(build, None, set(), baseline, shared)
-        assert evaluation.category is category
-        assert evaluation.run.stdout == f"{message}\n".encode()
-        assert (evaluation.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
+        scored = ex._score(build, tool_attempt(build), baseline, shared)
+        assert scored.category is category
+        assert scored.run.stdout == f"{message}\n".encode()
+        assert (scored.run.stdout is baseline.stdout) is (category is Cat.CORRECT)
         # An equal output's own file is closed; the original's stays open.
         assert len(own) == (1 if counts is None else len(counts))
         assert all(sample.stdout.closed is (category is Cat.CORRECT) for sample in own)
@@ -634,12 +668,12 @@ class TestScoreMemory:
                 [(original.binary_path, None), (build.binary_path, None)], spec.run
             )
             shared = checked(spec, baseline.stdout, [sample])
-            evaluation = ex._score(build, None, set(), baseline, shared)
+            scored = ex._score(build, tool_attempt(build), baseline, shared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(baseline.stdout) >= 8_000_000
-        assert evaluation.category is category
+        assert scored.category is category
         assert peak < 1_000_000
 
 
@@ -654,7 +688,8 @@ class TestScoreSweep:
         spec = sleep_bench(tmp_path / "b", ms=5)
         build = tc.BuildOutcome(tc.BuildStatus.OK, tmp_path / "bin", "")
         return ex._score(
-            build, None, set(), self.BASELINE, checked(spec, self.BASELINE.stdout, samples.values())
+            build, tool_attempt(build), self.BASELINE,
+            checked(spec, self.BASELINE.stdout, samples.values()),
         )
 
     def test_fastest_matching_count_sets_the_speedup(self, tmp_path):
@@ -664,28 +699,28 @@ class TestScoreSweep:
             4: tc.RunSample((), b"", b"", -11, 4),
             8: tc.RunSample((0.1,), b"42\n", b"", 0, 8),
         }
-        evaluation = self.score(tmp_path, samples)
+        scored = self.score(tmp_path, samples)
 
         b = self.BASELINE.mean_s
-        assert evaluation.category is Cat.CORRECT
-        assert evaluation.run.thread_count == 2
-        assert evaluation.thread_results == (
+        assert scored.category is Cat.CORRECT
+        assert scored.run.thread_count == 2
+        assert scored.thread_results == (
             (1, None), (2, b / samples[2].mean_s), (4, None), (8, b / samples[8].mean_s),
         )
-        assert evaluation.stat == tc.SpeedupStat(b, samples[8].mean_s, b / samples[8].mean_s)
-        assert evaluation.stat.speedup == max(v for _, v in evaluation.thread_results if v)
+        assert scored.stat == tc.SpeedupStat(b, samples[8].mean_s, b / samples[8].mean_s)
+        assert scored.stat.speedup == max(v for _, v in scored.thread_results if v)
 
     def test_no_matching_count_rests_on_the_first(self, tmp_path):
         samples = {
             1: tc.RunSample((0.7,), b"41\n", b"", 0, 1),
             2: tc.RunSample((), b"", b"", -11, 2),
         }
-        evaluation = self.score(tmp_path, samples)
+        scored = self.score(tmp_path, samples)
 
-        assert evaluation.category is Cat.OUTPUT_MISMATCH
-        assert evaluation.run.thread_count == 1
-        assert evaluation.thread_results == ((1, None), (2, None))
-        assert evaluation.stat is None
+        assert scored.category is Cat.OUTPUT_MISMATCH
+        assert scored.run.thread_count == 1
+        assert scored.thread_results == ((1, None), (2, None))
+        assert scored.stat is None
 
 
 class TestImport:

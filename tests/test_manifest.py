@@ -16,6 +16,7 @@ from perfagent.manifest import (
     BenchmarkSpec,
     DuplicateId,
     MalformedManifest,
+    ManifestError,
     MissingSource,
     Motif,
     PreprocessFailure,
@@ -36,6 +37,14 @@ def test_load_orders_by_id(tmp_path):
     write_bench(tmp_path, "jacobi1d", {"main.c": TRIVIAL_MAIN}, motif="Stencils")
     specs = load_manifest(tmp_path)
     assert [s.id for s in specs] == ["jacobi1d", "matmul"]
+
+
+def test_missing_root_rejected(tmp_path):
+    (tmp_path / "file").write_text("")
+    for root in (tmp_path / "absent", tmp_path / "file"):
+        with pytest.raises(ManifestError) as info:
+            load_manifest(root)
+        assert str(info.value) == f"{root}: not a directory"
 
 
 def test_missing_source_rejected(tmp_path):
