@@ -282,15 +282,17 @@ def run_agent(
     baseline. Requests go through ``ex._reply``, as ex turns' do; the
     trace keeps an empty reply for a provider error. The system prompt
     describes ``cfg.prompt_env``, else the host (``ex.host_env``). Each
-    reply but a decline is one ``_Baseline.attempt``, its patched source
+    reply is one ``_Baseline.attempt``, its patched source
     (``_patch_hotspot``) in place of its code, scored by ``_Baseline.score``
-    as an ex2 turn is; its speedup is the ratio of two samples from the
-    same rounds, and the best iteration is the first fastest correct one
-    by it (``ex._fastest``). A candidate whose first output does not match
-    the original's runs once, and so does the original in those rounds:
-    the iteration's ``run`` then holds one wall time, and so does the
-    trace's ``baseline`` when it comes from those rounds, the first to run
-    the original. ``ex.BaselineFailed`` propagates (``BaselineRunFailed``
+    as an ex2 turn is; a decline is scored as a reply without code
+    (``gw.NO_CODE``), and its record keeps what was extracted. A speedup
+    is the ratio of two samples from the same rounds, and the best
+    iteration is the first fastest correct one by it (``ex._fastest``).
+    A candidate whose first output does not match the original's runs
+    once, and so does the original in those rounds: the iteration's
+    ``run`` then holds one wall time, and so does the trace's
+    ``baseline`` when it comes from those rounds, the first to run the
+    original. ``ex.BaselineFailed`` propagates (``BaselineRunFailed``
     when the original built but did not run cleanly), so with a profile
     source that does not read the binary a broken original is reported at
     the first candidate timed, or else after the last iteration. An
@@ -363,32 +365,28 @@ def _iterate(
         note = _join_notes(note, error)
         declined = _is_decline(response.raw_text, extraction)
 
-        if declined:
-            note = _join_notes(note, "model declined further optimization")
+        new_source, why = None, ""
+        if declined:  # scored as a reply without code, whatever it carries
+            why = "model declined further optimization"
             stop_reason = StopReason.MODEL_DECLINED
-            # A decline is not scored: it is NoGeneratedCode, code or not.
-            scored = ex._Attempt(
-                tag, None, extraction, category=CorrectnessCategory.NO_GENERATED_CODE
-            )
-        else:
-            new_source, why = None, ""
-            if extraction.code is not None:
-                catalog = current_tree.metric_catalog
-                requested = tuple(parse_metric_requests(response.raw_text, catalog))
-                new_source, why = _patch_hotspot(base_source, hotspot_name, extraction)
-            attempt = original.attempt(
-                tag, extraction, gw.Experiment.AGENT, (hotspot_rel, base_source), new_source
-            )
-            flags = attempt.flags  # a ConstraintFlag each, or the str ex._UNPARSEABLE
-            if new_source is not None and flags:
-                why = "violated: " + ", ".join(sorted(getattr(f, "value", f) for f in flags))
-            note = _join_notes(note, why)
-            (scored,) = original.score([attempt])
-            run = scored.run
-            if run is not None and run.stdout is not original.sample().stdout:
-                # The trace keeps the output's size and digest, not its file.
-                run.stdout.sha256()
-                run.stdout.close()
+        elif extraction.code is not None:
+            catalog = current_tree.metric_catalog
+            requested = tuple(parse_metric_requests(response.raw_text, catalog))
+            new_source, why = _patch_hotspot(base_source, hotspot_name, extraction)
+        attempt = original.attempt(
+            tag, gw.NO_CODE if declined else extraction, gw.Experiment.AGENT,
+            (hotspot_rel, base_source), new_source,
+        )
+        flags = attempt.flags  # a ConstraintFlag each, or the str ex._UNPARSEABLE
+        if new_source is not None and flags:
+            why = "violated: " + ", ".join(sorted(getattr(f, "value", f) for f in flags))
+        note = _join_notes(note, why)
+        (scored,) = original.score([attempt])
+        run = scored.run
+        if run is not None and run.stdout is not original.sample().stdout:
+            # The trace keeps the output's size and digest, not its file.
+            run.stdout.sha256()
+            run.stdout.close()
 
         if scored.category is CorrectnessCategory.CORRECT:
             next_tree, fail_note = _profile_or_fallback(

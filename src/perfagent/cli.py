@@ -52,7 +52,10 @@ def _prompt_env(path: str | None) -> dict[str, str] | None:
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
-    counts = tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        counts = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"--counts {text!r}: not comma-separated integers") from None
     if not counts:
         raise ValueError("--counts needs at least one thread count")
     return counts

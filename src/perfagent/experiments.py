@@ -178,13 +178,16 @@ class _Baseline:
     """One row's untouched original, the path each attempt of the row
     takes. Construction prepares its sources into ``<ex>/prepared/``
     (``src_dir``; a tree an earlier run left is replaced), in which
-    nothing runs, and starts the original's build as ``<ex>/base`` just
-    as ``attempt`` starts each candidate's, from a fresh copy of that tree.
-    Leaving the ``with`` block kills every build it started that nobody
-    joined. ``score`` joins the candidates' builds and times them with
-    the original. ``sample`` is the original's first run, the reference
-    every output is checked against. Every failure of the original is a
-    BaselineFailed.
+    nothing runs, expanding macros with the compiler and default flags
+    that build the row, and starts the original's build as ``<ex>/base``
+    just as ``attempt`` starts each candidate's, from a fresh copy of
+    that tree. Leaving the ``with`` block kills every build it started
+    that nobody joined. ``score`` joins the candidates' builds and times
+    them with the original; a candidate's build that outlived
+    ``build.timeout_s`` is a compile error whose log says so, as
+    ``tc.PendingBuild.wait`` returns it. ``sample`` is the original's
+    first run, the reference every output is checked against. Every
+    failure of the original, its build timeout too, is a BaselineFailed.
 
     Within the row, identical code is built and timed once: ``attempt``
     hands an attempt whose rewritten file repeats an earlier attempt's,
@@ -216,7 +219,7 @@ class _Baseline:
             prepared = tc.variant_dir(work_dir, spec.id, f"{ex_tag}/prepared")
             if prepared.exists():
                 shutil.rmtree(prepared)
-            self.src_dir = manifest.prepare_sources(spec, prepared)
+            self.src_dir = manifest.prepare_sources(spec, prepared, toolchain.command(spec))
             self._build = self._start(f"{ex_tag}/base")
         except (tc.ToolchainError, manifest.ManifestError) as exc:
             raise BaselineFailed(str(exc)) from exc
@@ -382,22 +385,14 @@ class _Baseline:
         return original, samples
 
     def _wait(self, build: tc.PendingBuild) -> tc.BuildOutcome:
-        """``build`` joined; the original's own failure a BaselineFailed,
-        and a candidate's build that timed out a compile error whose log
-        says so."""
+        """``build`` joined; the original's own failure a BaselineFailed."""
         if build is self._build:
             self._join()
-        try:
-            return build.wait()
-        except tc.BuildTimeout as exc:
-            return tc.BuildOutcome(tc.BuildStatus.COMPILE_ERROR, None, str(exc))
+        return build.wait()
 
     def _join(self) -> Path:
         if self._binary is None:
-            try:
-                outcome = self._build.wait()
-            except tc.ToolchainError as exc:
-                raise BaselineFailed(str(exc)) from exc
+            outcome = self._build.wait()
             if not outcome.ok:
                 raise BaselineFailed(
                     f"{self._spec.id}: baseline build failed\n{outcome.stderr[-2000:]}"

@@ -15,7 +15,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -383,23 +382,18 @@ def _preprocess(argv: list[str], cwd: Path, timeout_s: float) -> bytes:
     its own session, into anonymous files, its process group killed at
     ``timeout_s``."""
     # toolchain imports this module, so its child helpers load late.
-    from .toolchain import _read_all, _reap, _spawn, _wait_exit
+    from .toolchain import TIMEOUT, _read_all, _run
 
     with tempfile.TemporaryFile(buffering=0) as out, tempfile.TemporaryFile(buffering=0) as err:
         try:
-            proc = _spawn(
-                argv, time.perf_counter() + timeout_s,
-                stdin=subprocess.DEVNULL, stdout=out, stderr=err, cwd=cwd,
+            status, _ = _run(
+                argv, timeout_s, stdin=subprocess.DEVNULL, stdout=out, stderr=err, cwd=cwd,
             )
         except OSError as exc:
             raise PreprocessFailure(str(exc)) from None
-        try:
-            _wait_exit(proc)
-        finally:
-            timed_out = _reap(proc)
-        if timed_out:
+        if status == TIMEOUT:
             raise PreprocessFailure(f"timed out after {timeout_s}s: {' '.join(argv)}")
-        if proc.returncode != 0:
+        if status != 0:
             raise PreprocessFailure(_read_all(err.fileno()).decode(errors="replace"))
         return _read_all(out.fileno())
 
@@ -413,9 +407,11 @@ def prepare_sources(
 
     With all options off the copy is byte-identical. Pragma stripping
     drops whole lines that begin (after whitespace) with ``#pragma omp``.
-    Macro expansion runs each listed source through the preprocessor
-    (``-E -P``) in the root of the prepared tree, so a relative flag such
-    as ``-Iinc`` names a directory of the tree, and runs after stripping
+    Macro expansion runs each listed source through ``preprocessor``
+    (``-E -P``), the command that builds it (``tc.ToolchainConfig.command``),
+    or else the first gcc, cc or clang on PATH (g++, c++ or clang++ for
+    C++). It runs in the root of the prepared tree, so a relative flag
+    such as ``-Iinc`` names a directory of the tree, and after stripping
     so removed pragmas stay removed.
     A preprocessor still running at ``build.timeout_s`` is killed with
     its whole process group and raises PreprocessFailure.

@@ -12,19 +12,20 @@ one another (``start_compile`` returns before the compiler ends, so the
 experiment drivers build a row's original while the model answers and
 the candidate compiles), but never during a timed repetition:
 ``run_rounds`` refuses to start while any build is not joined. Build and
-run failures that describe the candidate (bad code, crash, timeout) are
-encoded in the returned records; failures that describe the harness
-itself (missing compiler, build timeout) raise.
+run failures (bad code, crash, a build or run past its timeout) are
+encoded in the returned records; only a compiler id the toolchain does
+not name, or a compiler that cannot be started, raises.
 
-Compilers, timed repetitions and the macro-expanding preprocessor of
-``manifest.prepare_sources`` are started the same way. Each child
-leads its own session and writes into anonymous temporary files, not
-pipes, so no output passes through Python while it runs. One watchdog
-thread kills a child's whole process group at its deadline; a child
-that ends on its own is left unreaped until its group has been killed
-too, so neither a candidate's forked children nor a compiler's cc1, as
-and ld outlive the child that started them. A build's stderr and the
-preprocessor's output are read back whole, and an arm's last
+Every child is started by ``_spawn``: compilers, timed repetitions, the
+macro-expanding preprocessor of ``manifest.prepare_sources`` and the
+``--version`` probe. Each leads its own session and writes into
+anonymous temporary files, not pipes, so no output passes through Python
+while it runs. Every child but a build is waited for by ``_run``. One
+watchdog thread kills a child's whole process group at its deadline; a
+child that ends on its own is left unreaped until its group has been
+killed too, so neither a candidate's forked children nor a compiler's
+cc1, as and ld outlive the child that started them. A build's stderr and
+the preprocessor's output are read back whole, and an arm's last
 repetition's stderr only as its last ``STDERR_TAIL`` bytes. An arm's
 first stdout is never read back here: ``RunSample.stdout`` is an
 ``Output``, a handle on the file it was written into, which callers
@@ -102,13 +103,6 @@ class ToolNotFound(ToolchainError):
         self.compiler_id = compiler_id
 
 
-class BuildTimeout(ToolchainError):
-    def __init__(self, command: list[str], timeout_s: float):
-        super().__init__(f"build exceeded {timeout_s}s: {' '.join(command)}")
-        self.command = command
-        self.timeout_s = timeout_s
-
-
 class EmptySample(ToolchainError):
     def __init__(self) -> None:
         super().__init__("run sample has no completed repetitions")
@@ -134,6 +128,15 @@ class ToolchainConfig:
 
     def flags_for(self, compiler_id: str) -> tuple[str, ...]:
         return self.default_flags.get(compiler_id, ())
+
+    def command(self, spec: BenchmarkSpec) -> list[str]:
+        """The compiler that builds ``spec`` and its default flags. A
+        compiler named by a relative path is made absolute from the launch
+        directory, since builds and the preprocessor run elsewhere."""
+        compiler = self.resolve(spec.build.compiler_id, spec.language)
+        if os.sep in compiler:
+            compiler = os.path.abspath(compiler)
+        return [compiler, *self.flags_for(spec.build.compiler_id)]
 
 
 class BuildStatus(Enum):
@@ -305,12 +308,17 @@ class SpeedupStat:
 
 
 def _probe_version(path: str) -> str:
-    try:
-        proc = subprocess.run([path, "--version"], capture_output=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    first = proc.stdout.decode(errors="replace").splitlines()
-    return first[0] if first else "unknown"
+    """The first line ``path --version`` prints within 10 s, else "unknown"."""
+    with tempfile.TemporaryFile(buffering=0) as out:
+        try:
+            status, _ = _run(
+                [path, "--version"], 10,
+                stdin=subprocess.DEVNULL, stdout=out, stderr=subprocess.DEVNULL,
+            )
+        except OSError:
+            return "unknown"
+        first = _read_all(out.fileno()).decode(errors="replace").splitlines()
+    return first[0] if first and status != TIMEOUT else "unknown"
 
 
 def detect() -> ToolchainConfig:
@@ -362,7 +370,9 @@ class PendingBuild:
     timed repetition. ``binary_path`` is where the executable appears
     once a successful build is joined. A build may be joined more than
     once: every later ``wait`` gives the first one's outcome. A build
-    that ``start_compile`` reused is joined from the start.
+    that ``start_compile`` reused is joined from the start. A build the
+    watchdog killed at ``build.timeout_s`` is a compile error like any
+    other, not an exception.
     """
 
     def __init__(
@@ -382,7 +392,7 @@ class PendingBuild:
         self._logs = logs
         self._timeout_s = timeout_s
         self._key = key
-        self._outcome: BuildOutcome | BuildTimeout | None = None
+        self._outcome: BuildOutcome | None = None
 
     @classmethod
     def joined(cls, outcome: BuildOutcome) -> PendingBuild:
@@ -394,19 +404,17 @@ class PendingBuild:
 
     def wait(self) -> BuildOutcome:
         """Join the compiler in one blocking wait and classify the build;
-        a later call returns the same outcome, or raises again.
+        a later call returns the same outcome.
 
-        Raises BuildTimeout when the watchdog killed the compiler's
-        process group at ``build.timeout_s`` from spawn. A compiler that
-        ended in time is never a timeout, however late it is joined.
+        The outcome's text, also written to logs/build.log, is the
+        command line and then the compiler's stderr. The command line
+        follows ``$ ``, or ``build exceeded <t>s: `` when the watchdog
+        killed the compiler's process group at ``build.timeout_s`` from
+        spawn: that build is a compile error. A compiler that ended in
+        time is never a timeout, however late it is joined.
         """
         if self._outcome is None:
-            try:
-                self._outcome = self._join()
-            except BuildTimeout as exc:
-                self._outcome = exc
-        if isinstance(self._outcome, BuildTimeout):
-            raise self._outcome
+            self._outcome = self._join()
         return self._outcome
 
     def _join(self) -> BuildOutcome:
@@ -415,13 +423,12 @@ class PendingBuild:
                 _wait_exit(self._proc)
             finally:
                 timed_out = self._release()
-            if timed_out:
-                raise BuildTimeout(self._argv, self._timeout_s)
             returncode = self._proc.returncode
             diagnostics = _read_all(self._stderr.fileno())
-        log_text = "$ " + " ".join(self._argv) + "\n" + diagnostics.decode(errors="replace")
+        head = f"build exceeded {self._timeout_s}s: " if timed_out else "$ "
+        log_text = head + " ".join(self._argv) + "\n" + diagnostics.decode(errors="replace")
         (self._logs / BUILD_LOG).write_text(log_text)
-        if returncode != 0 or not self.binary_path.exists():
+        if timed_out or returncode != 0 or not self.binary_path.exists():
             return BuildOutcome(BuildStatus.COMPILE_ERROR, None, log_text)
         self.binary_path.chmod(0o755)
         binary_sha256 = _hash_file(hashlib.sha256(), self.binary_path).hexdigest()
@@ -540,13 +547,9 @@ def start_compile(
     if overlay is not None:
         shutil.copytree(overlay, vsrc, dirs_exist_ok=True)
 
-    compiler = toolchain.resolve(spec.build.compiler_id, spec.language)
-    if os.sep in compiler:  # a relative path names a file from the launch directory
-        compiler = os.path.abspath(compiler)
     binary = vbin / spec.id
     argv = [
-        compiler,
-        *toolchain.flags_for(spec.build.compiler_id),
+        *toolchain.command(spec),
         *spec.build.flags,
         *(str(vsrc / rel) for rel in spec.source_files),
         *(str(vsrc / obj) for obj in spec.build.extra_objects),
@@ -595,9 +598,10 @@ def _kill_group(pid: int) -> None:
 class _Watchdog:
     """Kills the process group of each armed child at its deadline.
 
-    One daemon thread serves every child: the timed repetition in flight
-    (``_timed_run_lock`` lets only one run at a time) and any builds
-    started by ``start_compile``. It sleeps until the earliest deadline
+    One daemon thread serves every child ``_spawn`` starts: the timed
+    repetition in flight (``_timed_run_lock`` lets only one run at a
+    time), any builds started by ``start_compile``, a preprocessor and a
+    version probe. It sleeps until the earliest deadline
     it knows and is woken only when a child is armed with an earlier
     one, so children that end in time cost no wake-up of their own. At a
     deadline it checks the child without reaping it: a child that already
@@ -686,6 +690,22 @@ def _reap(proc: subprocess.Popen) -> bool:
     return timed_out
 
 
+def _run(argv: list[str], timeout_s: float, **popen_kwargs) -> tuple[int | str, float]:
+    """Run ``argv`` to its end as ``_spawn`` starts it: its exit status
+    (TIMEOUT when the watchdog killed it at ``timeout_s``) and the
+    seconds from just before the spawn to its exit, seen before it is
+    reaped. Its process group is killed before it is reaped. The one
+    wait of every child but a build, which ``PendingBuild`` joins."""
+    start = time.perf_counter()
+    proc = _spawn(argv, start + timeout_s, **popen_kwargs)
+    try:
+        _wait_exit(proc)
+        elapsed = time.perf_counter() - start
+    finally:
+        timed_out = _reap(proc)
+    return TIMEOUT if timed_out else proc.returncode, elapsed
+
+
 def _read_all(fd: int) -> bytes:
     return os.pread(fd, os.fstat(fd).st_size, 0)
 
@@ -730,27 +750,17 @@ class _Arm:
     def repeat(self, out: int, timeout_s: float, first: bool) -> None:
         """One timed repetition with stdout into ``out``; a crash or a
         timeout ends the arm."""
-        start = time.perf_counter()
-        proc = _spawn(
-            self.argv, start + timeout_s,
+        status, elapsed = _run(
+            self.argv, timeout_s,
             stdin=self.stdin or subprocess.DEVNULL, stdout=out, stderr=self.err,
             env=self.env, cwd=self.cwd,
         )
-        try:
-            _wait_exit(proc)
-            elapsed = time.perf_counter() - start
-        finally:
-            timed_out = _reap(proc)
-
-        if timed_out:
-            self.exit_status = TIMEOUT
-            return
-        if first:
+        if first and status != TIMEOUT:
             self.stdout = Output.from_fd(self.kept)
-        if proc.returncode != 0:
-            self.exit_status = proc.returncode
-            return
-        self.wall_times.append(elapsed)
+        if status == 0:
+            self.wall_times.append(elapsed)
+        else:
+            self.exit_status = status
 
     def sample(self) -> RunSample:
         return RunSample(
@@ -819,11 +829,7 @@ def run_rounds(
     with contextlib.ExitStack() as files, _timed_run_lock:
         every = [_Arm(binary, count, run, files) for binary, count in arms]
         if every:  # the untimed warm-up spawn
-            proc = _spawn(["true"], time.perf_counter() + run.timeout_s)
-            try:
-                _wait_exit(proc)
-            finally:
-                _reap(proc)
+            _run(["true"], run.timeout_s)
         live = every
         scratch = None
         for round_ in range(run.repetitions):

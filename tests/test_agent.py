@@ -352,8 +352,10 @@ class TestFailedIterations:
         self, tmp_path, toolchain_config, driver, monkeypatch
     ):
         """A provider error, a reply without code, code that cannot be
-        applied, a compile error and a correct reply: each goes through
-        ``classify_attempt`` exactly once, as its ``_Baseline`` attempt."""
+        applied, a compile error, a correct reply and, in the agent, a
+        decline that carries code: each goes through ``classify_attempt``
+        exactly once, as its ``_Baseline`` attempt, the decline as a
+        reply without code."""
         if driver == "agent":
             unbalanced = "void kernel(void) {\n    return;\n"
             broken = "void kernel(void) {\n    int x = ;\n}"
@@ -362,6 +364,9 @@ class TestFailedIterations:
             unbalanced = "int main(void) {\n    return 0;\n"
             broken, correct = SYNTAX_ERROR, hotspot_program(40)
         replies = ["Buy a faster computer.", fenced(unbalanced), fenced(broken), fenced(correct)]
+        declines = driver == "agent"
+        if declines:
+            replies.append(f"{gw.DECLINE_SENTINEL}\n{fenced(correct)}")
 
         class FlakyProvider(gw.Provider):
             provider_id = "flaky"
@@ -383,14 +388,16 @@ class TestFailedIterations:
         spec = hotspot_bench(tmp_path / "b")
         if driver == "agent":
             trace = run(spec, FlakyProvider(), toolchain_config, tmp_path / "w",
-                        max_iterations=5)
+                        max_iterations=7)
             assert [r.category for r in trace.iterations] == classified
+            assert trace.stop_reason is ag.StopReason.MODEL_DECLINED
+            assert trace.iterations[-1].extraction.code is not None
         else:
             ex.run_ex2([spec], FlakyProvider(), toolchain_config, tmp_path / "w")
         assert classified == [
             Cat.NO_GENERATED_CODE, Cat.NO_GENERATED_CODE, Cat.FAILED_TO_FOLLOW_INSTRUCTIONS,
             Cat.COMPILATION_ERROR, Cat.CORRECT,
-        ]
+        ] + [Cat.NO_GENERATED_CODE] * declines
 
     def test_exhausted_transcript_burns_remaining_slots(self, tmp_path, toolchain_config):
         spec = hotspot_bench(tmp_path / "b")

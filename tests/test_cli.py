@@ -333,6 +333,15 @@ def _ex1_with(name, text, named):
     return write
 
 
+def _counts_not_int(tmp_path):
+    suite(tmp_path / "suite")
+    config = replay_config(tmp_path, [fenced(sleeper(50))])
+    return [
+        "ex3", "--root", str(tmp_path / "suite"), "--provider", str(config),
+        "--counts", "4,x", "--out", str(tmp_path / "out"),
+    ], "--counts"
+
+
 def _report(doc, named="report.json"):
     """A report command on ``doc``, written as JSON, or as it is when it
     is text."""
@@ -380,12 +389,14 @@ def _report_row(**changes):
     _ex1_with("env.json", "[1, 2]", "env.json: key '--prompt-env'"),
     _ex1_with("env.json", '{"os": 5}', "env.json: key '--prompt-env'"),
     _escaping_stdin_file,
+    _counts_not_int,
 ], ids=["unbalanced_hotspot_source", "manifest_id", "manifest_truncated", "manifest_not_utf8", "tool_id",
         "tool_dir_missing", "root_missing", "tool_id_base", "tool_id_prepared",
         "report_without_rows", "report_row_missing_key", "report_row_speedup_string",
         "report_row_unknown_motif", "report_truncated", "provider_config_truncated",
         "transcript_truncated", "transcript_latency_string", "prompt_env_truncated",
-        "prompt_env_list", "prompt_env_value_number", "manifest_stdin_file"])
+        "prompt_env_list", "prompt_env_value_number", "manifest_stdin_file",
+        "counts_not_int"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, bad_input):
     """Each bad input is refused with one line naming it, before anything
     is built or written."""

@@ -7,6 +7,7 @@ import logging
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -1546,6 +1547,27 @@ class TestFreshTrees:
         table = ex.run_ex1([spec], replay([fenced(cand)]), toolchain_config, tmp_path / "w")
         assert table.rows[0].category is Cat.CORRECT
         assert calls == [([("base", None), ("cand", None)], self.REPS)]
+
+
+def test_macros_expand_with_the_compiler_that_builds_the_row(tmp_path, toolchain_config):
+    """``prep.expand_macros`` runs the row's own compiler with the
+    toolchain's default flags, not the first gcc on PATH."""
+    log = tmp_path / "cc.log"
+    toolchain = replace(
+        wrapped_gcc(tmp_path, toolchain_config, f'echo "$*" >> "{log}"'),
+        default_flags={"gcc": ("-DFROM_TOOLCHAIN=7",)},
+    )
+    main = 'int printf(const char *, ...);\nint main(void) { printf("%d\\n", FROM_TOOLCHAIN); }\n'
+    write_bench(tmp_path / "b", "macro", {"main.c": main},
+                build={"flags": ["-O0"]}, prep={"expand_macros": True})
+    spec = load_single(tmp_path / "b", "macro")
+    with ex._Baseline(spec, toolchain, tmp_path / "w", "ex1") as base:
+        assert "FROM_TOOLCHAIN" not in (base.src_dir / "main.c").read_text()
+        assert base.sample().stdout == b"7\n"
+    passes = [line.split() for line in log.read_text().splitlines()]
+    assert [("-E" in argv, "-DFROM_TOOLCHAIN=7" in argv) for argv in passes] == [
+        (True, True), (False, True),
+    ]
 
 
 class TestRerunReusesBuilds:

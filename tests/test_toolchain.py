@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import json
 import math
 import os
 import signal
@@ -655,9 +657,11 @@ def test_build_timeout_kills_the_compiler_process_group(tmp_path):
     )
     spec = _spec(tmp_path, "slow", {"main.c": kernels.sleeper(0)}, build={"timeout_s": 0.5})
     start = time.perf_counter()
-    with pytest.raises(tc.BuildTimeout):
-        tc.compile(spec, spec.root, fake, "base", tmp_path / "work")
+    out = tc.compile(spec, spec.root, fake, "base", tmp_path / "work")
     assert time.perf_counter() - start < 0.5 + 1.0
+    assert out.status is tc.BuildStatus.COMPILE_ERROR and out.binary_path is None
+    assert out.stderr.startswith("build exceeded 0.5s: " + fake.compilers["gcc"].c_path)
+    assert (tmp_path / "work" / "slow" / "base" / "logs" / "build.log").read_text() == out.stderr
     sleepers = [int(line) for line in pids.read_text().split()]
     assert len(sleepers) == 2
     try:
@@ -720,8 +724,7 @@ def test_kill_after_a_timed_out_join_does_nothing(tmp_path):
     fake = _fake_compiler(tmp_path, "exec sleep 5\n")
     spec = _spec(tmp_path, "hang", {"main.c": kernels.sleeper(0)}, build={"timeout_s": 0.3})
     build = tc.start_compile(spec, spec.root, fake, "base", tmp_path / "work")
-    with pytest.raises(tc.BuildTimeout):
-        build.wait()
+    assert build.wait().status is tc.BuildStatus.COMPILE_ERROR
     build.kill()
     assert tc.run_timed("/bin/true", RunRecipe(repetitions=1, timeout_s=10)).ok
 
@@ -736,16 +739,87 @@ def test_joining_twice_gives_one_outcome(tmp_path, toolchain_config, main):
     assert build.wait() is first
 
 
-def test_joining_a_timed_out_build_twice_raises_twice(tmp_path):
+def test_joining_a_timed_out_build_twice_gives_one_outcome(tmp_path):
     fake = _fake_compiler(tmp_path, "exec sleep 5\n")
     spec = _spec(tmp_path, "hang", {"main.c": kernels.sleeper(0)}, build={"timeout_s": 0.3})
     build = tc.start_compile(spec, spec.root, fake, "base", tmp_path / "work")
-    with pytest.raises(tc.BuildTimeout):
-        build.wait()
+    first = build.wait()
+    assert first.stderr.startswith("build exceeded 0.3s: ")
     start = time.perf_counter()
-    with pytest.raises(tc.BuildTimeout):
-        build.wait()
+    assert build.wait() is first
     assert time.perf_counter() - start < 0.1
+
+
+def test_version_probe_leaves_no_child_behind(tmp_path):
+    """A compiler whose ``--version`` leaves a child running is read as
+    soon as it exits, and the child is killed with its group."""
+    pid_file = tmp_path / "sleeper.pid"
+    wrapper = tmp_path / "cc"
+    wrapper.write_text(
+        f'#!/bin/sh\nsleep 3 & echo $! > "{pid_file}"\necho "wrapped cc 1.0"\necho more\n'
+    )
+    wrapper.chmod(0o755)
+    config = tmp_path / "toolchain.json"
+    config.write_text(json.dumps({"compilers": {"gcc": {"c_path": str(wrapper)}}}))
+    start = time.perf_counter()
+    toolchain = tc.load(config)
+    assert time.perf_counter() - start < 1.0
+    assert toolchain.compilers["gcc"].version_string == "wrapped cc 1.0"
+    sleeper = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 1.0
+        while process_running(sleeper) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not process_running(sleeper), "the probe's child outlived it"
+    finally:
+        if process_running(sleeper):
+            os.kill(sleeper, signal.SIGKILL)
+
+
+# Calls that start a child process, by module.
+_SPAWNING_CALLS = {
+    "subprocess": {"run", "Popen", "call", "check_call", "check_output"},
+    "os": {"system", "popen", "fork", "posix_spawn", "posix_spawnp"},
+}
+
+
+class _SpawningCalls(ast.NodeVisitor):
+    """Each call of ``_SPAWNING_CALLS`` in a module, with the dotted name
+    of the function or class around it."""
+
+    def __init__(self, module: str) -> None:
+        self.scope = [module]
+        self.found: list[tuple[str, str]] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.attr in _SPAWNING_CALLS.get(func.value.id, ())):
+            self.found.append((".".join(self.scope), f"{func.value.id}.{func.attr}"))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            if alias.name in _SPAWNING_CALLS.get(node.module, ()):
+                self.found.append((".".join(self.scope), f"from {node.module} import {alias.name}"))
+
+
+def test_only_spawn_starts_a_child():
+    """Every child of the package is started by ``toolchain._spawn``, so
+    its session, watchdog and any limit on children are set in one place."""
+    found = []
+    for path in sorted(Path(tc.__file__).parent.glob("*.py")):
+        calls = _SpawningCalls(path.stem)
+        calls.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        found += calls.found
+    assert found == [("toolchain._spawn", "subprocess.Popen")]
 
 
 _INCLUDING_MAIN = """\
@@ -872,8 +946,7 @@ class TestBuildReuse:
         if failure == "compile error":
             assert build.wait().status is tc.BuildStatus.COMPILE_ERROR
         elif failure == "timeout":
-            with pytest.raises(tc.BuildTimeout):
-                build.wait()
+            assert build.wait().stderr.startswith("build exceeded 1.0s: ")
         else:
             deadline = time.monotonic() + 5.0
             while self.spawns() < 2 and time.monotonic() < deadline:
