@@ -98,8 +98,8 @@ class AgentTrace:
 class ProfileRequest:
     """One variant to profile, run as ``spec.run`` says.
 
-    For the original ("agent/base"), reading ``binary_path`` joins and
-    times its build, so a source that opens the binary gets an executable
+    For the original ("agent/base"), reading ``binary_path`` joins its
+    build and runs it once, so a source that opens the binary can run it
     and one that never does lets the build go on beside the first request.
     """
 
@@ -242,7 +242,7 @@ def _resolve_hotspot(
     """
     tree, note = _profile_or_fallback(
         profile_source, ProfileRequest(spec, "agent/base", original.binary_path),
-        spec, spec.entry_hotspot, lambda: original.sample().mean_s,
+        spec, spec.entry_hotspot, lambda: original.check().mean_s,
     )
     metric_id = cfg.metric_id or profile.default_exclusive_metric(tree)
     name = spec.entry_hotspot or profile.hotspot(tree, metric_id).node.frame.fn
@@ -276,27 +276,26 @@ def run_agent(
     """Drive the full loop for one benchmark; returns the persisted trace.
 
     The original is prepared as its ``prep`` options say and its build
-    started first. It is joined and timed when first needed: by the
-    fallback tree, by a profile source reading its ``binary_path``, by
-    the first candidate timed, or at the end of the loop for the trace's
-    baseline. Requests go through ``ex._reply``, as ex turns' do; the
-    trace keeps an empty reply for a provider error. The system prompt
-    describes ``cfg.prompt_env``, else the host (``ex.host_env``). Each
-    reply is one ``_Baseline.attempt``, its patched source
-    (``_patch_hotspot``) in place of its code, scored by ``_Baseline.score``
-    as an ex2 turn is; a decline is scored as a reply without code
-    (``gw.NO_CODE``), and its record keeps what was extracted. A speedup
-    is the ratio of two samples from the same rounds, and the best
-    iteration is the first fastest correct one by it (``ex._fastest``).
-    A candidate whose first output does not match the original's runs
-    once, and so does the original in those rounds: the iteration's
-    ``run`` then holds one wall time, and so does the trace's
-    ``baseline`` when it comes from those rounds, the first to run the
-    original. ``ex.BaselineFailed`` propagates (``BaselineRunFailed``
-    when the original built but did not run cleanly), so with a profile
-    source that does not read the binary a broken original is reported at
-    the first candidate timed, or else after the last iteration. An
-    escaping exception kills every build not yet joined.
+    started first. It is joined when first needed (by the fallback tree, a
+    profile source reading its ``binary_path``, the first candidate timed
+    or the trace's baseline) and runs alone once at most. Requests go
+    through ``ex._reply``, as ex turns' do; the trace keeps an empty reply
+    for a provider error. The system prompt describes ``cfg.prompt_env``,
+    else the host (``ex.host_env``). Each reply is one
+    ``_Baseline.attempt``, its patched source (``_patch_hotspot``) in
+    place of its code, scored by ``_Baseline.score`` as an ex2 turn is; a
+    decline is scored as a reply without code (``gw.NO_CODE``), and its
+    record keeps what was extracted. A speedup is the ratio of two samples
+    from the same rounds, and the best iteration is the first fastest
+    correct one by it (``ex._fastest``). A candidate whose first output
+    mismatches the original's runs once, and so does the original in those
+    rounds: the iteration's ``run`` then holds one wall time, and so does
+    the trace's ``baseline``, the original's first run, unless rounds with
+    a matching candidate took it. ``ex.BaselineFailed`` propagates
+    (``BaselineRunFailed`` when the original built but did not run
+    cleanly), so with a profile source that does not read the binary a
+    broken original is reported at the first candidate timed or after the
+    last iteration. An escaping exception kills every unjoined build.
     """
     work_dir = Path(work_dir)
     cfg = replace(cfg, prompt_env=cfg.prompt_env or ex.host_env(toolchain))
@@ -304,7 +303,7 @@ def run_agent(
         iterations, stop_reason, best_iteration = _iterate(
             spec, original, profile_source, provider, cfg
         )
-        trace = AgentTrace(spec.id, original.sample(), iterations, stop_reason, best_iteration)
+        trace = AgentTrace(spec.id, original.check(), iterations, stop_reason, best_iteration)
     save_trace(trace, trace_path(work_dir, spec.id))
     return trace
 
@@ -383,7 +382,7 @@ def _iterate(
         note = _join_notes(note, why)
         (scored,) = original.score([attempt])
         run = scored.run
-        if run is not None and run.stdout is not original.sample().stdout:
+        if run is not None and run.stdout is not original.check().stdout:
             # The trace keeps the output's size and digest, not its file.
             run.stdout.sha256()
             run.stdout.close()

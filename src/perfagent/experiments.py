@@ -27,7 +27,7 @@ from . import llm_gateway as gw
 from . import manifest, patch
 from . import toolchain as tc
 from .llm_gateway import Experiment, OptimizationLabel, OptimizationLabelKind
-from .manifest import BenchmarkSpec, Motif, RunRecipe, want
+from .manifest import BenchmarkSpec, Motif, want
 from .verify import (
     CorrectnessCategory, MatchReport, classify_attempt, compare_outputs, pass_at_1,
 )
@@ -185,9 +185,10 @@ class _Baseline:
     that nobody joined. ``score`` joins the candidates' builds and times
     them with the original; a candidate's build that outlived
     ``build.timeout_s`` is a compile error whose log says so, as
-    ``tc.PendingBuild.wait`` returns it. ``sample`` is the original's
-    first run, the reference every output is checked against. Every
-    failure of the original, its build timeout too, is a BaselineFailed.
+    ``tc.PendingBuild.wait`` returns it. The original's first run is the
+    reference every output is checked against, and ``check`` its only
+    run outside ``score``'s rounds. Every failure of the original, its
+    build timeout too, is a BaselineFailed.
 
     Within the row, identical code is built and timed once: ``attempt``
     hands an attempt whose rewritten file repeats an earlier attempt's,
@@ -221,7 +222,7 @@ class _Baseline:
                 shutil.rmtree(prepared)
             self.src_dir = manifest.prepare_sources(spec, prepared, toolchain.command(spec))
             self._build = self._start(f"{ex_tag}/base")
-        except (tc.ToolchainError, manifest.ManifestError) as exc:
+        except (tc.ToolNotFound, manifest.ManifestError) as exc:
             raise BaselineFailed(str(exc)) from exc
 
     def __enter__(self) -> _Baseline:
@@ -278,15 +279,10 @@ class _Baseline:
         return _Attempt(tag, self._by_code[rel, code], extraction, frozenset(flags))
 
     def check(self) -> tc.RunSample:
-        """The original run once, unless it has run already: the
-        reference output, and a BaselineFailed as early as possible."""
-        return self._rounds((), replace(self._spec.run, repetitions=1))[0]
-
-    def sample(self) -> tc.RunSample:
-        """The original's first run, timed alone with every repetition if
-        nothing has run it yet. A failure is cached and raised again on
-        every later call, so no caller can swallow it."""
-        return self._rounds((), self._spec.run)[0]
+        """The original's first run, one repetition alone if nothing has
+        run it yet: the reference output, and a BaselineFailed as early as
+        possible, cached and raised again on every later call."""
+        return self._rounds(())[0]
 
     def score(
         self, attempts: Sequence[_Attempt], counts: Sequence[int] | None = None,
@@ -336,8 +332,8 @@ class _Baseline:
             matched = [report is not None and report.matched for report in reports]
             return [any(matched), *matched]
 
-        original, samples = self._rounds(arms, self._spec.run, keep) if arms else (None, [])
-        reference = None if original is None else self.sample().stdout
+        original, samples = self._rounds(arms, keep) if arms else (None, [])
+        reference = None if original is None else self._outcome.stdout
         checked = [
             (_share_stdout(sample, reference) if same else sample, report)
             for sample, same, report in zip(samples, equal, reports)
@@ -350,25 +346,26 @@ class _Baseline:
         ]
 
     def binary_path(self) -> Path:
-        self.sample()
+        """The original's binary, its build joined and ``check`` passed."""
+        self.check()
         return self._binary
 
     def _rounds(
         self,
         arms: Sequence[tuple[Path, int | None]],
-        run: RunRecipe,
         keep: Callable[[list[tc.Output | None]], Sequence[bool]] | None = None,
     ) -> tuple[tc.RunSample, list[tc.RunSample]]:
         """The original's sample and one per arm, a (binary, thread count)
-        pair, timed together as ``run`` says, the original first, and
-        ``keep`` passed to ``tc.run_rounds``. The original's first run
-        becomes ``sample``; with no arms, an original that has run is not
-        run again. BaselineRunFailed when the original does not run cleanly."""
+        pair, timed together as ``spec.run`` says, the original first, and
+        ``keep`` passed to ``tc.run_rounds``. With no arms it runs once, if
+        it has not run yet; its first run is kept as the reference.
+        BaselineRunFailed when the original does not run cleanly."""
         if isinstance(self._outcome, BaselineFailed):
             raise self._outcome
         if not arms and self._outcome is not None:
             return self._outcome, []
         try:
+            run = self._spec.run if arms else replace(self._spec.run, repetitions=1)
             original, *samples = tc.run_rounds(
                 [(self._join(), self._thread_count), *arms], run, keep
             )
@@ -520,8 +517,9 @@ def _table(
     ``counts``) with the original, which is then checked even when
     nothing was timed. The row is the ``_fastest`` correct attempt, else
     the last with speedup exactly 1.0. A spec whose original fails to
-    prepare, build or run is skipped with an error logged; an exception
-    escaping a row kills every build in flight."""
+    prepare, build or run, or names no configured compiler, is skipped
+    with an error logged; an exception escaping a row (a compiler that
+    cannot be started, say) ends the call and kills every build in flight."""
     work_dir = Path(work_dir)
     threads = None if counts is None else 1
     rows = []

@@ -261,8 +261,8 @@ class RunSample:
     experiment drivers drop a candidate whose first output fails
     validation, and the original once no candidate runs on, so such a
     sample holds one time: a mismatching agent iteration's ``run``, and
-    an agent trace's ``baseline`` when none of the candidates timed in
-    its first rounds matched. ``stdout`` is the first
+    an agent trace's ``baseline`` when the original ran alone first or
+    no candidate timed in its first rounds matched. ``stdout`` is the first
     repetition's output, the one validation uses: from ``run_rounds``, a
     handle on the file it wrote into, empty when that repetition timed
     out. Bytes given here are wrapped in an ``Output`` too. ``stderr`` is
@@ -571,7 +571,9 @@ def start_compile(
         )
     except OSError as exc:
         stderr.close()
-        raise ToolNotFound(spec.build.compiler_id) from exc
+        if isinstance(exc, FileNotFoundError):
+            raise ToolNotFound(spec.build.compiler_id) from exc
+        raise ToolchainError(f"cannot run compiler {argv[0]}: {exc.strerror or exc}") from exc
     build = PendingBuild(proc, argv, stderr, binary, vlogs, spec.build.timeout_s, key)
     _unjoined.add(build)
     return build
@@ -762,7 +764,7 @@ class _Arm:
         else:
             self.exit_status = status
 
-    def sample(self) -> RunSample:
+    def result(self) -> RunSample:
         return RunSample(
             wall_times_s=tuple(self.wall_times),
             stdout=self.stdout,
@@ -846,7 +848,7 @@ def run_rounds(
             if keep is not None and not round_:
                 kept = keep([arm.stdout if arm.exit_status == 0 else None for arm in every])
                 live = [arm for arm, go_on in zip(every, kept) if go_on and arm.exit_status == 0]
-        return [arm.sample() for arm in every]
+        return [arm.result() for arm in every]
 
 
 def run_timed(

@@ -698,7 +698,9 @@ class TestTracePersistence:
         assert doc["iterations"][0]["speedup_vs_original"]["speedup"] > 0
         assert doc["iterations"][1]["extraction"]["rule"] == "None"
         assert doc["baseline"]["exit_status"] == 0
-        assert len(doc["baseline"]["wall_times_s"]) == 2
+        # No profile source: the fallback tree ran the original once, alone,
+        # before the first candidate, and that run is the baseline.
+        assert len(doc["baseline"]["wall_times_s"]) == 1
         assert doc["baseline"]["stdout_sha256"] == hashlib.sha256(
             bytes(trace.baseline.stdout)).hexdigest()
         assert doc["baseline"]["stdout_bytes"] == len(trace.baseline.stdout) > 0

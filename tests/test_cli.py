@@ -200,6 +200,25 @@ class TestExperimentCommands:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
 
+    def test_compiler_that_cannot_be_started_fails_cleanly(self, tmp_path, capsys):
+        suite(tmp_path / "suite")
+        config = replay_config(tmp_path, ["x"])
+        wrapper = tmp_path / "cc"
+        wrapper.write_text('#!/bin/sh\nexec gcc "$@"\n')
+        wrapper.chmod(0o644)
+        toolchain = tmp_path / "toolchain.json"
+        toolchain.write_text(json.dumps({"compilers": {"gcc": {
+            "c_path": str(wrapper), "version_string": "wrapped gcc",
+        }}}))
+        code = main([
+            "ex1", "--root", str(tmp_path / "suite"), "--provider", str(config),
+            "--toolchain", str(toolchain), "--out", str(tmp_path / "out"),
+            "--work", str(tmp_path / "work"),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: cannot run compiler {wrapper}: Permission denied"]
+
     @pytest.mark.parametrize("key, value", [("transcript_path", 5), ("temperature", "hot")])
     def test_mistyped_provider_config_fails_cleanly(self, tmp_path, capsys, key, value):
         suite(tmp_path / "suite")

@@ -46,6 +46,7 @@ from kernels import (
     matmul_serial_response,
     sleeper,
 )
+from test_agent import PROFILE_SOURCES
 
 pytestmark = pytest.mark.usefixtures("toolchain_config")
 
@@ -1133,6 +1134,29 @@ class TestRoundsPerRow:
         expected = 1 if not timed else 3 + (driver == "ex2")
         assert int(runs.read_text()) == expected
 
+    @pytest.mark.parametrize("timed", [True, False], ids=["one_correct", "nothing_timed"])
+    @pytest.mark.parametrize("source", list(PROFILE_SOURCES))
+    def test_agent_original_runs(self, tmp_path, toolchain_config, source, timed):
+        """Outside its rounds the agent's original runs once at most: for
+        the fallback tree, a profile source that opens its binary or the
+        trace's baseline, whichever needs it before a candidate is timed.
+        A source that never opens the binary leaves its first run to the
+        rounds."""
+        reps = 3
+        write_bench(tmp_path / "b", "counted", {"main.c": _COUNTED_HOTSPOT},
+                    entry_hotspot="kernel", build={"flags": ["-O0"]}, run={"repetitions": reps})
+        spec = load_single(tmp_path / "b", "counted")
+        reply = kernel_replacement(1) if timed else "void kernel(void) { this is not c code }"
+        trace = ag.run_agent(
+            spec, PROFILE_SOURCES[source], replay([fenced(reply)]),
+            ag.AgentConfig(max_iterations=1), toolchain_config, tmp_path / "w",
+        )
+        assert trace.iterations[0].category is (Cat.CORRECT if timed else Cat.COMPILATION_ERROR)
+        rounds_first = timed and source == "ignores_binary"
+        runs = tmp_path / "w" / "counted" / "agent" / "base" / "src" / "runs"
+        assert int(runs.read_text()) == (reps if rounds_first else 1 + reps * timed)
+        assert len(trace.baseline.wall_times_s) == (reps if rounds_first else 1)
+
     @pytest.mark.parametrize("driver, crash_on_run", [("ex1", 2), ("ex2", 3)])
     def test_original_failing_in_the_rounds_skips_the_row(
         self, tmp_path, toolchain_config, caplog, monkeypatch, driver, crash_on_run
@@ -1482,7 +1506,7 @@ class TestFreshTrees:
             ag.AgentConfig(max_iterations=1), toolchain_config, tmp_path / "w",
         )
         assert trace.iterations[0].category is Cat.CORRECT
-        assert ran_before_build == [self.REPS]
+        assert ran_before_build == [1]
         assert self.runs(tmp_path, "agent/iter1") == self.REPS
 
     def test_import_tree_lays_its_files_over_the_prepared_tree(
@@ -1563,7 +1587,7 @@ def test_macros_expand_with_the_compiler_that_builds_the_row(tmp_path, toolchain
     spec = load_single(tmp_path / "b", "macro")
     with ex._Baseline(spec, toolchain, tmp_path / "w", "ex1") as base:
         assert "FROM_TOOLCHAIN" not in (base.src_dir / "main.c").read_text()
-        assert base.sample().stdout == b"7\n"
+        assert base.check().stdout == b"7\n"
     passes = [line.split() for line in log.read_text().splitlines()]
     assert [("-E" in argv, "-DFROM_TOOLCHAIN=7" in argv) for argv in passes] == [
         (True, True), (False, True),

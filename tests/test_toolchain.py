@@ -116,6 +116,26 @@ def test_unknown_compiler_id(tmp_path, toolchain_config):
         tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "work")
 
 
+
+def test_compiler_that_cannot_be_started_is_named(tmp_path):
+    """A compiler file that exists but is not executable is reported by
+    its path and the OS error; only a missing file is ToolNotFound."""
+    wrapper = tmp_path / "cc"
+    wrapper.write_text('#!/bin/sh\nexec gcc "$@"\n')
+    wrapper.chmod(0o644)
+    config = tmp_path / "toolchain.json"
+    config.write_text(json.dumps({"compilers": {"gcc": {
+        "c_path": str(wrapper), "version_string": "wrapped gcc",
+    }}}))
+    spec = _spec(tmp_path, "mm", {"main.c": kernels.matmul_ijk(32)})
+    with pytest.raises(tc.ToolchainError) as failure:
+        tc.compile(spec, spec.root, tc.load(config), "base", tmp_path / "work")
+    assert not isinstance(failure.value, tc.ToolNotFound)
+    assert str(failure.value) == f"cannot run compiler {wrapper}: Permission denied"
+    wrapper.unlink()
+    with pytest.raises(tc.ToolNotFound):
+        tc.compile(spec, spec.root, tc.load(config), "base", tmp_path / "work")
+
 def _build(tmp_path, toolchain_config, source, bench_id="fix", **overrides):
     spec = _spec(tmp_path, bench_id, {"main.c": source}, **overrides)
     out = tc.compile(spec, spec.root, toolchain_config, "base", tmp_path / "work")
