@@ -18,9 +18,7 @@ log = logging.getLogger("perfagent.cli")
 
 
 def _load_toolchain(value: str) -> tc.ToolchainConfig:
-    if value == "detect":
-        return tc.detect()
-    return tc.load(value)
+    return tc.detect() if value == "detect" else tc.load(value)
 
 
 def _build_provider(path: str) -> gw.Provider:
@@ -114,8 +112,10 @@ def cmd_bench_list(args) -> int:
 def cmd_bench_prepare(args) -> int:
     selection = _selection(args)
     out = Path(args.out)
+    toolchain = tc.detect() if any(s.prep.expand_macros for s in selection) else None
     for spec in selection:
-        dest = manifest.prepare_sources(spec, out / spec.id)
+        command = toolchain.command(spec) if spec.prep.expand_macros else None
+        dest = manifest.prepare_sources(spec, out / spec.id, command)
         print(f"prepared {spec.id} -> {dest}")
     if not selection:
         print("nothing selected", file=sys.stderr)

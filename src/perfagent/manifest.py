@@ -12,9 +12,7 @@ import json
 import math
 import re
 import shutil
-import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -27,7 +25,8 @@ MANIFEST_NAME = "bench.json"
 _C_FAMILY_SUFFIXES = {
     ".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh", ".hxx", ".C", ".H",
 }
-_PRAGMA_OMP = re.compile(rb"^[ \t]*#[ \t]*pragma[ \t]+omp\b")
+# A line's leading blanks before a "#pragma omp" directive.
+_PRAGMA_OMP = re.compile(rb"^[ \t]*(?=#[ \t]*pragma[ \t]+omp\b)", re.MULTILINE)
 
 
 class Motif(Enum):
@@ -78,7 +77,6 @@ class DuplicateId(ManifestError):
 class PreprocessFailure(ManifestError):
     def __init__(self, stderr: str):
         super().__init__(f"preprocessor failed: {stderr[:500]}")
-        self.stderr = stderr
 
 
 @dataclass(frozen=True)
@@ -364,38 +362,16 @@ def select(
 
 
 def _strip_omp_lines(data: bytes) -> bytes:
-    lines = data.splitlines(keepends=True)
-    return b"".join(ln for ln in lines if not _PRAGMA_OMP.match(ln))
-
-
-def _default_preprocessor(language: Language) -> list[str]:
-    names = ["gcc", "cc", "clang"] if language is Language.C else ["g++", "c++", "clang++"]
-    for name in names:
-        found = shutil.which(name)
-        if found:
-            return [found]
-    raise PreprocessFailure(f"no preprocessor found among {names}")
-
-
-def _preprocess(argv: list[str], cwd: Path, timeout_s: float) -> bytes:
-    """The preprocessor's stdout. It runs like a compiler: in ``cwd``, in
-    its own session, into anonymous files, its process group killed at
-    ``timeout_s``."""
-    # toolchain imports this module, so its child helpers load late.
-    from .toolchain import TIMEOUT, _read_all, _run
-
-    with tempfile.TemporaryFile(buffering=0) as out, tempfile.TemporaryFile(buffering=0) as err:
-        try:
-            status, _ = _run(
-                argv, timeout_s, stdin=subprocess.DEVNULL, stdout=out, stderr=err, cwd=cwd,
-            )
-        except OSError as exc:
-            raise PreprocessFailure(str(exc)) from None
-        if status == TIMEOUT:
-            raise PreprocessFailure(f"timed out after {timeout_s}s: {' '.join(argv)}")
-        if status != 0:
-            raise PreprocessFailure(_read_all(err.fileno()).decode(errors="replace"))
-        return _read_all(out.fileno())
+    """``data`` without its ``#pragma omp`` directives, each cut from its
+    line's start through its last continued line by ``patch``'s directive
+    rule, on the copy with comments and literals zeroed."""
+    literal = patch._zero_inert(data.replace(b"\x00", b"\x01"))
+    parts, done = [], 0
+    for m in _PRAGMA_OMP.finditer(literal):
+        parts.append(data[done : m.start()])
+        done = patch._DIRECTIVE_BODY.match(literal, m.end()).end()
+    parts.append(data[done:])
+    return b"".join(parts)
 
 
 def prepare_sources(
@@ -406,15 +382,15 @@ def prepare_sources(
     """Copy the benchmark into ``work_dir`` and apply prep options.
 
     With all options off the copy is byte-identical. Pragma stripping
-    drops whole lines that begin (after whitespace) with ``#pragma omp``.
-    Macro expansion runs each listed source through ``preprocessor``
-    (``-E -P``), the command that builds it (``tc.ToolchainConfig.command``),
-    or else the first gcc, cc or clang on PATH (g++, c++ or clang++ for
-    C++). It runs in the root of the prepared tree, so a relative flag
-    such as ``-Iinc`` names a directory of the tree, and after stripping
-    so removed pragmas stay removed.
-    A preprocessor still running at ``build.timeout_s`` is killed with
-    its whole process group and raises PreprocessFailure.
+    removes each ``#pragma omp`` directive outside comments and literals,
+    continued lines included. Macro expansion runs each listed source
+    through ``preprocessor`` (``-E -P``), the command that builds the
+    benchmark (``tc.ToolchainConfig.command``), in the root of the
+    prepared tree, so a relative flag such as ``-Iinc`` names a directory
+    of the tree, and after stripping so removed pragmas stay removed. A
+    preprocessor that cannot be started raises the ToolchainError naming
+    it; one that fails, or runs past ``build.timeout_s`` and is killed
+    with its process group, raises PreprocessFailure.
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -431,11 +407,20 @@ def prepare_sources(
                 path.write_bytes(_strip_omp_lines(path.read_bytes()))
 
     if spec.prep.expand_macros:
-        command = preprocessor or _default_preprocessor(spec.language)
+        if not preprocessor:
+            raise ValueError(f"{spec.id}: prep.expand_macros needs the command that builds it")
+        # toolchain imports this module, so it loads late.
+        from .toolchain import TIMEOUT, run_compiler
+
         root = work_dir.absolute()
         for rel in spec.source_files:
             src = root / rel
-            argv = [*command, "-E", "-P", *spec.build.flags, f"-I{src.parent}", str(src)]
-            src.write_bytes(_preprocess(argv, root, spec.build.timeout_s))
+            argv = [*preprocessor, "-E", "-P", *spec.build.flags, f"-I{src.parent}", str(src)]
+            status, out, err = run_compiler(argv, spec.build.timeout_s, root)
+            if status == TIMEOUT:
+                raise PreprocessFailure(f"timed out after {spec.build.timeout_s}s: {' '.join(argv)}")
+            if status != 0:
+                raise PreprocessFailure(err.decode(errors="replace"))
+            src.write_bytes(out)
 
     return work_dir

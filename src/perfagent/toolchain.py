@@ -100,7 +100,6 @@ class ToolchainError(Exception):
 class ToolNotFound(ToolchainError):
     def __init__(self, compiler_id: str):
         super().__init__(f"no configured compiler with id {compiler_id!r}")
-        self.compiler_id = compiler_id
 
 
 class EmptySample(ToolchainError):
@@ -110,9 +109,22 @@ class EmptySample(ToolchainError):
 
 @dataclass(frozen=True)
 class CompilerInfo:
+    """A compiler's C and C++ files, each resolved once, here: a bare name
+    by one PATH search, a path with a separator made absolute from the
+    current directory; a name not found stays as written. An empty version
+    string is the first line the C compiler's ``--version`` prints."""
+
     c_path: str
     cxx_path: str
     version_string: str
+
+    def __post_init__(self) -> None:
+        for name in ("c_path", "cxx_path"):
+            compiler = getattr(self, name)
+            found = compiler if os.sep in compiler else shutil.which(compiler)
+            object.__setattr__(self, name, os.path.abspath(found) if found else compiler)
+        if not self.version_string:
+            object.__setattr__(self, "version_string", _probe_version(self.c_path))
 
 
 @dataclass(frozen=True)
@@ -120,23 +132,14 @@ class ToolchainConfig:
     compilers: dict[str, CompilerInfo]
     default_flags: dict[str, tuple[str, ...]]
 
-    def resolve(self, compiler_id: str, language: Language) -> str:
-        info = self.compilers.get(compiler_id)
-        if info is None:
-            raise ToolNotFound(compiler_id)
-        return info.c_path if language is Language.C else info.cxx_path
-
-    def flags_for(self, compiler_id: str) -> tuple[str, ...]:
-        return self.default_flags.get(compiler_id, ())
-
     def command(self, spec: BenchmarkSpec) -> list[str]:
-        """The compiler that builds ``spec`` and its default flags. A
-        compiler named by a relative path is made absolute from the launch
-        directory, since builds and the preprocessor run elsewhere."""
-        compiler = self.resolve(spec.build.compiler_id, spec.language)
-        if os.sep in compiler:
-            compiler = os.path.abspath(compiler)
-        return [compiler, *self.flags_for(spec.build.compiler_id)]
+        """The compiler file that builds ``spec`` and its default flags."""
+        cid = spec.build.compiler_id
+        info = self.compilers.get(cid)
+        if info is None:
+            raise ToolNotFound(cid)
+        compiler = info.c_path if spec.language is Language.C else info.cxx_path
+        return [compiler, *self.default_flags.get(cid, ())]
 
 
 class BuildStatus(Enum):
@@ -309,15 +312,11 @@ class SpeedupStat:
 
 def _probe_version(path: str) -> str:
     """The first line ``path --version`` prints within 10 s, else "unknown"."""
-    with tempfile.TemporaryFile(buffering=0) as out:
-        try:
-            status, _ = _run(
-                [path, "--version"], 10,
-                stdin=subprocess.DEVNULL, stdout=out, stderr=subprocess.DEVNULL,
-            )
-        except OSError:
-            return "unknown"
-        first = _read_all(out.fileno()).decode(errors="replace").splitlines()
+    try:
+        status, out, _ = run_compiler([path, "--version"], 10)
+    except ToolchainError:
+        return "unknown"
+    first = out.decode(errors="replace").splitlines()
     return first[0] if first and status != TIMEOUT else "unknown"
 
 
@@ -325,10 +324,9 @@ def detect() -> ToolchainConfig:
     """Probe PATH for the usual gcc and clang pairs."""
     compilers: dict[str, CompilerInfo] = {}
     for cid, c_name, cxx_name in (("gcc", "gcc", "g++"), ("clang", "clang", "clang++")):
-        c_path = shutil.which(c_name)
-        cxx_path = shutil.which(cxx_name)
+        c_path, cxx_path = shutil.which(c_name), shutil.which(cxx_name)
         if c_path and cxx_path:
-            compilers[cid] = CompilerInfo(c_path, cxx_path, _probe_version(c_path))
+            compilers[cid] = CompilerInfo(c_path, cxx_path, "")
     if "gcc" in compilers:
         compilers.setdefault("g++", compilers["gcc"])
     return ToolchainConfig(compilers=compilers, default_flags={})
@@ -349,10 +347,7 @@ def load(path: Path | str) -> ToolchainConfig:
         compilers[cid] = CompilerInfo(
             c_path=c_path,
             cxx_path=want(entry, f"compilers.{cid}.cxx_path", str, fail, c_path),
-            version_string=(
-                want(entry, f"compilers.{cid}.version_string", str, fail, None)
-                or _probe_version(c_path)
-            ),
+            version_string=want(entry, f"compilers.{cid}.version_string", str, fail, None) or "",
         )
     flags = want(doc, "default_flags", dict[str, list[str]], fail, {})
     return ToolchainConfig(compilers, {cid: tuple(f) for cid, f in flags.items()})
@@ -467,13 +462,13 @@ def _hash_file(digest, path: Path):
 
 
 def _compiler_identity(compiler: str) -> list | None:
-    """Real path, size and modification time of the compiler file that
-    ``compiler`` names, or None when no such file is found."""
-    found = shutil.which(compiler)
-    if found is None:
+    """Real path, size and modification time of the compiler file
+    ``compiler`` now, or None when there is no such file."""
+    path = os.path.realpath(compiler)
+    try:
+        st = os.stat(path)
+    except OSError:
         return None
-    path = os.path.realpath(found)
-    st = os.stat(path)
     return [path, st.st_size, st.st_mtime_ns]
 
 
@@ -571,9 +566,7 @@ def start_compile(
         )
     except OSError as exc:
         stderr.close()
-        if isinstance(exc, FileNotFoundError):
-            raise ToolNotFound(spec.build.compiler_id) from exc
-        raise ToolchainError(f"cannot run compiler {argv[0]}: {exc.strerror or exc}") from exc
+        raise _cannot_run(argv[0], exc) from exc
     build = PendingBuild(proc, argv, stderr, binary, vlogs, spec.build.timeout_s, key)
     _unjoined.add(build)
     return build
@@ -710,6 +703,27 @@ def _run(argv: list[str], timeout_s: float, **popen_kwargs) -> tuple[int | str, 
 
 def _read_all(fd: int) -> bytes:
     return os.pread(fd, os.fstat(fd).st_size, 0)
+
+
+def _cannot_run(compiler: str, exc: OSError) -> ToolchainError:
+    """The one error for a configured compiler that does not start."""
+    return ToolchainError(f"cannot run compiler {compiler}: {exc.strerror or exc}")
+
+
+def run_compiler(
+    argv: list[str], timeout_s: float, cwd: Path | None = None
+) -> tuple[int | str, bytes, bytes]:
+    """Run the configured compiler ``argv`` untimed in ``cwd`` through
+    ``_run``: its exit status (TIMEOUT when killed at ``timeout_s``),
+    stdout and stderr. One that cannot be started is ``_cannot_run``."""
+    with tempfile.TemporaryFile(buffering=0) as out, tempfile.TemporaryFile(buffering=0) as err:
+        try:
+            status, _ = _run(
+                argv, timeout_s, stdin=subprocess.DEVNULL, stdout=out, stderr=err, cwd=cwd,
+            )
+        except OSError as exc:
+            raise _cannot_run(argv[0], exc) from exc
+        return status, _read_all(out.fileno()), _read_all(err.fileno())
 
 
 def _read_tail(fd: int) -> bytes:

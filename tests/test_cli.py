@@ -200,12 +200,23 @@ class TestExperimentCommands:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
 
-    def test_compiler_that_cannot_be_started_fails_cleanly(self, tmp_path, capsys):
-        suite(tmp_path / "suite")
+    @pytest.mark.parametrize("pass_", ["build", "-E pass"])
+    @pytest.mark.parametrize("file, strerror", [
+        ("missing", "No such file or directory"), ("mode 644", "Permission denied"),
+    ], ids=["missing", "mode 644"])
+    def test_compiler_that_cannot_be_started_fails_cleanly(
+        self, tmp_path, capsys, pass_, file, strerror
+    ):
+        """Whether the build or the ``-E`` pass of ``prep.expand_macros``
+        meets it first, a compiler that is missing or not executable ends
+        the run with one line naming it."""
+        write_bench(tmp_path / "suite", "alpha", {"main.c": sleeper(100)},
+                    prep={"expand_macros": pass_ == "-E pass"})
         config = replay_config(tmp_path, ["x"])
         wrapper = tmp_path / "cc"
-        wrapper.write_text('#!/bin/sh\nexec gcc "$@"\n')
-        wrapper.chmod(0o644)
+        if file == "mode 644":
+            wrapper.write_text('#!/bin/sh\nexec gcc "$@"\n')
+            wrapper.chmod(0o644)
         toolchain = tmp_path / "toolchain.json"
         toolchain.write_text(json.dumps({"compilers": {"gcc": {
             "c_path": str(wrapper), "version_string": "wrapped gcc",
@@ -217,7 +228,23 @@ class TestExperimentCommands:
         ])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"error: cannot run compiler {wrapper}: Permission denied"]
+        assert lines == [f"error: cannot run compiler {wrapper}: {strerror}"]
+
+    def test_unknown_compiler_id_skips_its_row(self, tmp_path, capsys, caplog):
+        """A compiler id the toolchain lacks is the benchmark's fault: its
+        row is skipped with an error logged, and the run goes on."""
+        write_bench(tmp_path / "suite", "alpha", {"main.c": sleeper(100)},
+                    build={"compiler_id": "icx"})
+        write_bench(tmp_path / "suite", "beta", {"main.c": sleeper(100)},
+                    build={"flags": ["-O0"]}, run={"repetitions": 2})
+        config = replay_config(tmp_path, [fenced(sleeper(50))])
+        code = main([
+            "ex1", "--root", str(tmp_path / "suite"), "--provider", str(config),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("beta: Correct")
+        assert "alpha: skipped, no configured compiler with id 'icx'" in caplog.text
 
     @pytest.mark.parametrize("key, value", [("transcript_path", 5), ("temperature", "hot")])
     def test_mistyped_provider_config_fails_cleanly(self, tmp_path, capsys, key, value):

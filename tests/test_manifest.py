@@ -146,8 +146,32 @@ def test_prepare_verbatim_copy(tmp_path):
     assert not (out / "bench.json").exists()
 
 
-def test_prepare_strips_omp_pragma_lines_only(tmp_path):
-    src = kernels.matmul_omp_ikj(16)
+# A directive continued over a second line, as ``reduction(+:s)``
+# often is.
+CONTINUED_OMP = """\
+#include <stdio.h>
+
+int main(void) {
+    long s = 0;
+    #pragma omp parallel for \\
+        reduction(+:s)
+    for (long i = 1; i <= 1000; i++)
+        s += i;
+    printf("%ld\\n", s);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("src, expected", [
+    (kernels.matmul_omp_ikj(16), kernels.matmul_ikj(16)),
+    (CONTINUED_OMP,
+     CONTINUED_OMP.replace("    #pragma omp parallel for \\\n        reduction(+:s)\n", "")),
+], ids=["one-line", "continued"])
+def test_prepare_strips_omp_pragma_lines_only(tmp_path, src, expected):
+    """Each directive goes whole, and nothing else does; the stripped
+    source builds and prints what the original prints built serially."""
+    assert expected != src
     write_bench(
         tmp_path / "suite", "omp", {"main.c": src}, prep={"strip_omp_pragmas": True}
     )
@@ -155,10 +179,16 @@ def test_prepare_strips_omp_pragma_lines_only(tmp_path):
     out = prepare_sources(spec, tmp_path / "work")
     got = (out / "main.c").read_text()
     assert "#pragma omp" not in got
-    expected = "".join(
-        ln for ln in src.splitlines(keepends=True) if not ln.lstrip().startswith("#pragma omp")
-    )
     assert got == expected
+
+    gcc = shutil.which("gcc")
+    assert gcc, "gcc required"
+    printed = []
+    for name, text in (("serial", src), ("stripped", got)):
+        (tmp_path / f"{name}.c").write_text(text)
+        subprocess.run([gcc, "-O0", "-o", tmp_path / name, tmp_path / f"{name}.c"], check=True)
+        printed.append(subprocess.run([tmp_path / name], capture_output=True, check=True).stdout)
+    assert printed[0] == printed[1] != b""
 
 
 def test_prepare_expands_macros_like_the_preprocessor(tmp_path):
@@ -193,7 +223,7 @@ def test_expansion_resolves_relative_flags_in_the_tree(tmp_path, monkeypatch):
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
-    out = prepare_sources(spec, "work")
+    out = prepare_sources(spec, "work", preprocessor=[shutil.which("gcc")])
     assert b"return 5;" in (out / "main.c").read_bytes()
 
 
@@ -204,7 +234,7 @@ def test_preprocess_failure_reported(tmp_path):
     )
     spec = load_manifest(tmp_path / "suite")[0]
     with pytest.raises(PreprocessFailure):
-        prepare_sources(spec, tmp_path / "work")
+        prepare_sources(spec, tmp_path / "work", preprocessor=[shutil.which("gcc")])
 
 
 def test_preprocessor_timeout_kills_its_process_group(tmp_path):

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import signal
 import stat
 import sys
@@ -118,8 +119,8 @@ def test_unknown_compiler_id(tmp_path, toolchain_config):
 
 
 def test_compiler_that_cannot_be_started_is_named(tmp_path):
-    """A compiler file that exists but is not executable is reported by
-    its path and the OS error; only a missing file is ToolNotFound."""
+    """A compiler file that is not executable, or is missing, is reported
+    by its path and the OS error; neither is ToolNotFound."""
     wrapper = tmp_path / "cc"
     wrapper.write_text('#!/bin/sh\nexec gcc "$@"\n')
     wrapper.chmod(0o644)
@@ -133,8 +134,36 @@ def test_compiler_that_cannot_be_started_is_named(tmp_path):
     assert not isinstance(failure.value, tc.ToolNotFound)
     assert str(failure.value) == f"cannot run compiler {wrapper}: Permission denied"
     wrapper.unlink()
-    with pytest.raises(tc.ToolNotFound):
+    with pytest.raises(tc.ToolchainError) as failure:
         tc.compile(spec, spec.root, tc.load(config), "base", tmp_path / "work")
+    assert not isinstance(failure.value, tc.ToolNotFound)
+    assert str(failure.value) == f"cannot run compiler {wrapper}: No such file or directory"
+
+
+def test_relative_compiler_path_resolves_where_the_toolchain_loads(
+    tmp_path, toolchain_config, monkeypatch
+):
+    """``"c_path": "./cc"`` names the cc of the directory the toolchain
+    was loaded in, for its version probe and for builds started later
+    from anywhere."""
+    launch = tmp_path / "launch"
+    launch.mkdir()
+    wrapper = launch / "cc"
+    wrapper.write_text(f'#!/bin/sh\nexec "{toolchain_config.compilers["gcc"].c_path}" "$@"\n')
+    wrapper.chmod(0o755)
+    (launch / "toolchain.json").write_text(json.dumps({"compilers": {"gcc": {"c_path": "./cc"}}}))
+    spec = _spec(tmp_path, "mm", {"main.c": kernels.sleeper(0)})
+    monkeypatch.chdir(launch)
+    toolchain = tc.load("toolchain.json")
+    info = toolchain.compilers["gcc"]
+    wrapper = wrapper.resolve()
+    assert info.c_path == info.cxx_path == str(wrapper)
+    assert info.version_string == toolchain_config.compilers["gcc"].version_string
+    monkeypatch.chdir(tmp_path)
+    out = tc.compile(spec, spec.root, toolchain, "base", "work")
+    assert out.status is tc.BuildStatus.OK, out.stderr
+    assert out.stderr.startswith(f"$ {wrapper} ")
+
 
 def _build(tmp_path, toolchain_config, source, bench_id="fix", **overrides):
     spec = _spec(tmp_path, bench_id, {"main.c": source}, **overrides)
@@ -900,6 +929,19 @@ class TestBuildReuse:
         build.kill()
         assert build.wait() == first
         assert tc.run_timed(again.binary_path, RunRecipe(repetitions=1)).stdout == b"5\n"
+
+    def test_a_build_searches_no_path(self, tmp_path, toolchain_config, monkeypatch):
+        """The compiler file was resolved with the toolchain: neither a
+        build nor its key searches PATH again."""
+        self.make(tmp_path, toolchain_config)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("PATH searched during a build")
+
+        monkeypatch.setattr(shutil, "which", no_search)
+        assert self.start().wait().ok
+        assert self.start().wait().ok
+        assert self.spawns() == 1
 
     @pytest.mark.parametrize("change", [
         "source byte", "unlisted header", "flag", "version string", "compiler file",
