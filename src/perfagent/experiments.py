@@ -90,8 +90,13 @@ class AttemptRecord:
             raise InvalidRecord("na_flag must mark exactly the non-Correct rows")
         if self.na_flag and self.speedup != 1.0:
             raise InvalidRecord("NA rows carry speedup exactly 1.0")
+        if not self.speedup > 0:
+            raise InvalidRecord(f"speedup must be > 0, not {self.speedup!r}")
         if self.thread_results is not None and self.experiment is not Experiment.EX3:
             raise InvalidRecord("thread_results only applies to EX3 rows")
+        for count, speedup in self.thread_results or ():
+            if speedup is not None and not speedup > 0:
+                raise InvalidRecord(f"thread_results.{count} must be > 0, not {speedup!r}")
 
     @property
     def thread_map(self) -> dict[int, float | None]:
@@ -104,12 +109,13 @@ class ResultsTable:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        seen = set()
-        for row in self.rows:
+        seen: dict[tuple, int] = {}
+        for i, row in enumerate(self.rows):
             key = (row.benchmark_id, row.experiment, row.tool_id, row.variant_tag)
             if key in seen:
-                raise DuplicateRow(str(key))
-            seen.add(key)
+                raise DuplicateRow(f"rows[{i}]: repeats rows[{seen[key]}]: benchmark "
+                                   f"{key[0]!r}, {key[1].value}, tool {key[2]!r}, variant {key[3]!r}")
+            seen[key] = i
 
 
 def host_env(toolchain: tc.ToolchainConfig) -> dict[str, str]:
@@ -813,7 +819,10 @@ def load_table(path: Path | str) -> ResultsTable:
             rows.append(record_from_dict(row))
         except (InvalidRecord, ValueError) as exc:  # ValueError: a thread count not an int
             raise fail(f"rows[{i}]: {exc}") from None
-    return ResultsTable(tuple(rows), want(doc, "provenance", dict, fail, {}))
+    try:
+        return ResultsTable(tuple(rows), want(doc, "provenance", dict, fail, {}))
+    except DuplicateRow as exc:
+        raise DuplicateRow(f"{path}: {exc}") from None
 
 
 def _csv_text(table: ResultsTable) -> str:

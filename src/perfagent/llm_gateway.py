@@ -509,26 +509,13 @@ def extract_code(response: ModelResponse) -> ExtractionResult:
     return NO_CODE
 
 
-# An include directive from its "#"; it counts when only blanks precede
-# the "#" on its line and the "#" is live.
-_INCLUDE = re.compile(rb'#[ \t]*include[ \t]*[<"]([^>"\n]+)[>"]')
-
-
 def include_names(source: str) -> set[str]:
-    """Names of headers included by live (uncommented) directives."""
-    return set(patch._derived(source, _include_names))
-
-
-def _include_names(scan) -> frozenset[str]:
-    # The raw bytes, not the zeroed copy: quote-form include names are
-    # string literals and are zeroed there; only the "#" must be live.
-    data = scan.data
-    return frozenset(
-        m.group(1).decode("utf-8", "replace")
-        for m in _INCLUDE.finditer(data)
-        if scan.literal[m.start()]
-        and not data[data.rfind(b"\n", 0, m.start()) + 1 : m.start()].strip(b" \t")
-    )
+    """Names of the headers that the live ``#include`` directives name."""
+    return {
+        d.words[1][1:-1]
+        for d in patch.directives(source)
+        if len(d.words) > 1 and d.words[0] == "include" and d.words[1][0] in '<"' and len(d.words[1]) > 2
+    }
 
 
 _WORD_CHAR = re.compile(r"\w")
@@ -543,8 +530,6 @@ _PARALLEL_TOKENS = (
     "pthread_create", "std::thread", "std::jthread", "std::async",
     "std::execution::par", "tbb::parallel", "omp_set_num_threads",
 )
-
-_PRAGMA_OMP_LINE = re.compile(r"^[ \t]*#[ \t]*pragma[ \t]+omp\b", re.MULTILINE)
 
 
 def _function_names(source: str, side: str) -> set[str]:
@@ -575,8 +560,7 @@ def _occurs_as_word(text: str, word: str) -> bool:
 
 
 def has_parallel_construct(source: str) -> bool:
-    visible = patch.active_text(source, keep_directives=True)
-    if _PRAGMA_OMP_LINE.search(visible):
+    if any(d.words[:2] == ("pragma", "omp") for d in patch.directives(source)):
         return True
     active = patch.active_text(source)
     return any(token in active for token in _PARALLEL_TOKENS)

@@ -25,8 +25,6 @@ MANIFEST_NAME = "bench.json"
 _C_FAMILY_SUFFIXES = {
     ".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh", ".hxx", ".C", ".H",
 }
-# A line's leading blanks before a "#pragma omp" directive.
-_PRAGMA_OMP = re.compile(rb"^[ \t]*(?=#[ \t]*pragma[ \t]+omp\b)", re.MULTILINE)
 
 
 class Motif(Enum):
@@ -362,14 +360,13 @@ def select(
 
 
 def _strip_omp_lines(data: bytes) -> bytes:
-    """``data`` without its ``#pragma omp`` directives, each cut from its
-    line's start through its last continued line by ``patch``'s directive
-    rule, on the copy with comments and literals zeroed."""
-    literal = patch._zero_inert(data.replace(b"\x00", b"\x01"))
+    """``data`` without its ``#pragma omp`` directives, each cut whole
+    from its line's start, as ``patch`` reads directives."""
     parts, done = [], 0
-    for m in _PRAGMA_OMP.finditer(literal):
-        parts.append(data[done : m.start()])
-        done = patch._DIRECTIVE_BODY.match(literal, m.end()).end()
+    for directive in patch.directives(data.decode("utf-8", "surrogateescape")):
+        if directive.words[:2] == ("pragma", "omp"):
+            parts.append(data[done : directive.byte_start])
+            done = directive.byte_end
     parts.append(data[done:])
     return b"".join(parts)
 
@@ -382,8 +379,8 @@ def prepare_sources(
     """Copy the benchmark into ``work_dir`` and apply prep options.
 
     With all options off the copy is byte-identical. Pragma stripping
-    removes each ``#pragma omp`` directive outside comments and literals,
-    continued lines included. Macro expansion runs each listed source
+    removes each ``#pragma omp`` directive, continued lines and comments
+    before its "#" included. Macro expansion runs each listed source
     through ``preprocessor`` (``-E -P``), the command that builds the
     benchmark (``tc.ToolchainConfig.command``), in the root of the
     prepared tree, so a relative flag such as ``-Iinc`` names a directory

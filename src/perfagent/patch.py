@@ -1,14 +1,14 @@
-"""Lexical C/C++ function location and replacement.
+"""Lexical C/C++ function location and replacement, and directive reading.
 
 Finds top-level function definitions without a real parser. Each source
 text gets one cached scan, which holds two copies of the text's UTF-8
 encoding with every inactive byte zeroed:
 
 - ``literal``: comments and string and character literals zeroed;
-- ``code``: preprocessor directive lines zeroed as well.
+- ``code``: preprocessor directives zeroed as well.
 
 A compiled-regex split builds the first copy, and a search for each live
-"#" that starts a line builds the second. Everything after works on
+"#" that starts a directive builds the second. Everything after works on
 ``code`` with compiled-regex searches and ``bytes.find``/``bytes.count``,
 never byte by byte. A delimiter's match is the first closer at which every
 opener counted since is closed. The file-scope walk jumps from one
@@ -16,13 +16,21 @@ delimiter or identifier to the next and skips each brace or parenthesis
 group whole. Brace and parenthesis depth then identifies
 ``name(args) { ... }`` definitions at file scope.
 
+Directives follow C's rule (ISO C11 5.1.1.2, phases 3-4: each comment
+becomes one space before directives are read): a live "#" starts one when
+only spaces, tabs and comments precede it on its line, and it runs through
+its last line continued by a backslash. The scan keeps each directive's
+span and words; pragma stripping and the header and OpenMP checks read
+directives only here.
+
 Asking about an unchanged source again costs a dictionary lookup. So does
 anything another module derives from the scan through ``_derived``.
 
 Known limits, by design: K&R definitions, qualified member definitions
 (``Foo::bar``), functions nested in ``extern "C"`` or class bodies, and
-functions produced by macro expansion are not recognized. The benchmark
-kernels in scope are plain C with at most light C++.
+functions produced by macro expansion are not recognized. A backslash
+continuation joins lines only inside a directive. The benchmark kernels
+in scope are plain C with at most light C++.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from typing import Callable, TypeVar
 _T = TypeVar("_T")
 
 __all__ = [
+    "Directive",
     "FunctionSpan",
     "PatchError",
     "FunctionNotFound",
@@ -45,6 +54,7 @@ __all__ = [
     "locate_function",
     "extract_function",
     "replace_function",
+    "directives",
 ]
 
 
@@ -91,6 +101,19 @@ class FunctionSpan:
     byte_end: int
 
 
+@dataclass(frozen=True)
+class Directive:
+    """One live preprocessor directive, from its line's start through the
+    newline ending its last continued line (byte offsets, as in FunctionSpan).
+    ``words`` follow the "#", comments read as blanks and continuations
+    joined: a name in quotes or angle brackets, a run of word characters,
+    or another non-blank byte; ``#/**/include<x.h>`` reads ("include", "<x.h>")."""
+
+    byte_start: int
+    byte_end: int
+    words: tuple[str, ...]
+
+
 _WS = frozenset(b" \t\r\n\v\f")
 _SKIPPED = _WS | {0}  # whitespace and zeroed bytes
 # Bytes allowed in the declaration prefix scanned backward from the name;
@@ -128,6 +151,8 @@ _INERT = re.compile(
 # only a live newline ends the line, and only a live backslash before it
 # (a carriage return may sit between) continues it.
 _DIRECTIVE_BODY = re.compile(rb"#(?:\\\r?\n|[^\n])*\n?")
+# A directive's words, as ``Directive`` describes them.
+_WORD = re.compile(r'"[^"]*"|<[^>]*>|\w+|\S', re.ASCII)
 _INACTIVE_RUN = re.compile(rb"\x00+")
 _SKIP = re.compile(rb"[\x00 \t\r\n\v\f]*")  # a run of _SKIPPED bytes
 _IDENT = re.compile(rb"[A-Za-z_][A-Za-z0-9_]*")
@@ -146,24 +171,36 @@ def _zero_inert(data: bytes) -> bytes:
     return b"".join(parts)
 
 
-def _zero_directives(literal: bytes) -> bytes:
-    """``literal`` with directive lines zeroed from their "#" on.
+def _uncommented(code: bytes) -> bytes:
+    """``code``, starting outside comments and literals, with comments blanked."""
+    parts = _INERT.split(code)
+    parts[1::2] = [b" " if p[0] == 0x2F else p for p in parts[1::2]]  # a comment starts with "/"
+    return b"".join(parts)
 
-    A live "#" starts a directive when only blanks precede it on its line.
-    Lines are found from the live newlines alone: a newline zeroed inside
-    a comment or literal is never followed by a live "#" on the next line.
-    """
-    parts = []
+
+def _zero_directives(data: bytes, literal: bytes) -> tuple[bytes, tuple[Directive, ...]]:
+    """``literal`` (``data`` with comments and literals zeroed) with each
+    directive zeroed from its "#" on, and the directives: each live "#"
+    with only blanks and comments between it and the last live newline."""
+    parts: list[bytes] = []
+    found: list[Directive] = []
     done = pos = 0
     while (j := literal.find(b"#", pos)) >= 0:
         pos = j + 1
-        if literal[literal.rfind(b"\n", 0, j) + 1 : j].strip(b" \t"):
+        line = literal.rfind(b"\n", 0, j) + 1
+        prefix = literal[line:j]
+        if prefix.strip(b" \t\0") or 0 in prefix and _uncommented(data[line:j]).strip(b" \t"):
             continue
         end = _DIRECTIVE_BODY.match(literal, j).end()
+        body = data[pos:end]
+        if b"/" in body:  # where a comment may start
+            body = _uncommented(body)
+        text = body.decode("utf-8", "replace").replace("\\\r\n", "").replace("\\\n", "")
+        found.append(Directive(line, end, tuple(_WORD.findall(text))))
         parts += (literal[done:j], bytes(end - j))
         done = pos = end
     parts.append(literal[done:])
-    return b"".join(parts)
+    return b"".join(parts), tuple(found)
 
 
 def _match_delim(code: bytes, i: int, op: bytes, cl: bytes) -> int:
@@ -249,7 +286,8 @@ class _Scan:
 
     data: bytes  # UTF-8 encoding; every offset indexes it
     literal: bytes  # comments and literals zeroed, their newlines too
-    code: bytes  # directive lines zeroed as well
+    code: bytes  # directives zeroed as well
+    directives: tuple[Directive, ...]
     spans: tuple[FunctionSpan, ...]
     unbalanced: str | None  # name whose body never closes; spans is then empty
     # What other modules compute from this source, by deriving function.
@@ -312,13 +350,13 @@ def _find_definitions(code: bytes) -> list[FunctionSpan]:
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _scan(source: str) -> _Scan:
-    data = source.encode("utf-8")
+    data = source.encode("utf-8", "surrogateescape")
     literal = _zero_inert(data.replace(b"\x00", b"\x01"))
-    code = _zero_directives(literal)
+    code, found = _zero_directives(data, literal)
     try:
-        return _Scan(data, literal, code, tuple(_find_definitions(code)), None)
+        return _Scan(data, literal, code, found, tuple(_find_definitions(code)), None)
     except UnbalancedBraces as exc:
-        return _Scan(data, literal, code, (), exc.name)
+        return _Scan(data, literal, code, found, (), exc.name)
 
 
 def _derived(source: str, derive: Callable[[_Scan], _T]) -> _T:
@@ -332,20 +370,24 @@ def _derived(source: str, derive: Callable[[_Scan], _T]) -> _T:
         return value
 
 
-def active_text(source: str, keep_directives: bool = False) -> str:
-    """Source with comments, literal contents, and directive lines blanked.
+def active_text(source: str) -> str:
+    """Source with comments, literals, and directives blanked.
 
     Newlines survive so line-oriented scans still work; every other
     inactive byte becomes a space. Useful for token searches that must not
-    match inside strings or comments. With keep_directives, preprocessor
-    lines stay visible (e.g. to look for pragmas).
+    match inside strings, comments or directives.
     """
     scan = _scan(source)
     data = scan.data
     out = bytearray(data)
-    for m in _INACTIVE_RUN.finditer(scan.literal if keep_directives else scan.code):
+    for m in _INACTIVE_RUN.finditer(scan.code):
         out[m.start() : m.end()] = data[m.start() : m.end()].translate(_BLANK)
     return out.decode("utf-8", "replace")
+
+
+def directives(source: str) -> tuple[Directive, ...]:
+    """The live preprocessor directives of ``source``, in source order."""
+    return _scan(source).directives
 
 
 def list_functions(source: str) -> list[FunctionSpan]:
@@ -372,7 +414,7 @@ def locate_function(source: str, name: str) -> FunctionSpan:
 def extract_function(source: str, name: str) -> str:
     """Verbatim text of the definition, prefix through closing brace."""
     span = locate_function(source, name)
-    return _scan(source).data[span.byte_start : span.byte_end].decode("utf-8")
+    return _scan(source).data[span.byte_start : span.byte_end].decode("utf-8", "surrogateescape")
 
 
 def replace_function(source: str, name: str, new_text: str) -> str:
@@ -387,7 +429,7 @@ def replace_function(source: str, name: str, new_text: str) -> str:
         raise UnbalancedReplacement(name)
     data = _scan(source).data
     out = data[: span.byte_start] + replacement.data + data[span.byte_end :]
-    return out.decode("utf-8")
+    return out.decode("utf-8", "surrogateescape")
 
 
 def _braces_balance(code: bytes) -> bool:

@@ -169,13 +169,13 @@ class Output:
     wrote into (``from_fd``); ``Output(data)`` wraps bytes made in
     memory, so both are read the same way. ``len()`` is the size in
     bytes, ``read(start, stop)`` one bounded slice, ``==`` (against bytes
-    or another Output) and ``sha256()`` stream ``READ_SIZE`` bytes at a
-    time, and ``bytes()`` reads it whole. ``sha256()`` hashes once and
-    keeps the digest. The file closes when the handle is dropped or
-    ``close`` is called; a closed Output still gives its length and a
-    digest taken before it closed, and reading it raises ValueError.
-    Outputs compare like bytes but, being possibly large and
-    file-backed, are not hashable.
+    or another Output), ``first_difference`` and ``sha256()`` stream
+    ``READ_SIZE`` bytes at a time, and ``bytes()`` reads it whole.
+    ``sha256()`` hashes once and keeps the digest. The file closes when
+    the handle is dropped or ``close`` is called; a closed Output still
+    gives its length and a digest taken before it closed, and reading it
+    raises ValueError. Outputs compare like bytes but, being possibly
+    large and file-backed, are not hashable.
     """
 
     __slots__ = ("_size", "_pread", "_finalizer", "_digest", "__weakref__")
@@ -216,14 +216,28 @@ class Output:
             other = Output(other)
         if not isinstance(other, Output):
             return NotImplemented
+        return len(other) == self._size and self.first_difference(other) == self._size
+
+    def first_difference(self, other: Output) -> int:
+        """Offset of the first byte where this output and ``other``
+        differ, or the shorter length if one is a prefix of the other:
+        reads at the same offsets, then halving in the first unequal pair.
+        An output compared with itself is not read."""
+        shorter = min(self._size, len(other))
         if other is self:
-            return True
-        if len(other) != self._size:
-            return False
-        return all(
-            self.read(start, start + READ_SIZE) == other.read(start, start + READ_SIZE)
-            for start in range(0, self._size, READ_SIZE)
-        )
+            return shorter
+        for pos in range(0, shorter, READ_SIZE):
+            a, b = self.read(pos, pos + READ_SIZE), other.read(pos, pos + READ_SIZE)
+            if a != b:
+                lo, hi = 0, min(len(a), len(b))  # the first difference is in lo..hi
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if a[lo : mid + 1] == b[lo : mid + 1]:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                return pos + lo
+        return shorter
 
     def sha256(self) -> str:
         """Hex SHA-256 of the whole output, hashed on the first call."""

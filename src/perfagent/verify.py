@@ -8,13 +8,14 @@ since measurement reverts to the original code.
 
 ``compare_outputs`` reaches both outputs only through bounded reads of
 ``toolchain.Output`` handles (bytes are wrapped in one), so an output
-may stay in the file the program wrote it into. The outputs are compared
-a read at a time; equal ones are then counted, and otherwise the walk
-backs up from the first differing byte to the last line start both
-share, counts what precedes it, and splits only the rest, a read at a
-time, pairing lines lazily. It holds a few reads at a time, or, with
-ignore_patterns, one line where a line is longer than a read, whatever
-the outputs' size.
+may stay in the file the program wrote it into. ``Output.first_difference``
+compares them a read at a time; equal ones are then counted, and
+otherwise the walk backs up from the first differing byte to the last
+line start both share, counts what precedes it, and splits only the
+rest, pairing lines lazily. One splitter, fed a read at a time, finds
+every line that is counted or paired; tokens are counted on byte classes.
+It holds a few reads at a time, or one line where a line is longer than
+a read, whatever the outputs' size.
 """
 
 from __future__ import annotations
@@ -132,21 +133,6 @@ def _filter_lines(out: Output, start: int, end: int, patterns: tuple[re.Pattern,
     yield _kept(lines.end(), patterns)
 
 
-def _count_lines(out: Output, end: int) -> int:
-    """Lines of ``out[:end]``, where ``end`` is a line start or
-    ``len(out)``, as ``bytes.splitlines`` counts them, a read at a time."""
-    count = 0
-    cr = False  # the bytes read before end in b"\r"
-    for pos in range(0, end, tc.READ_SIZE):
-        chunk = out.read(pos, min(pos + tc.READ_SIZE, end))
-        # A b"\r\n" split between two reads is one break.
-        count += chunk.count(b"\n") - (cr and chunk.startswith(b"\n"))
-        if b"\r" in chunk:
-            count += chunk.count(b"\r") - chunk.count(b"\r\n")
-        cr = chunk.endswith(b"\r")
-    return count + (end > 0 and out.read(end - 1, end) not in (b"\r", b"\n"))
-
-
 def _count_tokens(data: bytes | Output, end: int | None = None) -> int:
     """``len(data[:end].decode("latin-1").split())``, counted on the byte
     classes of each read without building the tokens."""
@@ -165,26 +151,12 @@ def _count_tokens(data: bytes | Output, end: int | None = None) -> int:
 def _count(out: Output, end: int, patterns: tuple[re.Pattern, ...], exact: bool) -> int:
     """Kept lines (``exact``) or their tokens in ``out[:end]``, where
     ``end`` is a line start or ``len(out)``."""
-    if not patterns:
-        return _count_lines(out, end) if exact else _count_tokens(out, end)
+    if not (patterns or exact):
+        return _count_tokens(out, end)
     kept = _filter_lines(out, 0, end, patterns)
     if exact:
         return sum(map(len, kept))
     return sum(_count_tokens(b"".join(lines)) for lines in kept)
-
-
-def _first_difference(a: Output, b: Output) -> int:
-    """Offset of the first byte where ``a`` and ``b`` differ, or the
-    shorter length when one is a prefix of the other, found a read at a
-    time; one object is not read at all."""
-    shorter = min(len(a), len(b))
-    if a is b:
-        return shorter
-    for pos in range(0, shorter, tc.READ_SIZE):
-        x, y = a.read(pos, pos + tc.READ_SIZE), b.read(pos, pos + tc.READ_SIZE)
-        if x != y:
-            return pos + _mismatch(x, y)
-    return shorter
 
 
 def _shared_line_start(out: Output, agreed: int) -> int:
@@ -201,30 +173,6 @@ def _shared_line_start(out: Output, agreed: int) -> int:
             return begin + last + 1
         end = begin
     return 0
-
-
-def _mismatch(a: bytes, b: bytes) -> int:
-    """Index of the first byte where ``a`` and ``b`` differ, or the
-    shorter length when one is a prefix of the other.
-
-    Compares fixed-size slices, then halves the first unequal one.
-    """
-    n = min(len(a), len(b))
-    done = 0
-    while done < n:
-        step = min(tc.READ_SIZE, n - done)
-        if a[done : done + step] == b[done : done + step]:
-            done += step
-            continue
-        while step > 1:
-            half = step // 2
-            if a[done : done + half] == b[done : done + half]:
-                done += half
-                step -= half
-            else:
-                step = half
-        return done
-    return n
 
 
 def _line_text(raw: bytes) -> str:
@@ -245,7 +193,9 @@ def _compare_exact(ref_lines, cand_lines, line: int) -> MatchReport:
         if ref != cand:
             return MatchReport(
                 False,
-                Divergence(line, _mismatch(ref, cand), _line_text(ref), _line_text(cand)),
+                Divergence(
+                    line, Output(ref).first_difference(Output(cand)), _line_text(ref), _line_text(cand)
+                ),
                 compared_tokens=line,
             )
     return MatchReport(True, None, compared_tokens=line)
@@ -321,12 +271,12 @@ def compare_outputs(
     other pairs must be byte-equal.
 
     Both outputs are read ``toolchain.READ_SIZE`` bytes at a time, at
-    the same offsets, and no call builds a line list or holds a whole
-    output. Equal outputs (not read at all when they are one object) are
-    then only counted: lines (ExactBytes) or tokens. Otherwise halving
-    finds the first differing byte in the first differing read, the walk
-    backs up to the last line start both outputs share, and the lines
-    and tokens before it are counted a read at a time. From there both
+    the same offsets, and no call holds a whole output. Equal outputs
+    (not read at all when they are one object) are then only counted:
+    kept lines (ExactBytes) or tokens. Otherwise halving finds the first
+    differing byte in the first differing read, the walk backs up to the
+    last line start both outputs share, and the lines and tokens before
+    it are counted a read at a time. From there both
     outputs are split a read at a time, ignore_patterns drop lines one
     at a time, and lines or tokens are paired lazily up to the first
     divergence.
@@ -338,7 +288,7 @@ def compare_outputs(
         cand = ref
     else:
         cand = candidate if isinstance(candidate, Output) else Output(candidate)
-    agreed = _first_difference(ref, cand)
+    agreed = ref.first_difference(cand)
     if agreed == len(ref) == len(cand):
         return MatchReport(True, None, _count(ref, agreed, patterns, exact))
     start = _shared_line_start(ref, agreed)

@@ -43,39 +43,40 @@ from perfagent.profile import (
 from perfagent.verify import Divergence, MatchReport, _clip, _numbers_match, _parse_number
 
 
-def active_mask(data: bytes) -> bytearray:
+def inert_kinds(data: bytes) -> bytearray:
+    """Per byte: 0 live, 1 in a comment, 2 in a string or char literal."""
     n = len(data)
-    mask = bytearray(b"\x01" * n)
+    kinds = bytearray(n)
     i = 0
     while i < n:
         c = data[i]
         if c == 0x2F and i + 1 < n and data[i + 1] == 0x2F:  # //
             while i < n and data[i] != 0x0A:
-                mask[i] = 0
+                kinds[i] = 1
                 i += 1
             continue
         if c == 0x2F and i + 1 < n and data[i + 1] == 0x2A:  # /*
-            mask[i] = 0
-            mask[i + 1] = 0
+            kinds[i] = 1
+            kinds[i + 1] = 1
             i += 2
             while i < n:
-                mask[i] = 0
+                kinds[i] = 1
                 if data[i] == 0x2A and i + 1 < n and data[i + 1] == 0x2F:
-                    mask[i + 1] = 0
+                    kinds[i + 1] = 1
                     i += 2
                     break
                 i += 1
             continue
         if c in (0x22, 0x27):  # " or '
             quote = c
-            mask[i] = 0
+            kinds[i] = 2
             i += 1
             while i < n:
                 if data[i] == 0x0A:
                     break
-                mask[i] = 0
+                kinds[i] = 2
                 if data[i] == 0x5C and i + 1 < n:
-                    mask[i + 1] = 0
+                    kinds[i + 1] = 2
                     i += 2
                     continue
                 if data[i] == quote:
@@ -84,42 +85,47 @@ def active_mask(data: bytes) -> bytearray:
                 i += 1
             continue
         i += 1
-    return mask
+    return kinds
+
+
+def active_mask(data: bytes) -> bytearray:
+    return bytearray(0 if kind else 1 for kind in inert_kinds(data))
 
 
 def mask_directives(data: bytes, mask: bytearray) -> None:
-    orig = bytes(mask)
+    """C's rule: a live "#" starts a directive when only spaces, tabs and
+    comments precede it since the last live newline."""
+    kinds = inert_kinds(data)
     n = len(data)
     i = 0
     while i < n:
         j = i
-        while j < n and data[j] in (0x20, 0x09):
+        while j < n and (kinds[j] == 1 or kinds[j] == 0 and data[j] in (0x20, 0x09)):
             j += 1
-        if j < n and data[j] == 0x23 and orig[j]:
+        if j < n and data[j] == 0x23 and kinds[j] == 0:
             k = j
             while k < n:
                 mask[k] = 0
-                if data[k] == 0x0A and orig[k]:
+                if data[k] == 0x0A and kinds[k] == 0:
                     p = k - 1
                     if p >= 0 and data[p] == 0x0D:
                         p -= 1
-                    if p >= j and data[p] == 0x5C and orig[p]:
+                    if p >= j and data[p] == 0x5C and kinds[p] == 0:
                         k += 1
                         continue
                     break
                 k += 1
             i = k + 1
             continue
-        while i < n and data[i] != 0x0A:
+        while i < n and not (data[i] == 0x0A and kinds[i] == 0):
             i += 1
         i += 1
 
 
-def active_text(source: str, keep_directives: bool = False) -> str:
+def active_text(source: str) -> str:
     data = source.encode("utf-8")
     mask = active_mask(data)
-    if not keep_directives:
-        mask_directives(data, mask)
+    mask_directives(data, mask)
     out = bytearray(data)
     for i in range(len(out)):
         if not mask[i] and out[i] != 0x0A:

@@ -1807,6 +1807,34 @@ class TestReports:
         assert loaded.rows == table.rows
         assert loaded.provenance == table.provenance
 
+    @pytest.mark.parametrize("row, key, value, reason", [
+        (0, "speedup", 0, "speedup must be > 0, not 0.0"),
+        (0, "speedup", -2.5, "speedup must be > 0, not -2.5"),
+        (2, "thread_results", {"4": 2.0, "8": -3.5}, "thread_results.8 must be > 0, not -3.5"),
+        (2, "thread_results", {"4": 0.0}, "thread_results.4 must be > 0, not 0.0"),
+    ], ids=["zero", "negative", "negative-thread", "zero-thread"])
+    def test_load_rejects_a_speedup_not_above_zero(self, tmp_path, row, key, value, reason):
+        """A speedup at or below 0 would reach the geometric mean as a
+        math domain error and results.csv as written."""
+        path = ex.emit_report(small_table(), [], tmp_path, formats=("json",))["json"]
+        doc = json.loads(path.read_text())
+        doc["rows"][row][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ex.InvalidRecord) as exc:
+            ex.load_table(path)
+        assert str(exc.value) == f"{path}: rows[{row}]: {reason}"
+
+    def test_load_names_a_repeated_row(self, tmp_path):
+        path = ex.emit_report(small_table(), [], tmp_path, formats=("json",))["json"]
+        doc = json.loads(path.read_text())
+        doc["rows"].append(doc["rows"][2])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ex.DuplicateRow) as exc:
+            ex.load_table(path)
+        assert str(exc.value) == (
+            f"{path}: rows[3]: repeats rows[2]: benchmark 'gamma', EX3, tool 't', variant 'ex3/cand'"
+        )
+
     def test_emission_is_deterministic(self, tmp_path):
         table = small_table()
         summaries = ex.aggregate(table)

@@ -536,17 +536,18 @@ class TestCheckConstraints:
         assert flags == {gw.ConstraintFlag.REMOVED_HEADER}
 
     def test_added_header_is_allowed(self):
-        candidate = ORIGINAL.replace(
-            "#include <math.h>", "#include <math.h>\n#include <string.h>"
-        )
-        assert gw.check_constraints(ORIGINAL, candidate, gw.Experiment.EX1) == set()
+        # C reads each comment as a blank, so the respelled includes keep the header.
+        for spelling in ("#include <math.h>\n#include <string.h>", "#/**/include <math.h>",
+                         "/* c */ #include <math.h>", "#include /* c */ <math.h>"):
+            candidate = ORIGINAL.replace("#include <math.h>", spelling)
+            assert gw.check_constraints(ORIGINAL, candidate, gw.Experiment.EX1) == set()
 
     def test_commented_include_does_not_count(self):
-        original = ORIGINAL.replace(
-            "#include <math.h>", "// #include <legacy.h>\n#include <math.h>"
-        )
-        candidate = ORIGINAL
-        assert gw.check_constraints(original, candidate, gw.Experiment.EX1) == set()
+        for inert in ("// #include <legacy.h>", "/* #include <legacy.h> */",
+                      'const char *h = "#include <legacy.h>";'):
+            original = ORIGINAL.replace("#include <math.h>", f"{inert}\n#include <math.h>")
+            candidate = ORIGINAL
+            assert gw.check_constraints(original, candidate, gw.Experiment.EX1) == set()
 
     def test_new_print_kind_flagged(self):
         candidate = ORIGINAL.replace(
@@ -596,19 +597,18 @@ class TestCheckConstraints:
         assert flags == {gw.ConstraintFlag.MISSING_PARALLEL_CONSTRUCT}
 
     def test_ex3_omp_pragma_satisfies(self):
-        candidate = ORIGINAL.replace(
-            "for (int i = 0;",
-            "#pragma omp parallel for reduction(+:s)\n    for (int i = 0;",
-        )
-        assert gw.check_constraints(ORIGINAL, candidate, gw.Experiment.EX3) == set()
+        for pragma in ("#pragma omp parallel for reduction(+:s)",
+                       "#/**/pragma omp parallel for reduction(+:s)",
+                       "/* lead */ #pragma /* c */ omp parallel for reduction(+:s)"):
+            candidate = ORIGINAL.replace("for (int i = 0;", f"{pragma}\n    for (int i = 0;")
+            assert gw.check_constraints(ORIGINAL, candidate, gw.Experiment.EX3) == set()
 
     def test_ex3_commented_pragma_does_not_satisfy(self):
-        candidate = ORIGINAL.replace(
-            "for (int i = 0;",
-            "// #pragma omp parallel for\n    for (int i = 0;",
-        )
-        flags = gw.check_constraints(ORIGINAL, candidate, gw.Experiment.EX3)
-        assert gw.ConstraintFlag.MISSING_PARALLEL_CONSTRUCT in flags
+        for inert in ("// #pragma omp parallel for", "/* #pragma omp parallel for */",
+                      'const char *p = "#pragma omp parallel for";'):
+            candidate = ORIGINAL.replace("for (int i = 0;", f"{inert}\n    for (int i = 0;")
+            flags = gw.check_constraints(ORIGINAL, candidate, gw.Experiment.EX3)
+            assert gw.ConstraintFlag.MISSING_PARALLEL_CONSTRUCT in flags
 
     def test_ex3_thread_library_satisfies(self):
         candidate = ORIGINAL.replace(

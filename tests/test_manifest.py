@@ -163,11 +163,43 @@ int main(void) {
 """
 
 
+# Directives with comments before and inside them, which C reads as
+# blanks, and the same source without them.
+COMMENTED_OMP = """\
+#include <stdio.h>
+
+int main(void) {
+    long s = 0;
+#/**/pragma omp parallel for
+    for (long i = 1; i <= 1000; i++) {
+        #pragma /* c */ omp atomic
+        s += i;
+    }
+    /* lead */ #pragma omp parallel
+    printf("%ld\\n", s);
+    return 0;
+}
+"""
+COMMENTED_SERIAL = """\
+#include <stdio.h>
+
+int main(void) {
+    long s = 0;
+    for (long i = 1; i <= 1000; i++) {
+        s += i;
+    }
+    printf("%ld\\n", s);
+    return 0;
+}
+"""
+
+
 @pytest.mark.parametrize("src, expected", [
     (kernels.matmul_omp_ikj(16), kernels.matmul_ikj(16)),
     (CONTINUED_OMP,
      CONTINUED_OMP.replace("    #pragma omp parallel for \\\n        reduction(+:s)\n", "")),
-], ids=["one-line", "continued"])
+    (COMMENTED_OMP, COMMENTED_SERIAL),
+], ids=["one-line", "continued", "commented"])
 def test_prepare_strips_omp_pragma_lines_only(tmp_path, src, expected):
     """Each directive goes whole, and nothing else does; the stripped
     source builds and prints what the original prints built serially."""

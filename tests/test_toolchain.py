@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import stat
@@ -869,6 +871,24 @@ def test_only_spawn_starts_a_child():
         calls.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         found += calls.found
     assert found == [("toolchain._spawn", "subprocess.Popen")]
+
+
+def test_only_patch_reads_directives():
+    """No module-level pattern outside ``patch`` matches a directive, so
+    which lines are directives is decided by one rule."""
+    lines = ("#pragma omp parallel", "#include <x.h>", "# define X 1")
+    found = []
+    for path in sorted(Path(tc.__file__).parent.glob("*.py")):
+        if path.stem == "patch":
+            continue
+        module = importlib.import_module(
+            "perfagent" if path.stem == "__init__" else f"perfagent.{path.stem}"
+        )
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                text = lines if isinstance(value.pattern, str) else [line.encode() for line in lines]
+                found += [(path.stem, name, line) for line in text if value.match(line)]
+    assert found == []
 
 
 _INCLUDING_MAIN = """\
